@@ -374,18 +374,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def _windows(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Zero-pad for same-length output and return sliding windows of width k."""
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    return win, xp, pad
+def _shifted(t: int, d: int) -> tuple[slice, slice]:
+    """Output and input time slices for tap offset d: out[s_out] += x[s_in].
+
+    Zero padding is implicit: positions whose source falls outside the series
+    are not touched. Both slices are empty when |d| >= t, and the empty
+    products that follow add nothing.
+    """
+    if d >= 0:
+        return slice(0, max(t - d, 0)), slice(d, t)
+    return slice(min(-d, t), t), slice(0, max(t + d, 0))
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Cross-correlation along time with zero padding and stride 1.
 
     x (batch, c_in, t), kernel (c_out, c_in, k) with k odd; output keeps t.
+    Each kernel tap is one matmul on a shifted time slice, so a 1x1 kernel
+    is a single matmul.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 3:
         raise ContractError("conv1d needs x (b,c,t) and kernel (c_out,c_in,k)")
@@ -396,25 +402,31 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ContractError(
             f"channel mismatch: x has {x.data.shape[1]}, kernel expects {c_in}"
         )
+    if bias is not None and bias.data.shape != (c_out,):
+        raise ContractError(f"bias shape {bias.shape} != ({c_out},)")
     t = x.data.shape[2]
-    win, _, pad = _windows(x.data, k)
-    y = np.einsum("bitk,oik->bot", win, kernel.data, optimize=True)
+    pad = k // 2
+    w = kernel.data
+    y = np.matmul(w[:, :, pad], x.data)
+    for kk in range(k):
+        if kk != pad:
+            so, si = _shifted(t, kk - pad)
+            y[:, :, so] += np.matmul(w[:, :, kk], x.data[:, :, si])
     if bias is not None:
-        if bias.data.shape != (c_out,):
-            raise ContractError(f"bias shape {bias.shape} != ({c_out},)")
         y = y + bias.data[None, :, None]
     out = Tensor(y)
 
     def back(g):
-        dk = np.einsum("bitk,bot->oik", win, g, optimize=True)
-        dxp = np.zeros((x.data.shape[0], c_in, t + 2 * pad))
+        dx = np.matmul(w[:, :, pad].T, g)
+        dk = np.zeros_like(w)
         for kk in range(k):
-            dxp[:, :, kk : kk + t] += np.einsum(
-                "bot,oi->bit", g, kernel.data[:, :, kk], optimize=True
-            )
-        dx = dxp[:, :, pad : pad + t]
+            so, si = _shifted(t, kk - pad)
+            gs, xs = g[:, :, so], x.data[:, :, si]
+            dk[:, :, kk] = np.matmul(gs, xs.transpose(0, 2, 1)).sum(axis=0)
+            if kk != pad:
+                dx[:, :, si] += np.matmul(w[:, :, kk].T, gs)
         if bias is not None:
-            return (dx, dk, g.sum(axis=(0, 2)))
+            return (dx, dk, np.einsum("bot->o", g))
         return (dx, dk)
 
     inputs = (x, kernel) + ((bias,) if bias is not None else ())
@@ -422,7 +434,10 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel convolution: kernel (c, 1, k), each channel filtered alone."""
+    """Per-channel convolution: kernel (c, 1, k), each channel filtered alone.
+
+    Computed as k multiply-adds of shifted time slices, zero padded.
+    """
     if kernel.data.ndim != 3 or kernel.data.shape[1] != 1:
         raise ContractError("depthwise kernel must have shape (c, 1, k)")
     c, _, k = kernel.data.shape
@@ -434,16 +449,25 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
             f" kernel expects {c}"
         )
     t = x.data.shape[2]
-    win, _, pad = _windows(x.data, k)
-    k2 = kernel.data[:, 0, :]
-    out = Tensor(np.einsum("bctk,ck->bct", win, k2, optimize=True))
+    pad = k // 2
+    taps = kernel.data[None, :, 0, :, None]  # (1, c, k, 1): tap kk is taps[:, :, kk]
+    y = x.data * taps[:, :, pad]
+    for kk in range(k):
+        if kk != pad:
+            so, si = _shifted(t, kk - pad)
+            y[:, :, so] += x.data[:, :, si] * taps[:, :, kk]
+    out = Tensor(y)
 
     def back(g):
-        dk = np.einsum("bctk,bct->ck", win, g, optimize=True)[:, None, :]
-        dxp = np.zeros((x.data.shape[0], c, t + 2 * pad))
+        dx = g * taps[:, :, pad]
+        dk = np.zeros_like(kernel.data)
         for kk in range(k):
-            dxp[:, :, kk : kk + t] += g * k2[:, kk][None, :, None]
-        return (dxp[:, :, pad : pad + t], dk)
+            so, si = _shifted(t, kk - pad)
+            gs = g[:, :, so]
+            dk[:, 0, kk] = np.einsum("bct,bct->c", gs, x.data[:, :, si])
+            if kk != pad:
+                dx[:, :, si] += gs * taps[:, :, kk]
+        return (dx, dk)
 
     return _record(out, (x, kernel), back)
 

@@ -6,25 +6,21 @@ state is the running mean/variance buffer carried by batch norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
-    as_tensor,
+    _record,
     conv1d,
     depthwise_conv1d,
-    div,
     linear,
     mean_,
     mul,
     relu,
     reshape,
     sigmoid,
-    sqrt_,
-    sub,
 )
 from .errors import ContractError
 
@@ -60,7 +56,10 @@ def batch_norm(
     """Normalise per channel over (batch, time), then apply the affine pair.
 
     Training mode uses batch statistics and folds them into the running
-    buffers; inference mode reads the buffers and never writes them.
+    buffers; inference mode reads the buffers and never writes them. One
+    taped op: the backward is the closed form of Ioffe & Szegedy (2015),
+    where batch statistics carry gradient in training mode and the running
+    buffers are constants in inference mode.
     """
     if x.data.ndim != 3:
         raise ContractError("batch_norm needs x (b,c,t)")
@@ -68,21 +67,30 @@ def batch_norm(
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ContractError(f"gamma/beta must have shape ({c},)")
     if training:
-        mu = mean_(x, axis=(0, 2), keepdims=True)
-        centered = sub(x, mu)
-        var = mean_(mul(centered, centered), axis=(0, 2), keepdims=True)
+        mu = x.data.mean(axis=(0, 2), keepdims=True)
+        centered = x.data - mu
+        var = (centered * centered).mean(axis=(0, 2), keepdims=True)
         m = state.momentum
-        state.mean = m * state.mean + (1.0 - m) * mu.data.reshape(c)
-        state.var = m * state.var + (1.0 - m) * var.data.reshape(c)
+        state.mean = m * state.mean + (1.0 - m) * mu.reshape(c)
+        state.var = m * state.var + (1.0 - m) * var.reshape(c)
     else:
-        mu = as_tensor(state.mean.reshape(1, c, 1))
-        centered = sub(x, mu)
-        var = as_tensor(state.var.reshape(1, c, 1))
-    xhat = div(centered, sqrt_(add(var, as_tensor(state.eps))))
-    return add(
-        mul(xhat, reshape(gamma, (1, c, 1))),
-        reshape(beta, (1, c, 1)),
-    )
+        centered = x.data - state.mean.reshape(1, c, 1)
+        var = state.var.reshape(1, c, 1)
+    std = np.sqrt(var + state.eps)
+    xhat = centered / std
+    g_c = gamma.data.reshape(1, c, 1)
+    out = Tensor(xhat * g_c + beta.data.reshape(1, c, 1))
+
+    def back(g):
+        dxhat = g * g_c
+        if training:
+            n = x.data.size // c
+            d_mean = np.einsum("bct->c", dxhat)[:, None] / n
+            d_proj = np.einsum("bct,bct->c", dxhat, xhat)[:, None] / n
+            dxhat = dxhat - d_mean - xhat * d_proj
+        return (dxhat / std, np.einsum("bct,bct->c", g, xhat), np.einsum("bct->c", g))
+
+    return _record(out, (x, gamma, beta), back)
 
 
 def se_gate(

@@ -25,6 +25,8 @@ import numpy as np
 from .autodiff import (
     Tape,
     Tensor,
+    _record,
+    _unbroadcast,
     add,
     as_tensor,
     clamp,
@@ -453,13 +455,30 @@ def generate(
 def kl_gaussian_elementwise(
     q_mean: Tensor, q_logvar: Tensor, p_mean: Tensor, p_logvar: Tensor
 ) -> Tensor:
-    """KL(q || p) per coordinate for diagonal Gaussians."""
+    """KL(q || p) per coordinate for diagonal Gaussians, as one taped op:
+
+        0.5 * (exp(lq - lp) + (mq - mp)^2 exp(-lp) + lp - lq - 1)
+    """
     if q_mean.shape != p_mean.shape or q_logvar.shape != p_logvar.shape:
         raise ContractError("KL operand shapes must match")
-    dlv = sub(p_logvar, q_logvar)
-    ratio = exp_(sub(q_logvar, p_logvar))
-    sq = mul(square(sub(q_mean, p_mean)), exp_(mul(p_logvar, as_tensor(-1.0))))
-    return mul(as_tensor(0.5), add(add(ratio, sq), sub(dlv, as_tensor(1.0))))
+    diff = q_mean.data - p_mean.data
+    ratio = np.exp(q_logvar.data - p_logvar.data)
+    inv_p = np.exp(-p_logvar.data)
+    sq = diff * diff * inv_p
+    out = Tensor(0.5 * ((ratio + sq) + (p_logvar.data - q_logvar.data - 1.0)))
+
+    def back(g):
+        d_mean = g * diff * inv_p
+        d_qlv = 0.5 * g * (ratio - 1.0)
+        d_plv = 0.5 * g * (1.0 - ratio - sq)
+        return (
+            _unbroadcast(d_mean, q_mean.shape),
+            _unbroadcast(d_qlv, q_logvar.shape),
+            _unbroadcast(-d_mean, p_mean.shape),
+            _unbroadcast(d_plv, p_logvar.shape),
+        )
+
+    return _record(out, (q_mean, q_logvar, p_mean, p_logvar), back)
 
 
 def kl_gaussian(

@@ -382,6 +382,7 @@ def _evaluate_run(
 ) -> tuple[list[PeriodResult], list[str]]:
     stocks = sorted(f.stock for f in frames)
     by_stock = {f.stock: f for f in frames}
+    row_of = {f.stock: f.by_anchor() for f in frames}
     run = frames[0].run
     t_out = frames[0].y_hat.shape[1]
     if any(f.y_hat.shape[1] != t_out for f in frames):
@@ -389,9 +390,7 @@ def _evaluate_run(
     results = []
     for anchor in _period_anchors(frames):
         rows_hat, rows_true = [], []
-        missing = [
-            s for s in stocks if anchor not in by_stock[s].by_anchor()
-        ]
+        missing = [s for s in stocks if anchor not in row_of[s]]
         if missing:
             warnings.append(
                 f"run {run}: period {anchor.isoformat()} skipped,"
@@ -400,7 +399,7 @@ def _evaluate_run(
             continue
         for s in stocks:
             f = by_stock[s]
-            i = f.by_anchor()[anchor]
+            i = row_of[s][anchor]
             rows_hat.append(f.y_hat[i])
             rows_true.append(f.y_true[i])
         pred = np.array(rows_hat)

@@ -370,6 +370,60 @@ def test_gradcheck_depthwise_conv1d():
     assert check_params(loss, [x, k]) < 1e-4
 
 
+@pytest.mark.parametrize("k,t", [(1, 6), (5, 6), (5, 3), (5, 2)])
+def test_gradcheck_conv1d_kernel_widths(k, t):
+    # k = 3 is test_gradcheck_conv1d_all_parameters. (5, 3) and (5, 2) are
+    # series shorter than the kernel: the outer taps read only zero padding
+    # and the inner ones partial slices
+    r = rng(40 + 10 * k + t)
+    x = Tensor(r.normal(size=(2, 3, t)))
+    kern = Tensor(r.normal(size=(4, 3, k)))
+    b = Tensor(r.normal(size=(4,)))
+
+    def loss():
+        y = conv1d(x, kern, b)
+        return sum_(mul(y, y))
+
+    assert check_params(loss, [x, kern, b]) < 1e-4
+
+
+@pytest.mark.parametrize("t", [7, 3])
+def test_gradcheck_depthwise_conv1d_width5(t):
+    r = rng(60 + t)
+    x = Tensor(r.normal(size=(2, 3, t)))
+    k = Tensor(r.normal(size=(3, 1, 5)))
+
+    def loss():
+        y = depthwise_conv1d(x, k)
+        return sum_(mul(y, y))
+
+    assert check_params(loss, [x, k]) < 1e-4
+
+
+def test_conv1d_matches_direct_sum():
+    # out[b, o, s] = sum_{i, j} w[o, i, j] * x[b, i, s + j - k//2], zero outside
+    r = rng(70)
+    for k, t in [(1, 5), (3, 5), (5, 5), (5, 2)]:
+        x = r.normal(size=(2, 3, t))
+        w = r.normal(size=(4, 3, k))
+        want = np.zeros((2, 4, t))
+        for s in range(t):
+            for j in range(k):
+                src = s + j - k // 2
+                if 0 <= src < t:
+                    want[:, :, s] += x[:, :, src] @ w[:, :, j].T
+        assert np.allclose(conv1d(Tensor(x), Tensor(w)).data, want, atol=1e-12)
+        depth = w[:3, :1, :]
+        want_dw = np.zeros((2, 3, t))
+        for s in range(t):
+            for j in range(k):
+                src = s + j - k // 2
+                if 0 <= src < t:
+                    want_dw[:, :, s] += x[:, :, src] * depth[:, 0, j]
+        got_dw = depthwise_conv1d(Tensor(x), Tensor(depth)).data
+        assert np.allclose(got_dw, want_dw, atol=1e-12)
+
+
 def test_gradcheck_batch_norm_train_mode():
     r = rng(23)
     x = Tensor(r.normal(size=(3, 2, 4)))
@@ -384,6 +438,58 @@ def test_gradcheck_batch_norm_train_mode():
         state = BatchNormState.create(2)  # fresh, so repeat calls are pure
         y = batch_norm(x, gamma, beta, state, training=True)
         return sum_(add(mul(c1, y), mul(c2, mul(y, y))))
+
+    assert check_params(loss, [x, gamma, beta]) < 1e-4
+
+
+def _batch_norm_reference(x, gamma, beta, mean, var, momentum, eps, training):
+    """The composite formula batch_norm replaced, in plain numpy.
+
+    Returns (output, new running mean, new running var).
+    """
+    c = x.shape[1]
+    if training:
+        mu = x.mean(axis=(0, 2), keepdims=True)
+        centered = x - mu
+        v = (centered * centered).mean(axis=(0, 2), keepdims=True)
+        mean = momentum * mean + (1.0 - momentum) * mu.reshape(c)
+        var = momentum * var + (1.0 - momentum) * v.reshape(c)
+    else:
+        centered = x - mean.reshape(1, c, 1)
+        v = var.reshape(1, c, 1)
+    xhat = centered / np.sqrt(v + eps)
+    return xhat * gamma.reshape(1, c, 1) + beta.reshape(1, c, 1), mean, var
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_matches_composite_reference(training):
+    r = rng(80)
+    state = BatchNormState(
+        mean=r.normal(size=3), var=r.uniform(0.5, 2.0, size=3), momentum=0.9, eps=1e-5
+    )
+    gamma, beta = r.uniform(0.5, 1.5, size=3), r.normal(size=3)
+    for _ in range(3):
+        x = r.normal(loc=0.7, scale=2.0, size=(4, 3, 6))
+        want, want_mean, want_var = _batch_norm_reference(
+            x, gamma, beta, state.mean, state.var, state.momentum, state.eps, training
+        )
+        got = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training)
+        assert np.max(np.abs(got.data - want)) < 1e-12
+        assert np.array_equal(state.mean, want_mean)
+        assert np.array_equal(state.var, want_var)
+
+
+def test_gradcheck_batch_norm_inference_mode():
+    r = rng(81)
+    x = Tensor(r.normal(size=(3, 2, 4)))
+    gamma = Tensor(r.uniform(0.5, 1.5, size=(2,)))
+    beta = Tensor(r.normal(size=(2,)))
+    state = BatchNormState(mean=r.normal(size=2), var=r.uniform(0.5, 2.0, size=2))
+    c1 = Tensor(r.normal(size=(3, 2, 4)))
+
+    def loss():
+        y = batch_norm(x, gamma, beta, state, training=False)
+        return sum_(mul(c1, mul(y, y)))
 
     assert check_params(loss, [x, gamma, beta]) < 1e-4
 

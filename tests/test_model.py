@@ -21,6 +21,7 @@ from dva.model import (
     generate,
     grad_energy,
     kl_gaussian,
+    kl_gaussian_elementwise,
     load_params,
     output_kl,
     save_params,
@@ -251,6 +252,19 @@ def test_kl_nonnegative(seed):
     qm, ql = Tensor(r.normal(size=(5,))), Tensor(r.uniform(-3, 3, size=(5,)))
     pm, pl = Tensor(r.normal(size=(5,))), Tensor(r.uniform(-3, 3, size=(5,)))
     assert float(kl_gaussian(qm, ql, pm, pl).data) >= 0.0
+
+
+def test_gradcheck_kl_elementwise_all_inputs():
+    r = np.random.default_rng(15)
+    qm, pm = Tensor(r.normal(size=(2, 3, 4))), Tensor(r.normal(size=(2, 3, 4)))
+    ql = Tensor(r.uniform(-2, 2, size=(2, 3, 4)))
+    pl = Tensor(r.uniform(-2, 2, size=(2, 3, 4)))
+    w = Tensor(r.normal(size=(2, 3, 4)))
+
+    def loss():
+        return sum_(mul(w, kl_gaussian_elementwise(qm, ql, pm, pl)))
+
+    assert check_params(loss, [qm, ql, pm, pl]) < 1e-6
 
 
 def test_output_kl_zero_at_matched_moments():

@@ -78,3 +78,43 @@ def test_update_assigns_fresh_array():
     Adam([p]).step({p: np.ones(2)})
     assert np.array_equal(snapshot, [1.0, 1.0])
     assert p.data is not snapshot
+
+
+def _per_tensor_adam(values, grad_steps, cfg):
+    """Adam as one update per tensor, the reference for the flat buffer."""
+    values = [np.array(v, dtype=np.float64) for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - cfg.beta1**t
+        bc2 = 1.0 - cfg.beta2**t
+        for i, g in enumerate(grads):
+            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
+            v2[i] = cfg.beta2 * v2[i] + (1.0 - cfg.beta2) * (g * g)
+            m_hat = m[i] / bc1
+            v_hat = v2[i] / bc2
+            values[i] = values[i] - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return values
+
+
+def test_flat_buffer_matches_per_tensor_update_bitwise():
+    # mixed shapes, including a 0-d parameter like energy.q
+    r = np.random.default_rng(3)
+    shapes = [(), (4,), (3, 2), (2, 3, 1), (1, 4, 3)]
+    init = [r.normal(size=s) for s in shapes]
+    grad_steps = [[r.normal(size=s) for s in shapes] for _ in range(6)]
+    cfg = AdamConfig(lr=1e-2)
+    params = [Tensor(v.copy()) for v in init]
+    opt = Adam(params, cfg)
+    for grads in grad_steps:
+        opt.step(dict(zip(params, grads)))
+    want = _per_tensor_adam(init, grad_steps, cfg)
+    for p, w in zip(params, want):
+        assert p.data.shape == w.shape
+        assert np.array_equal(p.data, w)
+
+
+def test_mis_shaped_gradient_is_an_error():
+    p = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ContractError):
+        Adam([p]).step({p: np.ones(6)})

@@ -79,6 +79,20 @@ def randomized_params(cfg, seed):
 # ---------------------------------------------------------------------------
 
 
+def test_default_training_step_tape_stays_fused():
+    # Convolution, batch norm and the latent KL are single taped primitives;
+    # spelled out as composites the default step recorded 349 entries.
+    cfg = TrainConfig()
+    rng = np.random.default_rng(11)
+    params = ModelParams.init(cfg.model_config(), cfg.seed)
+    batch = random_batch(cfg, rng, batch=cfg.batch_size)
+    with Tape() as tape:
+        loss_t, _ = total_loss(batch, params, cfg.schedule(), cfg, rng=rng, training=True)
+    assert len(tape) < 200
+    grads = backward(tape, loss_t, params.parameters())
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
 class TestLossIdentity:
     TOGGLES = [
         {},
