@@ -48,7 +48,7 @@ from .autodiff import (
     downsample2,
 )
 from .diffusion import DiffusionSchedule
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 from .layers import BatchNormState, batch_norm, se_gate, separable_conv1d
 
 __all__ = [
@@ -143,15 +143,20 @@ class ModelParams:
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "ModelParams":
+        return cls._build(config, np.random.default_rng(seed).normal)
+
+    @classmethod
+    def _build(cls, config: ModelConfig, normal) -> "ModelParams":
+        """Every tensor and batch-norm buffer of ``config``; ``normal(size=)``
+        supplies the random draws, in a fixed order."""
         config.validate()
-        rng = np.random.default_rng(seed)
         c, zc, k = config.channels, config.latent, config.kernel
         cr = config.se_reduction
         t = {}
         bn = {}
 
         def w(name, shape, fan_in):
-            t[name] = Tensor(rng.normal(size=shape) / np.sqrt(fan_in), name=name)
+            t[name] = Tensor(normal(size=shape) / np.sqrt(fan_in), name=name)
 
         def zeros(name, shape):
             t[name] = Tensor(np.zeros(shape), name=name)
@@ -182,7 +187,7 @@ class ModelParams:
             zeros(f"{prefix}.se.b2", (c,))
 
         lengths = config.level_lengths()
-        t["h"] = Tensor(0.1 * rng.normal(size=(1, c, lengths[2])), name="h")
+        t["h"] = Tensor(0.1 * normal(size=(1, c, lengths[2])), name="h")
 
         for i in (1, 2, 3):
             # the posterior head starts as a copy of the prior head on the
@@ -190,14 +195,14 @@ class ModelParams:
             # random readout of the encoder channels, so the input wire is
             # live from the first step instead of having to grow from zero
             for part in ("mu", "lv"):
-                prior = 0.1 * rng.normal(size=(zc, c, 1)) / np.sqrt(c)
+                prior = 0.1 * normal(size=(zc, c, 1)) / np.sqrt(c)
                 bias = np.full(zc, LOGVAR_INIT) if part == "lv" else np.zeros(zc)
                 t[f"prior{i}.{part}.w"] = Tensor(prior, name=f"prior{i}.{part}.w")
                 t[f"prior{i}.{part}.b"] = Tensor(bias.copy(), name=f"prior{i}.{part}.b")
                 post = np.concatenate(
                     [
                         prior,
-                        (0.5 / np.sqrt(c)) * rng.normal(size=(zc, c, 1))
+                        (0.5 / np.sqrt(c)) * normal(size=(zc, c, 1))
                         if part == "mu"
                         else np.zeros((zc, c, 1)),
                     ],
@@ -226,12 +231,12 @@ class ModelParams:
         t["energy.q"] = Tensor(np.array(0.0), name="energy.q")
         zeros("energy.c", (config.t_out,))
         t["energy.w1"] = Tensor(
-            0.3 * rng.normal(size=(hh, config.t_out)) / np.sqrt(config.t_out),
+            0.3 * normal(size=(hh, config.t_out)) / np.sqrt(config.t_out),
             name="energy.w1",
         )
         zeros("energy.b1", (hh,))
         t["energy.w2"] = Tensor(
-            0.3 * rng.normal(size=(hh, hh)) / np.sqrt(hh), name="energy.w2"
+            0.3 * normal(size=(hh, hh)) / np.sqrt(hh), name="energy.w2"
         )
         zeros("energy.b2", (hh,))
         zeros("energy.w3", (1, hh))
@@ -265,11 +270,17 @@ class ModelParams:
         return self
 
 
-def save_params(params: ModelParams, path) -> None:
+def _checkpoint_arrays(params: ModelParams) -> dict[str, np.ndarray]:
+    """The named arrays a checkpoint stores, metadata aside."""
     arrays = {f"tensor:{k}": v.data for k, v in params.tensors.items()}
     for k, s in params.bn_states.items():
         arrays[f"bn_mean:{k}"] = s.mean
         arrays[f"bn_var:{k}"] = s.var
+    return arrays
+
+
+def save_params(params: ModelParams, path) -> None:
+    arrays = _checkpoint_arrays(params)
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
@@ -281,7 +292,9 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path, expected_hash: str | None = None) -> ModelParams:
-    """Rebuild parameters from a checkpoint; a config-hash mismatch is fatal."""
+    """Rebuild parameters from a checkpoint; a config-hash mismatch is fatal,
+    and so is any array missing, extra or misshapen against a fresh model of
+    the stored config."""
     if not Path(path).exists():
         raise ConfigError(f"no such checkpoint: {path}")
     with np.load(path, allow_pickle=False) as f:
@@ -296,16 +309,29 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
                 f"checkpoint config hash {meta['config_hash']} does not match"
                 f" expected {expected_hash}"
             )
-        tensors = {}
-        bn: dict[str, BatchNormState] = {}
-        for key in f.files:
-            kind, _, name = key.partition(":")
-            if kind == "tensor":
-                tensors[name] = Tensor(f[key].copy(), name=name)
-            elif kind == "bn_mean":
-                bn.setdefault(name, BatchNormState.create(f[key].size)).mean = f[key].copy()
-            elif kind == "bn_var":
-                bn[name].var = f[key].copy()
+        stored = {key: f[key] for key in f.files if key != "__meta__"}
+    # zero-filled: drawing no random numbers keeps numpy.random unimported
+    expected = _checkpoint_arrays(ModelParams._build(config, lambda size: np.zeros(size)))
+    for key in sorted(expected.keys() | stored.keys()):
+        if key not in stored:
+            raise DataError(f"checkpoint {path}: missing array {key}")
+        if key not in expected:
+            raise DataError(f"checkpoint {path}: unexpected array {key}")
+        if stored[key].shape != expected[key].shape:
+            raise DataError(
+                f"checkpoint {path}: array {key} has shape {stored[key].shape},"
+                f" expected {expected[key].shape}"
+            )
+    tensors = {}
+    bn: dict[str, BatchNormState] = {}
+    for key, value in stored.items():
+        kind, _, name = key.partition(":")
+        if kind == "tensor":
+            tensors[name] = Tensor(value, name=name)
+        elif kind == "bn_mean":
+            bn.setdefault(name, BatchNormState.create(value.size)).mean = value
+        else:
+            bn.setdefault(name, BatchNormState.create(value.size)).var = value
     return ModelParams(config, tensors, bn)
 
 

@@ -109,7 +109,8 @@ class Precision:
 
 
 def _lasso_cd(gram: np.ndarray, target: np.ndarray, lam: float, beta: np.ndarray) -> np.ndarray:
-    """Cyclic coordinate descent for 0.5 b'Gb - t'b + lam*|b|_1 (warm start)."""
+    """Cyclic coordinate descent for 0.5 b'Gb - t'b + lam*|b|_1 (warm start);
+    errors, carrying the last sweep's largest step, after 1000 sweeps."""
     p = target.size
     for _ in range(1000):
         delta = 0.0
@@ -119,8 +120,10 @@ def _lasso_cd(gram: np.ndarray, target: np.ndarray, lam: float, beta: np.ndarray
             delta = max(delta, abs(new - beta[j]))
             beta[j] = new
         if delta < 1e-10:
-            break
-    return beta
+            return beta
+    raise ConvergenceError(
+        "graphical lasso column solve did not converge in 1000 sweeps", residual=delta
+    )
 
 
 def graphical_lasso(
@@ -374,12 +377,28 @@ def _period_anchors(frames: Sequence[PredictionFrame]) -> list[dt.date]:
     return all_anchors[::t_out]
 
 
-def _evaluate_run(
-    frames: Sequence[PredictionFrame],
-    gamma_risk: float,
-    lam: float | None,
-    warnings: list[str],
-) -> tuple[list[PeriodResult], list[str]]:
+@dataclass(frozen=True)
+class _Period:
+    """One rebalancing period's inputs that do not depend on gamma."""
+
+    start: dt.date
+    mu: np.ndarray  # (S,) predicted net-return means
+    sigma_eff: np.ndarray  # (S, S) sample covariance or inverse lasso precision
+    realized_net: np.ndarray  # (S, t_out) realized net returns
+
+
+@dataclass(frozen=True)
+class _PreparedRun:
+    """One run's stocks and its periods in calendar order."""
+
+    run: int
+    stocks: tuple[str, ...]
+    periods: tuple[_Period | str, ...]  # a string is a skipped period's warning
+
+
+def _prepare_run(frames: Sequence[PredictionFrame], lam: float | None) -> _PreparedRun:
+    """Moments, effective covariance and realized returns of every period:
+    the graphical lasso runs here, once per period, whatever the gamma."""
     stocks = sorted(f.stock for f in frames)
     by_stock = {f.stock: f for f in frames}
     row_of = {f.stock: f.by_anchor() for f in frames}
@@ -387,12 +406,12 @@ def _evaluate_run(
     t_out = frames[0].y_hat.shape[1]
     if any(f.y_hat.shape[1] != t_out for f in frames):
         raise DataError(f"run {run}: stocks disagree on the prediction horizon")
-    results = []
+    periods: list[_Period | str] = []
     for anchor in _period_anchors(frames):
         rows_hat, rows_true = [], []
         missing = [s for s in stocks if anchor not in row_of[s]]
         if missing:
-            warnings.append(
+            periods.append(
                 f"run {run}: period {anchor.isoformat()} skipped,"
                 f" missing stocks {missing}"
             )
@@ -410,57 +429,57 @@ def _evaluate_run(
         else:
             sigma_eff = np.linalg.inv(graphical_lasso(moments.sigma, lam).theta)
             sigma_eff = (sigma_eff + sigma_eff.T) / 2.0
-        w = mean_variance_weights(moments.mu, sigma_eff, gamma_risk)
-        port = w.w @ realized_net
-        eq = equal_weights(len(stocks)).w @ realized_net
-        try:
-            sr = sharpe(port)
-            sr_eq = sharpe(eq)
-        except DegenerateReturnsError:
-            warnings.append(
-                f"run {run}: period {anchor.isoformat()} skipped,"
-                " degenerate realized returns"
-            )
-            continue
-        results.append(
-            PeriodResult(
-                period_start=anchor,
-                sharpe=sr,
-                equal_weight_sharpe=sr_eq,
-                weights=dict(zip(stocks, (float(x) for x in w.w))),
-            )
-        )
-    return results, warnings
+        periods.append(_Period(anchor, moments.mu, sigma_eff, realized_net))
+    return _PreparedRun(run=run, stocks=tuple(stocks), periods=tuple(periods))
 
 
-def backtest(
-    frames: Iterable[PredictionFrame],
-    gamma_risk: float,
-    lam: float | None = 0.1,
-) -> BacktestReport:
-    """Per-period mean-variance portfolios vs equal weight, across runs.
-
-    ``lam=None`` uses the raw sample covariance; otherwise the period
-    covariance is replaced by the inverse of the graphical-lasso precision
-    at that penalty. Periods with a missing stock or degenerate realized
-    returns are skipped and reported in the warnings.
-    """
+def _prepare(frames: Iterable[PredictionFrame], lam: float | None) -> list[_PreparedRun]:
     frames = list(frames)
     if not frames:
         raise ConfigError("backtest needs at least one prediction frame")
     by_run: dict[int, list[PredictionFrame]] = {}
     for f in frames:
         by_run.setdefault(f.run, []).append(f)
+    return [_prepare_run(by_run[run], lam) for run in sorted(by_run)]
+
+
+def _score(
+    prepared: Sequence[_PreparedRun], gamma_risk: float, lam: float | None
+) -> BacktestReport:
+    """Weights and Sharpe ratios at one gamma over prepared periods."""
     warnings: list[str] = []
     runs = []
-    for run in sorted(by_run):
-        periods, warnings = _evaluate_run(by_run[run], gamma_risk, lam, warnings)
+    for prep in prepared:
+        eq_w = equal_weights(len(prep.stocks)).w
+        periods = []
+        for period in prep.periods:
+            if isinstance(period, str):
+                warnings.append(period)
+                continue
+            w = mean_variance_weights(period.mu, period.sigma_eff, gamma_risk)
+            try:
+                sr = sharpe(w.w @ period.realized_net)
+                sr_eq = sharpe(eq_w @ period.realized_net)
+            except DegenerateReturnsError:
+                warnings.append(
+                    f"run {prep.run}: period {period.start.isoformat()} skipped,"
+                    " degenerate realized returns"
+                )
+                continue
+            periods.append(
+                PeriodResult(
+                    period_start=period.start,
+                    sharpe=sr,
+                    equal_weight_sharpe=sr_eq,
+                    weights=dict(zip(prep.stocks, (float(x) for x in w.w))),
+                )
+            )
         if not periods:
-            warnings.append(f"run {run}: no scorable periods")
+            warnings.append(f"run {prep.run}: no scorable periods")
             continue
         runs.append(
             RunBacktest(
-                run=run,
+                run=prep.run,
                 periods=tuple(periods),
                 avg_sharpe=float(np.mean([p.sharpe for p in periods])),
                 avg_equal_weight_sharpe=float(
@@ -482,21 +501,37 @@ def backtest(
     )
 
 
+def backtest(
+    frames: Iterable[PredictionFrame],
+    gamma_risk: float,
+    lam: float | None = 0.1,
+) -> BacktestReport:
+    """Per-period mean-variance portfolios vs equal weight, across runs.
+
+    ``lam=None`` uses the raw sample covariance; otherwise the period
+    covariance is replaced by the inverse of the graphical-lasso precision
+    at that penalty. Periods with a missing stock or degenerate realized
+    returns are skipped and reported in the warnings.
+    """
+    return _score(_prepare(frames, lam), gamma_risk, lam)
+
+
 def tune_gamma(
     frames: Iterable[PredictionFrame],
     grid: Sequence[float] = DEFAULT_GAMMA_GRID,
     lam: float | None = 0.1,
 ) -> float:
     """Grid-search the risk aversion by average Sharpe; ties take the
-    smallest value so stronger risk aversion must earn its keep."""
-    frames = list(frames)
+    smallest value so stronger risk aversion must earn its keep. The
+    gamma-free period inputs, graphical lasso included, are built once."""
     if not grid:
         raise ConfigError("gamma grid is empty")
+    prepared = _prepare(frames, lam)
     best_gamma = None
     best_score = -np.inf
     for gamma in sorted(float(g) for g in grid):
         try:
-            report = backtest(frames, gamma, lam)
+            report = _score(prepared, gamma, lam)
         except ConfigError:
             continue
         if report.avg_sharpe > best_score:

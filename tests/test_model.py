@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dva.autodiff import Tape, Tensor, backward, sum_, square, sub, mul, as_tensor
 from dva.diffusion import make_schedule
-from dva.errors import ConfigError, ContractError
+from dva.errors import ConfigError, ContractError, DataError
 from dva.gradcheck import check_params, max_rel_error, _numeric_grad
 from dva.model import (
     ForwardOutput,
@@ -463,6 +463,44 @@ def test_checkpoint_rejects_hash_mismatch(tmp_path):
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_params(tmp_path / "nope.npz")
+
+
+def rewrite_checkpoint(path, edit):
+    """Save a tiny model to ``path``, then rewrite its arrays through ``edit``."""
+    save_params(tiny_params(seed=10), path)
+    with np.load(path) as f:
+        arrays = {k: f[k] for k in f.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda a: a.pop("tensor:out.proj.b"), "tensor:out.proj.b"),
+        (lambda a: a.update({"tensor:extra.w": np.zeros(3)}), "tensor:extra.w"),
+        (lambda a: a.update({"tensor:stem.w": np.zeros((4, 6, 3))}), "tensor:stem.w"),
+        (lambda a: a.pop("bn_var:enc2.bn1"), "bn_var:enc2.bn1"),
+    ],
+    ids=["missing-tensor", "extra-tensor", "misshapen-tensor", "missing-bn-var"],
+)
+def test_checkpoint_schema_mismatch_names_key(tmp_path, edit, key):
+    f = tmp_path / "ck.npz"
+    rewrite_checkpoint(f, edit)
+    with pytest.raises(DataError, match=key.replace(".", r"\.")):
+        load_params(f)
+
+
+def test_checkpoint_schema_reports_first_key_in_order(tmp_path):
+    def edit(arrays):
+        arrays.pop("tensor:stem.b")
+        arrays["tensor:enc1.se.w1"] = np.zeros((1, 1))
+
+    f = tmp_path / "ck.npz"
+    rewrite_checkpoint(f, edit)
+    with pytest.raises(DataError, match=r"array tensor:enc1\.se\.w1 has shape"):
+        load_params(f)
 
 
 def test_config_hash_is_stable_and_sensitive():

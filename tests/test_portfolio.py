@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dva import portfolio
 from dva.data import FEATURE_DIM, R_INDEX, WindowPair
 from dva.errors import (
     ConfigError,
@@ -22,7 +23,9 @@ from dva.portfolio import (
     DEFAULT_GAMMA_GRID,
     WEIGHTS_HEADER,
     BacktestReport,
+    PeriodResult,
     PredictionFrame,
+    _lasso_cd,
     backtest,
     equal_weights,
     graphical_lasso,
@@ -179,6 +182,14 @@ class TestGraphicalLasso:
             graphical_lasso(s, 0.1, max_sweeps=1)
         assert np.isfinite(err.value.residual)
         assert "residual" in str(err.value)
+
+    def test_inner_solve_cap_raises_with_last_step(self):
+        # a near-singular gram: coordinate descent contracts by about
+        # (1 - 1e-7)^2 per sweep, so 1000 sweeps leave it far from optimal
+        gram = np.array([[1.0, 1.0 - 1e-7], [1.0 - 1e-7, 1.0]])
+        with pytest.raises(ConvergenceError, match="1000 sweeps") as err:
+            _lasso_cd(gram, np.array([1.0, 0.0]), 0.0, np.zeros(2))
+        assert err.value.residual > 1e-10
 
     def test_penalty_recorded(self):
         assert graphical_lasso(np.eye(2), 0.25).lam == 0.25
@@ -452,6 +463,47 @@ class TestBacktest:
             assert abs(total - 1.0) <= 1e-9
             assert min(p.weights.values()) >= 0.0
 
+    def test_skips_match_hand_built_expectation(self):
+        # run 0: BBB lacks the first period; the second period realizes a
+        # constant return for every stock; only the third is scored.
+        # run 1: every period realizes a constant return.
+        rng = np.random.default_rng(11)
+        frames = varied_universe(rng, runs=(0, 1), windows=9, t_out=3)
+        for i, f in enumerate(frames):
+            y_true = f.y_true.copy()
+            y_true[3] = 1.01
+            if f.run == 1:
+                y_true[:] = 1.01
+            frames[i] = make_frame(f.stock, f.run, f.y_hat, y_true)
+        bbb = frames[1]
+        frames[1] = make_frame(
+            "BBB", 0, bbb.y_hat[1:], bbb.y_true[1:], anchors=bbb.anchors[1:]
+        )
+        report = backtest(frames, gamma_risk=2.0, lam=0.05)
+
+        day = [(D0 + dt.timedelta(days=k)).isoformat() for k in (0, 3, 6)]
+        assert report.warnings == (
+            f"run 0: period {day[0]} skipped, missing stocks ['BBB']",
+            f"run 0: period {day[1]} skipped, degenerate realized returns",
+            f"run 1: period {day[0]} skipped, degenerate realized returns",
+            f"run 1: period {day[1]} skipped, degenerate realized returns",
+            f"run 1: period {day[2]} skipped, degenerate realized returns",
+            "run 1: no scorable periods",
+        )
+        pred = np.array([frames[0].y_hat[6], frames[1].y_hat[5]])
+        realized = np.array([frames[0].y_true[6], frames[1].y_true[5]]) - 1.0
+        moments = prediction_moments(pred)
+        sigma_eff = np.linalg.inv(graphical_lasso(moments.sigma, 0.05).theta)
+        w = mean_variance_weights(moments.mu, (sigma_eff + sigma_eff.T) / 2.0, 2.0).w
+        expected = PeriodResult(
+            period_start=D0 + dt.timedelta(days=6),
+            sharpe=sharpe(w @ realized),
+            equal_weight_sharpe=sharpe(realized.mean(axis=0)),
+            weights={"AAA": float(w[0]), "BBB": float(w[1])},
+        )
+        assert [r.run for r in report.runs] == [0]
+        assert report.runs[0].periods == (expected,)
+
 
 class TestTuneGamma:
     def build_regimes(self):
@@ -476,6 +528,52 @@ class TestTuneGamma:
         scores = {g: backtest(frames, g, lam=None).avg_sharpe for g in grid}
         assert scores[best] == max(scores.values())
         assert scores[100.0] > scores[0.1]
+
+    def build_sparse_regimes(self):
+        # three stocks sharing a common factor at return scales where
+        # lambda = 0.05 leaves some off-diagonal precision entries nonzero
+        rng = np.random.default_rng(2)
+        windows, t_out = 12, 4
+        common = rng.normal(size=(windows, t_out))
+        frames = []
+        for stock, drift, scale in (("A", 0.3, 0.6), ("B", 0.1, 0.2), ("C", 0.05, 0.1)):
+            y_true = 1.0 + 0.1 * drift + scale * (0.5 * common + rng.normal(size=(windows, t_out)))
+            y_hat = 1.0 + drift + scale * (0.5 * common + rng.normal(size=(windows, t_out)))
+            frames.append(make_frame(stock, 0, y_hat, y_true))
+        return frames
+
+    def test_matches_backtest_argmax_under_penalty(self):
+        frames = self.build_sparse_regimes()
+        thetas = [
+            graphical_lasso(
+                prediction_moments(np.array([f.y_hat[a] for f in frames])).sigma, 0.05
+            ).theta
+            for a in (0, 4, 8)
+        ]
+        assert any(np.count_nonzero(t - np.diag(np.diag(t))) for t in thetas)
+        scores = [backtest(frames, g, lam=0.05).avg_sharpe for g in DEFAULT_GAMMA_GRID]
+        assert len(set(scores)) > 1
+        best = DEFAULT_GAMMA_GRID[int(np.argmax(scores))]  # first maximum
+        assert tune_gamma(frames, lam=0.05) == best
+
+    def test_one_lasso_call_per_scored_period(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        frames = varied_universe(
+            rng, stocks=("A", "B", "C"), runs=(0, 1), windows=9, t_out=3
+        )
+        partial = frames[4]  # run 1, stock B: drop the first period's anchor
+        frames[4] = make_frame(
+            "B", 1, partial.y_hat[1:], partial.y_true[1:], anchors=partial.anchors[1:]
+        )
+        calls = []
+
+        def counting(sigma, lam):
+            calls.append(lam)
+            return graphical_lasso(sigma, lam)
+
+        monkeypatch.setattr(portfolio, "graphical_lasso", counting)
+        tune_gamma(frames, grid=DEFAULT_GAMMA_GRID, lam=0.05)
+        assert calls == [0.05] * 5  # 3 periods in run 0, 2 in run 1
 
     def test_ties_take_smallest(self):
         rng = np.random.default_rng(10)
