@@ -391,6 +391,7 @@ def cmd_portfolio(args) -> int:
     lam = rc.portfolio.effective_lambda()
     gamma = rc.portfolio.gamma_risk
     tuned = False
+    tuning_warnings = []
     if gamma is None:
         val_dir = out / "predictions_val"
         if not val_dir.is_dir():
@@ -403,6 +404,13 @@ def cmd_portfolio(args) -> int:
             load_prediction_frames(val_dir), grid=rc.portfolio.gamma_grid, lam=lam
         )
         tuned = True
+        lo, hi = min(rc.portfolio.gamma_grid), max(rc.portfolio.gamma_grid)
+        if lo < hi and gamma in (lo, hi):
+            tuning_warnings.append(
+                f"tuned gamma_risk {gamma!r} is at the {'lower' if gamma == lo else 'upper'}"
+                f" edge of gamma_grid [{lo!r}, {hi!r}]; the validation Sharpe may"
+                " still be improving past it"
+            )
 
     report = backtest(frames, gamma_risk=gamma, lam=lam)
     out.mkdir(parents=True, exist_ok=True)
@@ -414,6 +422,7 @@ def cmd_portfolio(args) -> int:
         "gamma_tuned_on_validation": tuned,
     }
     payload.update(portfolio_report_as_dict(report))
+    payload["warnings"] = tuning_warnings + payload["warnings"]
     _write_json(out / "portfolio.json", payload)
     (out / "weights").mkdir(parents=True, exist_ok=True)
     for run_result in report.runs:

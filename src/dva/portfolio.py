@@ -102,25 +102,49 @@ def prediction_moments(preds) -> PeriodMoments:
 
 @dataclass(frozen=True)
 class Precision:
-    """Regularized inverse covariance."""
+    """Regularized inverse covariance and the block sweeps it took."""
 
     theta: np.ndarray
     lam: float
+    sweeps: int = 0
 
 
 def _lasso_cd(gram: np.ndarray, target: np.ndarray, lam: float, beta: np.ndarray) -> np.ndarray:
-    """Cyclic coordinate descent for 0.5 b'Gb - t'b + lam*|b|_1 (warm start);
-    errors, carrying the last sweep's largest step, after 1000 sweeps."""
-    p = target.size
+    """Cyclic coordinate descent for 0.5 b'Gb - t'b + lam*|b|_1 (warm start,
+    ``beta`` updated in place); errors, carrying the last sweep's largest
+    step, after 1000 sweeps.
+
+    Runs on Python floats and keeps the residual t - Gb current as
+    coordinates move, so a coordinate costs one row read, and a coordinate
+    that stays put (typically an inactive zero) costs no update at all.
+    """
+    rows = gram.tolist()
+    b = beta.tolist()
+    res = (target - gram @ beta).tolist()
+    p = len(b)
     for _ in range(1000):
         delta = 0.0
         for j in range(p):
-            r = target[j] - gram[j] @ beta + gram[j, j] * beta[j]
-            new = np.sign(r) * max(abs(r) - lam, 0.0) / gram[j, j]
-            delta = max(delta, abs(new - beta[j]))
-            beta[j] = new
+            g_jj = rows[j][j]
+            old = b[j]
+            r = res[j] + g_jj * old
+            if r > lam:
+                new = (r - lam) / g_jj
+            elif r < -lam:
+                new = (r + lam) / g_jj
+            else:
+                new = 0.0
+            if new == old:
+                continue
+            step = new - old
+            b[j] = new
+            res = [x - g * step for x, g in zip(res, rows[j])]
+            if abs(step) > delta:
+                delta = abs(step)
         if delta < 1e-10:
+            beta[:] = b
             return beta
+    beta[:] = b
     raise ConvergenceError(
         "graphical lasso column solve did not converge in 1000 sweeps", residual=delta
     )
@@ -138,9 +162,11 @@ def graphical_lasso(
 
     Block coordinate descent over rows/columns of the working covariance,
     with an ℓ₁ inner solve per column (the penalty touches off-diagonals
-    only, so λ=0 reduces exactly to the matrix inverse). A small diagonal
-    jitter makes rank-deficient sample covariances (more stocks than horizon
-    days) workable.
+    only, so λ=0 reduces exactly to the matrix inverse). A small absolute
+    diagonal jitter makes rank-deficient sample covariances (more stocks
+    than horizon days) workable. The sweeps stop once the working covariance
+    moves by less than ``tol`` times the mean diagonal variance, so the stop
+    is the same at every return scale.
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -156,19 +182,21 @@ def graphical_lasso(
     if p == 1:
         return Precision(theta=np.array([[1.0 / s[0, 0]]]), lam=lam)
 
+    stop = tol * float(np.mean(np.diag(s)))
+    rests = [np.array([k for k in range(p) if k != j]) for j in range(p)]
+    blocks = [np.ix_(rest, rest) for rest in rests]
     w = s.copy()  # working covariance estimate; diagonal stays fixed
     betas = np.zeros((p, p - 1))
     residual = np.inf
-    for _ in range(max_sweeps):
+    for sweep in range(1, max_sweeps + 1):
         w_prev = w.copy()
-        for j in range(p):
-            rest = [k for k in range(p) if k != j]
-            w11 = w[np.ix_(rest, rest)]
+        for j, rest in enumerate(rests):
+            w11 = w[blocks[j]]
             beta = _lasso_cd(w11, s[rest, j], lam, betas[j])
             w[rest, j] = w11 @ beta
             w[j, rest] = w[rest, j]
         residual = float(np.max(np.abs(w - w_prev)))
-        if residual < tol:
+        if residual < stop:
             break
     else:
         raise ConvergenceError(
@@ -176,13 +204,12 @@ def graphical_lasso(
         )
 
     theta = np.empty((p, p))
-    for j in range(p):
-        rest = [k for k in range(p) if k != j]
+    for j, rest in enumerate(rests):
         beta = betas[j]
         theta[j, j] = 1.0 / (w[j, j] - w[rest, j] @ beta)
         theta[rest, j] = -beta * theta[j, j]
     theta = (theta + theta.T) / 2.0
-    return Precision(theta=theta, lam=lam)
+    return Precision(theta=theta, lam=lam, sweeps=sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +219,10 @@ def graphical_lasso(
 
 @dataclass(frozen=True)
 class Weights:
-    """Long-only capital fractions."""
+    """Long-only capital fractions and the solver iterations they took."""
 
     w: np.ndarray
+    iterations: int = 0
 
     def validate(self) -> "Weights":
         if abs(float(self.w.sum()) - 1.0) > 1e-9:
@@ -214,6 +242,39 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
+def _stationarity(w: np.ndarray, grad: np.ndarray) -> float:
+    """Simplex KKT residual: equal gradients on the support, none larger off it."""
+    support = w > 1e-12
+    tau = float(w[support] @ grad[support])  # sum w = 1 on the support
+    return max(
+        float(np.max(np.abs(grad[support] - tau))),
+        float(np.max(np.maximum(grad[~support] - tau, 0.0), initial=0.0)),
+    )
+
+
+def _face_optimum(mu, sig, gamma_risk, face, tol) -> np.ndarray | None:
+    """Maximizer of the objective on the affine hull of one simplex face:
+    solves [γΣ_FF 1; 1ᵀ 0][w_F; ν] = [μ_F; 1]. None when that system is
+    singular, or its solution is not strictly inside the face or not
+    stationary on the whole simplex to ``tol``."""
+    k = int(face.sum())
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = gamma_risk * sig[np.ix_(face, face)]
+    kkt[k, k] = 0.0
+    rhs = np.append(mu[face], 1.0)
+    try:
+        sol = np.linalg.solve(kkt, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(sol)) or sol.min() <= 0.0:
+        return None
+    w = np.zeros(mu.size)
+    w[face] = sol / sol.sum()
+    if _stationarity(w, mu - gamma_risk * (sig @ w)) >= tol:
+        return None
+    return w
+
+
 def mean_variance_weights(
     mu,
     sigma_eff,
@@ -224,9 +285,15 @@ def mean_variance_weights(
 ) -> Weights:
     """Maximize w'mu - (gamma_risk/2) w'Σw over the no-short simplex.
 
-    Projected gradient ascent with the fixed step 1/(gamma_risk * ||Σ||₂);
-    stops at a stationarity residual below ``tol`` (equalized gradients on
-    the support, no ascent direction off it) or errors after ``max_iter``.
+    Projected gradient ascent with the fixed step 1/(gamma_risk * ||Σ||₂),
+    accelerated by exact face steps: once two iterates in a row share a
+    support, the optimum on that face comes from its KKT system, and it
+    replaces the iterate if it is strictly positive and stationary. A face
+    whose system is singular (a raw covariance of more stocks than horizon
+    days) or whose optimum fails is left to the gradient steps and not
+    solved again. Stops at a stationarity residual below ``tol`` (equalized
+    gradients on the support, no ascent direction off it) or errors after
+    ``max_iter`` iterations; ``iterations`` counts the residual tests.
     """
     mu = np.asarray(mu, dtype=np.float64)
     sig = np.asarray(sigma_eff, dtype=np.float64)
@@ -246,23 +313,30 @@ def mean_variance_weights(
 
     step = 1.0 / (gamma_risk * spectral)
     w = np.full(s, 1.0 / s)
-    for _ in range(max_iter):
+    last_support = None
+    failed_face = None
+    for it in range(1, max_iter + 1):
         grad = mu - gamma_risk * (sig @ w)
-        support = w > 1e-12
-        tau = float(w[support] @ grad[support])  # sum w = 1 on the support
-        resid = max(
-            float(np.max(np.abs(grad[support] - tau))),
-            float(np.max(np.maximum(grad[~support] - tau, 0.0), initial=0.0)),
-        )
+        resid = _stationarity(w, grad)
         if resid < tol:
             break
+        support = w > 1e-12
+        if np.array_equal(support, last_support) and not np.array_equal(
+            support, failed_face
+        ):
+            face_w = _face_optimum(mu, sig, gamma_risk, support, tol)
+            if face_w is not None:
+                w = face_w
+                break
+            failed_face = support
+        last_support = support
         w = _project_simplex(w + step * grad)
     else:
         raise ConvergenceError(
             f"mean-variance ascent did not converge in {max_iter} iterations",
             residual=resid,
         )
-    return Weights(w=np.maximum(w, 0.0)).validate()
+    return Weights(w=np.maximum(w, 0.0), iterations=it).validate()
 
 
 def equal_weights(s: int) -> Weights:
@@ -350,6 +424,8 @@ class PeriodResult:
     sharpe: float
     equal_weight_sharpe: float
     weights: Mapping[str, float]
+    qp_iterations: int
+    lasso_sweeps: int | None  # None = raw covariance, no lasso
 
 
 @dataclass(frozen=True)
@@ -385,6 +461,7 @@ class _Period:
     mu: np.ndarray  # (S,) predicted net-return means
     sigma_eff: np.ndarray  # (S, S) sample covariance or inverse lasso precision
     realized_net: np.ndarray  # (S, t_out) realized net returns
+    lasso_sweeps: int | None  # None = raw covariance, no lasso
 
 
 @dataclass(frozen=True)
@@ -425,11 +502,13 @@ def _prepare_run(frames: Sequence[PredictionFrame], lam: float | None) -> _Prepa
         realized_net = np.array(rows_true) - 1.0
         moments = prediction_moments(pred)
         if lam is None:
-            sigma_eff = moments.sigma
+            sigma_eff, sweeps = moments.sigma, None
         else:
-            sigma_eff = np.linalg.inv(graphical_lasso(moments.sigma, lam).theta)
+            precision = graphical_lasso(moments.sigma, lam)
+            sigma_eff = np.linalg.inv(precision.theta)
             sigma_eff = (sigma_eff + sigma_eff.T) / 2.0
-        periods.append(_Period(anchor, moments.mu, sigma_eff, realized_net))
+            sweeps = precision.sweeps
+        periods.append(_Period(anchor, moments.mu, sigma_eff, realized_net, sweeps))
     return _PreparedRun(run=run, stocks=tuple(stocks), periods=tuple(periods))
 
 
@@ -472,6 +551,8 @@ def _score(
                     sharpe=sr,
                     equal_weight_sharpe=sr_eq,
                     weights=dict(zip(prep.stocks, (float(x) for x in w.w))),
+                    qp_iterations=w.iterations,
+                    lasso_sweeps=period.lasso_sweeps,
                 )
             )
         if not periods:
@@ -562,6 +643,8 @@ def report_as_dict(report: BacktestReport) -> dict:
                         "period_start": p.period_start.isoformat(),
                         "sharpe": p.sharpe,
                         "equal_weight_sharpe": p.equal_weight_sharpe,
+                        "qp_iterations": p.qp_iterations,
+                        "lasso_sweeps": p.lasso_sweeps,
                     }
                     for p in r.periods
                 ],

@@ -362,6 +362,47 @@ class TestPortfolio:
         assert report["gamma_tuned_on_validation"] is False
         assert report["gamma_risk"] == 1.0
 
+    def test_tuned_gamma_at_grid_edge_warns(self, pipeline):
+        # a two-point grid puts every tuned gamma on one of its edges
+        report = json.loads((pipeline.out / "portfolio.json").read_text())
+        edge = [w for w in report["warnings"] if "edge of gamma_grid" in w]
+        assert edge == [
+            f"tuned gamma_risk {report['gamma_risk']!r} is at the"
+            f" {'lower' if report['gamma_risk'] == 0.5 else 'upper'} edge of"
+            " gamma_grid [0.5, 2.0]; the validation Sharpe may still be"
+            " improving past it"
+        ]
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"lambda": 0.05, "gamma_grid": [1.0]},
+            {"lambda": 0.05, "gamma_risk": 1.0},
+        ],
+        ids=["one_point_grid", "fixed_gamma"],
+    )
+    def test_no_edge_warning_without_a_grid_to_leave(self, pipeline, tmp_path, options):
+        out2 = tmp_path / "o"
+        out2.mkdir()
+        for sub in ("predictions", "predictions_val"):
+            shutil.copytree(pipeline.out / sub, out2 / sub)
+        cfg = write_json(
+            tmp_path / "c.json", run_payload(pipeline.data, out2, portfolio=options)
+        )
+        assert main(["portfolio", "--config", str(cfg)]) == 0
+        report = json.loads((out2 / "portfolio.json").read_text())
+        assert report["gamma_risk"] == 1.0
+        assert not any("edge of gamma_grid" in w for w in report["warnings"])
+
+    def test_periods_carry_solver_counts(self, pipeline):
+        report = json.loads((pipeline.out / "portfolio.json").read_text())
+        for entry in report["runs"].values():
+            for period in entry["periods"]:
+                assert isinstance(period["qp_iterations"], int)
+                assert period["qp_iterations"] >= 1
+                assert isinstance(period["lasso_sweeps"], int)
+                assert period["lasso_sweeps"] >= 1
+
     def test_tuning_needs_validation_predictions(self, pipeline, tmp_path, capsys):
         out2 = tmp_path / "o"
         out2.mkdir()
@@ -385,6 +426,8 @@ class TestPortfolio:
         assert main(["portfolio", "--config", str(cfg)]) == 0
         report = json.loads((out2 / "portfolio.json").read_text())
         assert report["lambda"] is None
+        for entry in report["runs"].values():
+            assert all(p["lasso_sweeps"] is None for p in entry["periods"])
 
 
 # ---------------------------------------------------------------------------
