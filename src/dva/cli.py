@@ -253,7 +253,7 @@ def cmd_train(args) -> int:
     _write_sidecar(out, "train", started)
     if metrics["partial"]:
         raise DvaError(
-            f"{len(metrics['failures'])} training jobs failed;"
+            f"{len(metrics['failures'])} training runs failed;"
             f" partial metrics kept at {out / 'metrics.json'}"
         )
     _emit({"ok": True, "metrics": str(out / "metrics.json")})
@@ -525,7 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, help="override the base seed")
         if jobs:
             p.add_argument(
-                "--jobs", type=int, default=1, help="parallel stock-x-run jobs"
+                "--jobs",
+                type=int,
+                default=1,
+                help="parallel stock jobs; a stock's runs train together in one job",
             )
         if out:
             p.add_argument(

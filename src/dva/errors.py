@@ -40,12 +40,16 @@ class DegenerateReturnsError(DvaError):
 
 
 class TrainingAbort(DvaError):
-    """Training hit a non-finite loss; carries the failing location."""
+    """Training hit a non-finite loss; carries the failing location and the
+    index of the failing model within the runs trained together."""
 
-    def __init__(self, message: str, epoch: int, batch: int, component: str):
+    def __init__(
+        self, message: str, epoch: int, batch: int, component: str, run: int = 0
+    ):
         self.epoch = epoch
         self.batch = batch
         self.component = component
+        self.run = run
         super().__init__(
             f"{message} (epoch {epoch}, batch {batch}, component {component})"
         )

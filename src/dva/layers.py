@@ -29,7 +29,8 @@ __all__ = ["BatchNormState", "batch_norm", "se_gate", "separable_conv1d"]
 
 @dataclass
 class BatchNormState:
-    """Running per-channel statistics updated with momentum during training."""
+    """Running per-channel statistics updated with momentum during training;
+    ``mean`` and ``var`` carry the same leading axes as gamma and beta."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -55,40 +56,46 @@ def batch_norm(
 ) -> Tensor:
     """Normalise per channel over (batch, time), then apply the affine pair.
 
-    Training mode uses batch statistics and folds them into the running
-    buffers; inference mode reads the buffers and never writes them. One
-    taped op: the backward is the closed form of Ioffe & Szegedy (2015),
-    where batch statistics carry gradient in training mode and the running
-    buffers are constants in inference mode.
+    x is (..., batch, c, t); gamma, beta and the running buffers are
+    (..., c), one set per leading index, so each model of a stack is
+    normalised by its own statistics. Training mode uses batch statistics
+    and folds them into the running buffers; inference mode reads the
+    buffers and never writes them. One taped op: the backward is the closed
+    form of Ioffe & Szegedy (2015), where batch statistics carry gradient in
+    training mode and the running buffers are constants in inference mode.
     """
-    if x.data.ndim != 3:
-        raise ContractError("batch_norm needs x (b,c,t)")
-    c = x.data.shape[1]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ContractError(f"gamma/beta must have shape ({c},)")
+    if x.data.ndim < 3:
+        raise ContractError("batch_norm needs x (..., b, c, t)")
+    shape = x.data.shape[:-3] + x.data.shape[-2:-1]
+    if gamma.data.shape != shape or beta.data.shape != shape:
+        raise ContractError(f"gamma/beta must have shape {shape}")
     if training:
-        mu = x.data.mean(axis=(0, 2), keepdims=True)
+        mu = x.data.mean(axis=(-3, -1), keepdims=True)
         centered = x.data - mu
-        var = (centered * centered).mean(axis=(0, 2), keepdims=True)
+        var = (centered * centered).mean(axis=(-3, -1), keepdims=True)
         m = state.momentum
-        state.mean = m * state.mean + (1.0 - m) * mu.reshape(c)
-        state.var = m * state.var + (1.0 - m) * var.reshape(c)
+        state.mean = m * state.mean + (1.0 - m) * mu.reshape(shape)
+        state.var = m * state.var + (1.0 - m) * var.reshape(shape)
     else:
-        centered = x.data - state.mean.reshape(1, c, 1)
-        var = state.var.reshape(1, c, 1)
+        centered = x.data - state.mean[..., None, :, None]
+        var = state.var[..., None, :, None]
     std = np.sqrt(var + state.eps)
     xhat = centered / std
-    g_c = gamma.data.reshape(1, c, 1)
-    out = Tensor(xhat * g_c + beta.data.reshape(1, c, 1))
+    g_c = gamma.data[..., None, :, None]
+    out = Tensor(xhat * g_c + beta.data[..., None, :, None])
 
-    def back(g):
+    def back(g, need):
         dxhat = g * g_c
         if training:
-            n = x.data.size // c
-            d_mean = np.einsum("bct->c", dxhat)[:, None] / n
-            d_proj = np.einsum("bct,bct->c", dxhat, xhat)[:, None] / n
+            n = x.data.shape[-3] * x.data.shape[-1]
+            d_mean = np.einsum("...bct->...c", dxhat)[..., None, :, None] / n
+            d_proj = np.einsum("...bct,...bct->...c", dxhat, xhat)[..., None, :, None] / n
             dxhat = dxhat - d_mean - xhat * d_proj
-        return (dxhat / std, np.einsum("bct,bct->c", g, xhat), np.einsum("bct->c", g))
+        return (
+            dxhat / std if need[0] else None,
+            np.einsum("...bct,...bct->...c", g, xhat) if need[1] else None,
+            np.einsum("...bct->...c", g) if need[2] else None,
+        )
 
     return _record(out, (x, gamma, beta), back)
 
@@ -105,13 +112,12 @@ def se_gate(
     Squeeze is a time average, excitation a two-layer bottleneck whose
     sigmoid output multiplies the input per channel.
     """
-    if x.data.ndim != 3:
-        raise ContractError("se_gate needs x (b,c,t)")
-    b, c, _ = x.data.shape
-    squeezed = mean_(x, axis=2)
+    if x.data.ndim < 3:
+        raise ContractError("se_gate needs x (..., b, c, t)")
+    squeezed = mean_(x, axis=-1)
     hidden = relu(linear(squeezed, w1, b1))
     gate = sigmoid(linear(hidden, w2, b2))
-    return mul(x, reshape(gate, (b, c, 1)))
+    return mul(x, reshape(gate, gate.shape + (1,)))
 
 
 def separable_conv1d(

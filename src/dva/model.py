@@ -11,6 +11,12 @@ the finest state to the T_out-step prediction.
 The energy head is a small scalar network E(y) = 0.5*q*||y - c||^2 + MLP(y)
 whose input gradient is written out in closed form with taped primitives, so
 training it through grad_E never needs second-order autodiff.
+
+``ModelParams.stack`` joins R models of one config into one whose tensors
+and batch-norm buffers carry a leading model axis. Every function here runs
+on either form: activations of a stack are (R, batch, channels, time), an
+input without the model axis is shared by all R models, and each model's
+outputs depend on its own parameters only.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +66,7 @@ __all__ = [
     "ForwardOutput",
     "encode",
     "generate",
-    "kl_gaussian",
+    "kl_gaussian_elementwise",
     "output_kl",
     "energy",
     "grad_energy",
@@ -250,16 +257,34 @@ class ModelParams:
     def parameters(self) -> list[Tensor]:
         return [self.tensors[k] for k in sorted(self.tensors)]
 
-    def generator_parameters(self) -> list[Tensor]:
-        return [self.tensors[k] for k in sorted(self.tensors) if not k.startswith("energy.")]
-
-    def energy_parameters(self) -> list[Tensor]:
-        return [self.tensors[k] for k in sorted(self.tensors) if k.startswith("energy.")]
-
-    def clone(self) -> "ModelParams":
-        t = {k: Tensor(v.data.copy(), name=v.name) for k, v in self.tensors.items()}
+    @classmethod
+    def stack(cls, models: Sequence["ModelParams"]) -> "ModelParams":
+        """R single models of one config as one model with a leading axis R
+        on every tensor and batch-norm buffer."""
+        config = models[0].config
+        if any(m.config != config for m in models):
+            raise ContractError("stacked models must share one config")
+        first = models[0]
+        t = {
+            k: Tensor(np.stack([m.tensors[k].data for m in models]), name=k)
+            for k in first.tensors
+        }
         bn = {
-            k: BatchNormState(s.mean.copy(), s.var.copy(), s.momentum, s.eps)
+            k: BatchNormState(
+                np.stack([m.bn_states[k].mean for m in models]),
+                np.stack([m.bn_states[k].var for m in models]),
+                s.momentum,
+                s.eps,
+            )
+            for k, s in first.bn_states.items()
+        }
+        return cls(config, t, bn)
+
+    def run(self, r: int) -> "ModelParams":
+        """A copy of model r of a stack, with a checkpoint's shapes."""
+        t = {k: Tensor(np.array(v.data[r]), name=v.name) for k, v in self.tensors.items()}
+        bn = {
+            k: BatchNormState(s.mean[r].copy(), s.var[r].copy(), s.momentum, s.eps)
             for k, s in self.bn_states.items()
         }
         return ModelParams(self.config, t, bn)
@@ -280,6 +305,9 @@ def _checkpoint_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def save_params(params: ModelParams, path) -> None:
+    """Write one model; save model r of a stack as ``params.run(r)``."""
+    if params["stem.b"].shape != (params.config.channels,):
+        raise ContractError("save_params writes one model, not a stack")
     arrays = _checkpoint_arrays(params)
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -366,12 +394,12 @@ def _cell(params: ModelParams, prefix: str, x: Tensor, training: bool) -> Tensor
 def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tensor]:
     """Feature maps at the three resolutions, finest first."""
     cfg = params.config
-    if x.data.ndim != 3 or x.data.shape[1] != cfg.in_channels:
+    if x.data.ndim < 3 or x.data.shape[-2] != cfg.in_channels:
         raise ContractError(
-            f"encode needs x (batch, {cfg.in_channels}, t), got {x.shape}"
+            f"encode needs x (..., batch, {cfg.in_channels}, t), got {x.shape}"
         )
-    if x.data.shape[2] != cfg.t_in:
-        raise ContractError(f"time length {x.data.shape[2]} != configured {cfg.t_in}")
+    if x.data.shape[-1] != cfg.t_in:
+        raise ContractError(f"time length {x.data.shape[-1]} != configured {cfg.t_in}")
     h = conv1d(x, params["stem.w"], params["stem.b"])
     e1 = _cell(params, "enc1", h, training)
     e2 = _cell(params, "enc2", downsample2(e1), training)
@@ -383,8 +411,8 @@ def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tenso
 class LatentGroup:
     """Per-group distribution stats and the latent actually used."""
 
-    q_mean: Tensor | None
-    q_logvar: Tensor | None
+    q_mean: Tensor
+    q_logvar: Tensor
     p_mean: Tensor
     p_logvar: Tensor
     z: Tensor
@@ -392,9 +420,9 @@ class LatentGroup:
 
 @dataclass
 class ForwardOutput:
-    y_hat: Tensor  # (batch, t_out)
+    y_hat: Tensor  # (..., batch, t_out)
     groups: list[LatentGroup]
-    kl_groups: list[Tensor]  # scalar per group, averaged over the batch
+    kl_groups: list[Tensor]  # one value per model and group, averaged over the batch
     kl_latent: Tensor  # sum of the group terms
 
 
@@ -406,27 +434,22 @@ def _head(params: ModelParams, name: str, x: Tensor) -> tuple[Tensor, Tensor]:
 
 def generate(
     params: ModelParams,
-    stack: list[Tensor] | None,
+    stack: list[Tensor],
     *,
     sample: bool,
     rng: np.random.Generator | None = None,
     eps: list[np.ndarray] | None = None,
-    batch: int | None = None,
     training: bool = False,
 ) -> ForwardOutput:
-    """Top-down decode. With an encoder stack the latents follow the
-    posterior heads; without one they follow the priors (diagnostic mode,
-    needs ``batch``). sample=False uses distribution means."""
+    """Top-down decode with the latents following the posterior heads over
+    the encoder stack. sample=False uses distribution means."""
     cfg = params.config
-    if stack is not None:
-        if len(stack) != N_GROUPS:
-            raise ContractError(f"encoder stack must have {N_GROUPS} levels")
-        batch = stack[0].data.shape[0]
-    elif batch is None:
-        raise ContractError("prior mode needs an explicit batch size")
+    if len(stack) != N_GROUPS:
+        raise ContractError(f"encoder stack must have {N_GROUPS} levels")
     if sample and rng is None and eps is None:
         raise ContractError("sampling needs an rng or explicit eps")
 
+    batch = stack[0].data.shape[-3]
     lengths = cfg.level_lengths()  # fine, middle, coarse
     group_lengths = (lengths[2], lengths[1], lengths[0])
     s = add(params["h"], as_tensor(np.zeros((batch, 1, 1))))  # broadcast over batch
@@ -435,17 +458,11 @@ def generate(
     for i in (1, 2, 3):
         s = _cell(params, f"dec{i}", s, training)
         p_mu, p_lv = _head(params, f"prior{i}", s)
-        if stack is not None:
-            enc_feat = stack[N_GROUPS - i]  # coarse group reads coarse features
-            q_mu, q_lv = _head(params, f"post{i}", concat([s, enc_feat], axis=1))
-            mu, lv = q_mu, q_lv
-            kl = mean_(sum_(
-                kl_gaussian_elementwise(q_mu, q_lv, p_mu, p_lv), axis=(1, 2)
-            ))
-        else:
-            q_mu = q_lv = None
-            mu, lv = p_mu, p_lv
-            kl = as_tensor(0.0)
+        enc_feat = stack[N_GROUPS - i]  # coarse group reads coarse features
+        mu, lv = _head(params, f"post{i}", concat([s, enc_feat], axis=-2))
+        kl = mean_(sum_(
+            kl_gaussian_elementwise(mu, lv, p_mu, p_lv), axis=(-2, -1)
+        ), axis=-1)
         if sample:
             if eps is not None:
                 noise = np.asarray(eps[i - 1], dtype=np.float64)
@@ -458,14 +475,14 @@ def generate(
             z = add(mu, mul(exp_(mul(lv, as_tensor(0.5))), as_tensor(noise)))
         else:
             z = mu
-        groups.append(LatentGroup(q_mu, q_lv, p_mu, p_lv, z))
+        groups.append(LatentGroup(mu, lv, p_mu, p_lv, z))
         kl_groups.append(kl)
-        s = conv1d(concat([s, z], axis=1), params[f"merge{i}.w"], params[f"merge{i}.b"])
+        s = conv1d(concat([s, z], axis=-2), params[f"merge{i}.w"], params[f"merge{i}.b"])
         if i < 3:
             s = upsample_repeat(s, group_lengths[i])
 
-    o = conv1d(s, params["out.conv.w"], params["out.conv.b"])  # (b, 1, t_in)
-    flat = reshape(o, (batch, cfg.t_in))
+    o = conv1d(s, params["out.conv.w"], params["out.conv.b"])  # (..., b, 1, t_in)
+    flat = reshape(o, o.shape[:-2] + (cfg.t_in,))
     y_hat = linear(flat, params["out.proj.w"], params["out.proj.b"])
     kl_latent = kl_groups[0]
     for kl in kl_groups[1:]:
@@ -493,25 +510,22 @@ def kl_gaussian_elementwise(
     sq = diff * diff * inv_p
     out = Tensor(0.5 * ((ratio + sq) + (p_logvar.data - q_logvar.data - 1.0)))
 
-    def back(g):
+    def back(g, need):
         d_mean = g * diff * inv_p
-        d_qlv = 0.5 * g * (ratio - 1.0)
-        d_plv = 0.5 * g * (1.0 - ratio - sq)
         return (
-            _unbroadcast(d_mean, q_mean.shape),
-            _unbroadcast(d_qlv, q_logvar.shape),
-            _unbroadcast(-d_mean, p_mean.shape),
-            _unbroadcast(d_plv, p_logvar.shape),
+            _unbroadcast(d_mean, q_mean.shape) if need[0] else None,
+            _unbroadcast(0.5 * g * (ratio - 1.0), q_logvar.shape) if need[1] else None,
+            _unbroadcast(-d_mean, p_mean.shape) if need[2] else None,
+            _unbroadcast(0.5 * g * (1.0 - ratio - sq), p_logvar.shape) if need[3] else None,
         )
 
     return _record(out, (q_mean, q_logvar, p_mean, p_logvar), back)
 
 
-def kl_gaussian(
-    q_mean: Tensor, q_logvar: Tensor, p_mean: Tensor, p_logvar: Tensor
-) -> Tensor:
-    """Closed-form diagonal-Gaussian KL summed over every coordinate."""
-    return sum_(kl_gaussian_elementwise(q_mean, q_logvar, p_mean, p_logvar))
+def _per_model(value_at, n) -> np.ndarray:
+    """A schedule constant at each model's diffusion step; shaped like n."""
+    n = np.asarray(n)
+    return np.array([value_at(int(k)) for k in n.flat]).reshape(n.shape)
 
 
 def output_kl(
@@ -519,23 +533,23 @@ def output_kl(
     s_out: float,
     y: np.ndarray,
     schedule: DiffusionSchedule,
-    n: int,
+    n,
 ) -> Tensor:
     """KL( N(y_hat, s_out^2 I) || N(sqrt(a'_n) y, (1 - a'_n) I) ), summed over
-    the horizon and averaged over the batch."""
-    a = schedule.target_alpha_bar_at(n)
-    if a >= 1.0:
+    the horizon and averaged over the batch; n is one step or one per model."""
+    a = _per_model(schedule.target_alpha_bar_at, n)
+    if np.any(a >= 1.0):
         raise ContractError("output_kl undefined at zero target noise (n=0)")
     var_p = 1.0 - a
-    target = np.sqrt(a) * np.asarray(y, dtype=np.float64)
+    target = np.sqrt(a)[..., None, None] * np.asarray(y, dtype=np.float64)
     if target.shape != y_hat.data.shape:
         raise ContractError(f"target shape {target.shape} != y_hat {y_hat.shape}")
-    t_out = y_hat.data.shape[1]
+    t_out = y_hat.data.shape[-1]
     log_ratio = np.log(var_p) - 2.0 * np.log(s_out)
     const = 0.5 * t_out * (log_ratio + s_out**2 / var_p - 1.0)
     diff = sub(y_hat, as_tensor(target))
-    quad = mul(as_tensor(0.5 / var_p), sum_(square(diff), axis=1))
-    return add(mean_(quad), as_tensor(const))
+    quad = mul(as_tensor((0.5 / var_p)[..., None]), sum_(square(diff), axis=-1))
+    return add(mean_(quad, axis=-1), as_tensor(const))
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +563,22 @@ def _energy_mlp_preacts(params: ModelParams, y: Tensor) -> tuple[Tensor, Tensor]
     return a1, a2
 
 
+def _energy_center(params: ModelParams) -> Tensor:
+    """c as (..., 1, t_out): one center per model, broadcast over the batch."""
+    c = params["energy.c"]
+    return reshape(c, c.shape[:-1] + (1, c.shape[-1]))
+
+
 def energy(params: ModelParams, y: Tensor) -> Tensor:
     """Scalar energy per sample: quadratic anchor plus a 2-layer Swish MLP."""
-    if y.data.ndim != 2 or y.data.shape[1] != params.config.t_out:
-        raise ContractError(f"energy needs y (batch, {params.config.t_out})")
-    d = sub(y, params["energy.c"])
-    quad = mul(mul(as_tensor(0.5), params["energy.q"]), sum_(square(d), axis=1))
+    if y.data.ndim < 2 or y.data.shape[-1] != params.config.t_out:
+        raise ContractError(f"energy needs y (..., batch, {params.config.t_out})")
+    q = params["energy.q"]
+    d = sub(y, _energy_center(params))
+    quad = mul(mul(as_tensor(0.5), reshape(q, q.shape + (1,))), sum_(square(d), axis=-1))
     _, a2 = _energy_mlp_preacts(params, y)
-    mlp = linear(swish(a2), params["energy.w3"])
-    return add(quad, reshape(mlp, (y.data.shape[0],)))
+    mlp = linear(swish(a2), params["energy.w3"])  # (..., batch, 1)
+    return add(quad, reshape(mlp, mlp.shape[:-1]))
 
 
 def _swish_prime(a: Tensor) -> Tensor:
@@ -573,13 +594,14 @@ def grad_energy(params: ModelParams, y: Tensor) -> Tensor:
     when the input is not detached, through y as well) without any
     second-order machinery.
     """
-    if y.data.ndim != 2 or y.data.shape[1] != params.config.t_out:
-        raise ContractError(f"grad_energy needs y (batch, {params.config.t_out})")
+    if y.data.ndim < 2 or y.data.shape[-1] != params.config.t_out:
+        raise ContractError(f"grad_energy needs y (..., batch, {params.config.t_out})")
     a1, a2 = _energy_mlp_preacts(params, y)
-    g2 = mul(_swish_prime(a2), reshape(params["energy.w3"], (params.config.energy_hidden,)))
+    g2 = mul(_swish_prime(a2), params["energy.w3"])  # w3 (..., 1, hidden) spans the batch
     g1 = mul(_swish_prime(a1), matmul(g2, params["energy.w2"]))
     g_mlp = matmul(g1, params["energy.w1"])
-    g_quad = mul(params["energy.q"], sub(y, params["energy.c"]))
+    q = params["energy.q"]
+    g_quad = mul(reshape(q, q.shape + (1, 1)), sub(y, _energy_center(params)))
     return add(g_quad, g_mlp)
 
 
@@ -588,11 +610,12 @@ def dsm_loss(
     y_hat_n: Tensor,
     y: np.ndarray,
     schedule: DiffusionSchedule,
-    n: int,
+    n,
     block_predictor: bool = True,
 ) -> Tensor:
     """Denoising score-matching penalty sigma_n ||y - y_hat + grad_E(y_hat)||^2
-    summed over the horizon and averaged over the batch.
+    summed over the horizon and averaged over the batch; n is one step or
+    one per model.
 
     With block_predictor the prediction enters as data, so this term trains
     only the energy weights; the generator never chases its own noise.
@@ -600,10 +623,10 @@ def dsm_loss(
     target = np.asarray(y, dtype=np.float64)
     if target.shape != y_hat_n.data.shape:
         raise ContractError(f"target shape {target.shape} != y_hat {y_hat_n.shape}")
-    sigma = schedule.sigma_at(n)
+    sigma = _per_model(schedule.sigma_at, n)
     base = detach(y_hat_n) if block_predictor else y_hat_n
     resid = add(sub(as_tensor(target), base), grad_energy(params, base))
-    return mul(as_tensor(sigma), mean_(sum_(square(resid), axis=1)))
+    return mul(as_tensor(sigma), mean_(sum_(square(resid), axis=-1), axis=-1))
 
 
 def denoise_jump(params: ModelParams, y_hat: Tensor) -> Tensor:

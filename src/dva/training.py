@@ -1,6 +1,11 @@
 """Composite training objective, per-stock training loop, and inference.
 
-One model is trained per stock. Every batch draws one diffusion step n,
+The R runs of one stock are trained together: their models are stacked
+along a leading model axis (``ModelParams.stack``) and every step runs all
+of them in one tape. The loss is the sum of the per-model losses, so each
+model's gradient is its own, and each run keeps its own random generator,
+so run r matches a model trained alone with the same seed. Every batch of
+every run draws one diffusion step n,
 corrupts inputs and targets through the coupled schedules with independent
 noise, runs the hierarchical generator on the corrupted inputs, and takes an
 Adam step on
@@ -27,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, as_tensor, backward, mean_, mul, square, sub
+from .autodiff import Tape, Tensor, add, as_tensor, backward, mean_, mul, square, sub, sum_
 from .data import FEATURE_DIM, DatasetSplit, WindowPair, build_dataset, load_ohlcv
 from .diffusion import (
     DiffusionSchedule,
@@ -61,6 +66,7 @@ __all__ = [
     "total_loss",
     "loss_from_components",
     "train_stock",
+    "train_runs",
     "predict",
     "evaluate_mse",
     "refresh_norm_stats",
@@ -166,15 +172,26 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainBatch:
-    """One optimisation batch: model inputs plus both target views."""
+    """One optimisation batch: model inputs plus both target views. A stack
+    of batches (``TrainBatch.stack``) puts a model axis in front of every
+    array and holds one diffusion step per model."""
 
-    x_n: np.ndarray  # (batch, channels, t_in) inputs fed to the model
-    y_n: np.ndarray  # (batch, t_out) regression target for the MSE term
-    y: np.ndarray  # (batch, t_out) clean targets for the KL and DSM terms
-    n: int  # diffusion step shared across the batch
+    x_n: np.ndarray  # (..., batch, channels, t_in) inputs fed to the model
+    y_n: np.ndarray  # (..., batch, t_out) regression target for the MSE term
+    y: np.ndarray  # (..., batch, t_out) clean targets for the KL and DSM terms
+    n: int | np.ndarray  # diffusion step shared across the batch, per model
+
+    @classmethod
+    def stack(cls, batches: Sequence["TrainBatch"]) -> "TrainBatch":
+        return cls(
+            x_n=np.stack([b.x_n for b in batches]),
+            y_n=np.stack([b.y_n for b in batches]),
+            y=np.stack([b.y for b in batches]),
+            n=np.array([b.n for b in batches]),
+        )
 
 
-def _step_channels(n: int, n_steps: int, batch: int, t_len: int) -> np.ndarray:
+def _step_channels(n: int, n_steps: int, lead: tuple[int, ...], t_len: int) -> np.ndarray:
     frac = n / n_steps
     vals = np.array(
         [
@@ -185,15 +202,15 @@ def _step_channels(n: int, n_steps: int, batch: int, t_len: int) -> np.ndarray:
         ]
     )
     return np.broadcast_to(
-        vals[None, :, None], (batch, STEP_EMBED_CHANNELS, t_len)
+        vals[:, None], lead + (STEP_EMBED_CHANNELS, t_len)
     ).copy()
 
 
 def _with_step_channels(x: np.ndarray, n: int, cfg: TrainConfig) -> np.ndarray:
     if not cfg.step_embedding:
         return x
-    emb = _step_channels(n, cfg.n_steps, x.shape[0], x.shape[2])
-    return np.concatenate([x, emb], axis=1)
+    emb = _step_channels(n, cfg.n_steps, x.shape[:-2], x.shape[-1])
+    return np.concatenate([x, emb], axis=-2)
 
 
 def make_batch(
@@ -245,41 +262,41 @@ def total_loss(
     rng: np.random.Generator | None = None,
     eps: list[np.ndarray] | None = None,
     training: bool = True,
-) -> tuple[Tensor, LossComponents]:
-    """Composite objective on one batch.
+) -> tuple[Tensor, tuple[LossComponents, ...]]:
+    """Composite objective on one batch, summed over the models of a stack.
 
-    Returns the scalar loss tensor plus float components satisfying
+    Returns the scalar loss tensor plus one set of float components per
+    model (one for an unstacked model), each satisfying
     ``total == (mse + zeta*kl) + eta*dsm`` exactly at f64. Latents are drawn
     via reparameterization from ``rng`` (or the explicit ``eps`` list). A
-    non-finite component raises TrainingAbort with epoch/batch set to -1;
-    the training loop re-raises with the real location.
+    non-finite component raises TrainingAbort naming the model, with
+    epoch/batch set to -1; the training loop re-raises with the real
+    location.
     """
     stack = encode(params, as_tensor(batch.x_n), training=training)
     out = generate(params, stack, sample=True, rng=rng, eps=eps, training=training)
 
     y_mse = batch.y if cfg.mse_against_clean else batch.y_n
-    m_t = mean_(square(sub(out.y_hat, as_tensor(y_mse))))
+    m_t = mean_(square(sub(out.y_hat, as_tensor(y_mse))), axis=(-2, -1))
+    zeros = np.zeros(m_t.shape)
 
     kl_t: Tensor | None = None
-    kl_latent_val = 0.0
-    kl_output_val = 0.0
+    kl_latent = kl_output = zeros
     if cfg.latent_kl:
         kl_t = out.kl_latent
-        kl_latent_val = kl_t.item()
+        kl_latent = kl_t.data
     # the output KL is measured against the diffused-target distribution at
     # step n, so it only exists while targets are actually diffused
     if cfg.output_kl and cfg.diffuse_y:
         o_t = output_kl(out.y_hat, cfg.s_out, batch.y, schedule, batch.n)
-        kl_output_val = o_t.item()
+        kl_output = o_t.data
         kl_t = o_t if kl_t is None else add(kl_t, o_t)
 
     d_t: Tensor | None = None
-    dsm_val = 0.0
     if cfg.denoiser:
         d_t = dsm_loss(
             params, out.y_hat, batch.y, schedule, batch.n, block_predictor=cfg.dsm_block
         )
-        dsm_val = d_t.item()
 
     loss_t = m_t
     if kl_t is not None:
@@ -287,20 +304,31 @@ def total_loss(
     if d_t is not None:
         loss_t = add(loss_t, mul(as_tensor(cfg.eta), d_t))
 
-    comps = LossComponents(
-        mse=m_t.item(),
-        kl=kl_t.item() if kl_t is not None else 0.0,
-        dsm=dsm_val,
-        kl_latent=kl_latent_val,
-        kl_output=kl_output_val,
-        total=loss_from_components(
-            m_t.item(), kl_t.item() if kl_t is not None else 0.0, dsm_val, cfg.zeta, cfg.eta
-        ),
+    per_model = zip(
+        m_t.data.flat,
+        (kl_t.data if kl_t is not None else zeros).flat,
+        (d_t.data if d_t is not None else zeros).flat,
+        np.ravel(kl_latent),
+        np.ravel(kl_output),
     )
-    for name in ("mse", "kl", "dsm"):
-        if not math.isfinite(getattr(comps, name)):
-            raise TrainingAbort("non-finite loss", epoch=-1, batch=-1, component=name)
-    return loss_t, comps
+    comps = tuple(
+        LossComponents(
+            mse=float(mse),
+            kl=float(kl),
+            dsm=float(dsm),
+            kl_latent=float(kl_lat),
+            kl_output=float(kl_out),
+            total=loss_from_components(float(mse), float(kl), float(dsm), cfg.zeta, cfg.eta),
+        )
+        for mse, kl, dsm, kl_lat, kl_out in per_model
+    )
+    for r, c in enumerate(comps):
+        for name in ("mse", "kl", "dsm"):
+            if not math.isfinite(getattr(c, name)):
+                raise TrainingAbort(
+                    "non-finite loss", epoch=-1, batch=-1, component=name, run=r
+                )
+    return sum_(loss_t), comps
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +370,8 @@ def refresh_norm_stats(params: ModelParams, x_train: np.ndarray, cfg: TrainConfi
     normalising clean inputs by those inflated variances systematically
     shrinks the forecast.  A sweep of training-mode forward passes over the
     undiffused inputs (no parameter updates) leaves the buffers matched to
-    the distribution that validation and prediction actually use.
+    the distribution that validation and prediction actually use. Every
+    model of a stack sees the same chunks of ``batch_size`` rows.
     """
     for i in range(0, len(x_train), cfg.batch_size):
         xb = x_train[i : i + cfg.batch_size]
@@ -352,64 +381,111 @@ def refresh_norm_stats(params: ModelParams, x_train: np.ndarray, cfg: TrainConfi
         generate(params, encode(params, as_tensor(xb), training=True), sample=False, training=True)
 
 
-def train_stock(split: DatasetSplit, cfg: TrainConfig) -> tuple[ModelParams, RunHistory]:
-    """Train one model on one stock's split; return the best-epoch checkpoint.
+def _latent_noise(
+    rng: np.random.Generator, cfg: TrainConfig, batch: int
+) -> list[np.ndarray]:
+    """The reparameterization noise of one batch, coarsest group first: the
+    draws ``generate`` makes from ``rng`` for a model trained alone."""
+    lengths = cfg.model_config().level_lengths()
+    return [rng.standard_normal((batch, cfg.latent, ln)) for ln in reversed(lengths)]
 
-    Deterministic for a fixed (split, cfg): a single generator seeded from
-    cfg.seed drives shuffling, the per-batch step draw, the diffusion noise,
-    and the latent noise, in that order.
+
+def train_runs(
+    split: DatasetSplit, cfgs: Sequence[TrainConfig]
+) -> list[tuple[ModelParams, RunHistory]]:
+    """Train one model per config on one stock's split, all in one tape;
+    return each run's best-epoch checkpoint and history, in config order.
+
+    The configs may differ only in their seed. Run r is deterministic for a
+    fixed (split, cfgs[r]) and does not depend on the other runs: a
+    generator seeded from its own seed drives shuffling, the per-batch step
+    draw, the diffusion noise, and the latent noise, in that order, and its
+    best epoch is the first argmin of its own validation MSE. A non-finite
+    loss raises TrainingAbort whose ``run`` is the failing run's index.
     """
-    cfg.validate()
+    if not cfgs:
+        raise ConfigError("train_runs needs at least one config")
+    cfg = cfgs[0]
+    for c in cfgs:
+        c.validate()
+        if replace(c, seed=cfg.seed) != cfg:
+            raise ConfigError("runs trained together may differ only in their seed")
     if not split.train or not split.validation:
         raise ConfigError("training needs nonempty train and validation sets")
     schedule = cfg.schedule()
-    params = ModelParams.init(cfg.model_config(), cfg.seed)
     x_train, y_train = _stack_windows(split.train)
-    # start the output head at the per-step mean of the training targets:
-    # gross returns sit near 1.0, further than Adam can move a zero bias
-    # within the configured epoch budget
-    params["out.proj.b"].data = y_train.mean(axis=0)
+    models = [ModelParams.init(cfg.model_config(), c.seed) for c in cfgs]
+    for m in models:
+        # start the output head at the per-step mean of the training
+        # targets: gross returns sit near 1.0, further than Adam can move a
+        # zero bias within the configured epoch budget
+        m["out.proj.b"].data = y_train.mean(axis=0)
+    params = ModelParams.stack(models)
 
-    rng = np.random.default_rng([cfg.seed, 1])
+    rngs = [np.random.default_rng([c.seed, 1]) for c in cfgs]
     opt = Adam(params.parameters(), AdamConfig(lr=cfg.lr))
     n_batches = math.ceil(len(split.train) / cfg.batch_size)
 
-    epochs: list[EpochStats] = []
-    best_val = math.inf
-    best_epoch = -1
-    best_params: ModelParams | None = None
+    runs = range(len(cfgs))
+    epochs: list[list[EpochStats]] = [[] for _ in runs]
+    best_val = [math.inf for _ in runs]
+    best_epoch = [-1 for _ in runs]
+    best_params: list[ModelParams | None] = [None for _ in runs]
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(split.train))
-        sums = np.zeros(3)
+        orders = [rng.permutation(len(split.train)) for rng in rngs]
+        sums = np.zeros((len(cfgs), 3))
         for b_idx in range(n_batches):
-            idx = order[b_idx * cfg.batch_size : (b_idx + 1) * cfg.batch_size]
-            n = sample_step(rng, schedule)
-            batch = make_batch(x_train[idx], y_train[idx], schedule, n, rng, cfg)
+            batches = []
+            noise = []
+            for c, order, rng in zip(cfgs, orders, rngs):
+                idx = order[b_idx * cfg.batch_size : (b_idx + 1) * cfg.batch_size]
+                n = sample_step(rng, schedule)
+                batches.append(make_batch(x_train[idx], y_train[idx], schedule, n, rng, c))
+                noise.append(_latent_noise(rng, cfg, len(idx)))
+            eps = [np.stack(group) for group in zip(*noise)]
             with Tape() as tape:
                 try:
                     loss_t, comps = total_loss(
-                        batch, params, schedule, cfg, rng=rng, training=True
+                        TrainBatch.stack(batches), params, schedule, cfg,
+                        eps=eps, training=True,
                     )
                 except TrainingAbort as err:
                     raise TrainingAbort(
-                        "non-finite loss", epoch=epoch, batch=b_idx, component=err.component
+                        "non-finite loss", epoch=epoch, batch=b_idx,
+                        component=err.component, run=err.run,
                     ) from None
             opt.step(backward(tape, loss_t, params.parameters()))
-            sums += (comps.mse, comps.kl, comps.dsm)
+            sums += [(c.mse, c.kl, c.dsm) for c in comps]
         refresh_norm_stats(params, x_train, cfg)
         val = evaluate_mse(params, split.validation, cfg)
-        if not math.isfinite(val):
-            raise TrainingAbort(
-                "non-finite validation MSE", epoch=epoch, batch=-1, component="val_mse"
+        for r in runs:
+            if not math.isfinite(val[r]):
+                raise TrainingAbort(
+                    "non-finite validation MSE", epoch=epoch, batch=-1,
+                    component="val_mse", run=r,
+                )
+        for r in runs:
+            means = sums[r] / n_batches
+            epochs[r].append(
+                EpochStats(mse=means[0], kl=means[1], dsm=means[2], val_mse=float(val[r]))
             )
-        means = sums / n_batches
-        epochs.append(EpochStats(mse=means[0], kl=means[1], dsm=means[2], val_mse=val))
-        if val < best_val:
-            best_val = val
-            best_epoch = epoch
-            best_params = params.clone()
-    history = RunHistory(epochs=tuple(epochs), best_epoch=best_epoch, steps=opt.step_count)
-    return best_params, history
+            if val[r] < best_val[r]:
+                best_val[r] = val[r]
+                best_epoch[r] = epoch
+                best_params[r] = params.run(r)
+    return [
+        (
+            best_params[r],
+            RunHistory(epochs=tuple(epochs[r]), best_epoch=best_epoch[r], steps=opt.step_count),
+        )
+        for r in runs
+    ]
+
+
+def train_stock(split: DatasetSplit, cfg: TrainConfig) -> tuple[ModelParams, RunHistory]:
+    """Train one model on one stock's split; the single-run case of
+    ``train_runs``."""
+    return train_runs(split, [cfg])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +495,8 @@ def train_stock(split: DatasetSplit, cfg: TrainConfig) -> tuple[ModelParams, Run
 
 def predict(params: ModelParams, x: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """Deterministic forecast: clean inputs, posterior means, and the one-step
-    denoising jump when the denoiser toggle is on."""
+    denoising jump when the denoiser toggle is on. x (batch, channels, t) is
+    shared by every model of a stack, which returns (R, batch, t_out)."""
     expected = cfg.model_config().hash()
     if params.config.hash() != expected:
         raise ContractError(
@@ -436,12 +513,13 @@ def predict(params: ModelParams, x: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return y_hat.data.copy()
 
 
-def evaluate_mse(params: ModelParams, pairs: Sequence[WindowPair], cfg: TrainConfig) -> float:
-    """Deterministic MSE of predict() against the clean targets."""
+def evaluate_mse(params: ModelParams, pairs: Sequence[WindowPair], cfg: TrainConfig):
+    """Deterministic MSE of predict() against the clean targets: a float, or
+    one per model of a stack."""
     if not pairs:
         raise ConfigError("cannot evaluate on an empty window set")
     x, y = _stack_windows(pairs)
-    return float(np.mean((predict(params, x, cfg) - y) ** 2))
+    return np.mean((predict(params, x, cfg) - y) ** 2, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -451,29 +529,49 @@ def evaluate_mse(params: ModelParams, pairs: Sequence[WindowPair], cfg: TrainCon
 METRICS_SCHEMA_VERSION = 1
 
 
-def _experiment_job(args: tuple) -> dict:
-    """One (stock, run) training; writes only to paths private to the pair."""
-    ticker, run, data_dir, cfg, out_dir = args
-    cfg_r = replace(cfg, seed=cfg.seed + run)
-    base = {"stock": ticker, "run": run, "seed": cfg_r.seed}
+def _experiment_job(args: tuple) -> list[dict]:
+    """One stock's runs, trained together; writes only to paths private to
+    the stock. A run whose loss turns non-finite fails alone: the others
+    are retrained without it, which reproduces them exactly."""
+    ticker, runs, data_dir, cfg, out_dir = args
+    cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(runs)]
+    outcomes: dict[int, dict] = {}
+
+    def failed(r: int, err: DvaError) -> dict:
+        return {"stock": ticker, "run": r, "seed": cfgs[r].seed, "ok": False, "error": str(err)}
+
     try:
         bars = load_ohlcv(data_dir, ticker)
         split = build_dataset(bars, cfg.t_in, cfg.t_out)
-        params, history = train_stock(split, cfg_r)
-        save_params(params, Path(out_dir) / "checkpoints" / f"{ticker}_run{run}.npz")
+        live = list(range(runs))
+        trained = []
+        while live:
+            try:
+                trained = train_runs(split, [cfgs[r] for r in live])
+                break
+            except TrainingAbort as err:
+                r = live.pop(err.run)
+                outcomes[r] = failed(r, err)
         x_test, y_test = _stack_windows(split.test)
-        y_hat = predict(params, x_test, cfg_r)
-        write_predictions(
-            Path(out_dir) / "predictions" / f"{ticker}_run{run}.csv", split.test, y_hat
-        )
-        return base | {
-            "ok": True,
-            "test_mse": float(np.mean((y_hat - y_test) ** 2)),
-            "val_mse": history.best_val_mse(),
-            "best_epoch": history.best_epoch,
-        }
+        for r, (params, history) in zip(live, trained):
+            save_params(params, Path(out_dir) / "checkpoints" / f"{ticker}_run{r}.npz")
+            y_hat = predict(params, x_test, cfgs[r])
+            write_predictions(
+                Path(out_dir) / "predictions" / f"{ticker}_run{r}.csv", split.test, y_hat
+            )
+            outcomes[r] = {
+                "stock": ticker,
+                "run": r,
+                "seed": cfgs[r].seed,
+                "ok": True,
+                "test_mse": float(np.mean((y_hat - y_test) ** 2)),
+                "val_mse": history.best_val_mse(),
+                "best_epoch": history.best_epoch,
+            }
     except DvaError as err:
-        return base | {"ok": False, "error": str(err)}
+        for r in range(runs):
+            outcomes.setdefault(r, failed(r, err))
+    return [outcomes[r] for r in range(runs)]
 
 
 def run_experiment(
@@ -486,9 +584,11 @@ def run_experiment(
 ) -> dict:
     """Train stocks x runs, write prediction/checkpoint/metrics artifacts.
 
-    Run r uses seed cfg.seed + r. Per-(stock, run) failures are recorded and
-    the experiment continues; the metrics carry a ``partial`` flag. Returns
-    the metrics dict that was written to ``<out_dir>/metrics.json``.
+    Run r uses seed cfg.seed + r. The job unit is a stock: its runs train
+    together in one process, and ``jobs`` processes share the stocks.
+    Per-(stock, run) failures are recorded and the experiment continues;
+    the metrics carry a ``partial`` flag. Returns the metrics dict that was
+    written to ``<out_dir>/metrics.json``.
     """
     cfg.validate()
     if runs < 1:
@@ -501,14 +601,15 @@ def run_experiment(
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "predictions").mkdir(parents=True, exist_ok=True)
 
-    grid = [(t, r, str(data_dir), cfg, str(out)) for t in tickers for r in range(runs)]
+    grid = [(t, runs, str(data_dir), cfg, str(out)) for t in tickers]
     if jobs <= 1:
-        outcomes = [_experiment_job(job) for job in grid]
+        per_stock_outcomes = [_experiment_job(job) for job in grid]
     else:
         # spawned workers avoid forking a process with live BLAS thread pools
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            outcomes = list(pool.map(_experiment_job, grid))
+            per_stock_outcomes = list(pool.map(_experiment_job, grid))
+    outcomes = [o for stock in per_stock_outcomes for o in stock]
 
     results = [
         StockRunResult(o["stock"], o["run"], o["test_mse"]) for o in outcomes if o["ok"]
@@ -522,7 +623,7 @@ def run_experiment(
     if runs == 1:
         warnings.append("single run per stock: across-run SDs are 0 by convention")
     if failures:
-        warnings.append(f"{len(failures)} of {len(grid)} jobs failed; results are partial")
+        warnings.append(f"{len(failures)} of {len(outcomes)} runs failed; results are partial")
 
     report = report_as_dict(aggregate(results)) if results else None
     per_stock = report["per_stock"] if report else {}

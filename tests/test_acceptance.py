@@ -67,6 +67,7 @@ from dva.training import (
     make_batch,
     predict,
     total_loss,
+    train_runs,
     train_stock,
     _stack_windows,
 )
@@ -345,7 +346,7 @@ def test_a03_loss_identity():
         schedule = cfg.schedule()
         n = int(rng.integers(1, cfg.n_steps + 1))
         batch = make_batch(x, y, schedule, n, rng, cfg)
-        loss_t, comps = total_loss(batch, params, schedule, cfg, rng=rng)
+        loss_t, (comps,) = total_loss(batch, params, schedule, cfg, rng=rng)
         assert comps.total == loss_from_components(
             comps.mse, comps.kl, comps.dsm, cfg.zeta, cfg.eta
         )
@@ -413,13 +414,17 @@ def test_a05_noise_robustness():
         split, _ = sin_universe(300, 0.02, 7000 + draw)
         sds = {}
         for name, diffused in (("full", True), ("ablation", False)):
-            mses = []
+            cfgs = []
             for seed in range(5):
                 cfg = TrainConfig(seed=seed, epochs=8)
                 if not diffused:
                     cfg = replace(cfg, diffuse_x=False, diffuse_y=False)
-                params, _ = train_stock(split, cfg)
-                mses.append(evaluate_mse(params, split.test, cfg))
+                cfgs.append(cfg)
+            # the five seeds train together; each run equals train_stock(split, cfg)
+            mses = [
+                evaluate_mse(params, split.test, cfg)
+                for cfg, (params, _) in zip(cfgs, train_runs(split, cfgs))
+            ]
             sds[name] = float(np.std(mses, ddof=1))
         win = sds["full"] <= sds["ablation"]
         majority += win
@@ -447,9 +452,9 @@ def test_a06_denoise_jump():
     y_true = truth_windows(split.test, r_true)
     wins = 0
     details = []
-    for seed in range(5):
-        cfg = TrainConfig(seed=seed, beta_max=0.01)
-        params, _ = train_stock(split, cfg)
+    cfgs = [TrainConfig(seed=seed, beta_max=0.01) for seed in range(5)]
+    # the five seeds train together; each run equals train_stock(split, cfg)
+    for seed, (cfg, (params, _)) in enumerate(zip(cfgs, train_runs(split, cfgs))):
         raw = predict(params, x_test, replace(cfg, denoiser=False))
         final = predict(params, x_test, cfg)
         mse_raw = float(np.mean((raw - y_true) ** 2))

@@ -602,3 +602,126 @@ def test_gradient_flows_through_deep_composition():
         return mean_(mul(h, h))
 
     assert check_params(loss, [x, k, w1, w2]) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# A leading model axis: R = 2 models with distinct weights in one call
+# ---------------------------------------------------------------------------
+
+
+def _stacked_case(name, r, model=None):
+    """(inputs, which inputs carry the model axis, op) for one primitive;
+    ``model`` picks the running buffers a single model's batch norm reads."""
+    n = r.normal
+    if name.startswith("conv1d_k"):
+        k = int(name[-1])
+        ins = [n(size=(2, 2, 3, 6)), n(size=(2, 4, 3, k)), n(size=(2, 4))]
+        return ins, (True, True, True), lambda x, w, b: conv1d(x, w, b)
+    if name == "conv1d_shared_input":
+        ins = [n(size=(2, 3, 6)), n(size=(2, 4, 3, 3)), n(size=(2, 4))]
+        return ins, (False, True, True), lambda x, w, b: conv1d(x, w, b)
+    if name == "depthwise_conv1d":
+        ins = [n(size=(2, 2, 3, 5)), n(size=(2, 3, 1, 3))]
+        return ins, (True, True), depthwise_conv1d
+    if name == "linear":
+        ins = [n(size=(2, 3, 4)), n(size=(2, 2, 4)), n(size=(2, 2))]
+        return ins, (True, True, True), lambda x, w, b: linear(x, w, b)
+    if name == "matmul":
+        from dva.autodiff import matmul
+
+        return [n(size=(2, 3, 4)), n(size=(2, 4, 2))], (True, True), matmul
+    if name.startswith("batch_norm"):
+        training = name.endswith("train")
+        mean, var = n(size=(2, 2)), r.uniform(0.5, 2.0, size=(2, 2))
+        ins = [n(size=(2, 3, 2, 4)), r.uniform(0.5, 1.5, size=(2, 2)), n(size=(2, 2))]
+
+        def op(x, g, b):
+            m = slice(None) if model is None else model
+            state = BatchNormState(mean[m].copy(), var[m].copy())  # fresh, so calls are pure
+            return batch_norm(x, g, b, state, training=training)
+
+        return ins, (True, True, True), op
+    if name == "se_gate":
+        ins = [n(size=(2, 2, 3, 4)), n(size=(2, 2, 3)), n(size=(2, 2)), n(size=(2, 3, 2)), n(size=(2, 3))]
+        return ins, (True,) * 5, lambda x, w1, b1, w2, b2: se_gate(x, w1, w2, b1, b2)
+    raise KeyError(name)
+
+
+STACKED = [
+    "conv1d_k1",
+    "conv1d_k3",
+    "conv1d_k5",
+    "conv1d_shared_input",
+    "depthwise_conv1d",
+    "linear",
+    "matmul",
+    "batch_norm_train",
+    "batch_norm_infer",
+    "se_gate",
+]
+
+
+def _per_model_loss(y, c1, c2):
+    """One scalar per model: a weighted sum of y and y^2 over all but axis 0."""
+    axes = tuple(range(1, y.data.ndim))
+    return sum_(add(mul(c1, y), mul(c2, mul(y, y))), axis=axes)
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_gradcheck_stacked_primitives(name):
+    r = rng(900 + STACKED.index(name))
+    arrays, _, op = _stacked_case(name, r)
+    ins = [Tensor(a) for a in arrays]
+    shape = op(*ins).shape
+    c1, c2 = Tensor(r.normal(size=shape)), Tensor(r.normal(size=shape))
+    assert check_params(lambda: sum_(_per_model_loss(op(*ins), c1, c2)), ins) < 1e-4
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_stacked_primitive_matches_each_model_alone(name):
+    # model m of the stack computes exactly what m's own weights compute alone
+    arrays, stacked, op = _stacked_case(name, rng(950))
+    y = op(*[Tensor(a) for a in arrays]).data
+    for m in range(2):
+        _, _, op = _stacked_case(name, rng(950), model=m)
+        alone = op(*[Tensor(a[m] if s else a) for a, s in zip(arrays, stacked)]).data
+        np.testing.assert_array_equal(y[m], alone)
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_stacked_gradients_do_not_leak_across_models(name):
+    r = rng(970)
+    arrays, stacked, op = _stacked_case(name, r)
+    ins = [Tensor(a) for a in arrays]
+    with Tape() as tape:
+        y = op(*ins)
+        c1, c2 = Tensor(r.normal(size=y.shape)), Tensor(r.normal(size=y.shape))
+        loss0 = sum_(mul(_per_model_loss(y, c1, c2), Tensor(np.array([1.0, 0.0]))))
+    grads = backward(tape, loss0, params=ins)
+    for t, s in zip(ins, stacked):
+        if s:
+            assert np.all(grads[t][1] == 0.0)
+            assert np.any(grads[t][0] != 0.0)
+
+
+def test_stacked_batch_norm_updates_each_models_buffers():
+    r = rng(990)
+    x = r.normal(size=(2, 3, 2, 4))
+    stacked = BatchNormState.create(2)
+    stacked.mean, stacked.var = np.zeros((2, 2)), np.ones((2, 2))
+    batch_norm(Tensor(x), Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), stacked, True)
+    for m in range(2):
+        alone = BatchNormState.create(2)
+        batch_norm(Tensor(x[m]), Tensor(np.ones(2)), Tensor(np.zeros(2)), alone, True)
+        np.testing.assert_array_equal(stacked.mean[m], alone.mean)
+        np.testing.assert_array_equal(stacked.var[m], alone.var)
+
+
+def test_stacked_shapes_must_agree():
+    with pytest.raises(ContractError):
+        conv1d(Tensor(np.zeros((3, 2, 3, 6))), Tensor(np.zeros((2, 4, 3, 1))))
+    with pytest.raises(ContractError):
+        batch_norm(
+            Tensor(np.zeros((2, 3, 2, 4))), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+            BatchNormState.create(2), training=True,
+        )

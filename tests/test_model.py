@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dva.autodiff import Tape, Tensor, backward, sum_, square, sub, mul, as_tensor
+from dva.autodiff import Tape, Tensor, add, as_tensor, backward, mul, square, sub, sum_
 from dva.diffusion import make_schedule
 from dva.errors import ConfigError, ContractError, DataError
 from dva.gradcheck import check_params, max_rel_error, _numeric_grad
@@ -20,7 +20,6 @@ from dva.model import (
     energy,
     generate,
     grad_energy,
-    kl_gaussian,
     kl_gaussian_elementwise,
     load_params,
     output_kl,
@@ -32,6 +31,19 @@ TINY = ModelConfig(t_in=8, t_out=8, channels=4, latent=2, se_reduction=2, energy
 
 def tiny_params(seed=0):
     return ModelParams.init(TINY, seed=seed)
+
+
+def energy_params(params):
+    return [params[k] for k in sorted(params.tensors) if k.startswith("energy.")]
+
+
+def generator_params(params):
+    return [params[k] for k in sorted(params.tensors) if not k.startswith("energy.")]
+
+
+def kl_total(q_mean, q_logvar, p_mean, p_logvar):
+    """Diagonal-Gaussian KL summed over every coordinate."""
+    return sum_(kl_gaussian_elementwise(q_mean, q_logvar, p_mean, p_logvar))
 
 
 def make_quadratic_energy(params, center):
@@ -133,19 +145,10 @@ def test_posterior_copied_onto_prior_zeroes_kl():
     x = Tensor(np.random.default_rng(6).normal(size=(2, 6, 8)))
     out = generate(params, encode(params, x), sample=False)
     for g in out.groups:
-        copied = kl_gaussian(g.p_mean, g.p_logvar, g.p_mean, g.p_logvar)
+        copied = kl_total(g.p_mean, g.p_logvar, g.p_mean, g.p_logvar)
         assert float(copied.data) == 0.0
     # and the actual posterior diverges from the prior on random input
     assert float(out.kl_latent.data) > 0.0
-
-
-def test_prior_mode_needs_batch():
-    params = tiny_params()
-    with pytest.raises(ContractError):
-        generate(params, None, sample=False)
-    out = generate(params, None, sample=False, batch=2)
-    assert out.y_hat.shape == (2, 8)
-    assert float(out.kl_latent.data) == 0.0
 
 
 def test_generate_rejects_malformed_stack():
@@ -227,7 +230,7 @@ def test_reparameterized_sampler_is_differentiable():
 
 
 # ---------------------------------------------------------------------------
-# kl_gaussian / output_kl
+# latent KL / output_kl
 # ---------------------------------------------------------------------------
 
 
@@ -235,13 +238,13 @@ def test_kl_identical_distributions_is_zero():
     r = np.random.default_rng(13)
     mu = Tensor(r.normal(size=(4,)))
     lv = Tensor(r.normal(size=(4,)))
-    assert float(kl_gaussian(mu, lv, mu, lv).data) == 0.0
+    assert float(kl_total(mu, lv, mu, lv).data) == 0.0
 
 
 def test_kl_unit_variances_reduces_to_half_squared_mean():
     mu = Tensor(np.array([0.3, -1.2, 2.0]))
     z = Tensor(np.zeros(3))
-    got = float(kl_gaussian(mu, z, z, z).data)
+    got = float(kl_total(mu, z, z, z).data)
     assert got == pytest.approx(0.5 * float(np.sum(mu.data**2)), abs=1e-12)
 
 
@@ -251,7 +254,7 @@ def test_kl_nonnegative(seed):
     r = np.random.default_rng(seed)
     qm, ql = Tensor(r.normal(size=(5,))), Tensor(r.uniform(-3, 3, size=(5,)))
     pm, pl = Tensor(r.normal(size=(5,))), Tensor(r.uniform(-3, 3, size=(5,)))
-    assert float(kl_gaussian(qm, ql, pm, pl).data) >= 0.0
+    assert float(kl_total(qm, ql, pm, pl).data) >= 0.0
 
 
 def test_gradcheck_kl_elementwise_all_inputs():
@@ -349,7 +352,7 @@ def test_energy_weight_gradients_flow_through_grad_energy():
         g = grad_energy(params, y)
         return sum_(square(sub(g, as_tensor(target))))
 
-    assert check_params(loss, params.energy_parameters(), step=1e-4) < 1e-4
+    assert check_params(loss, energy_params(params), step=1e-4) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +414,12 @@ def test_dsm_blocking_separates_the_towers():
         return backward(tape, loss, params=params.parameters())
 
     blocked = run(True)
-    for p in params.generator_parameters():
+    for p in generator_params(params):
         assert np.all(blocked[p] == 0.0), f"leak into {p.name}"
-    assert any(np.any(blocked[p] != 0.0) for p in params.energy_parameters())
+    assert any(np.any(blocked[p] != 0.0) for p in energy_params(params))
 
     open_grads = run(False)
-    assert any(np.any(open_grads[p] != 0.0) for p in params.generator_parameters())
+    assert any(np.any(open_grads[p] != 0.0) for p in generator_params(params))
 
 
 def test_energy_weights_never_move_the_prediction():
@@ -509,3 +512,116 @@ def test_config_hash_is_stable_and_sensitive():
     c = ModelConfig(t_in=8, t_out=9)
     assert a.hash() == b.hash()
     assert a.hash() != c.hash()
+
+
+# ---------------------------------------------------------------------------
+# stacked models: a leading model axis on every tensor and buffer
+# ---------------------------------------------------------------------------
+
+
+def dense_tiny(seed):
+    """Tiny params with every weight random, so zero-initialised paths are live."""
+    params = tiny_params(seed)
+    r = np.random.default_rng(seed + 500)
+    for t in params.tensors.values():
+        t.data = np.asarray(0.3 * r.standard_normal(t.data.shape))
+    return params
+
+
+def latent_eps(r, lead, batch):
+    lengths = TINY.level_lengths()
+    return [r.standard_normal(lead + (batch, TINY.latent, ln)) for ln in reversed(lengths)]
+
+
+def test_stack_and_run_round_trip(tmp_path):
+    a, b = dense_tiny(1), dense_tiny(2)
+    encode(b, Tensor(np.random.default_rng(0).normal(size=(3, 6, 8))), training=True)
+    stacked = ModelParams.stack([a, b])
+    assert stacked["stem.w"].shape == (2,) + a["stem.w"].shape
+    assert stacked.bn_states["enc1.bn1"].mean.shape == (2, TINY.channels)
+    back = stacked.run(1)
+    for k in b.tensors:
+        np.testing.assert_array_equal(back[k].data, b[k].data)
+    for k in b.bn_states:
+        np.testing.assert_array_equal(back.bn_states[k].var, b.bn_states[k].var)
+    with pytest.raises(ContractError):
+        save_params(stacked, tmp_path / "stack.npz")
+    with pytest.raises(ContractError):
+        ModelParams.stack([a, ModelParams.init(ModelConfig(t_in=8, t_out=4), seed=0)])
+
+
+def test_stacked_forward_matches_each_model_alone():
+    models = [dense_tiny(3), dense_tiny(4)]
+    stacked = ModelParams.stack(models)
+    r = np.random.default_rng(40)
+    x = r.normal(size=(2, 3, 6, 8))
+    eps = latent_eps(r, (2,), 3)
+    y_s = generate(stacked, encode(stacked, Tensor(x), training=True),
+                   sample=True, eps=eps, training=True)
+    jump_s = denoise_jump(stacked, y_s.y_hat)
+    energy_s = energy(stacked, y_s.y_hat)
+    for m, single in enumerate(models):
+        y_m = generate(single, encode(single, Tensor(x[m]), training=True),
+                       sample=True, eps=[e[m] for e in eps], training=True)
+        np.testing.assert_array_equal(y_s.y_hat.data[m], y_m.y_hat.data)
+        np.testing.assert_array_equal(y_s.kl_latent.data[m], y_m.kl_latent.data)
+        np.testing.assert_array_equal(jump_s.data[m], denoise_jump(single, y_m.y_hat).data)
+        np.testing.assert_array_equal(energy_s.data[m], energy(single, y_m.y_hat).data)
+        for k, s in single.bn_states.items():
+            np.testing.assert_array_equal(stacked.bn_states[k].mean[m], s.mean)
+
+
+def test_stacked_models_share_an_unstacked_input():
+    models = [dense_tiny(5), dense_tiny(6)]
+    stacked = ModelParams.stack(models)
+    x = Tensor(np.random.default_rng(41).normal(size=(3, 6, 8)))
+    y_s = generate(stacked, encode(stacked, x), sample=False).y_hat.data
+    assert y_s.shape == (2, 3, TINY.t_out)
+    for m, single in enumerate(models):
+        np.testing.assert_array_equal(y_s[m], generate(single, encode(single, x), sample=False).y_hat.data)
+
+
+def test_gradcheck_kl_elementwise_stacked():
+    r = np.random.default_rng(42)
+    qm, pm = Tensor(r.normal(size=(2, 2, 3, 4))), Tensor(r.normal(size=(2, 2, 3, 4)))
+    ql = Tensor(r.uniform(-2, 2, size=(2, 2, 3, 4)))
+    pl = Tensor(r.uniform(-2, 2, size=(2, 2, 3, 4)))
+    w = Tensor(r.normal(size=(2, 2, 3, 4)))
+
+    def loss():
+        return sum_(mul(w, kl_gaussian_elementwise(qm, ql, pm, pl)))
+
+    assert check_params(loss, [qm, ql, pm, pl]) < 1e-6
+
+
+def test_gradcheck_grad_energy_stacked():
+    stacked = ModelParams.stack([dense_tiny(7), dense_tiny(8)])
+    r = np.random.default_rng(43)
+    y = Tensor(r.normal(size=(2, 3, TINY.t_out)))
+    target = r.normal(size=(2, 3, TINY.t_out))
+
+    def loss():
+        return sum_(square(sub(grad_energy(stacked, y), as_tensor(target))))
+
+    assert check_params(loss, energy_params(stacked) + [y], step=1e-4) < 1e-4
+
+
+def test_stacked_gradients_do_not_leak_across_models():
+    # model 0's loss has exactly zero gradient in every tensor of model 1
+    stacked = ModelParams.stack([dense_tiny(9), dense_tiny(10)])
+    r = np.random.default_rng(44)
+    x = r.normal(size=(2, 3, 6, 8))
+    y = r.normal(size=(2, 3, TINY.t_out))
+    sched = make_schedule()
+    with Tape() as tape:
+        out = generate(stacked, encode(stacked, Tensor(x), training=True),
+                       sample=True, eps=latent_eps(r, (2,), 3), training=True)
+        per_model = add(
+            add(out.kl_latent, output_kl(out.y_hat, 1.0, y, sched, np.array([5, 9]))),
+            dsm_loss(stacked, out.y_hat, y, sched, np.array([5, 9]), block_predictor=False),
+        )
+        loss0 = sum_(mul(per_model, as_tensor(np.array([1.0, 0.0]))))
+    grads = backward(tape, loss0, params=stacked.parameters())
+    for p in stacked.parameters():
+        assert np.all(grads[p][1] == 0.0), p.name
+    assert all(np.any(grads[stacked[k]][0] != 0.0) for k in ("stem.w", "energy.w1", "h"))

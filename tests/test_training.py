@@ -28,6 +28,7 @@ from dva.training import (
     refresh_norm_stats,
     run_experiment,
     total_loss,
+    train_runs,
     train_stock,
 )
 
@@ -93,6 +94,53 @@ def test_default_training_step_tape_stays_fused():
     assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
+def test_backward_computes_no_vjp_for_constants():
+    # On one default step, no entry returns a gradient for an input that no
+    # parameter reaches (the data batch, scalar coefficients, detached
+    # predictions), and the parameter gradients are bit for bit those of a
+    # pass that computes every input's VJP.
+    cfg = TrainConfig()
+    rng = np.random.default_rng(11)
+    params = ModelParams.init(cfg.model_config(), cfg.seed)
+    batch = random_batch(cfg, rng, batch=cfg.batch_size)
+    with Tape() as tape:
+        loss_t, _ = total_loss(batch, params, cfg.schedule(), cfg, rng=rng, training=True)
+    entries = list(tape.entries)
+
+    reached = set(params.parameters())
+    constant_inputs = 0
+    for out, inputs, _ in entries:
+        constant_inputs += sum(t not in reached for t in inputs)
+        if any(t in reached for t in inputs):
+            reached.add(out)
+    assert constant_inputs > 0  # the step has constants to skip
+
+    dropped = 0
+
+    def counting(backfn, inputs):
+        def wrapped(g, need):
+            vjps = backfn(g, need)
+            nonlocal dropped
+            dropped += sum(v is not None and t not in reached for t, v in zip(inputs, vjps))
+            return vjps
+
+        return wrapped
+
+    tape.entries = [(o, ins, counting(fn, ins)) for o, ins, fn in entries]
+    grads = backward(tape, loss_t, params.parameters())
+    assert dropped == 0
+
+    every: dict = {loss_t: np.ones_like(loss_t.data)}
+    for out, inputs, backfn in reversed(entries):
+        g = every.pop(out, None)
+        if g is None:
+            continue
+        for t, gi in zip(inputs, backfn(g, (True,) * len(inputs))):
+            every[t] = gi if t not in every else every[t] + gi
+    for p in params.parameters():
+        np.testing.assert_array_equal(grads[p], every.get(p, np.zeros_like(p.data)))
+
+
 class TestLossIdentity:
     TOGGLES = [
         {},
@@ -117,7 +165,7 @@ class TestLossIdentity:
         params = randomized_params(cfg, 7)
         for _ in range(5):
             batch = random_batch(cfg, rng)
-            loss_t, comps = total_loss(
+            loss_t, (comps,) = total_loss(
                 batch, params, cfg.schedule(), cfg, rng=rng, training=True
             )
             assert loss_t.item() == comps.total
@@ -131,7 +179,7 @@ class TestLossIdentity:
         rng = np.random.default_rng(3)
         params = randomized_params(cfg, 3)
         batch = random_batch(cfg, rng)
-        loss_t, comps = total_loss(batch, params, cfg.schedule(), cfg, rng=rng)
+        loss_t, (comps,) = total_loss(batch, params, cfg.schedule(), cfg, rng=rng)
         assert loss_t.item() == comps.mse
 
     def test_component_arithmetic_hand_example(self):
@@ -141,7 +189,7 @@ class TestLossIdentity:
         cfg = replace(TINY, latent_kl=False, output_kl=False, denoiser=False)
         rng = np.random.default_rng(5)
         params = randomized_params(cfg, 5)
-        _, comps = total_loss(random_batch(cfg, rng), params, cfg.schedule(), cfg, rng=rng)
+        _, (comps,) = total_loss(random_batch(cfg, rng), params, cfg.schedule(), cfg, rng=rng)
         assert comps.kl == 0.0 and comps.dsm == 0.0
 
     def test_output_kl_needs_diffused_targets(self):
@@ -150,7 +198,7 @@ class TestLossIdentity:
         cfg = replace(TINY, diffuse_y=False, latent_kl=False)
         rng = np.random.default_rng(6)
         params = randomized_params(cfg, 6)
-        _, comps = total_loss(random_batch(cfg, rng), params, cfg.schedule(), cfg, rng=rng)
+        _, (comps,) = total_loss(random_batch(cfg, rng), params, cfg.schedule(), cfg, rng=rng)
         assert comps.kl_output == 0.0 and comps.kl == 0.0
 
     def test_nonfinite_aborts_with_component(self):
@@ -386,6 +434,46 @@ class TestTrainStock:
         assert err.value.component == "kl"
 
 
+class TestTrainRuns:
+    def test_each_run_matches_training_alone(self):
+        split = tiny_split()
+        # a large step makes the validation curves cross, so best epochs differ
+        cfgs = [replace(TINY, seed=s, epochs=4, lr=5e-3) for s in (0, 1, 2)]
+        together = train_runs(split, cfgs)
+        for cfg, (params, hist) in zip(cfgs, together):
+            alone, alone_hist = train_stock(split, cfg)
+            assert hist == alone_hist
+            for name, t in alone.tensors.items():
+                np.testing.assert_array_equal(params.tensors[name].data, t.data)
+            for name, st in alone.bn_states.items():
+                np.testing.assert_array_equal(params.bn_states[name].mean, st.mean)
+                np.testing.assert_array_equal(params.bn_states[name].var, st.var)
+        assert len({h.best_epoch for _, h in together}) > 1  # selection is per run
+
+    def test_configs_may_differ_only_in_seed(self):
+        split = tiny_split()
+        with pytest.raises(ConfigError, match="seed"):
+            train_runs(split, [TINY, replace(TINY, seed=1, lr=1e-3)])
+        with pytest.raises(ConfigError):
+            train_runs(split, [])
+
+    def test_abort_names_the_failing_run(self, monkeypatch):
+        import dva.training as tr
+
+        real = tr.make_batch
+
+        def poison_seed_1(x, y, schedule, n, rng, cfg):
+            batch = real(x, y, schedule, n, rng, cfg)
+            if cfg.seed == 1:
+                batch.x_n[0, 0, 0] = np.nan
+            return batch
+
+        monkeypatch.setattr(tr, "make_batch", poison_seed_1)
+        with pytest.raises(TrainingAbort) as err:
+            train_runs(tiny_split(), [replace(TINY, seed=s) for s in (0, 1, 2)])
+        assert err.value.run == 1 and err.value.epoch == 0 and err.value.batch == 0
+
+
 class TestRefreshNormStats:
     def test_refresh_moves_buffers_not_weights(self):
         split = tiny_split()
@@ -549,12 +637,61 @@ class TestRunExperiment:
         write_universe(data, ["AAA", "BBB"])
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
-        m1 = run_experiment(["AAA", "BBB"], data, self.CFG, serial, runs=1, jobs=1)
-        m2 = run_experiment(["AAA", "BBB"], data, self.CFG, parallel, runs=1, jobs=2)
+        m1 = run_experiment(["AAA", "BBB"], data, self.CFG, serial, runs=2, jobs=1)
+        m2 = run_experiment(["AAA", "BBB"], data, self.CFG, parallel, runs=2, jobs=2)
         assert m1 == m2
-        assert (serial / "predictions" / "BBB_run0.csv").read_bytes() == (
-            parallel / "predictions" / "BBB_run0.csv"
-        ).read_bytes()
+        assert (serial / "metrics.json").read_bytes() == (parallel / "metrics.json").read_bytes()
+        for ticker in ("AAA", "BBB"):
+            for run in (0, 1):
+                name = f"{ticker}_run{run}"
+                assert (serial / "predictions" / f"{name}.csv").read_bytes() == (
+                    parallel / "predictions" / f"{name}.csv"
+                ).read_bytes()
+                with np.load(serial / "checkpoints" / f"{name}.npz") as a, np.load(
+                    parallel / "checkpoints" / f"{name}.npz"
+                ) as b:
+                    assert a.files == b.files
+                    for key in a.files:
+                        assert a[key].tobytes() == b[key].tobytes(), key
+
+    def test_nonfinite_run_fails_alone(self, tmp_path, monkeypatch):
+        # a non-finite loss in run 1 fails (AAA, 1) only; runs 0 and 2 are
+        # retrained without it and their artifacts equal a clean run's
+        import dva.training as tr
+
+        data = tmp_path / "data"
+        write_universe(data, ["AAA"])
+        clean = tmp_path / "clean"
+        run_experiment(["AAA"], data, self.CFG, clean, runs=3)
+
+        real = tr.make_batch
+
+        def poison_run_1(x, y, schedule, n, rng, cfg):
+            batch = real(x, y, schedule, n, rng, cfg)
+            if cfg.seed == self.CFG.seed + 1:
+                batch.y_n[0, 0] = np.inf
+            return batch
+
+        monkeypatch.setattr(tr, "make_batch", poison_run_1)
+        out = tmp_path / "out"
+        metrics = run_experiment(["AAA"], data, self.CFG, out, runs=3)
+        assert metrics["partial"] is True
+        assert [(f["stock"], f["run"]) for f in metrics["failures"]] == [("AAA", 1)]
+        assert "non-finite loss" in metrics["failures"][0]["error"]
+        details = metrics["per_stock"]["AAA"]["run_details"]
+        assert [d["run"] for d in details] == [0, 2]
+        clean_details = json.loads((clean / "metrics.json").read_text())["per_stock"]["AAA"]
+        assert details == [clean_details["run_details"][r] for r in (0, 2)]
+        assert not (out / "predictions" / "AAA_run1.csv").exists()
+        assert not (out / "checkpoints" / "AAA_run1.npz").exists()
+        for run in (0, 2):
+            rel = f"predictions/AAA_run{run}.csv"
+            assert (out / rel).read_bytes() == (clean / rel).read_bytes()
+            with np.load(out / "checkpoints" / f"AAA_run{run}.npz") as a, np.load(
+                clean / "checkpoints" / f"AAA_run{run}.npz"
+            ) as b:
+                for key in a.files:
+                    assert a[key].tobytes() == b[key].tobytes(), key
 
     def test_single_run_warns_about_sd(self, tmp_path):
         data = tmp_path / "data"
