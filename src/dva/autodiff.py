@@ -31,8 +31,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
     "sum_",
     "mean_",
     "reshape",
@@ -41,8 +39,6 @@ __all__ = [
     "swish",
     "relu",
     "exp_",
-    "log_",
-    "sqrt_",
     "square",
     "clamp",
     "detach",
@@ -82,34 +78,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape})"
-
-    # Operator sugar; scalars and ndarrays are promoted to constant tensors.
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -240,25 +208,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), back)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data)
-
-    def back(g, need):
-        return (
-            _unbroadcast(g / b.data, a.data.shape) if need[0] else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            if need[1]
-            else None,
-        )
-
-    return _record(out, (a, b), back)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g, need: (-g,))
-
-
 def square(a: Tensor) -> Tensor:
     return mul(a, a)
 
@@ -345,17 +294,6 @@ def exp_(a: Tensor) -> Tensor:
     e = np.exp(a.data)
     out = Tensor(e)
     return _record(out, (a,), lambda g, need: (g * e,))
-
-
-def log_(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g, need: (g / a.data,))
-
-
-def sqrt_(a: Tensor) -> Tensor:
-    r = np.sqrt(a.data)
-    out = Tensor(r)
-    return _record(out, (a,), lambda g, need: (g * 0.5 / r,))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:

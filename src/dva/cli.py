@@ -36,6 +36,7 @@ from .data import (
     build_dataset,
     load_ohlcv,
     load_tickers,
+    stack_windows,
     synth_generate,
     write_ohlcv,
     write_truth,
@@ -71,7 +72,7 @@ from .portfolio import (
     write_backtest_report,
     write_weights_csv,
 )
-from .training import TrainConfig, predict, run_experiment, _stack_windows
+from .training import TrainConfig, predict, run_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -289,7 +290,7 @@ def cmd_predict(args) -> int:
                 (split.test, "predictions"),
                 (split.validation, "predictions_val"),
             ):
-                x, _ = _stack_windows(pairs)
+                x, _ = stack_windows(pairs)
                 y_hat = predict(params, x, cfg_r)
                 write_predictions(
                     out / sub / f"{ticker}_run{run}.csv", pairs, y_hat

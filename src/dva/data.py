@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "FEATURE_DIM",
     "R_INDEX",
     "PriceBar",
-    "FeatureRow",
     "WindowPair",
     "DatasetSplit",
     "SynthSpec",
@@ -31,6 +30,7 @@ __all__ = [
     "write_ohlcv",
     "featurize",
     "make_windows",
+    "stack_windows",
     "chronological_split",
     "split_sizes",
     "train_volume_stats",
@@ -43,7 +43,7 @@ __all__ = [
 OHLCV_HEADER = ["date", "open", "high", "low", "close", "volume"]
 TRUTH_HEADER = ["date", "r_true"]
 FEATURE_DIM = 6
-R_INDEX = 5  # column of the gross return r within a feature row
+R_INDEX = 5  # column of the gross return r in the features [o, h, l, v, delta, r]
 
 
 @dataclass(frozen=True)
@@ -68,29 +68,13 @@ class PriceBar:
 
 
 @dataclass(frozen=True)
-class FeatureRow:
-    """One normalized observation: [o, h, l, v, delta, r]."""
-
-    date: dt.date
-    o: float
-    h: float
-    l: float
-    v: float
-    delta: float
-    r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.o, self.h, self.l, self.v, self.delta, self.r])
-
-
-@dataclass(frozen=True)
 class WindowPair:
     """T input rows ending at the anchor date, targets for the next T_out days."""
 
     x: np.ndarray  # (T, 6)
     y: np.ndarray  # (T_out,)
     anchor_date: dt.date
-    anchor_index: int  # position of the anchor within the feature list
+    anchor_index: int  # row of the anchor within the feature array
 
 
 @dataclass(frozen=True)
@@ -180,59 +164,55 @@ def load_tickers(path) -> list[str]:
 
 def featurize(
     bars: list[PriceBar], volume_stats: tuple[float, float] | None = None
-) -> list[FeatureRow]:
-    """Drop the first bar (it anchors the normalization) and build one row per
-    remaining day. Volume is z-scored with ``volume_stats`` = (mean, std);
-    when omitted, the stats of this series' own rows are used."""
+) -> tuple[list[dt.date], np.ndarray]:
+    """Drop the first bar (it anchors the normalization) and return the dates
+    of the L remaining days with their (L, 6) features [o, h, l, v, delta, r].
+    Volume is z-scored with ``volume_stats`` = (mean, std); when omitted, the
+    stats of this series' own rows are used."""
     if len(bars) < 2:
         raise ContractError(f"featurize needs >= 2 bars, got {len(bars)}")
-    raw_v = np.array([b.volume for b in bars[1:]])
+    # rows open, high, low, close, volume; contiguous, so that the volume
+    # statistics sum exactly as over a freshly built array
+    cols = np.array([(b.open, b.high, b.low, b.close, b.volume) for b in bars]).T.copy()
+    prev = cols[3, :-1]
+    zero = np.flatnonzero(prev == 0.0)
+    if zero.size:
+        raise DataError(f"{bars[zero[0]].date}: zero close cannot normalize the next day")
+    raw_v = cols[4, 1:]
     if volume_stats is None:
         volume_stats = (float(raw_v.mean()), float(raw_v.std()))
     v_mean, v_std = volume_stats
-    rows = []
-    for prev, bar in zip(bars, bars[1:]):
-        if prev.close == 0.0:
-            raise DataError(f"{prev.date}: zero close cannot normalize the next day")
-        z = (bar.volume - v_mean) / v_std if v_std > 0.0 else 0.0
-        rows.append(
-            FeatureRow(
-                date=bar.date,
-                o=bar.open / prev.close,
-                h=bar.high / prev.close,
-                l=bar.low / prev.close,
-                v=z,
-                delta=bar.close - prev.close,
-                r=bar.close / prev.close,
-            )
-        )
-    return rows
+    features = np.empty((len(bars) - 1, FEATURE_DIM))
+    features[:, :3] = (cols[:3, 1:] / prev).T
+    features[:, 3] = (raw_v - v_mean) / v_std if v_std > 0.0 else 0.0
+    features[:, 4] = cols[3, 1:] - prev
+    features[:, R_INDEX] = cols[3, 1:] / prev
+    return [b.date for b in bars[1:]], features
 
 
 def make_windows(
-    features: list[FeatureRow], t_in: int, t_out: int, stride: int = 1
+    dates: list[dt.date], features: np.ndarray, t_in: int, t_out: int
 ) -> list[WindowPair]:
-    """Sliding (X, y) pairs; at stride 1 the count is max(0, L - T - T' + 1)."""
+    """Sliding (X, y) pairs, one per anchor row: max(0, L - T - T' + 1) of them."""
     if t_in < 1 or t_out < 1:
         raise ContractError(f"window lengths must be >= 1, got ({t_in}, {t_out})")
-    if stride < 1:
-        raise ContractError(f"stride must be >= 1, got {stride}")
-    n = len(features)
-    if n < t_in + t_out:
-        return []
-    mat = np.array([f.as_array() for f in features])
-    r_col = mat[:, R_INDEX]
-    pairs = []
-    for anchor in range(t_in - 1, n - t_out, stride):
-        pairs.append(
-            WindowPair(
-                x=mat[anchor - t_in + 1 : anchor + 1].copy(),
-                y=r_col[anchor + 1 : anchor + 1 + t_out].copy(),
-                anchor_date=features[anchor].date,
-                anchor_index=anchor,
-            )
+    r_col = features[:, R_INDEX]
+    return [
+        WindowPair(
+            x=features[anchor - t_in + 1 : anchor + 1].copy(),
+            y=r_col[anchor + 1 : anchor + 1 + t_out].copy(),
+            anchor_date=dates[anchor],
+            anchor_index=anchor,
         )
-    return pairs
+        for anchor in range(t_in - 1, len(features) - t_out)
+    ]
+
+
+def stack_windows(pairs: list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
+    """Model inputs x (N, 6, t_in), features as channels, and targets y (N, t_out)."""
+    x = np.stack([p.x.T for p in pairs])
+    y = np.stack([p.y for p in pairs])
+    return x, y
 
 
 def split_sizes(n: int, ratio: tuple[int, int, int] = (7, 1, 2)) -> tuple[int, int, int]:
@@ -288,12 +268,11 @@ def build_dataset(
     t_in: int,
     t_out: int,
     ratio: tuple[int, int, int] = (7, 1, 2),
-    stride: int = 1,
 ) -> DatasetSplit:
     """featurize -> window -> split, with leakage-free volume normalization."""
     stats = train_volume_stats(bars, t_in, t_out, ratio)
-    features = featurize(bars, volume_stats=stats)
-    return chronological_split(make_windows(features, t_in, t_out, stride), ratio)
+    dates, features = featurize(bars, volume_stats=stats)
+    return chronological_split(make_windows(dates, features, t_in, t_out), ratio)
 
 
 # ---------------------------------------------------------------------------

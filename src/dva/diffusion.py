@@ -8,7 +8,7 @@ so any step is a single closed-form draw rather than a sequential walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,6 @@ __all__ = [
     "diffuse_target",
     "sample_step",
 ]
-
-TARGET_ALPHA_SOURCES = ("prime", "unprime")
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,6 @@ class DiffusionSchedule:
     beta_prime: np.ndarray
     alpha_bar_prime: np.ndarray
     sigma: np.ndarray
-    target_alpha_source: str = "prime"
 
     def alpha_bar_at(self, n: int) -> float:
         if n == 0:
@@ -53,8 +50,7 @@ class DiffusionSchedule:
         if n == 0:
             return 1.0
         self._check_step(n)
-        src = self.alpha_bar_prime if self.target_alpha_source == "prime" else self.alpha_bar
-        return float(src[n - 1])
+        return float(self.alpha_bar_prime[n - 1])
 
     def sigma_at(self, n: int) -> float:
         self._check_step(n)
@@ -70,7 +66,6 @@ def make_schedule(
     beta_min: float = 1e-4,
     beta_max: float = 0.1,
     gamma_scale: float = 0.5,
-    target_alpha_source: str = "prime",
 ) -> DiffusionSchedule:
     """Linear beta from beta_min to beta_max, plus the gamma-scaled twin.
 
@@ -88,17 +83,11 @@ def make_schedule(
         raise ContractError(f"gamma_scale must be > 0, got {gamma_scale}")
     if gamma_scale * beta_max >= 1.0:
         raise ConfigError("target noise exceeds unit variance")
-    if target_alpha_source not in TARGET_ALPHA_SOURCES:
-        raise ConfigError(
-            f"target_alpha_source must be one of {TARGET_ALPHA_SOURCES},"
-            f" got {target_alpha_source!r}"
-        )
     beta = np.linspace(beta_min, beta_max, n_steps)
     alpha_bar = np.cumprod(1.0 - beta)
     beta_prime = gamma_scale * beta
     alpha_bar_prime = np.cumprod(1.0 - beta_prime)
-    target_src = alpha_bar_prime if target_alpha_source == "prime" else alpha_bar
-    sigma = np.sqrt(1.0 - target_src)
+    sigma = np.sqrt(1.0 - alpha_bar_prime)
     return DiffusionSchedule(
         n_steps=n_steps,
         beta=beta,
@@ -107,7 +96,6 @@ def make_schedule(
         beta_prime=beta_prime,
         alpha_bar_prime=alpha_bar_prime,
         sigma=sigma,
-        target_alpha_source=target_alpha_source,
     )
 
 

@@ -326,15 +326,28 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
     if not Path(path).exists():
         raise ConfigError(f"no such checkpoint: {path}")
     with np.load(path, allow_pickle=False) as f:
-        meta = json.loads(str(f["__meta__"]))
+        if "__meta__" not in f.files:
+            raise DataError(f"checkpoint {path}: missing array __meta__")
+        try:
+            meta = json.loads(str(f["__meta__"]))
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise DataError(f"checkpoint {path}: __meta__ is not a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
-        config = ModelConfig(**meta["config"])
-        if config.hash() != meta["config_hash"]:
+        try:
+            config = ModelConfig(**meta["config"])
+            stored_hash = meta["config_hash"]
+        except KeyError as err:
+            raise DataError(f"checkpoint {path}: metadata has no {err}") from None
+        except TypeError as err:
+            raise DataError(f"checkpoint {path}: bad model config in metadata: {err}") from None
+        if config.hash() != stored_hash:
             raise ConfigError("checkpoint config hash does not match its config")
-        if expected_hash is not None and meta["config_hash"] != expected_hash:
+        if expected_hash is not None and stored_hash != expected_hash:
             raise ConfigError(
-                f"checkpoint config hash {meta['config_hash']} does not match"
+                f"checkpoint config hash {stored_hash} does not match"
                 f" expected {expected_hash}"
             )
         stored = {key: f[key] for key in f.files if key != "__meta__"}

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tape, Tensor, add, as_tensor, backward, mean_, mul, square, sub, sum_
-from .data import FEATURE_DIM, DatasetSplit, WindowPair, build_dataset, load_ohlcv
+from .data import FEATURE_DIM, DatasetSplit, WindowPair, build_dataset, load_ohlcv, stack_windows
 from .diffusion import (
     DiffusionSchedule,
     diffuse_input,
@@ -56,7 +56,6 @@ from .model import (
 from .optim import Adam, AdamConfig
 
 __all__ = [
-    "STEP_EMBED_CHANNELS",
     "TrainConfig",
     "TrainBatch",
     "LossComponents",
@@ -73,10 +72,6 @@ __all__ = [
     "run_experiment",
 ]
 
-# Sinusoidal channels appended to the input when step conditioning is on.
-STEP_EMBED_CHANNELS = 4
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a single training run depends on."""
@@ -88,7 +83,6 @@ class TrainConfig:
     beta_min: float = 1e-4
     beta_max: float = 0.1
     gamma_scale: float = 0.5
-    target_alpha_source: str = "prime"
     # loss weights
     zeta: float = 0.5
     eta: float = 1.0
@@ -101,7 +95,6 @@ class TrainConfig:
     # toggles
     latent_kl: bool = True
     output_kl: bool = True
-    step_embedding: bool = False
     denoiser: bool = True
     diffuse_x: bool = True
     diffuse_y: bool = True
@@ -136,14 +129,10 @@ class TrainConfig:
             raise ConfigError(str(err)) from None
         return self
 
-    def in_channels(self) -> int:
-        return FEATURE_DIM + (STEP_EMBED_CHANNELS if self.step_embedding else 0)
-
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             t_in=self.t_in,
             t_out=self.t_out,
-            in_channels=self.in_channels(),
             channels=self.channels,
             latent=self.latent,
             kernel=self.kernel,
@@ -157,7 +146,6 @@ class TrainConfig:
             beta_min=self.beta_min,
             beta_max=self.beta_max,
             gamma_scale=self.gamma_scale,
-            target_alpha_source=self.target_alpha_source,
         )
 
     def hash(self) -> str:
@@ -191,28 +179,6 @@ class TrainBatch:
         )
 
 
-def _step_channels(n: int, n_steps: int, lead: tuple[int, ...], t_len: int) -> np.ndarray:
-    frac = n / n_steps
-    vals = np.array(
-        [
-            math.sin(2.0 * math.pi * frac),
-            math.cos(2.0 * math.pi * frac),
-            math.sin(4.0 * math.pi * frac),
-            math.cos(4.0 * math.pi * frac),
-        ]
-    )
-    return np.broadcast_to(
-        vals[:, None], lead + (STEP_EMBED_CHANNELS, t_len)
-    ).copy()
-
-
-def _with_step_channels(x: np.ndarray, n: int, cfg: TrainConfig) -> np.ndarray:
-    if not cfg.step_embedding:
-        return x
-    emb = _step_channels(n, cfg.n_steps, x.shape[:-2], x.shape[-1])
-    return np.concatenate([x, emb], axis=-2)
-
-
 def make_batch(
     x: np.ndarray,
     y: np.ndarray,
@@ -230,7 +196,7 @@ def make_batch(
         raise ContractError(f"expected y (batch, t_out) matching x, got {y.shape}")
     x_n = diffuse_input(x, schedule, n, rng.standard_normal(x.shape)) if cfg.diffuse_x else x
     y_n = diffuse_target(y, schedule, n, rng.standard_normal(y.shape)) if cfg.diffuse_y else y
-    return TrainBatch(x_n=_with_step_channels(x_n, n, cfg), y_n=y_n, y=y, n=n)
+    return TrainBatch(x_n=x_n, y_n=y_n, y=y, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +322,6 @@ class RunHistory:
         return self.epochs[self.best_epoch].val_mse
 
 
-def _stack_windows(pairs: Sequence[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([p.x.T for p in pairs])  # features become channels
-    y = np.stack([p.y for p in pairs])
-    return x, y
-
-
 def refresh_norm_stats(params: ModelParams, x_train: np.ndarray, cfg: TrainConfig) -> None:
     """Re-estimate batch-norm running statistics from clean training inputs.
 
@@ -377,7 +337,6 @@ def refresh_norm_stats(params: ModelParams, x_train: np.ndarray, cfg: TrainConfi
         xb = x_train[i : i + cfg.batch_size]
         if len(xb) < 2:
             continue  # single-row batch statistics are meaningless
-        xb = _with_step_channels(xb, 0, cfg)
         generate(params, encode(params, as_tensor(xb), training=True), sample=False, training=True)
 
 
@@ -413,7 +372,7 @@ def train_runs(
     if not split.train or not split.validation:
         raise ConfigError("training needs nonempty train and validation sets")
     schedule = cfg.schedule()
-    x_train, y_train = _stack_windows(split.train)
+    x_train, y_train = stack_windows(split.train)
     models = [ModelParams.init(cfg.model_config(), c.seed) for c in cfgs]
     for m in models:
         # start the output head at the per-step mean of the training
@@ -506,7 +465,6 @@ def predict(params: ModelParams, x: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != FEATURE_DIM:
         raise ContractError(f"expected x (batch, {FEATURE_DIM}, t), got {x.shape}")
-    x = _with_step_channels(x, 0, cfg)
     stack = encode(params, as_tensor(x), training=False)
     out = generate(params, stack, sample=False, training=False)
     y_hat = denoise_jump(params, out.y_hat) if cfg.denoiser else out.y_hat
@@ -518,7 +476,7 @@ def evaluate_mse(params: ModelParams, pairs: Sequence[WindowPair], cfg: TrainCon
     one per model of a stack."""
     if not pairs:
         raise ConfigError("cannot evaluate on an empty window set")
-    x, y = _stack_windows(pairs)
+    x, y = stack_windows(pairs)
     return np.mean((predict(params, x, cfg) - y) ** 2, axis=(-2, -1))
 
 
@@ -552,7 +510,7 @@ def _experiment_job(args: tuple) -> list[dict]:
             except TrainingAbort as err:
                 r = live.pop(err.run)
                 outcomes[r] = failed(r, err)
-        x_test, y_test = _stack_windows(split.test)
+        x_test, y_test = stack_windows(split.test)
         for r, (params, history) in zip(live, trained):
             save_params(params, Path(out_dir) / "checkpoints" / f"{ticker}_run{r}.npz")
             y_hat = predict(params, x_test, cfgs[r])

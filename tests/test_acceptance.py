@@ -26,19 +26,15 @@ from dva.autodiff import (
     concat,
     conv1d,
     depthwise_conv1d,
-    div,
     downsample2,
     exp_,
     linear,
-    log_,
     matmul,
     mean_,
     mul,
-    neg,
     relu,
     reshape,
     sigmoid,
-    sqrt_,
     square,
     sub,
     sum_,
@@ -46,7 +42,7 @@ from dva.autodiff import (
     upsample_repeat,
 )
 from dva.cli import main
-from dva.data import FEATURE_DIM, SynthSpec, build_dataset, synth_generate
+from dva.data import FEATURE_DIM, SynthSpec, build_dataset, stack_windows, synth_generate
 from dva.diffusion import diffuse_input, diffuse_target, make_schedule
 from dva.errors import DegenerateReturnsError
 from dva.evaluation import StockRunResult, aggregate, persistence_baseline
@@ -69,7 +65,6 @@ from dva.training import (
     total_loss,
     train_runs,
     train_stock,
-    _stack_windows,
 )
 
 
@@ -149,17 +144,9 @@ def test_a01_gradient_oracle():
     case("add_broadcast", lambda: (lambda: add(a, brow), [a, brow]))
     case("sub", lambda: (lambda: sub(a, b), [a, b]))
     case("mul", lambda: (lambda: mul(a, brow), [a, brow]))
-    den = t((3, 4))
-    den.data = np.sign(den.data) * (0.5 + np.abs(den.data))
-    case("div", lambda: (lambda: div(a, den), [a, den]))
-    case("neg", lambda: (lambda: neg(a), [a]))
     case("square", lambda: (lambda: square(a), [a]))
     ex = t((3, 4), scale=0.5)
     case("exp", lambda: (lambda: exp_(ex), [ex]))
-    pos = t((3, 4))
-    pos.data = 0.5 + np.abs(pos.data)
-    case("log", lambda: (lambda: log_(pos), [pos]))
-    case("sqrt", lambda: (lambda: sqrt_(pos), [pos]))
     case("sigmoid", lambda: (lambda: sigmoid(a), [a]))
     case("swish", lambda: (lambda: swish(a), [a]))
     rl = away_from(t((3, 4)), 0.0, 0.1)
@@ -379,7 +366,7 @@ def test_a04_signal_recovery():
         split, _ = sin_universe(800, 0.0, 101 + k, phase=phase)
         params, _ = train_stock(split, cfg)
         mse = evaluate_mse(params, split.test, cfg)
-        _, y_test = _stack_windows(split.test)
+        _, y_test = stack_windows(split.test)
         target_var = float(y_test.var())
         pers = float(
             np.mean(
@@ -448,7 +435,7 @@ def test_a05_noise_robustness():
 def test_a06_denoise_jump():
     """The one-step correction beats the raw prediction on noisy targets."""
     split, r_true = sin_universe(400, 0.02, 601)
-    x_test, _ = _stack_windows(split.test)
+    x_test, _ = stack_windows(split.test)
     y_true = truth_windows(split.test, r_true)
     wins = 0
     details = []

@@ -15,17 +15,14 @@ from dva.autodiff import (
     conv1d,
     depthwise_conv1d,
     detach,
-    div,
     downsample2,
     exp_,
     linear,
-    log_,
     mean_,
     mul,
     relu,
     reshape,
     sigmoid,
-    sqrt_,
     sub,
     sum_,
     swish,
@@ -276,8 +273,6 @@ def test_gradcheck_swish_sum():
         ("swish", lambda t: sum_(swish(t)), lambda r: r.normal(size=(6,))),
         ("relu", lambda t: sum_(relu(t)), lambda r: _away_from_zero(r, (6,))),
         ("exp", lambda t: sum_(exp_(t)), lambda r: r.normal(size=(6,))),
-        ("log", lambda t: sum_(log_(t)), lambda r: r.uniform(0.5, 2.0, size=(6,))),
-        ("sqrt", lambda t: sum_(sqrt_(t)), lambda r: r.uniform(0.5, 2.0, size=(6,))),
         (
             "clamp",
             lambda t: sum_(mul(clamp(t, -0.8, 0.8), clamp(t, -0.8, 0.8))),
@@ -298,11 +293,6 @@ def test_gradcheck_swish_sum():
             "reshape",
             lambda t: sum_(mul(reshape(t, (6,)), reshape(t, (6,)))),
             lambda r: r.normal(size=(2, 3)),
-        ),
-        (
-            "div",
-            lambda t: sum_(div(Tensor(np.ones(5)), t)),
-            lambda r: r.uniform(0.5, 2.0, size=(5,)),
         ),
         (
             "sub_broadcast",

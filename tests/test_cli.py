@@ -5,6 +5,7 @@ import json
 import shutil
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dva.cli import DEFAULT_WEIGHT_GRID, main
@@ -225,6 +226,19 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "epochz" in read_stderr_json(capsys)["message"]
 
+    @pytest.mark.parametrize(
+        "key, value", [("step_embedding", False), ("target_alpha_source", "prime")]
+    )
+    def test_removed_config_key(self, tmp_path, capsys, key, value):
+        # the model always reads the six features and the primed target
+        # chain; a config written for the old toggles fails, not silently runs
+        cfg = write_json(
+            tmp_path / "old.json",
+            dict(run_payload(tmp_path, tmp_path / "o"), **{key: value}),
+        )
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert key in read_stderr_json(capsys)["message"]
+
     def test_config_flag_required(self, capsys):
         assert main(["train"]) == 2
         assert "--config" in read_stderr_json(capsys)["message"]
@@ -250,6 +264,19 @@ class TestPredict:
         )
         assert main(["predict", "--config", str(cfg)]) == 3
         assert "checkpoint" in read_stderr_json(capsys)["message"]
+
+    def test_malformed_checkpoint_metadata(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out / "checkpoints", out / "checkpoints")
+        ckpt = out / "checkpoints" / "AAA_run0.npz"
+        with np.load(ckpt) as f:
+            arrays = {k: f[k] for k in f.files}
+        del arrays["__meta__"]
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **arrays)
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["predict", "--config", str(cfg)]) == 3
+        assert str(ckpt) in read_stderr_json(capsys)["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dva.data import (
+    FEATURE_DIM,
+    R_INDEX,
     PriceBar,
     SynthSpec,
     build_dataset,
@@ -18,6 +20,7 @@ from dva.data import (
     load_truth,
     make_windows,
     split_sizes,
+    stack_windows,
     synth_generate,
     train_volume_stats,
     write_ohlcv,
@@ -123,41 +126,69 @@ def test_load_tickers(tmp_path):
 
 def test_featurize_hand_example():
     bars = [bar(0, 100, 100, 100, 100), bar(1, 102, 105, 99, 101)]
-    row = featurize(bars, volume_stats=(0.0, 1.0))[0]
-    assert (row.o, row.h, row.l, row.r) == pytest.approx((1.02, 1.05, 0.99, 1.01))
-    assert row.delta == pytest.approx(1.0)
+    dates, feats = featurize(bars, volume_stats=(0.0, 1.0))
+    o, h, l, _, delta, r = feats[0]
+    assert dates == [bars[1].date]
+    assert (o, h, l, r) == pytest.approx((1.02, 1.05, 0.99, 1.01))
+    assert delta == pytest.approx(1.0)
 
 
 def test_featurize_drops_first_bar():
-    assert len(featurize(constant_bars(2))) == 1
+    dates, feats = featurize(constant_bars(2))
+    assert len(dates) == 1 and feats.shape == (1, FEATURE_DIM)
     with pytest.raises(ContractError):
         featurize(constant_bars(1))
 
 
 def test_featurize_constant_series():
-    rows = featurize(constant_bars(6))
-    assert all(r.r == 1.0 and r.delta == 0.0 for r in rows)
+    _, feats = featurize(constant_bars(6))
+    assert np.all(feats[:, R_INDEX] == 1.0) and np.all(feats[:, 4] == 0.0)
 
 
 def test_featurize_volume_zscore():
     bars = [bar(i, 100, 100, 100, 100, v=float(100 + i)) for i in range(5)]
-    rows = featurize(bars)  # stats over its own rows
-    vs = np.array([r.v for r in rows])
+    _, feats = featurize(bars)  # stats over its own rows
+    vs = feats[:, 3]
     assert vs.mean() == pytest.approx(0.0, abs=1e-12)
     assert vs.std() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_featurize_constant_volume_maps_to_zero():
-    rows = featurize(constant_bars(4))
-    assert all(r.v == 0.0 for r in rows)
+    _, feats = featurize(constant_bars(4))
+    assert np.all(feats[:, 3] == 0.0)
 
 
 def test_feature_row_invariants_hold():
     bars, _ = synth_generate(SynthSpec(length=50), seed=9)
-    for row in featurize(bars):
-        assert row.l <= min(row.o, row.r) + 1e-12
-        assert row.h >= max(row.o, row.r) - 1e-12
-        assert min(row.o, row.h, row.l, row.r) > 0
+    for o, h, l, _, _, r in featurize(bars)[1]:
+        assert l <= min(o, r) + 1e-12
+        assert h >= max(o, r) - 1e-12
+        assert min(o, h, l, r) > 0
+
+
+def test_featurize_matches_per_row_float_arithmetic():
+    bars, _ = synth_generate(SynthSpec(length=60, noise_scale=0.03), seed=12)
+    v_mean, v_std = 1.1e6, 2.3e5
+    want = [
+        (
+            b.open / p.close,
+            b.high / p.close,
+            b.low / p.close,
+            (b.volume - v_mean) / v_std,
+            b.close - p.close,
+            b.close / p.close,
+        )
+        for p, b in zip(bars, bars[1:])
+    ]
+    _, feats = featurize(bars, volume_stats=(v_mean, v_std))
+    assert np.array_equal(feats, np.array(want))
+
+
+def test_featurize_rejects_zero_close():
+    bars = [bar(0, 1, 1, 1, 1), bar(1, 1, 1, 1, 1), bar(2, 1, 1, 1, 1)]
+    bars[1] = PriceBar(bars[1].date, 1.0, 1.0, 0.0, 0.0, 1000.0)
+    with pytest.raises(DataError, match=str(bars[1].date)):
+        featurize(bars)
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +197,34 @@ def test_feature_row_invariants_hold():
 
 
 def test_window_count_formula():
-    rows = featurize(constant_bars(756))  # 755 feature rows
-    assert len(make_windows(rows, 10, 10)) == 736
+    dates, feats = featurize(constant_bars(756))  # 755 feature rows
+    assert len(make_windows(dates, feats, 10, 10)) == 736
 
 
 def test_window_count_boundary():
-    rows = featurize(constant_bars(20))  # 19 rows < T + T'
-    assert make_windows(rows, 10, 10) == []
+    dates, feats = featurize(constant_bars(20))  # 19 rows < T + T'
+    assert make_windows(dates, feats, 10, 10) == []
 
 
 def test_window_targets_follow_anchor():
     bars = [bar(i, 100 + i, 100 + i, 100 + i, 100 + i) for i in range(12)]
-    rows = featurize(bars)
-    pairs = make_windows(rows, 3, 2)
+    dates, feats = featurize(bars)
+    pairs = make_windows(dates, feats, 3, 2)
     first = pairs[0]
     assert first.anchor_index == 2
-    assert first.y[0] == rows[3].r
-    assert first.y[1] == rows[4].r
-    assert np.array_equal(first.x[-1], rows[2].as_array())
+    assert first.anchor_date == dates[2]
+    assert first.y[0] == feats[3, R_INDEX]
+    assert first.y[1] == feats[4, R_INDEX]
+    assert np.array_equal(first.x[-1], feats[2])
+
+
+def test_stack_windows_layout():
+    bars, _ = synth_generate(SynthSpec(length=40), seed=5)
+    pairs = make_windows(*featurize(bars), 6, 4)
+    x, y = stack_windows(pairs)
+    assert x.shape == (len(pairs), FEATURE_DIM, 6) and y.shape == (len(pairs), 4)
+    for i, p in enumerate(pairs):
+        assert np.array_equal(x[i], p.x.T) and np.array_equal(y[i], p.y)
 
 
 def test_split_sizes_frozen_examples():
@@ -192,10 +233,10 @@ def test_split_sizes_frozen_examples():
 
 
 def test_split_is_chronological_partition():
-    rows = featurize(constant_bars(120))
-    split = chronological_split(make_windows(rows, 5, 3))
+    dates, feats = featurize(constant_bars(120))
+    split = chronological_split(make_windows(dates, feats, 5, 3))
     n = sum(split.counts())
-    assert n == len(make_windows(rows, 5, 3))
+    assert n == len(make_windows(dates, feats, 5, 3))
     last_train = split.train[-1].anchor_index
     first_val = split.validation[0].anchor_index
     last_val = split.validation[-1].anchor_index
@@ -204,9 +245,9 @@ def test_split_is_chronological_partition():
 
 
 def test_split_requires_ten_pairs():
-    rows = featurize(constant_bars(15))
+    dates, feats = featurize(constant_bars(15))
     with pytest.raises(ConfigError):
-        chronological_split(make_windows(rows, 3, 3))
+        chronological_split(make_windows(dates, feats, 3, 3))
 
 
 @settings(deadline=None, max_examples=40)
@@ -221,11 +262,11 @@ def test_split_sizes_sum_and_stay_near_ratio(n):
 
 def test_windows_tile_with_stride_t_out():
     bars, _ = synth_generate(SynthSpec(length=100), seed=2)
-    rows = featurize(bars)
+    dates, feats = featurize(bars)
     t_in, t_out = 5, 4
-    pairs = make_windows(rows, t_in, t_out, stride=t_out)
+    pairs = make_windows(dates, feats, t_in, t_out)[::t_out]
     tiled = np.concatenate([p.y for p in pairs])
-    r_seq = np.array([r.r for r in rows])
+    r_seq = feats[:, R_INDEX]
     start = t_in  # first target index
     assert np.array_equal(tiled, r_seq[start : start + len(tiled)])
 
@@ -300,8 +341,7 @@ def test_truth_sidecar_roundtrip(tmp_path):
 
 def test_close_reconstructs_from_returns():
     bars, _ = synth_generate(SynthSpec(length=200, noise_scale=0.02), seed=4)
-    rows = featurize(bars)
-    r = np.array([row.r for row in rows])
+    r = featurize(bars)[1][:, R_INDEX]
     recon = bars[0].close * np.cumprod(r)
     closes = np.array([b.close for b in bars[1:]])
     assert np.max(np.abs(recon - closes) / closes) < 1e-12

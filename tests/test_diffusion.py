@@ -45,11 +45,6 @@ def test_invalid_beta_range_rejected():
         make_schedule(n_steps=5, beta_min=0.1, beta_max=1.0)
 
 
-def test_unknown_target_alpha_source_rejected():
-    with pytest.raises(ConfigError):
-        make_schedule(target_alpha_source="other")
-
-
 def test_diffuse_input_hand_value():
     # a_bar = 0.25 via a one-step schedule with beta = 0.75
     s = make_schedule(n_steps=1, beta_min=0.75, beta_max=0.75, gamma_scale=0.5)
@@ -104,15 +99,12 @@ def test_small_gamma_keeps_target_nearly_clean():
     assert np.allclose(out, y, atol=1e-3)
 
 
-def test_unprime_reading_uses_input_chain():
-    s = make_schedule(
-        n_steps=2, beta_min=0.1, beta_max=0.2, gamma_scale=2.0,
-        target_alpha_source="unprime",
-    )
+def test_target_chain_and_sigma_read_primed_products():
+    s = make_schedule(n_steps=2, beta_min=0.1, beta_max=0.2, gamma_scale=2.0)
     out = diffuse_target(np.array(1.0), s, 2, np.array(0.0))
-    assert float(out) == pytest.approx(np.sqrt(0.72), abs=1e-12)
-    # sigma follows the same choice of chain
-    assert np.allclose(s.sigma, np.sqrt(1.0 - s.alpha_bar))
+    assert float(out) == pytest.approx(np.sqrt(0.48), abs=1e-12)
+    assert s.target_alpha_bar_at(2) == s.alpha_bar_prime[1] != s.alpha_bar[1]
+    assert np.array_equal(s.sigma, np.sqrt(1.0 - s.alpha_bar_prime))
 
 
 def test_gamma_one_makes_chains_identical_bitwise():

@@ -1,5 +1,8 @@
 """Generator architecture, divergences, energy head, and checkpointing."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -492,6 +495,34 @@ def test_checkpoint_schema_mismatch_names_key(tmp_path, edit, key):
     f = tmp_path / "ck.npz"
     rewrite_checkpoint(f, edit)
     with pytest.raises(DataError, match=key.replace(".", r"\.")):
+        load_params(f)
+
+
+def _edit_meta(edit):
+    def rewrite(arrays):
+        meta = json.loads(str(arrays["__meta__"]))
+        edit(meta)
+        arrays["__meta__"] = np.array(json.dumps(meta))
+
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda a: a.pop("__meta__"), "missing array __meta__"),
+        (lambda a: a.update(__meta__=np.array("{")), "__meta__ is not a JSON object"),
+        (lambda a: a.update(__meta__=np.array("[1]")), "__meta__ is not a JSON object"),
+        (_edit_meta(lambda m: m.pop("config_hash")), "metadata has no 'config_hash'"),
+        (_edit_meta(lambda m: m["config"].update(width=3)), "bad model config"),
+    ],
+    ids=["missing-meta", "meta-not-json", "meta-not-object", "missing-config-hash",
+         "unknown-config-key"],
+)
+def test_checkpoint_bad_metadata_is_a_data_error(tmp_path, edit, message):
+    f = tmp_path / "ck.npz"
+    rewrite_checkpoint(f, edit)
+    with pytest.raises(DataError, match=re.escape(f"checkpoint {f}: {message}")):
         load_params(f)
 
 

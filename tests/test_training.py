@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dva import autodiff
 from dva.autodiff import Tape, as_tensor, backward
 from dva.data import (
     FEATURE_DIM,
@@ -19,7 +20,6 @@ from dva.errors import ConfigError, ContractError, TrainingAbort
 from dva.evaluation import load_predictions
 from dva.model import ModelParams, encode, generate, load_params
 from dva.training import (
-    STEP_EMBED_CHANNELS,
     TrainConfig,
     evaluate_mse,
     loss_from_components,
@@ -94,6 +94,26 @@ def test_default_training_step_tape_stays_fused():
     assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
+# Public autodiff names that no taped op is named after: the tape, its
+# driver, the tensor type, and helpers built on retained primitives.
+NOT_OPS = {"Tensor", "Tape", "backward", "as_tensor", "square", "detach"}
+
+
+def test_every_primitive_runs_in_training_or_prediction():
+    # Census of the op kinds one default training step and one prediction
+    # record: an exported primitive that neither records is dead code.
+    cfg = TrainConfig()
+    rng = np.random.default_rng(11)
+    params = ModelParams.init(cfg.model_config(), cfg.seed)
+    batch = random_batch(cfg, rng, batch=cfg.batch_size)
+    with Tape() as tape:
+        total_loss(batch, params, cfg.schedule(), cfg, rng=rng, training=True)
+        predict(params, batch.x_n, cfg)
+    kinds = {backfn.__qualname__.split(".")[0] for _, _, backfn in tape.entries}
+    assert set(autodiff.__all__) - NOT_OPS <= kinds
+    assert not NOT_OPS & kinds
+
+
 def test_backward_computes_no_vjp_for_constants():
     # On one default step, no entry returns a gradient for an input that no
     # parameter reaches (the data batch, scalar coefficients, detached
@@ -155,7 +175,7 @@ class TestLossIdentity:
         {"eta": 0.0},
         {"zeta": 2.5, "eta": 0.25},
         {"dsm_block": False},
-        {"step_embedding": True},
+        {"diffuse_x": False},
     ]
 
     @pytest.mark.parametrize("kw", TOGGLES)
@@ -302,18 +322,6 @@ class TestMakeBatch:
         assert not np.allclose(batch.y_n, y)
         np.testing.assert_array_equal(batch.y, y)  # clean targets preserved
 
-    def test_step_channels_appended(self):
-        cfg = replace(TINY, step_embedding=True)
-        rng = np.random.default_rng(0)
-        x = np.ones((2, FEATURE_DIM, cfg.t_in))
-        y = np.ones((2, cfg.t_out))
-        batch = make_batch(x, y, cfg.schedule(), 3, rng, cfg)
-        assert batch.x_n.shape == (2, FEATURE_DIM + STEP_EMBED_CHANNELS, cfg.t_in)
-        emb = batch.x_n[:, FEATURE_DIM:, :]
-        frac = 3 / cfg.n_steps
-        assert emb[0, 0, 0] == pytest.approx(math.sin(2 * math.pi * frac))
-        assert np.all(emb == emb[:, :, :1])  # constant over time
-
     def test_shape_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ContractError):
@@ -357,10 +365,11 @@ class TestTrainConfig:
         assert TINY.hash() != replace(TINY, zeta=0.75).hash()
 
     def test_in_channels(self):
-        assert TINY.in_channels() == FEATURE_DIM
-        assert replace(TINY, step_embedding=True).in_channels() == (
-            FEATURE_DIM + STEP_EMBED_CHANNELS
-        )
+        assert TINY.model_config().in_channels == FEATURE_DIM
+
+    def test_default_model_hash_is_pinned(self):
+        # checkpoints store this hash; a change would orphan every saved model
+        assert TrainConfig().model_config().hash() == "f59cfe1d5c7e1443"
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +548,6 @@ class TestPredict:
         params, _ = self.trained()
         with pytest.raises(ConfigError):
             evaluate_mse(params, [], TINY)
-
-    def test_step_embedding_round_trip(self):
-        split = tiny_split()
-        cfg = replace(TINY, step_embedding=True, epochs=1)
-        params, _ = train_stock(split, cfg)
-        x = np.stack([p.x.T for p in split.test])
-        assert predict(params, x, cfg).shape == (len(x), cfg.t_out)
 
 
 # ---------------------------------------------------------------------------
