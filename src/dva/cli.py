@@ -58,7 +58,6 @@ from .evaluation import (
     mse,
     persistence_baseline,
     report_as_dict,
-    scan_prediction_results,
     uncertainty_improvement,
     write_predictions,
     write_uncertainty_csv,
@@ -69,7 +68,6 @@ from .portfolio import (
     load_prediction_frames,
     report_as_dict as portfolio_report_as_dict,
     tune_gamma,
-    write_backtest_report,
     write_weights_csv,
 )
 from .training import TrainConfig, predict, run_experiment
@@ -277,6 +275,7 @@ def cmd_predict(args) -> int:
     (out / "predictions").mkdir(parents=True, exist_ok=True)
     (out / "predictions_val").mkdir(parents=True, exist_ok=True)
 
+    model_hash = cfg.model_config().hash()
     for ticker in tickers:
         bars = load_ohlcv(rc.data_dir, ticker)
         split = build_dataset(bars, cfg.t_in, cfg.t_out)
@@ -284,14 +283,13 @@ def cmd_predict(args) -> int:
             ckpt = out / "checkpoints" / f"{ticker}_run{run}.npz"
             if not ckpt.exists():
                 raise DataError(f"missing artifact: no checkpoint {ckpt}")
-            cfg_r = dataclasses.replace(cfg, seed=cfg.seed + run)
-            params = load_params(ckpt, expected_hash=cfg_r.model_config().hash())
+            params = load_params(ckpt, expected_hash=model_hash)
             for pairs, sub in (
                 (split.test, "predictions"),
                 (split.validation, "predictions_val"),
             ):
                 x, _ = stack_windows(pairs)
-                y_hat = predict(params, x, cfg_r)
+                y_hat = predict(params, x, cfg)
                 write_predictions(
                     out / sub / f"{ticker}_run{run}.csv", pairs, y_hat
                 )
@@ -345,7 +343,10 @@ def cmd_evaluate(args) -> int:
     targets = [out / "report.json", out / "uncertainty.csv"]
     _refuse_overwrite(targets, args.force)
 
-    model_report = aggregate(scan_prediction_results(out / "predictions"))
+    model_report = aggregate(
+        StockRunResult(f.stock, f.run, mse(f.y_hat, f.y_true))
+        for f in load_prediction_frames(out / "predictions")
+    )
     tickers = load_tickers(rc.tickers_file)
     if args.baseline:
         before = _report_from_metrics(args.baseline)

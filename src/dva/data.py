@@ -21,6 +21,7 @@ from .errors import ConfigError, ContractError, DataError, ParseError
 __all__ = [
     "FEATURE_DIM",
     "R_INDEX",
+    "SPLIT_RATIO",
     "PriceBar",
     "WindowPair",
     "DatasetSplit",
@@ -44,6 +45,7 @@ OHLCV_HEADER = ["date", "open", "high", "low", "close", "volume"]
 TRUTH_HEADER = ["date", "r_true"]
 FEATURE_DIM = 6
 R_INDEX = 5  # column of the gross return r in the features [o, h, l, v, delta, r]
+SPLIT_RATIO = (7, 1, 2)  # train : validation : test windows
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class DatasetSplit:
     train: list[WindowPair]
     validation: list[WindowPair]
     test: list[WindowPair]
-    ratio: tuple[int, int, int]
 
     def counts(self) -> tuple[int, int, int]:
         return (len(self.train), len(self.validation), len(self.test))
@@ -149,8 +150,12 @@ def write_ohlcv(path, bars: list[PriceBar]) -> None:
 
 def load_tickers(path) -> list[str]:
     """Newline-separated ticker symbols; blanks and '#' comments skipped."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ConfigError(f"cannot read tickers file {path}: {err.strerror}") from None
     out = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         name = line.strip()
         if name and not name.startswith("#"):
             out.append(name)
@@ -215,40 +220,34 @@ def stack_windows(pairs: list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def split_sizes(n: int, ratio: tuple[int, int, int] = (7, 1, 2)) -> tuple[int, int, int]:
-    """Floor the train and test shares; validation takes the remainder.
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """Floor the train and test shares of ``SPLIT_RATIO``; validation takes
+    the remainder.
 
-    For 736 pairs at 7:1:2 this yields 515/74/147.
+    For 736 pairs this yields 515/74/147.
     """
-    total = sum(ratio)
-    n_train = math.floor(n * ratio[0] / total)
-    n_test = math.floor(n * ratio[2] / total)
+    total = sum(SPLIT_RATIO)
+    n_train = math.floor(n * SPLIT_RATIO[0] / total)
+    n_test = math.floor(n * SPLIT_RATIO[2] / total)
     return n_train, n - n_train - n_test, n_test
 
 
-def chronological_split(
-    pairs: list[WindowPair], ratio: tuple[int, int, int] = (7, 1, 2)
-) -> DatasetSplit:
+def chronological_split(pairs: list[WindowPair]) -> DatasetSplit:
     """Contiguous prefix/middle/suffix partition in anchor order."""
     if len(pairs) < 10:
         raise ConfigError(f"need at least 10 windows to split, got {len(pairs)}")
-    if any(r <= 0 for r in ratio):
-        raise ConfigError(f"split ratio parts must be positive, got {ratio}")
     anchors = [p.anchor_index for p in pairs]
     if anchors != sorted(anchors):
         raise ContractError("windows must be sorted by anchor before splitting")
-    n_train, n_val, _ = split_sizes(len(pairs), ratio)
+    n_train, n_val, _ = split_sizes(len(pairs))
     return DatasetSplit(
         train=pairs[:n_train],
         validation=pairs[n_train : n_train + n_val],
         test=pairs[n_train + n_val :],
-        ratio=ratio,
     )
 
 
-def train_volume_stats(
-    bars: list[PriceBar], t_in: int, t_out: int, ratio=(7, 1, 2)
-) -> tuple[float, float]:
+def train_volume_stats(bars: list[PriceBar], t_in: int, t_out: int) -> tuple[float, float]:
     """Volume mean/std over exactly the rows a training window can see.
 
     Train inputs cover feature rows [0, n_train + t_in - 1); using only these
@@ -256,23 +255,18 @@ def train_volume_stats(
     """
     n_rows = len(bars) - 1
     n_windows = max(0, n_rows - t_in - t_out + 1)
-    n_train, _, _ = split_sizes(n_windows, ratio) if n_windows >= 10 else (n_windows, 0, 0)
+    n_train, _, _ = split_sizes(n_windows) if n_windows >= 10 else (n_windows, 0, 0)
     vols = np.array([b.volume for b in bars[1 : 1 + n_train + t_in - 1]])
     if vols.size == 0:
         raise ConfigError("series too short to compute train volume statistics")
     return float(vols.mean()), float(vols.std())
 
 
-def build_dataset(
-    bars: list[PriceBar],
-    t_in: int,
-    t_out: int,
-    ratio: tuple[int, int, int] = (7, 1, 2),
-) -> DatasetSplit:
+def build_dataset(bars: list[PriceBar], t_in: int, t_out: int) -> DatasetSplit:
     """featurize -> window -> split, with leakage-free volume normalization."""
-    stats = train_volume_stats(bars, t_in, t_out, ratio)
+    stats = train_volume_stats(bars, t_in, t_out)
     dates, features = featurize(bars, volume_stats=stats)
-    return chronological_split(make_windows(dates, features, t_in, t_out), ratio)
+    return chronological_split(make_windows(dates, features, t_in, t_out))
 
 
 # ---------------------------------------------------------------------------

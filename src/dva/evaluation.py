@@ -36,7 +36,6 @@ __all__ = [
     "write_uncertainty_csv",
     "write_predictions",
     "load_predictions",
-    "scan_prediction_results",
 ]
 
 PREDICTION_HEADER = ["anchor_date", "step", "y_hat", "y_true"]
@@ -255,24 +254,3 @@ def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date]]:
 
 
 _PREDICTION_NAME = re.compile(r"^(?P<stock>.+)_run(?P<run>\d+)\.csv$")
-
-
-def scan_prediction_results(pred_dir) -> list[StockRunResult]:
-    """Turn a directory of ``<stock>_run<k>.csv`` files into per-run MSEs."""
-    p = Path(pred_dir)
-    if not p.is_dir():
-        raise DataError(f"missing artifact: no prediction directory {p}")
-    results = []
-    for f in sorted(p.iterdir()):
-        m = _PREDICTION_NAME.match(f.name)
-        if m is None:
-            continue
-        y_hat, y_true, _ = load_predictions(f)
-        results.append(
-            StockRunResult(
-                stock=m.group("stock"), run=int(m.group("run")), mse=mse(y_hat, y_true)
-            )
-        )
-    if not results:
-        raise DataError(f"missing artifact: no prediction files in {p}")
-    return results

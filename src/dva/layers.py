@@ -24,27 +24,24 @@ from .autodiff import (
 )
 from .errors import ContractError
 
-__all__ = ["BatchNormState", "batch_norm", "se_gate", "separable_conv1d"]
+__all__ = ["BN_MOMENTUM", "BN_EPS", "BatchNormState", "batch_norm", "se_gate", "separable_conv1d"]
+
+BN_MOMENTUM = 0.9  # weight of the old running statistics in each update
+BN_EPS = 1e-5  # added to the variance before the square root
 
 
 @dataclass
 class BatchNormState:
-    """Running per-channel statistics updated with momentum during training;
-    ``mean`` and ``var`` carry the same leading axes as gamma and beta."""
+    """Running per-channel statistics updated with momentum ``BN_MOMENTUM``
+    during training; ``mean`` and ``var`` carry the same leading axes as
+    gamma and beta."""
 
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.9, eps: float = 1e-5):
-        return cls(
-            mean=np.zeros(channels),
-            var=np.ones(channels),
-            momentum=momentum,
-            eps=eps,
-        )
+    def create(cls, channels: int) -> "BatchNormState":
+        return cls(mean=np.zeros(channels), var=np.ones(channels))
 
 
 def batch_norm(
@@ -73,13 +70,13 @@ def batch_norm(
         mu = x.data.mean(axis=(-3, -1), keepdims=True)
         centered = x.data - mu
         var = (centered * centered).mean(axis=(-3, -1), keepdims=True)
-        m = state.momentum
+        m = BN_MOMENTUM
         state.mean = m * state.mean + (1.0 - m) * mu.reshape(shape)
         state.var = m * state.var + (1.0 - m) * var.reshape(shape)
     else:
         centered = x.data - state.mean[..., None, :, None]
         var = state.var[..., None, :, None]
-    std = np.sqrt(var + state.eps)
+    std = np.sqrt(var + BN_EPS)
     xhat = centered / std
     g_c = gamma.data[..., None, :, None]
     out = Tensor(xhat * g_c + beta.data[..., None, :, None])

@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (
-    Tape,
     Tensor,
     _record,
     _unbroadcast,
@@ -273,10 +272,8 @@ class ModelParams:
             k: BatchNormState(
                 np.stack([m.bn_states[k].mean for m in models]),
                 np.stack([m.bn_states[k].var for m in models]),
-                s.momentum,
-                s.eps,
             )
-            for k, s in first.bn_states.items()
+            for k in first.bn_states
         }
         return cls(config, t, bn)
 
@@ -284,7 +281,7 @@ class ModelParams:
         """A copy of model r of a stack, with a checkpoint's shapes."""
         t = {k: Tensor(np.array(v.data[r]), name=v.name) for k, v in self.tensors.items()}
         bn = {
-            k: BatchNormState(s.mean[r].copy(), s.var[r].copy(), s.momentum, s.eps)
+            k: BatchNormState(s.mean[r].copy(), s.var[r].copy())
             for k, s in self.bn_states.items()
         }
         return ModelParams(self.config, t, bn)
@@ -449,18 +446,16 @@ def generate(
     params: ModelParams,
     stack: list[Tensor],
     *,
-    sample: bool,
-    rng: np.random.Generator | None = None,
     eps: list[np.ndarray] | None = None,
     training: bool = False,
 ) -> ForwardOutput:
     """Top-down decode with the latents following the posterior heads over
-    the encoder stack. sample=False uses distribution means."""
+    the encoder stack. With ``eps`` (one standard-normal array per group,
+    coarsest first) the latents are reparameterized samples; without it
+    they are the posterior means."""
     cfg = params.config
     if len(stack) != N_GROUPS:
         raise ContractError(f"encoder stack must have {N_GROUPS} levels")
-    if sample and rng is None and eps is None:
-        raise ContractError("sampling needs an rng or explicit eps")
 
     batch = stack[0].data.shape[-3]
     lengths = cfg.level_lengths()  # fine, middle, coarse
@@ -476,15 +471,10 @@ def generate(
         kl = mean_(sum_(
             kl_gaussian_elementwise(mu, lv, p_mu, p_lv), axis=(-2, -1)
         ), axis=-1)
-        if sample:
-            if eps is not None:
-                noise = np.asarray(eps[i - 1], dtype=np.float64)
-                if noise.shape != mu.data.shape:
-                    raise ContractError(
-                        f"eps[{i - 1}] shape {noise.shape} != {mu.data.shape}"
-                    )
-            else:
-                noise = rng.standard_normal(mu.data.shape)
+        if eps is not None:
+            noise = np.asarray(eps[i - 1], dtype=np.float64)
+            if noise.shape != mu.data.shape:
+                raise ContractError(f"eps[{i - 1}] shape {noise.shape} != {mu.data.shape}")
             z = add(mu, mul(exp_(mul(lv, as_tensor(0.5))), as_tensor(noise)))
         else:
             z = mu

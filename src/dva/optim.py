@@ -2,22 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError
 
-__all__ = ["AdamConfig", "Adam"]
+__all__ = ["ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "Adam"]
 
-
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+ADAM_BETA1 = 0.9  # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPS = 1e-8  # added to the root of the second moment
 
 
 class Adam:
@@ -30,8 +24,8 @@ class Adam:
     closures) are never disturbed.
     """
 
-    def __init__(self, params: list[Tensor], config: AdamConfig = AdamConfig()):
-        self.config = config
+    def __init__(self, params: list[Tensor], lr: float):
+        self.lr = lr
         self.params = list(params)
         self.step_count = 0
         self._shapes = [p.data.shape for p in self.params]
@@ -41,7 +35,6 @@ class Adam:
         self._v = np.zeros(bounds[-1])
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
-        c = self.config
         flat_g = []
         for p, shape in zip(self.params, self._shapes):
             g = grads.get(p)
@@ -52,14 +45,14 @@ class Adam:
             flat_g.append(g.reshape(-1))
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - c.beta1**t
-        bc2 = 1.0 - c.beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
         g = np.concatenate(flat_g)
         theta = np.concatenate([p.data.reshape(-1) for p in self.params])
-        self._m = c.beta1 * self._m + (1.0 - c.beta1) * g
-        self._v = c.beta2 * self._v + (1.0 - c.beta2) * (g * g)
+        self._m = ADAM_BETA1 * self._m + (1.0 - ADAM_BETA1) * g
+        self._v = ADAM_BETA2 * self._v + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = self._m / bc1
         v_hat = self._v / bc2
-        theta = theta - c.lr * m_hat / (np.sqrt(v_hat) + c.eps)
+        theta = theta - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         for p, shape, (lo, hi) in zip(self.params, self._shapes, self._spans):
             p.data = theta[lo:hi].reshape(shape)

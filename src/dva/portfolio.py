@@ -46,12 +46,21 @@ __all__ = [
     "load_prediction_frames",
     "backtest",
     "tune_gamma",
-    "write_backtest_report",
     "write_weights_csv",
 ]
 
 # Logarithmic half-decade grid spanning 0.1 .. 100, 13 points.
 DEFAULT_GAMMA_GRID = tuple(float(10.0 ** (-1 + k / 4)) for k in range(13))
+
+# Graphical lasso: diagonal jitter added to the covariance, the block sweeps'
+# stop (relative to the mean diagonal variance) and their cap.
+GLASSO_JITTER = 1e-8
+GLASSO_TOL = 1e-7
+GLASSO_MAX_SWEEPS = 200
+# Simplex QP: the stationarity residual that ends the ascent, and its
+# iteration cap.
+QP_TOL = 1e-8
+QP_MAX_ITER = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +159,17 @@ def _lasso_cd(gram: np.ndarray, target: np.ndarray, lam: float, beta: np.ndarray
     )
 
 
-def graphical_lasso(
-    sigma,
-    lam: float,
-    *,
-    jitter: float = 1e-8,
-    tol: float = 1e-7,
-    max_sweeps: int = 200,
-) -> Precision:
+def graphical_lasso(sigma, lam: float) -> Precision:
     """Sparse precision estimate: max log det Θ − tr(ΣΘ) − λ‖Θ_offdiag‖₁.
 
     Block coordinate descent over rows/columns of the working covariance,
     with an ℓ₁ inner solve per column (the penalty touches off-diagonals
     only, so λ=0 reduces exactly to the matrix inverse). A small absolute
-    diagonal jitter makes rank-deficient sample covariances (more stocks
-    than horizon days) workable. The sweeps stop once the working covariance
-    moves by less than ``tol`` times the mean diagonal variance, so the stop
-    is the same at every return scale.
+    diagonal jitter, ``GLASSO_JITTER``, makes rank-deficient sample
+    covariances (more stocks than horizon days) workable. The sweeps stop
+    once the working covariance moves by less than ``GLASSO_TOL`` times the
+    mean diagonal variance, so the stop is the same at every return scale,
+    and error after ``GLASSO_MAX_SWEEPS``.
     """
     s = np.asarray(sigma, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -178,17 +181,17 @@ def graphical_lasso(
     if np.any(np.diag(s) < 0):
         raise ContractError("covariance diagonal must be nonnegative")
     p = s.shape[0]
-    s = (s + s.T) / 2.0 + jitter * np.eye(p)
+    s = (s + s.T) / 2.0 + GLASSO_JITTER * np.eye(p)
     if p == 1:
         return Precision(theta=np.array([[1.0 / s[0, 0]]]), lam=lam)
 
-    stop = tol * float(np.mean(np.diag(s)))
+    stop = GLASSO_TOL * float(np.mean(np.diag(s)))
     rests = [np.array([k for k in range(p) if k != j]) for j in range(p)]
     blocks = [np.ix_(rest, rest) for rest in rests]
     w = s.copy()  # working covariance estimate; diagonal stays fixed
     betas = np.zeros((p, p - 1))
     residual = np.inf
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, GLASSO_MAX_SWEEPS + 1):
         w_prev = w.copy()
         for j, rest in enumerate(rests):
             w11 = w[blocks[j]]
@@ -200,7 +203,8 @@ def graphical_lasso(
             break
     else:
         raise ConvergenceError(
-            f"graphical lasso did not converge in {max_sweeps} sweeps", residual=residual
+            f"graphical lasso did not converge in {GLASSO_MAX_SWEEPS} sweeps",
+            residual=residual,
         )
 
     theta = np.empty((p, p))
@@ -252,11 +256,11 @@ def _stationarity(w: np.ndarray, grad: np.ndarray) -> float:
     )
 
 
-def _face_optimum(mu, sig, gamma_risk, face, tol) -> np.ndarray | None:
+def _face_optimum(mu, sig, gamma_risk, face) -> np.ndarray | None:
     """Maximizer of the objective on the affine hull of one simplex face:
     solves [γΣ_FF 1; 1ᵀ 0][w_F; ν] = [μ_F; 1]. None when that system is
     singular, or its solution is not strictly inside the face or not
-    stationary on the whole simplex to ``tol``."""
+    stationary on the whole simplex to ``QP_TOL``."""
     k = int(face.sum())
     kkt = np.ones((k + 1, k + 1))
     kkt[:k, :k] = gamma_risk * sig[np.ix_(face, face)]
@@ -270,19 +274,12 @@ def _face_optimum(mu, sig, gamma_risk, face, tol) -> np.ndarray | None:
         return None
     w = np.zeros(mu.size)
     w[face] = sol / sol.sum()
-    if _stationarity(w, mu - gamma_risk * (sig @ w)) >= tol:
+    if _stationarity(w, mu - gamma_risk * (sig @ w)) >= QP_TOL:
         return None
     return w
 
 
-def mean_variance_weights(
-    mu,
-    sigma_eff,
-    gamma_risk: float,
-    *,
-    max_iter: int = 10_000,
-    tol: float = 1e-8,
-) -> Weights:
+def mean_variance_weights(mu, sigma_eff, gamma_risk: float) -> Weights:
     """Maximize w'mu - (gamma_risk/2) w'Σw over the no-short simplex.
 
     Projected gradient ascent with the fixed step 1/(gamma_risk * ||Σ||₂),
@@ -291,9 +288,10 @@ def mean_variance_weights(
     replaces the iterate if it is strictly positive and stationary. A face
     whose system is singular (a raw covariance of more stocks than horizon
     days) or whose optimum fails is left to the gradient steps and not
-    solved again. Stops at a stationarity residual below ``tol`` (equalized
-    gradients on the support, no ascent direction off it) or errors after
-    ``max_iter`` iterations; ``iterations`` counts the residual tests.
+    solved again. Stops at a stationarity residual below ``QP_TOL``
+    (equalized gradients on the support, no ascent direction off it) or
+    errors after ``QP_MAX_ITER`` iterations; ``iterations`` counts the
+    residual tests.
     """
     mu = np.asarray(mu, dtype=np.float64)
     sig = np.asarray(sigma_eff, dtype=np.float64)
@@ -315,16 +313,16 @@ def mean_variance_weights(
     w = np.full(s, 1.0 / s)
     last_support = None
     failed_face = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, QP_MAX_ITER + 1):
         grad = mu - gamma_risk * (sig @ w)
         resid = _stationarity(w, grad)
-        if resid < tol:
+        if resid < QP_TOL:
             break
         support = w > 1e-12
         if np.array_equal(support, last_support) and not np.array_equal(
             support, failed_face
         ):
-            face_w = _face_optimum(mu, sig, gamma_risk, support, tol)
+            face_w = _face_optimum(mu, sig, gamma_risk, support)
             if face_w is not None:
                 w = face_w
                 break
@@ -333,7 +331,7 @@ def mean_variance_weights(
         w = _project_simplex(w + step * grad)
     else:
         raise ConvergenceError(
-            f"mean-variance ascent did not converge in {max_iter} iterations",
+            f"mean-variance ascent did not converge in {QP_MAX_ITER} iterations",
             residual=resid,
         )
     return Weights(w=np.maximum(w, 0.0), iterations=it).validate()
@@ -655,14 +653,6 @@ def report_as_dict(report: BacktestReport) -> dict:
         "avg_equal_weight_sharpe_across_runs": report.avg_equal_weight_sharpe,
         "warnings": list(report.warnings),
     }
-
-
-def write_backtest_report(path, report: BacktestReport) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(report_as_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_weights_csv(path, report: BacktestReport, run: int) -> None:

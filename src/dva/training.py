@@ -53,7 +53,7 @@ from .model import (
     output_kl,
     save_params,
 )
-from .optim import Adam, AdamConfig
+from .optim import Adam
 
 __all__ = [
     "TrainConfig",
@@ -225,22 +225,21 @@ def total_loss(
     schedule: DiffusionSchedule,
     cfg: TrainConfig,
     *,
-    rng: np.random.Generator | None = None,
-    eps: list[np.ndarray] | None = None,
+    eps: list[np.ndarray],
     training: bool = True,
 ) -> tuple[Tensor, tuple[LossComponents, ...]]:
     """Composite objective on one batch, summed over the models of a stack.
 
     Returns the scalar loss tensor plus one set of float components per
     model (one for an unstacked model), each satisfying
-    ``total == (mse + zeta*kl) + eta*dsm`` exactly at f64. Latents are drawn
-    via reparameterization from ``rng`` (or the explicit ``eps`` list). A
-    non-finite component raises TrainingAbort naming the model, with
-    epoch/batch set to -1; the training loop re-raises with the real
-    location.
+    ``total == (mse + zeta*kl) + eta*dsm`` exactly at f64. Latents are
+    reparameterized samples driven by ``eps``, one standard-normal array per
+    latent group, coarsest first (see ``_latent_noise``). A non-finite
+    component raises TrainingAbort naming the model, with epoch/batch set
+    to -1; the training loop re-raises with the real location.
     """
     stack = encode(params, as_tensor(batch.x_n), training=training)
-    out = generate(params, stack, sample=True, rng=rng, eps=eps, training=training)
+    out = generate(params, stack, eps=eps, training=training)
 
     y_mse = batch.y if cfg.mse_against_clean else batch.y_n
     m_t = mean_(square(sub(out.y_hat, as_tensor(y_mse))), axis=(-2, -1))
@@ -337,14 +336,14 @@ def refresh_norm_stats(params: ModelParams, x_train: np.ndarray, cfg: TrainConfi
         xb = x_train[i : i + cfg.batch_size]
         if len(xb) < 2:
             continue  # single-row batch statistics are meaningless
-        generate(params, encode(params, as_tensor(xb), training=True), sample=False, training=True)
+        generate(params, encode(params, as_tensor(xb), training=True), training=True)
 
 
 def _latent_noise(
     rng: np.random.Generator, cfg: TrainConfig, batch: int
 ) -> list[np.ndarray]:
-    """The reparameterization noise of one batch, coarsest group first: the
-    draws ``generate`` makes from ``rng`` for a model trained alone."""
+    """The reparameterization noise of one model's batch, coarsest group
+    first, drawn from that model's own generator."""
     lengths = cfg.model_config().level_lengths()
     return [rng.standard_normal((batch, cfg.latent, ln)) for ln in reversed(lengths)]
 
@@ -382,7 +381,7 @@ def train_runs(
     params = ModelParams.stack(models)
 
     rngs = [np.random.default_rng([c.seed, 1]) for c in cfgs]
-    opt = Adam(params.parameters(), AdamConfig(lr=cfg.lr))
+    opt = Adam(params.parameters(), cfg.lr)
     n_batches = math.ceil(len(split.train) / cfg.batch_size)
 
     runs = range(len(cfgs))
@@ -405,8 +404,7 @@ def train_runs(
             with Tape() as tape:
                 try:
                     loss_t, comps = total_loss(
-                        TrainBatch.stack(batches), params, schedule, cfg,
-                        eps=eps, training=True,
+                        TrainBatch.stack(batches), params, schedule, cfg, eps=eps
                     )
                 except TrainingAbort as err:
                     raise TrainingAbort(
@@ -466,7 +464,7 @@ def predict(params: ModelParams, x: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     if x.ndim != 3 or x.shape[1] != FEATURE_DIM:
         raise ContractError(f"expected x (batch, {FEATURE_DIM}, t), got {x.shape}")
     stack = encode(params, as_tensor(x), training=False)
-    out = generate(params, stack, sample=False, training=False)
+    out = generate(params, stack, training=False)
     y_hat = denoise_jump(params, out.y_hat) if cfg.denoiser else out.y_hat
     return y_hat.data.copy()
 
@@ -513,7 +511,7 @@ def _experiment_job(args: tuple) -> list[dict]:
         x_test, y_test = stack_windows(split.test)
         for r, (params, history) in zip(live, trained):
             save_params(params, Path(out_dir) / "checkpoints" / f"{ticker}_run{r}.npz")
-            y_hat = predict(params, x_test, cfgs[r])
+            y_hat = predict(params, x_test, cfg)
             write_predictions(
                 Path(out_dir) / "predictions" / f"{ticker}_run{r}.csv", split.test, y_hat
             )

@@ -58,6 +58,7 @@ from dva.portfolio import (
 )
 from dva.training import (
     TrainConfig,
+    _latent_noise,
     evaluate_mse,
     loss_from_components,
     make_batch,
@@ -333,7 +334,8 @@ def test_a03_loss_identity():
         schedule = cfg.schedule()
         n = int(rng.integers(1, cfg.n_steps + 1))
         batch = make_batch(x, y, schedule, n, rng, cfg)
-        loss_t, (comps,) = total_loss(batch, params, schedule, cfg, rng=rng)
+        eps = _latent_noise(rng, cfg, 5)
+        loss_t, (comps,) = total_loss(batch, params, schedule, cfg, eps=eps)
         assert comps.total == loss_from_components(
             comps.mse, comps.kl, comps.dsm, cfg.zeta, cfg.eta
         )

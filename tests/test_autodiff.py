@@ -138,7 +138,7 @@ def test_batch_norm_infer_is_frozen():
 
 
 def test_batch_norm_running_stats_momentum():
-    state = BatchNormState.create(1, momentum=0.9)
+    state = BatchNormState.create(1)
     x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1))
     batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, training=True)
     # fresh buffers are (mean 0, var 1); batch stats are (2, 1)
@@ -454,14 +454,12 @@ def _batch_norm_reference(x, gamma, beta, mean, var, momentum, eps, training):
 @pytest.mark.parametrize("training", [True, False])
 def test_batch_norm_matches_composite_reference(training):
     r = rng(80)
-    state = BatchNormState(
-        mean=r.normal(size=3), var=r.uniform(0.5, 2.0, size=3), momentum=0.9, eps=1e-5
-    )
+    state = BatchNormState(mean=r.normal(size=3), var=r.uniform(0.5, 2.0, size=3))
     gamma, beta = r.uniform(0.5, 1.5, size=3), r.normal(size=3)
     for _ in range(3):
         x = r.normal(loc=0.7, scale=2.0, size=(4, 3, 6))
         want, want_mean, want_var = _batch_norm_reference(
-            x, gamma, beta, state.mean, state.var, state.momentum, state.eps, training
+            x, gamma, beta, state.mean, state.var, 0.9, 1e-5, training
         )
         got = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training)
         assert np.max(np.abs(got.data - want)) < 1e-12

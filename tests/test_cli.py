@@ -239,6 +239,14 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert key in read_stderr_json(capsys)["message"]
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_missing_tickers_file(self, tmp_path, capsys, command):
+        cfg = write_json(tmp_path / "c.json", run_payload(tmp_path, tmp_path / "o"))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = read_stderr_json(capsys)
+        assert err["error"] == "ConfigError"
+        assert str(tmp_path / "tickers.txt") in err["message"]
+
     def test_config_flag_required(self, capsys):
         assert main(["train"]) == 2
         assert "--config" in read_stderr_json(capsys)["message"]
@@ -305,6 +313,17 @@ class TestEvaluate:
         )
         assert main(["evaluate", "--config", str(cfg)]) == 3
         assert "missing artifact" in read_stderr_json(capsys)["message"]
+
+    def test_ragged_prediction_file_rejected(self, pipeline, tmp_path, capsys):
+        # evaluate reads predictions as portfolio does: whole horizons only
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out / "predictions", out / "predictions")
+        path = out / "predictions" / "AAA_run0.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["evaluate", "--config", str(cfg)]) == 3
+        assert "ragged" in read_stderr_json(capsys)["message"]
 
     def test_explicit_baseline_metrics(self, pipeline, tmp_path):
         out2 = tmp_path / "o2"

@@ -19,11 +19,11 @@ from dva.evaluation import (
     mse,
     persistence_baseline,
     report_as_dict,
-    scan_prediction_results,
     uncertainty_improvement,
     write_predictions,
     write_uncertainty_csv,
 )
+from dva.portfolio import load_prediction_frames
 
 
 def make_window(r_values, t_out=3, anchor=dt.date(2021, 1, 15)):
@@ -295,6 +295,8 @@ class TestPredictionFiles:
 
 
 class TestScanPredictions:
+    """A prediction directory read as ``dva evaluate`` reads it."""
+
     def write(self, path, y_hat, y_true):
         pair = make_window([1.0] * 3, t_out=len(y_true))
         pair = WindowPair(
@@ -309,18 +311,27 @@ class TestScanPredictions:
         self.write(tmp_path / "BB_B_run0.csv", [1.5, 1.5], [1.0, 1.0])
         (tmp_path / "notes.txt").write_text("ignored")
         (tmp_path / "other.csv").write_text("ignored,також\n")
-        results = scan_prediction_results(tmp_path)
-        assert [(r.stock, r.run) for r in results] == [
+        frames = load_prediction_frames(tmp_path)
+        assert [(f.stock, f.run) for f in frames] == [
             ("AAA", 0), ("AAA", 1), ("BB_B", 0),
         ]
-        assert results[0].mse == 0.0
-        assert results[1].mse == pytest.approx(1.0)
-        assert results[2].mse == pytest.approx(0.25)
+        mses = [mse(f.y_hat, f.y_true) for f in frames]
+        assert mses[0] == 0.0
+        assert mses[1] == pytest.approx(1.0)
+        assert mses[2] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (7, 10), (147, 10), (513, 7)])
+    def test_frame_mse_equals_flat_mse_bitwise(self, shape):
+        # the per-window frame and the flat file rows give one MSE, bit for bit
+        r = np.random.default_rng(shape[0])
+        y_hat = 1.0 + 0.01 * r.standard_normal(shape)
+        y_true = 1.0 + 0.01 * r.standard_normal(shape)
+        assert mse(y_hat, y_true) == mse(y_hat.ravel(), y_true.ravel())
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(DataError, match="missing artifact"):
-            scan_prediction_results(tmp_path)
+            load_prediction_frames(tmp_path)
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(DataError, match="missing artifact"):
-            scan_prediction_results(tmp_path / "absent")
+            load_prediction_frames(tmp_path / "absent")

@@ -116,8 +116,8 @@ def test_encode_shape_mismatch_rejected():
 def test_generate_mean_mode_is_deterministic():
     params = tiny_params()
     x = Tensor(np.random.default_rng(2).normal(size=(2, 6, 8)))
-    a = generate(params, encode(params, x), sample=False)
-    b = generate(params, encode(params, x), sample=False)
+    a = generate(params, encode(params, x))
+    b = generate(params, encode(params, x))
     assert np.array_equal(a.y_hat.data, b.y_hat.data)
 
 
@@ -127,14 +127,14 @@ def test_generate_output_lengths_over_grid():
             cfg = ModelConfig(t_in=t_in, t_out=t_out, channels=4, latent=2, se_reduction=2)
             params = ModelParams.init(cfg, seed=0)
             x = Tensor(np.random.default_rng(3).normal(size=(1, 6, t_in)))
-            out = generate(params, encode(params, x), sample=False)
+            out = generate(params, encode(params, x))
             assert out.y_hat.shape == (1, t_out)
 
 
 def test_generate_has_three_groups_with_nonnegative_kl():
     params = tiny_params()
     x = Tensor(np.random.default_rng(4).normal(size=(3, 6, 8)))
-    out = generate(params, encode(params, x), sample=True, rng=np.random.default_rng(5))
+    out = generate(params, encode(params, x), eps=latent_eps(np.random.default_rng(5), (), 3))
     assert len(out.groups) == N_GROUPS
     assert all(float(k.data) >= 0.0 for k in out.kl_groups)
     assert float(out.kl_latent.data) == pytest.approx(
@@ -146,7 +146,7 @@ def test_generate_has_three_groups_with_nonnegative_kl():
 def test_posterior_copied_onto_prior_zeroes_kl():
     params = tiny_params()
     x = Tensor(np.random.default_rng(6).normal(size=(2, 6, 8)))
-    out = generate(params, encode(params, x), sample=False)
+    out = generate(params, encode(params, x))
     for g in out.groups:
         copied = kl_total(g.p_mean, g.p_logvar, g.p_mean, g.p_logvar)
         assert float(copied.data) == 0.0
@@ -159,14 +159,16 @@ def test_generate_rejects_malformed_stack():
     x = Tensor(np.random.default_rng(7).normal(size=(1, 6, 8)))
     stack = encode(params, x)
     with pytest.raises(ContractError):
-        generate(params, stack[:2], sample=False)
+        generate(params, stack[:2])
 
 
-def test_sampling_requires_noise_source():
+def test_generate_rejects_misshaped_eps():
     params = tiny_params()
-    x = Tensor(np.random.default_rng(8).normal(size=(1, 6, 8)))
-    with pytest.raises(ContractError):
-        generate(params, encode(params, x), sample=True)
+    stack = encode(params, Tensor(np.random.default_rng(8).normal(size=(2, 6, 8))))
+    eps = latent_eps(np.random.default_rng(8), (), 2)
+    eps[1] = eps[1][:1]
+    with pytest.raises(ContractError, match=r"eps\[1\]"):
+        generate(params, stack, eps=eps)
 
 
 def test_every_latent_group_feeds_the_output():
@@ -177,11 +179,11 @@ def test_every_latent_group_feeds_the_output():
     lengths = TINY.level_lengths()
     shapes = [(2, TINY.latent, lengths[2]), (2, TINY.latent, lengths[1]), (2, TINY.latent, lengths[0])]
     base_eps = [np.zeros(s) for s in shapes]
-    base = generate(params, stack, sample=True, eps=base_eps).y_hat.data
+    base = generate(params, stack, eps=base_eps).y_hat.data
     for i in range(N_GROUPS):
         eps = [e.copy() for e in base_eps]
         eps[i][0, 0, 0] = 3.0
-        moved = generate(params, stack, sample=True, eps=eps).y_hat.data
+        moved = generate(params, stack, eps=eps).y_hat.data
         assert not np.array_equal(base, moved), f"group {i + 1} wire is dead"
 
 
@@ -190,8 +192,8 @@ def test_encoder_features_reach_posteriors():
     r = np.random.default_rng(10)
     x1 = Tensor(r.normal(size=(1, 6, 8)))
     x2 = Tensor(r.normal(size=(1, 6, 8)))
-    a = generate(params, encode(params, x1), sample=False)
-    b = generate(params, encode(params, x2), sample=False)
+    a = generate(params, encode(params, x1))
+    b = generate(params, encode(params, x2))
     assert not np.array_equal(a.y_hat.data, b.y_hat.data)
     for ga, gb in zip(a.groups, b.groups):
         assert not np.array_equal(ga.q_mean.data, gb.q_mean.data)
@@ -204,7 +206,7 @@ def test_logvar_heads_are_clamped():
         params.tensors[f"post{i}.lv.w"].data *= 1e6
         params.tensors[f"prior{i}.lv.w"].data *= 1e6
     x = Tensor(np.random.default_rng(11).normal(size=(2, 6, 8)))
-    out = generate(params, encode(params, x), sample=False)
+    out = generate(params, encode(params, x))
     for g in out.groups:
         assert np.all(g.q_logvar.data <= 10.0)
         assert np.all(g.q_logvar.data >= -10.0)
@@ -225,7 +227,7 @@ def test_reparameterized_sampler_is_differentiable():
 
     def loss():
         out = generate(params, encode(params, Tensor(xv), training=True),
-                       sample=True, eps=eps, training=True)
+                       eps=eps, training=True)
         return sum_(square(sub(out.y_hat, as_tensor(target))))
 
     subset = [params[k] for k in ("h", "post1.lv.w", "post3.mu.w", "prior2.lv.b", "merge2.w", "out.proj.w")]
@@ -412,7 +414,7 @@ def test_dsm_blocking_separates_the_towers():
     def run(block):
         with Tape() as tape:
             out = generate(params, encode(params, Tensor(xv), training=True),
-                           sample=False, training=True)
+                           training=True)
             loss = dsm_loss(params, out.y_hat, y, sched, 40, block_predictor=block)
         return backward(tape, loss, params=params.parameters())
 
@@ -428,10 +430,10 @@ def test_dsm_blocking_separates_the_towers():
 def test_energy_weights_never_move_the_prediction():
     params = tiny_params(seed=7)
     x = Tensor(np.random.default_rng(29).normal(size=(2, 6, 8)))
-    before = generate(params, encode(params, x), sample=False).y_hat.data
+    before = generate(params, encode(params, x)).y_hat.data
     params.tensors["energy.w1"].data = params.tensors["energy.w1"].data * 2.0
     params.tensors["energy.q"].data = np.array(5.0)
-    after = generate(params, encode(params, x), sample=False).y_hat.data
+    after = generate(params, encode(params, x)).y_hat.data
     assert np.array_equal(before, after)
 
 
@@ -588,12 +590,12 @@ def test_stacked_forward_matches_each_model_alone():
     x = r.normal(size=(2, 3, 6, 8))
     eps = latent_eps(r, (2,), 3)
     y_s = generate(stacked, encode(stacked, Tensor(x), training=True),
-                   sample=True, eps=eps, training=True)
+                   eps=eps, training=True)
     jump_s = denoise_jump(stacked, y_s.y_hat)
     energy_s = energy(stacked, y_s.y_hat)
     for m, single in enumerate(models):
         y_m = generate(single, encode(single, Tensor(x[m]), training=True),
-                       sample=True, eps=[e[m] for e in eps], training=True)
+                       eps=[e[m] for e in eps], training=True)
         np.testing.assert_array_equal(y_s.y_hat.data[m], y_m.y_hat.data)
         np.testing.assert_array_equal(y_s.kl_latent.data[m], y_m.kl_latent.data)
         np.testing.assert_array_equal(jump_s.data[m], denoise_jump(single, y_m.y_hat).data)
@@ -606,10 +608,10 @@ def test_stacked_models_share_an_unstacked_input():
     models = [dense_tiny(5), dense_tiny(6)]
     stacked = ModelParams.stack(models)
     x = Tensor(np.random.default_rng(41).normal(size=(3, 6, 8)))
-    y_s = generate(stacked, encode(stacked, x), sample=False).y_hat.data
+    y_s = generate(stacked, encode(stacked, x)).y_hat.data
     assert y_s.shape == (2, 3, TINY.t_out)
     for m, single in enumerate(models):
-        np.testing.assert_array_equal(y_s[m], generate(single, encode(single, x), sample=False).y_hat.data)
+        np.testing.assert_array_equal(y_s[m], generate(single, encode(single, x)).y_hat.data)
 
 
 def test_gradcheck_kl_elementwise_stacked():
@@ -646,7 +648,7 @@ def test_stacked_gradients_do_not_leak_across_models():
     sched = make_schedule()
     with Tape() as tape:
         out = generate(stacked, encode(stacked, Tensor(x), training=True),
-                       sample=True, eps=latent_eps(r, (2,), 3), training=True)
+                       eps=latent_eps(r, (2,), 3), training=True)
         per_model = add(
             add(out.kl_latent, output_kl(out.y_hat, 1.0, y, sched, np.array([5, 9]))),
             dsm_loss(stacked, out.y_hat, y, sched, np.array([5, 9]), block_predictor=False),

@@ -21,6 +21,7 @@ from dva.evaluation import load_predictions
 from dva.model import ModelParams, encode, generate, load_params
 from dva.training import (
     TrainConfig,
+    _latent_noise,
     evaluate_mse,
     loss_from_components,
     make_batch,
@@ -88,7 +89,9 @@ def test_default_training_step_tape_stays_fused():
     params = ModelParams.init(cfg.model_config(), cfg.seed)
     batch = random_batch(cfg, rng, batch=cfg.batch_size)
     with Tape() as tape:
-        loss_t, _ = total_loss(batch, params, cfg.schedule(), cfg, rng=rng, training=True)
+        loss_t, _ = total_loss(
+            batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+        )
     assert len(tape) < 200
     grads = backward(tape, loss_t, params.parameters())
     assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -107,7 +110,9 @@ def test_every_primitive_runs_in_training_or_prediction():
     params = ModelParams.init(cfg.model_config(), cfg.seed)
     batch = random_batch(cfg, rng, batch=cfg.batch_size)
     with Tape() as tape:
-        total_loss(batch, params, cfg.schedule(), cfg, rng=rng, training=True)
+        total_loss(
+            batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+        )
         predict(params, batch.x_n, cfg)
     kinds = {backfn.__qualname__.split(".")[0] for _, _, backfn in tape.entries}
     assert set(autodiff.__all__) - NOT_OPS <= kinds
@@ -124,7 +129,9 @@ def test_backward_computes_no_vjp_for_constants():
     params = ModelParams.init(cfg.model_config(), cfg.seed)
     batch = random_batch(cfg, rng, batch=cfg.batch_size)
     with Tape() as tape:
-        loss_t, _ = total_loss(batch, params, cfg.schedule(), cfg, rng=rng, training=True)
+        loss_t, _ = total_loss(
+            batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+        )
     entries = list(tape.entries)
 
     reached = set(params.parameters())
@@ -186,7 +193,7 @@ class TestLossIdentity:
         for _ in range(5):
             batch = random_batch(cfg, rng)
             loss_t, (comps,) = total_loss(
-                batch, params, cfg.schedule(), cfg, rng=rng, training=True
+                batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
             )
             assert loss_t.item() == comps.total
             assert comps.total == loss_from_components(
@@ -199,7 +206,9 @@ class TestLossIdentity:
         rng = np.random.default_rng(3)
         params = randomized_params(cfg, 3)
         batch = random_batch(cfg, rng)
-        loss_t, (comps,) = total_loss(batch, params, cfg.schedule(), cfg, rng=rng)
+        loss_t, (comps,) = total_loss(
+            batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+        )
         assert loss_t.item() == comps.mse
 
     def test_component_arithmetic_hand_example(self):
@@ -209,7 +218,9 @@ class TestLossIdentity:
         cfg = replace(TINY, latent_kl=False, output_kl=False, denoiser=False)
         rng = np.random.default_rng(5)
         params = randomized_params(cfg, 5)
-        _, (comps,) = total_loss(random_batch(cfg, rng), params, cfg.schedule(), cfg, rng=rng)
+        _, (comps,) = total_loss(
+            random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, 5)
+        )
         assert comps.kl == 0.0 and comps.dsm == 0.0
 
     def test_output_kl_needs_diffused_targets(self):
@@ -218,7 +229,9 @@ class TestLossIdentity:
         cfg = replace(TINY, diffuse_y=False, latent_kl=False)
         rng = np.random.default_rng(6)
         params = randomized_params(cfg, 6)
-        _, (comps,) = total_loss(random_batch(cfg, rng), params, cfg.schedule(), cfg, rng=rng)
+        _, (comps,) = total_loss(
+            random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, 5)
+        )
         assert comps.kl_output == 0.0 and comps.kl == 0.0
 
     def test_nonfinite_aborts_with_component(self):
@@ -227,7 +240,9 @@ class TestLossIdentity:
         params = randomized_params(cfg, 8)
         params.tensors["out.proj.w"].data[0, 0] = np.nan
         with pytest.raises(TrainingAbort) as err:
-            total_loss(random_batch(cfg, rng), params, cfg.schedule(), cfg, rng=rng)
+            total_loss(
+                random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, 5)
+            )
         assert err.value.epoch == -1 and err.value.batch == -1
         assert err.value.component == "mse"
 
@@ -289,7 +304,9 @@ class TestDsmBlocking:
         params = randomized_params(cfg, 13)
         batch = random_batch(cfg, rng)
         with Tape() as tape:
-            loss_t, _ = total_loss(batch, params, cfg.schedule(), cfg, rng=rng)
+            loss_t, _ = total_loss(
+                batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+            )
         gmap = backward(tape, loss_t, params.parameters())
         for i in (1, 2, 3):
             g = gmap[params.tensors[f"post{i}.mu.w"]]
@@ -524,7 +541,7 @@ class TestPredict:
         params, x = self.trained()
         cfg = replace(TINY, denoiser=False)
         stack = encode(params, as_tensor(x), training=False)
-        raw = generate(params, stack, sample=False, training=False).y_hat.data
+        raw = generate(params, stack, training=False).y_hat.data
         np.testing.assert_array_equal(predict(params, x, cfg), raw)
 
     def test_denoiser_on_applies_jump(self):
