@@ -354,6 +354,13 @@ def cmd_evaluate(args) -> int:
     else:
         before = _persistence_report(rc, tickers)
         baseline_name = "persistence"
+    model_stocks, baseline_stocks = set(model_report.stock_ids()), set(before.stock_ids())
+    if model_stocks != baseline_stocks:
+        raise DataError(
+            f"predictions and baseline {baseline_name} cover different stocks:"
+            f" predictions lack {sorted(baseline_stocks - model_stocks)},"
+            f" the baseline lacks {sorted(model_stocks - baseline_stocks)}"
+        )
     rows = uncertainty_improvement(before, model_report)
 
     out.mkdir(parents=True, exist_ok=True)

@@ -15,11 +15,13 @@ import csv
 import datetime as dt
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .data import FEATURE_DIM, R_INDEX, WindowPair
 from .errors import ContractError, DataError, ParseError
 
@@ -202,25 +204,63 @@ def write_uncertainty_csv(path, rows: Sequence[UncertaintyRow]) -> None:
 
 
 def write_predictions(path, pairs: Sequence[WindowPair], y_hat: np.ndarray) -> None:
-    """One row per (window, horizon step); floats use repr for exact round trips."""
+    """One row per (window, horizon step), in one write; floats use repr for
+    exact round trips. The bytes equal ``csv.writer``'s: none of the fields
+    needs quoting, and every line ends in ``\\r\\n``."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y_hat.ndim != 2 or y_hat.shape[0] != len(pairs):
         raise ContractError(
             f"predictions {y_hat.shape} do not cover {len(pairs)} windows"
         )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_HEADER)
-        for pair, row in zip(pairs, y_hat):
-            if row.shape != pair.y.shape:
-                raise ContractError(
-                    f"horizon mismatch: prediction {row.shape} vs target {pair.y.shape}"
-                )
-            date = pair.anchor_date.isoformat()
-            for step in range(row.size):
-                writer.writerow(
-                    [date, step + 1, repr(float(row[step])), repr(float(pair.y[step]))]
-                )
+    for pair in pairs:
+        if pair.y.shape != y_hat.shape[1:]:
+            raise ContractError(
+                f"horizon mismatch: prediction {y_hat.shape[1:]} vs target {pair.y.shape}"
+            )
+    t_out = y_hat.shape[1]
+    dates = [d for p in pairs for d in [p.anchor_date.isoformat()] * t_out]
+    steps = list(range(1, t_out + 1)) * len(pairs)
+    y_true = np.array([p.y for p in pairs], dtype=np.float64).ravel()
+    text = ",".join(PREDICTION_HEADER) + "\r\n" + "".join(
+        map("{},{},{!r},{!r}\r\n".format, dates, steps, y_hat.ravel().tolist(), y_true.tolist())
+    )
+    with atomic_open(path) as fh:
+        fh.write(text.encode())
+
+
+def _read_rows(lines: list[str]) -> tuple[list[float], list[float], list[dt.date]]:
+    """Parse data rows one by one with ``csv``; a bad row raises a
+    ``ParseError`` naming its line."""
+    y_hat, y_true, dates = [], [], []
+    for lineno, row in enumerate(csv.reader(lines), start=2):
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+        try:
+            dates.append(dt.date.fromisoformat(row[0]))
+            step = int(row[1])
+            y_hat.append(float(row[2]))
+            y_true.append(float(row[3]))
+        except ValueError as err:
+            raise ParseError(str(err), line=lineno) from None
+        if step < 1:
+            raise ParseError(f"step must be >= 1, got {step}", line=lineno)
+    return y_hat, y_true, dates
+
+
+def _read_columns(lines: list[str]) -> tuple[list[float], list[float], list[dt.date]]:
+    """Parse data rows column by column; raises ``ValueError`` on any row
+    ``_read_rows`` would not read the same way."""
+    if set(map(str.count, lines, repeat(","))) - {3}:
+        raise ValueError("a row without four fields")
+    # a quote fails every field's parse below, so csv's quoting never applies
+    fields = ",".join(lines).split(",")
+    raw_dates = fields[0::4]
+    parsed = {s: dt.date.fromisoformat(s) for s in dict.fromkeys(raw_dates)}
+    if min(map(int, fields[1::4]), default=1) < 1:
+        raise ValueError("step below 1")
+    y_hat = list(map(float, fields[2::4]))
+    y_true = list(map(float, fields[3::4]))
+    return y_hat, y_true, list(map(parsed.__getitem__, raw_dates))
 
 
 def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date]]:
@@ -228,26 +268,18 @@ def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date]]:
     p = Path(path)
     if not p.exists():
         raise DataError(f"missing artifact: no prediction file {p}")
-    y_hat, y_true, dates = [], [], []
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PREDICTION_HEADER:
-            raise ParseError(
-                f"header must be {','.join(PREDICTION_HEADER)}, got {header}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
-            try:
-                dates.append(dt.date.fromisoformat(row[0]))
-                step = int(row[1])
-                y_hat.append(float(row[2]))
-                y_true.append(float(row[3]))
-            except ValueError as err:
-                raise ParseError(str(err), line=lineno) from None
-            if step < 1:
-                raise ParseError(f"step must be >= 1, got {step}", line=lineno)
+    lines = p.read_text().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    header = next(csv.reader(lines[:1]), None)
+    if header != PREDICTION_HEADER:
+        raise ParseError(
+            f"header must be {','.join(PREDICTION_HEADER)}, got {header}", line=1
+        )
+    try:
+        y_hat, y_true, dates = _read_columns(lines[1:])
+    except ValueError:
+        y_hat, y_true, dates = _read_rows(lines[1:])
     if not y_hat:
         raise DataError(f"missing artifact: prediction file {p} has no rows")
     return np.array(y_hat), np.array(y_true), dates

@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .autodiff import (
     Tensor,
     _record,
@@ -76,7 +79,7 @@ __all__ = [
 ]
 
 N_GROUPS = 3
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Both latent heads start at log-variance -4 (sigma ~ 0.14): small enough that
 # the posterior mean is not drowned by reparameterization noise within a short
@@ -302,24 +305,51 @@ def _checkpoint_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def save_params(params: ModelParams, path) -> None:
-    """Write one model; save model r of a stack as ``params.run(r)``."""
+    """Write one model; save model r of a stack as ``params.run(r)``.
+
+    The file holds two arrays: ``values``, every checkpoint array raveled
+    and joined in sorted-key order, and ``__meta__``, whose ``layout``
+    lists the ``[key, shape]`` of each slice in that order."""
     if params["stem.b"].shape != (params.config.channels,):
         raise ContractError("save_params writes one model, not a stack")
     arrays = _checkpoint_arrays(params)
+    keys = sorted(arrays)
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "config_hash": params.config.hash(),
+        "layout": [[k, list(arrays[k].shape)] for k in keys],
     }
-    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    values = np.concatenate([np.ravel(arrays[k]) for k in keys])
+    with atomic_open(path) as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), values=values)
+
+
+def _layout_shapes(layout) -> dict[str, tuple[int, ...]] | None:
+    """``{key: shape}`` of a checkpoint layout in its order, or None if it is
+    not a list of ``[key, shape]`` pairs with distinct keys."""
+    if not isinstance(layout, list):
+        return None
+    shapes: dict[str, tuple[int, ...]] = {}
+    for entry in layout:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and entry[0] not in shapes
+            and isinstance(entry[1], list)
+            and all(type(n) is int and n >= 0 for n in entry[1])
+        ):
+            return None
+        shapes[entry[0]] = tuple(entry[1])
+    return shapes
 
 
 def load_params(path, expected_hash: str | None = None) -> ModelParams:
     """Rebuild parameters from a checkpoint; a config-hash mismatch is fatal,
     and so is any array missing, extra or misshapen against a fresh model of
-    the stored config."""
+    the stored config. The loaded tensors are views into one ``values``
+    vector."""
     if not Path(path).exists():
         raise ConfigError(f"no such checkpoint: {path}")
     with np.load(path, allow_pickle=False) as f:
@@ -347,7 +377,23 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
                 f"checkpoint config hash {stored_hash} does not match"
                 f" expected {expected_hash}"
             )
-        stored = {key: f[key] for key in f.files if key != "__meta__"}
+        if "values" not in f.files:
+            raise DataError(f"checkpoint {path}: missing array values")
+        values = f["values"]
+    if values.ndim != 1 or values.dtype != np.float64:
+        raise DataError(
+            f"checkpoint {path}: values must be a float64 vector,"
+            f" got {values.dtype} of shape {values.shape}"
+        )
+    stored = _layout_shapes(meta.get("layout"))
+    if stored is None:
+        raise DataError(f"checkpoint {path}: layout is not a list of [key, shape] pairs")
+    sizes = [math.prod(shape) for shape in stored.values()]
+    if sum(sizes) != values.size:
+        raise DataError(
+            f"checkpoint {path}: layout covers {sum(sizes)} values,"
+            f" values holds {values.size}"
+        )
     # zero-filled: drawing no random numbers keeps numpy.random unimported
     expected = _checkpoint_arrays(ModelParams._build(config, lambda size: np.zeros(size)))
     for key in sorted(expected.keys() | stored.keys()):
@@ -355,21 +401,24 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
             raise DataError(f"checkpoint {path}: missing array {key}")
         if key not in expected:
             raise DataError(f"checkpoint {path}: unexpected array {key}")
-        if stored[key].shape != expected[key].shape:
+        if stored[key] != expected[key].shape:
             raise DataError(
-                f"checkpoint {path}: array {key} has shape {stored[key].shape},"
+                f"checkpoint {path}: array {key} has shape {stored[key]},"
                 f" expected {expected[key].shape}"
             )
+    offsets = [0, *accumulate(sizes)]
+    views = {
+        key: values[start:stop].reshape(shape)
+        for (key, shape), start, stop in zip(stored.items(), offsets, offsets[1:])
+    }
     tensors = {}
     bn: dict[str, BatchNormState] = {}
-    for key, value in stored.items():
+    for key in expected:
         kind, _, name = key.partition(":")
         if kind == "tensor":
-            tensors[name] = Tensor(value, name=name)
+            tensors[name] = Tensor(views[key], name=name)
         elif kind == "bn_mean":
-            bn.setdefault(name, BatchNormState.create(value.size)).mean = value
-        else:
-            bn.setdefault(name, BatchNormState.create(value.size)).var = value
+            bn[name] = BatchNormState(views[key], views[f"bn_var:{name}"])
     return ModelParams(config, tensors, bn)
 
 

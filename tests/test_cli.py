@@ -287,6 +287,30 @@ class TestPredict:
         assert str(ckpt) in read_stderr_json(capsys)["message"]
 
 
+    def test_version_1_checkpoint_is_a_config_error(self, pipeline, tmp_path, capsys):
+        # a checkpoint of one array per key, as version 1 wrote them
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out / "checkpoints", out / "checkpoints")
+        ckpt = out / "checkpoints" / "AAA_run0.npz"
+        with np.load(ckpt) as f:
+            meta = json.loads(str(f["__meta__"]))
+            values = f["values"]
+        arrays, offset = {}, 0
+        for key, shape in meta.pop("layout"):
+            size = int(np.prod(shape))
+            arrays[key] = values[offset:offset + size].reshape(shape)
+            offset += size
+        meta["version"] = 1
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["predict", "--config", str(cfg)]) == 2
+        assert read_stderr_json(capsys) == {
+            "error": "ConfigError",
+            "message": "unsupported checkpoint version 1",
+        }
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -348,6 +372,39 @@ class TestEvaluate:
             rows = list(csv.reader(fh))[1:]
         # the baseline is this run's own metrics: zero change, real SDs
         assert all(float(r[2]) == 0.0 for r in rows)
+
+    def test_tickers_file_with_fewer_stocks_is_a_data_error(self, pipeline, tmp_path, capsys):
+        out2 = tmp_path / "o4"
+        out2.mkdir()
+        shutil.copytree(pipeline.out / "predictions", out2 / "predictions")
+        tickers = tmp_path / "tickers.txt"
+        tickers.write_text("AAA\n")
+        cfg = write_json(
+            tmp_path / "c.json",
+            run_payload(pipeline.data, out2, tickers_file=str(tickers)),
+        )
+        assert main(["evaluate", "--config", str(cfg)]) == 3
+        assert read_stderr_json(capsys) == {
+            "error": "DataError",
+            "message": "predictions and baseline persistence cover different stocks:"
+            " predictions lack [], the baseline lacks ['BBB']",
+        }
+        assert not (out2 / "report.json").exists()
+
+    def test_baseline_with_other_stocks_is_a_data_error(self, pipeline, tmp_path, capsys):
+        out2 = tmp_path / "o5"
+        out2.mkdir()
+        shutil.copytree(pipeline.out / "predictions", out2 / "predictions")
+        metrics = json.loads((pipeline.out / "metrics.json").read_text())
+        metrics["per_stock"]["CCC"] = metrics["per_stock"].pop("BBB")
+        baseline = write_json(tmp_path / "metrics.json", metrics)
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out2))
+        argv = ["evaluate", "--config", str(cfg), "--baseline", str(baseline)]
+        assert main(argv) == 3
+        assert read_stderr_json(capsys)["message"] == (
+            f"predictions and baseline {baseline} cover different stocks:"
+            " predictions lack ['CCC'], the baseline lacks ['BBB']"
+        )
 
     def test_missing_baseline_file(self, pipeline, tmp_path, capsys):
         out2 = tmp_path / "o3"

@@ -1,6 +1,8 @@
 """Aggregation conventions, baselines, and the prediction-file format."""
 
+import csv
 import datetime as dt
+import io
 
 import numpy as np
 import pytest
@@ -292,6 +294,136 @@ class TestPredictionFiles:
         path.write_text(",".join(PREDICTION_HEADER) + "\n")
         with pytest.raises(DataError, match="missing artifact"):
             load_predictions(path)
+
+
+def csv_reference_bytes(pairs, y_hat) -> bytes:
+    """The prediction file as ``csv.writer`` writes it, row by row."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(PREDICTION_HEADER)
+    for pair, row in zip(pairs, y_hat):
+        for step in range(row.size):
+            writer.writerow(
+                [pair.anchor_date.isoformat(), step + 1, repr(float(row[step])),
+                 repr(float(pair.y[step]))]
+            )
+    return buf.getvalue().encode()
+
+
+def reference_load(path):
+    """Row-by-row ``csv.reader`` parse of a prediction file: the reference
+    for the values, errors and line numbers of ``load_predictions``."""
+    y_hat, y_true, dates = [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != PREDICTION_HEADER:
+            raise ParseError(
+                f"header must be {','.join(PREDICTION_HEADER)}, got {header}", line=1
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+            try:
+                dates.append(dt.date.fromisoformat(row[0]))
+                step = int(row[1])
+                y_hat.append(float(row[2]))
+                y_true.append(float(row[3]))
+            except ValueError as err:
+                raise ParseError(str(err), line=lineno) from None
+            if step < 1:
+                raise ParseError(f"step must be >= 1, got {step}", line=lineno)
+    if not y_hat:
+        raise DataError(f"missing artifact: prediction file {path} has no rows")
+    return np.array(y_hat), np.array(y_true), dates
+
+
+def outcome(load, path):
+    """What a reader makes of a file: the error, or the bits it returns."""
+    try:
+        y_hat, y_true, dates = load(path)
+    except DataError as err:
+        return type(err).__name__, str(err), getattr(err, "line", None)
+    return y_hat.tobytes(), y_true.tobytes(), dates
+
+
+AWKWARD = [-0.0, 1e-300, 1.0000000000000002, float("nan"), float("inf"),
+           float("-inf"), 5e-324, 1.7976931348623157e308, 0.1, -1.0]
+
+finite_or_inf = st.floats(allow_nan=False, width=64)
+
+
+class TestPredictionBytes:
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        pairs = [
+            make_window([1.0], t_out=5, anchor=dt.date(2021, 1, 15)),
+            make_window([1.0], t_out=5, anchor=dt.date(2021, 2, 1)),
+        ]
+        pairs[1] = WindowPair(
+            x=pairs[1].x, y=np.array(AWKWARD[5:]), anchor_date=pairs[1].anchor_date,
+            anchor_index=pairs[1].anchor_index,
+        )
+        y_hat = np.array([AWKWARD[:5], AWKWARD[5:][::-1]])
+        path = tmp_path / "p.csv"
+        write_predictions(path, pairs, y_hat)
+        assert path.read_bytes() == csv_reference_bytes(pairs, y_hat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda t_out: st.lists(
+                st.tuples(
+                    st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31)),
+                    st.lists(finite_or_inf, min_size=t_out, max_size=t_out),
+                    st.lists(finite_or_inf, min_size=t_out, max_size=t_out),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_round_trip_keeps_bits_and_dates(self, tmp_path_factory, rows):
+        pairs = [
+            WindowPair(x=np.zeros((1, FEATURE_DIM)), y=np.array(y, dtype=float),
+                       anchor_date=d, anchor_index=0)
+            for d, _, y in rows
+        ]
+        y_hat = np.array([h for _, h, _ in rows], dtype=float)
+        path = tmp_path_factory.mktemp("rt") / "p.csv"
+        write_predictions(path, pairs, y_hat)
+        assert path.read_bytes() == csv_reference_bytes(pairs, y_hat)
+        got_hat, got_true, dates = load_predictions(path)
+        t_out = y_hat.shape[1]
+        assert got_hat.tobytes() == y_hat.ravel().tobytes()
+        assert got_true.tobytes() == np.concatenate([p.y for p in pairs]).tobytes()
+        assert dates == [p.anchor_date for p in pairs for _ in range(t_out)]
+
+    # per column: tokens both readers accept, then tokens only csv accepts
+    # (quoted) or neither does
+    DATES = ["2021-01-15", "2021-01-16", '"2021-01-15"', " 2021-01-16", "2021-13-01"]
+    STEPS = ["1", "2", " 3", "0", "-3", '"4"', "x"]
+    FLOATS = ["0.5", "-0.0", "nan", "inf", "1e5", " 7", '"1.25"', ""]
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(DATES), st.sampled_from(STEPS),
+                    st.sampled_from(FLOATS), st.sampled_from(FLOATS),
+                ).map(",".join),
+                st.lists(
+                    st.sampled_from(DATES + STEPS + FLOATS + ['"a,b"']), max_size=5
+                ).map(",".join),
+            ),
+            max_size=4,
+        ),
+        st.sampled_from(["\r\n", "\n"]),
+    )
+    def test_reads_like_the_row_reader(self, tmp_path_factory, rows, newline):
+        path = tmp_path_factory.mktemp("rr") / "p.csv"
+        lines = [",".join(PREDICTION_HEADER)] + rows
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        assert outcome(load_predictions, path) == outcome(reference_load, path)
 
 
 class TestScanPredictions:

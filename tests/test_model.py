@@ -473,14 +473,56 @@ def test_checkpoint_missing_file(tmp_path):
         load_params(tmp_path / "nope.npz")
 
 
-def rewrite_checkpoint(path, edit):
-    """Save a tiny model to ``path``, then rewrite its arrays through ``edit``."""
+def rewrite_members(path, edit):
+    """Save a tiny model to ``path``, then rewrite its npz members through
+    ``edit``; ``__meta__`` is passed as a decoded dict."""
     save_params(tiny_params(seed=10), path)
     with np.load(path) as f:
-        arrays = {k: f[k] for k in f.files}
-    edit(arrays)
+        members = {k: f[k] for k in f.files}
+    members["__meta__"] = json.loads(str(members["__meta__"]))
+    edit(members)
+    if isinstance(members.get("__meta__"), dict):
+        members["__meta__"] = np.array(json.dumps(members["__meta__"]))
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(fh, **members)
+
+
+def rewrite_checkpoint(path, edit):
+    """Save a tiny model to ``path``, then rewrite its arrays through
+    ``edit``: the arrays are cut out of ``values`` by ``layout``, edited by
+    key, and joined back into a fresh ``layout`` and ``values``."""
+
+    def repack(members):
+        meta = members["__meta__"]
+        arrays, offset = {}, 0
+        for key, shape in meta["layout"]:
+            size = int(np.prod(shape))
+            arrays[key] = members["values"][offset:offset + size].reshape(shape)
+            offset += size
+        edit(arrays)
+        meta["layout"] = [[k, list(a.shape)] for k, a in arrays.items()]
+        members["values"] = np.concatenate([a.ravel() for a in arrays.values()])
+
+    rewrite_members(path, repack)
+
+
+def test_checkpoint_holds_meta_and_one_sorted_vector(tmp_path):
+    params = tiny_params(seed=10)
+    f = tmp_path / "ck.npz"
+    save_params(params, f)
+    with np.load(f) as z:
+        assert sorted(z.files) == ["__meta__", "values"]
+        meta = json.loads(str(z["__meta__"]))
+        values = z["values"]
+    arrays = {f"tensor:{k}": t.data for k, t in params.tensors.items()}
+    for k, s in params.bn_states.items():
+        arrays[f"bn_mean:{k}"] = s.mean
+        arrays[f"bn_var:{k}"] = s.var
+    assert meta["version"] == 2
+    assert meta["layout"] == [[k, list(arrays[k].shape)] for k in sorted(arrays)]
+    expected = np.concatenate([arrays[k].ravel() for k in sorted(arrays)])
+    assert values.dtype == np.float64
+    assert values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -501,12 +543,14 @@ def test_checkpoint_schema_mismatch_names_key(tmp_path, edit, key):
 
 
 def _edit_meta(edit):
-    def rewrite(arrays):
-        meta = json.loads(str(arrays["__meta__"]))
-        edit(meta)
-        arrays["__meta__"] = np.array(json.dumps(meta))
+    def rewrite(members):
+        edit(members["__meta__"])
 
     return rewrite
+
+
+def _swap_first_shape(meta):
+    meta["layout"][0][1] = [1]
 
 
 @pytest.mark.parametrize(
@@ -517,14 +561,37 @@ def _edit_meta(edit):
         (lambda a: a.update(__meta__=np.array("[1]")), "__meta__ is not a JSON object"),
         (_edit_meta(lambda m: m.pop("config_hash")), "metadata has no 'config_hash'"),
         (_edit_meta(lambda m: m["config"].update(width=3)), "bad model config"),
+        (lambda a: a.pop("values"), "missing array values"),
+        (lambda a: a.update(values=a["values"].reshape(1, -1)),
+         "values must be a float64 vector"),
+        (_edit_meta(lambda m: m.pop("layout")), "layout is not a list of [key, shape] pairs"),
+        (_edit_meta(lambda m: m.update(layout={"tensor:h": [1]})),
+         "layout is not a list of [key, shape] pairs"),
+        (_edit_meta(lambda m: m["layout"].__setitem__(0, ["tensor:h"])),
+         "layout is not a list of [key, shape] pairs"),
+        (_edit_meta(lambda m: m["layout"][0].__setitem__(1, [-1, 2])),
+         "layout is not a list of [key, shape] pairs"),
+        (_edit_meta(lambda m: m["layout"].__setitem__(1, m["layout"][0])),
+         "layout is not a list of [key, shape] pairs"),
+        (_edit_meta(_swap_first_shape), "layout covers"),
+        (lambda a: a.update(values=a["values"][:-1]), "layout covers"),
     ],
     ids=["missing-meta", "meta-not-json", "meta-not-object", "missing-config-hash",
-         "unknown-config-key"],
+         "unknown-config-key", "missing-values", "values-not-1d", "missing-layout",
+         "layout-not-list", "layout-entry-not-pair", "layout-negative-dim",
+         "layout-repeated-key", "layout-sum-too-small", "values-too-short"],
 )
 def test_checkpoint_bad_metadata_is_a_data_error(tmp_path, edit, message):
     f = tmp_path / "ck.npz"
-    rewrite_checkpoint(f, edit)
+    rewrite_members(f, edit)
     with pytest.raises(DataError, match=re.escape(f"checkpoint {f}: {message}")):
+        load_params(f)
+
+
+def test_checkpoint_of_another_version_is_a_config_error(tmp_path):
+    f = tmp_path / "ck.npz"
+    rewrite_members(f, _edit_meta(lambda m: m.update(version=1)))
+    with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
         load_params(f)
 
 
