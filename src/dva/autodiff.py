@@ -8,15 +8,18 @@ where ``need`` is False: inputs that no parameter reaches get no VJP.
 Tensors are immutable by convention: no primitive writes to an input's
 ``data`` buffer, so a tape stays valid until it is dropped.
 
-The linear-algebra primitives accept leading axes in front of their usual
-shapes and broadcast over them through ``np.matmul``: a kernel
-``(R, c_out, c_in, k)`` applied to ``(R, batch, c_in, t)`` runs R independent
-convolutions in one call, and an input without the leading axis is shared
-by all R of them.
+The convolutions take channel-major activations ``(..., channels, batch,
+time)``, so a per-channel operation sees one contiguous ``batch*time`` row
+per channel. The linear-algebra primitives accept leading axes in front of
+their usual shapes and broadcast over them through ``np.matmul``: a kernel
+``(R, c_out, c_in, k)`` applied to ``(R, c_in, batch, t)`` runs R
+independent convolutions in one call, and an input without the leading axis
+is shared by all R of them.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,9 +37,11 @@ __all__ = [
     "sum_",
     "mean_",
     "reshape",
+    "swapaxes",
     "concat",
     "sigmoid",
     "swish",
+    "swish_prime",
     "relu",
     "exp_",
     "square",
@@ -251,6 +256,11 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (a,), lambda g, need: (g.reshape(a.data.shape),))
 
 
+def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
+    out = Tensor(np.swapaxes(a.data, axis1, axis2))
+    return _record(out, (a,), lambda g, need: (np.swapaxes(g, axis1, axis2),))
+
+
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = list(tensors)
     if not ts:
@@ -271,18 +281,36 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """0.5 * (tanh(x / 2) + 1): overflow-free for large |x|, computed in
+    place in one buffer."""
+    s = np.tanh(0.5 * x)
+    s += 1.0
+    s *= 0.5
+    return s
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # tanh form is overflow-free for large |x|
-    s = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    s = _sigmoid(a.data)
     out = Tensor(s)
     return _record(out, (a,), lambda g, need: (g * s * (1.0 - s),))
 
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x); smooth, non-monotone, ~x for large x, ~0 for small."""
-    s = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    s = _sigmoid(a.data)
     out = Tensor(a.data * s)
     return _record(out, (a,), lambda g, need: (g * s * (1.0 + a.data * (1.0 - s)),))
+
+
+def swish_prime(a: Tensor) -> Tensor:
+    """d swish / dx = s + x s (1 - s) with s = sigmoid(x), as one op whose
+    backward is swish's second derivative s (1 - s) (2 + x (1 - 2 s))."""
+    s = _sigmoid(a.data)
+    out = Tensor(s + a.data * s * (1.0 - s))
+    return _record(
+        out, (a,), lambda g, need: (g * s * (1.0 - s) * (2.0 + a.data * (1.0 - 2.0 * s)),)
+    )
 
 
 def relu(a: Tensor) -> Tensor:
@@ -371,119 +399,120 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), back)
 
 
-def _shifted(t: int, d: int) -> tuple[slice, slice]:
-    """Output and input time slices for tap offset d: out[s_out] += x[s_in].
-
-    Zero padding is implicit: positions whose source falls outside the series
-    are not touched. Both slices are empty when |d| >= t, and the empty
-    products that follow add nothing.
-    """
-    if d >= 0:
-        return slice(0, max(t - d, 0)), slice(d, t)
-    return slice(min(-d, t), t), slice(0, max(t + d, 0))
-
-
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Cross-correlation along time with zero padding and stride 1.
+    """Cross-correlation along time with zero padding and stride 1, as one
+    GEMM (im2col; Chellapilla, Puri & Simard 2006).
 
-    x (..., batch, c_in, t), kernel (..., c_out, c_in, k) with k odd, bias
-    (..., c_out); output keeps t and the broadcast leading axes. Each kernel
-    tap is one matmul on a shifted time slice, so a 1x1 kernel is a single
-    matmul.
+    x (..., c_in, batch, t) is channel-major, kernel (..., c_out, c_in, k)
+    with k odd, bias (..., c_out); the output (..., c_out, batch, t) keeps t
+    and the broadcast leading axes. A k-wide kernel multiplies k zero-padded
+    shifted copies of x stacked on the channel axis; a 1x1 kernel multiplies
+    x itself: one matmul of (c_out, c_in) by (c_in, batch*t).
     """
     if x.data.ndim < 3 or kernel.data.ndim < 3:
-        raise ContractError("conv1d needs x (..., b, c, t) and kernel (..., c_out, c_in, k)")
+        raise ContractError("conv1d needs x (..., c, b, t) and kernel (..., c_out, c_in, k)")
     c_out, c_in, k = kernel.data.shape[-3:]
     if k % 2 == 0:
         raise ContractError(f"kernel width must be odd, got {k}")
-    if x.data.shape[-2] != c_in:
+    if x.data.shape[-3] != c_in:
         raise ContractError(
-            f"channel mismatch: x has {x.data.shape[-2]}, kernel expects {c_in}"
+            f"channel mismatch: x has {x.data.shape[-3]}, kernel expects {c_in}"
         )
     _lead(x, 3, kernel, 3, "conv1d")
     if bias is not None and bias.data.shape != kernel.data.shape[:-2]:
         raise ContractError(f"bias shape {bias.shape} != {kernel.data.shape[:-2]}")
-    t = x.data.shape[-1]
+    lead = x.data.shape[:-3]
+    b, t = x.data.shape[-2:]
     pad = k // 2
-    w = kernel.data[..., None, :, :, :]  # (..., 1, c_out, c_in, k): one kernel per batch
-    y = np.matmul(w[..., pad], x.data)
-    for kk in range(k):
-        if kk != pad:
-            so, si = _shifted(t, kk - pad)
-            y[..., so] += np.matmul(w[..., kk], x.data[..., si])
+    if k == 1:
+        cols = x.data
+    else:
+        xp = np.zeros(lead + (c_in, b, t + 2 * pad))
+        xp[..., pad : pad + t] = x.data
+        cols = np.stack([xp[..., j : j + t] for j in range(k)], axis=-3)
+    cols = cols.reshape(lead + (c_in * k, b * t))  # rows ordered (c_in, tap)
+    w = kernel.data.reshape(kernel.data.shape[:-2] + (c_in * k,))
+    y = np.matmul(w, cols)
     if bias is not None:
-        y += bias.data[..., None, :, None]
-    out = Tensor(y)
+        y += bias.data[..., None]
+    out = Tensor(y.reshape(y.shape[:-1] + (b, t)))
 
     def back(g, need):
+        g2 = g.reshape(g.shape[:-2] + (b * t,))
         grads = [None, None]
         if need[0]:
-            dx = np.matmul(w[..., pad].swapaxes(-1, -2), g)
-            for kk in range(k):
-                if kk != pad:
-                    so, si = _shifted(t, kk - pad)
-                    dx[..., si] += np.matmul(w[..., kk].swapaxes(-1, -2), g[..., so])
+            dcols = np.matmul(w.swapaxes(-1, -2), g2)
+            if k == 1:
+                dx = dcols.reshape(dcols.shape[:-1] + (b, t))
+            else:
+                dcols = dcols.reshape(dcols.shape[:-2] + (c_in, k, b, t))
+                dxp = np.zeros(dcols.shape[:-3] + (b, t + 2 * pad))
+                for j in range(k):
+                    dxp[..., j : j + t] += dcols[..., j, :, :]
+                dx = dxp[..., pad : pad + t]
             grads[0] = _unbroadcast(dx, x.data.shape)
         if need[1]:
-            dk = np.empty(g.shape[:-3] + (c_out, c_in, k))
-            for kk in range(k):
-                so, si = _shifted(t, kk - pad)
-                xs = x.data[..., si].swapaxes(-1, -2)
-                dk[..., kk] = np.matmul(g[..., so], xs).sum(axis=-3)
-            grads[1] = _unbroadcast(dk, kernel.data.shape)
+            dw = np.matmul(g2, cols.swapaxes(-1, -2))
+            grads[1] = _unbroadcast(dw.reshape(dw.shape[:-1] + (c_in, k)), kernel.data.shape)
         if bias is not None:
-            grads.append(
-                _unbroadcast(np.einsum("...bot->...o", g), bias.data.shape) if need[2] else None
-            )
+            grads.append(_unbroadcast(g2.sum(axis=-1), bias.data.shape) if need[2] else None)
         return tuple(grads)
 
     inputs = (x, kernel) + ((bias,) if bias is not None else ())
     return _record(out, inputs, back)
 
 
+@functools.lru_cache(maxsize=64)
+def _band(t: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A k-tap filter over t steps as a (t, t) band matrix M, M[u, s] =
+    taps[u - s + k // 2]: the gather index into the taps with a zero
+    appended (index k off the band), and the (t*t, k) one-hot matrix that
+    sums a band's entries back onto its taps."""
+    j = np.arange(t)[:, None] - np.arange(t)[None, :] + k // 2
+    index = np.where((j >= 0) & (j < k), j, k)
+    onehot = (index.reshape(-1, 1) == np.arange(k)).astype(np.float64)
+    index.setflags(write=False)
+    onehot.setflags(write=False)
+    return index, onehot
+
+
 def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel convolution: kernel (..., c, 1, k), each channel filtered
-    alone over x (..., batch, c, t).
+    alone over channel-major x (..., c, batch, t), zero padded.
 
-    Computed as k multiply-adds of shifted time slices, zero padded.
+    Computed as one batched matmul of x by a banded (..., c, t, t) matrix
+    gathered from the taps.
     """
     if kernel.data.ndim < 3 or kernel.data.shape[-2] != 1:
         raise ContractError("depthwise kernel must have shape (..., c, 1, k)")
     c, _, k = kernel.data.shape[-3:]
     if k % 2 == 0:
         raise ContractError(f"kernel width must be odd, got {k}")
-    if x.data.ndim < 3 or x.data.shape[-2] != c:
+    if x.data.ndim < 3 or x.data.shape[-3] != c:
         raise ContractError(
-            f"channel mismatch: x has {x.data.shape[-2] if x.data.ndim >= 3 else '?'},"
+            f"channel mismatch: x has {x.data.shape[-3] if x.data.ndim >= 3 else '?'},"
             f" kernel expects {c}"
         )
     _lead(x, 3, kernel, 3, "depthwise_conv1d")
     t = x.data.shape[-1]
-    pad = k // 2
-    # (..., 1, c, k, 1): tap kk is taps[..., kk, :], one (c, 1) column per batch
-    taps = kernel.data[..., None, :, 0, :, None]
-    y = x.data * taps[..., pad, :]
-    for kk in range(k):
-        if kk != pad:
-            so, si = _shifted(t, kk - pad)
-            y[..., so] += x.data[..., si] * taps[..., kk, :]
-    out = Tensor(y)
+    index, onehot = _band(t, k)
+
+    def band() -> np.ndarray:
+        # gathered again in the backward rather than kept: at t = 10 the
+        # band holds more numbers than a batch-16 activation
+        taps = kernel.data[..., 0, :]
+        return np.concatenate([taps, np.zeros(taps.shape[:-1] + (1,))], axis=-1)[..., index]
+
+    out = Tensor(np.matmul(x.data, band()))
 
     def back(g, need):
         grads = [None, None]
         if need[0]:
-            dx = g * taps[..., pad, :]
-            for kk in range(k):
-                if kk != pad:
-                    so, si = _shifted(t, kk - pad)
-                    dx[..., si] += g[..., so] * taps[..., kk, :]
-            grads[0] = _unbroadcast(dx, x.data.shape)
+            grads[0] = _unbroadcast(np.matmul(g, band().swapaxes(-1, -2)), x.data.shape)
         if need[1]:
-            dk = np.empty(g.shape[:-3] + (c, 1, k))
-            for kk in range(k):
-                so, si = _shifted(t, kk - pad)
-                dk[..., 0, kk] = np.einsum("...bct,...bct->...c", g[..., so], x.data[..., si])
-            grads[1] = _unbroadcast(dk, kernel.data.shape)
+            d_band = np.matmul(x.data.swapaxes(-1, -2), g)
+            dk = np.matmul(d_band.reshape(d_band.shape[:-2] + (t * t,)), onehot)
+            grads[1] = _unbroadcast(dk[..., None, :], kernel.data.shape)
         return tuple(grads)
 
     return _record(out, (x, kernel), back)
@@ -492,20 +521,24 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
 def downsample2(x: Tensor) -> Tensor:
     """Halve the time axis by averaging adjacent pairs; an odd tail passes through."""
     if x.data.ndim < 3:
-        raise ContractError("downsample2 needs x (..., b, c, t)")
+        raise ContractError("downsample2 needs x (..., c, b, t)")
     t = x.data.shape[-1]
     n_pairs = t // 2
     odd = t % 2 == 1
-    pairs = x.data[..., : 2 * n_pairs].reshape(x.data.shape[:-1] + (n_pairs, 2))
-    y = pairs.mean(axis=-1)
+    # strided adds, not a mean over a length-2 axis, whose inner loops
+    # would each run two steps; (a + b) * 0.5 equals (a + b) / 2 exactly
+    y = np.empty(x.data.shape[:-1] + (n_pairs + odd,))
+    np.add(x.data[..., 0 : 2 * n_pairs : 2], x.data[..., 1 : 2 * n_pairs : 2], out=y[..., :n_pairs])
+    y[..., :n_pairs] *= 0.5
     if odd:
-        y = np.concatenate([y, x.data[..., -1:]], axis=-1)
+        y[..., -1] = x.data[..., -1]
     out = Tensor(y)
 
     def back(g, need):
         dx = np.empty_like(x.data)
-        core = g[..., :n_pairs] if odd else g
-        dx[..., : 2 * n_pairs] = np.repeat(core, 2, axis=-1) * 0.5
+        half = g[..., :n_pairs] * 0.5
+        dx[..., 0 : 2 * n_pairs : 2] = half
+        dx[..., 1 : 2 * n_pairs : 2] = half
         if odd:
             dx[..., -1] = g[..., -1]
         return (dx,)
@@ -516,7 +549,7 @@ def downsample2(x: Tensor) -> Tensor:
 def upsample_repeat(x: Tensor, length: int) -> Tensor:
     """Nearest-neighbour stretch to ``length``: output[i] = input[i // 2]."""
     if x.data.ndim < 3:
-        raise ContractError("upsample_repeat needs x (..., b, c, t)")
+        raise ContractError("upsample_repeat needs x (..., c, b, t)")
     idx = np.arange(length) // 2
     if length and idx[-1] >= x.data.shape[-1]:
         raise ContractError(

@@ -13,10 +13,10 @@ import numpy as np
 from .autodiff import (
     Tensor,
     _record,
+    as_tensor,
     conv1d,
     depthwise_conv1d,
-    linear,
-    mean_,
+    matmul,
     mul,
     relu,
     reshape,
@@ -53,46 +53,64 @@ def batch_norm(
 ) -> Tensor:
     """Normalise per channel over (batch, time), then apply the affine pair.
 
-    x is (..., batch, c, t); gamma, beta and the running buffers are
-    (..., c), one set per leading index, so each model of a stack is
-    normalised by its own statistics. Training mode uses batch statistics
-    and folds them into the running buffers; inference mode reads the
-    buffers and never writes them. One taped op: the backward is the closed
-    form of Ioffe & Szegedy (2015), where batch statistics carry gradient in
-    training mode and the running buffers are constants in inference mode.
+    x is channel-major (..., c, batch, t), so each channel's statistics
+    reduce one contiguous batch*time row; gamma, beta and the running
+    buffers are (..., c), one set per leading index, so each model of a
+    stack is normalised by its own statistics. Training mode uses batch
+    statistics and folds them into the running buffers; inference mode
+    reads the buffers and never writes them. One taped op: the backward is
+    the closed form of Ioffe & Szegedy (2015), where batch statistics carry
+    gradient in training mode and the running buffers are constants in
+    inference mode.
     """
     if x.data.ndim < 3:
-        raise ContractError("batch_norm needs x (..., b, c, t)")
-    shape = x.data.shape[:-3] + x.data.shape[-2:-1]
+        raise ContractError("batch_norm needs x (..., c, b, t)")
+    shape = x.data.shape[:-2]
     if gamma.data.shape != shape or beta.data.shape != shape:
         raise ContractError(f"gamma/beta must have shape {shape}")
+    n = x.data.shape[-2] * x.data.shape[-1]
+    rows = x.data.reshape(shape + (n,))
+    g_c = gamma.data[..., None]
     if training:
-        mu = x.data.mean(axis=(-3, -1), keepdims=True)
-        centered = x.data - mu
-        var = (centered * centered).mean(axis=(-3, -1), keepdims=True)
+        mu = rows.mean(axis=-1, keepdims=True)
+        xhat = rows - mu
+        var = (xhat * xhat).mean(axis=-1, keepdims=True)
         m = BN_MOMENTUM
-        state.mean = m * state.mean + (1.0 - m) * mu.reshape(shape)
-        state.var = m * state.var + (1.0 - m) * var.reshape(shape)
+        state.mean = m * state.mean + (1.0 - m) * mu[..., 0]
+        state.var = m * state.var + (1.0 - m) * var[..., 0]
+        std = np.sqrt(var + BN_EPS)
+        xhat /= std
+        y = xhat * g_c
+        y += beta.data[..., None]
     else:
-        centered = x.data - state.mean[..., None, :, None]
-        var = state.var[..., None, :, None]
-    std = np.sqrt(var + BN_EPS)
-    xhat = centered / std
-    g_c = gamma.data[..., None, :, None]
-    out = Tensor(xhat * g_c + beta.data[..., None, :, None])
+        # the buffers are constants: fold them and the affine pair into one
+        # scale and shift per channel, two passes over x
+        mean = state.mean[..., None]
+        std = np.sqrt(state.var[..., None] + BN_EPS)
+        scale = g_c / std
+        y = rows * scale
+        y += beta.data[..., None] - mean * scale
+    out = Tensor(y.reshape(x.data.shape))
 
     def back(g, need):
-        dxhat = g * g_c
+        g = g.reshape(shape + (n,))
+        dx = d_gamma = None
         if training:
-            n = x.data.shape[-3] * x.data.shape[-1]
-            d_mean = np.einsum("...bct->...c", dxhat)[..., None, :, None] / n
-            d_proj = np.einsum("...bct,...bct->...c", dxhat, xhat)[..., None, :, None] / n
-            dxhat = dxhat - d_mean - xhat * d_proj
-        return (
-            dxhat / std if need[0] else None,
-            np.einsum("...bct,...bct->...c", g, xhat) if need[1] else None,
-            np.einsum("...bct->...c", g) if need[2] else None,
-        )
+            if need[0]:
+                dxhat = g * g_c
+                d_mean = np.einsum("...n->...", dxhat)[..., None] / n
+                d_proj = np.einsum("...n,...n->...", dxhat, xhat)[..., None] / n
+                dxhat -= d_mean
+                dxhat -= xhat * d_proj
+                dx = (dxhat / std).reshape(x.data.shape)
+            if need[1]:
+                d_gamma = np.einsum("...n,...n->...", g, xhat)
+        else:
+            if need[0]:
+                dx = (g * scale).reshape(x.data.shape)
+            if need[1]:
+                d_gamma = np.einsum("...n,...n->...", g, rows - mean) / std[..., 0]
+        return dx, d_gamma, np.einsum("...n->...", g) if need[2] else None
 
     return _record(out, (x, gamma, beta), back)
 
@@ -106,15 +124,20 @@ def se_gate(
 ) -> Tensor:
     """Squeeze-and-excitation: rescale channels by a gate in (0, 1).
 
-    Squeeze is a time average, excitation a two-layer bottleneck whose
-    sigmoid output multiplies the input per channel.
+    Squeeze is a time average of channel-major x (..., c, batch, t),
+    excitation a two-layer bottleneck (w1 (..., c_r, c), w2 (..., c, c_r))
+    run as 1x1 convolutions over the squeezed (..., c, batch, 1), whose
+    sigmoid output multiplies the input per channel and batch row.
     """
     if x.data.ndim < 3:
-        raise ContractError("se_gate needs x (..., b, c, t)")
-    squeezed = mean_(x, axis=-1)
-    hidden = relu(linear(squeezed, w1, b1))
-    gate = sigmoid(linear(hidden, w2, b2))
-    return mul(x, reshape(gate, gate.shape + (1,)))
+        raise ContractError("se_gate needs x (..., c, b, t)")
+    t = x.data.shape[-1]
+    # the time average as a matmul: a reduction over a short last axis
+    # runs one inner loop of t steps per (channel, batch) row
+    squeezed = matmul(x, as_tensor(np.full((t, 1), 1.0 / t)))
+    hidden = relu(conv1d(squeezed, reshape(w1, w1.shape + (1,)), b1))
+    gate = sigmoid(conv1d(hidden, reshape(w2, w2.shape + (1,)), b2))
+    return mul(x, gate)
 
 
 def separable_conv1d(

@@ -12,21 +12,27 @@ The energy head is a small scalar network E(y) = 0.5*q*||y - c||^2 + MLP(y)
 whose input gradient is written out in closed form with taped primitives, so
 training it through grad_E never needs second-order autodiff.
 
+Generator activations are channel-major, (channels, batch, time): ``encode``
+transposes its (batch, channels, time) input once, and ``generate`` takes
+its latent noise as (batch, latent, time) and returns (batch, t_out).
+
 ``ModelParams.stack`` joins R models of one config into one whose tensors
 and batch-norm buffers carry a leading model axis. Every function here runs
-on either form: activations of a stack are (R, batch, channels, time), an
+on either form: activations of a stack are (R, channels, batch, time), an
 input without the model axis is shared by all R models, and each model's
 outputs depend on its own parameters only.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +54,12 @@ from .autodiff import (
     mean_,
     mul,
     reshape,
-    sigmoid,
     square,
     sub,
     sum_,
+    swapaxes,
     swish,
+    swish_prime,
     upsample_repeat,
     downsample2,
 )
@@ -345,6 +352,15 @@ def _layout_shapes(layout) -> dict[str, tuple[int, ...]] | None:
     return shapes
 
 
+@functools.lru_cache(maxsize=8)
+def _checkpoint_shapes(config: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
+    """``{key: shape}`` of every array a checkpoint of ``config`` stores, in
+    ``_checkpoint_arrays`` order; built once per config, read-only."""
+    # zero-filled: drawing no random numbers keeps numpy.random unimported
+    arrays = _checkpoint_arrays(ModelParams._build(config, lambda size: np.zeros(size)))
+    return MappingProxyType({k: v.shape for k, v in arrays.items()})
+
+
 def load_params(path, expected_hash: str | None = None) -> ModelParams:
     """Rebuild parameters from a checkpoint; a config-hash mismatch is fatal,
     and so is any array missing, extra or misshapen against a fresh model of
@@ -394,17 +410,16 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
             f"checkpoint {path}: layout covers {sum(sizes)} values,"
             f" values holds {values.size}"
         )
-    # zero-filled: drawing no random numbers keeps numpy.random unimported
-    expected = _checkpoint_arrays(ModelParams._build(config, lambda size: np.zeros(size)))
+    expected = _checkpoint_shapes(config)
     for key in sorted(expected.keys() | stored.keys()):
         if key not in stored:
             raise DataError(f"checkpoint {path}: missing array {key}")
         if key not in expected:
             raise DataError(f"checkpoint {path}: unexpected array {key}")
-        if stored[key] != expected[key].shape:
+        if stored[key] != expected[key]:
             raise DataError(
                 f"checkpoint {path}: array {key} has shape {stored[key]},"
-                f" expected {expected[key].shape}"
+                f" expected {expected[key]}"
             )
     offsets = [0, *accumulate(sizes)]
     views = {
@@ -451,7 +466,8 @@ def _cell(params: ModelParams, prefix: str, x: Tensor, training: bool) -> Tensor
 
 
 def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tensor]:
-    """Feature maps at the three resolutions, finest first."""
+    """Feature maps at the three resolutions, finest first: x (..., batch,
+    in_channels, t_in) in, channel-major (..., channels, batch, t) out."""
     cfg = params.config
     if x.data.ndim < 3 or x.data.shape[-2] != cfg.in_channels:
         raise ContractError(
@@ -459,7 +475,7 @@ def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tenso
         )
     if x.data.shape[-1] != cfg.t_in:
         raise ContractError(f"time length {x.data.shape[-1]} != configured {cfg.t_in}")
-    h = conv1d(x, params["stem.w"], params["stem.b"])
+    h = conv1d(swapaxes(x, -3, -2), params["stem.w"], params["stem.b"])
     e1 = _cell(params, "enc1", h, training)
     e2 = _cell(params, "enc2", downsample2(e1), training)
     e3 = _cell(params, "enc3", downsample2(e2), training)
@@ -468,7 +484,8 @@ def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tenso
 
 @dataclass
 class LatentGroup:
-    """Per-group distribution stats and the latent actually used."""
+    """Per-group distribution stats and the latent actually used, each
+    channel-major (..., latent, batch, t)."""
 
     q_mean: Tensor
     q_logvar: Tensor
@@ -480,15 +497,15 @@ class LatentGroup:
 @dataclass
 class ForwardOutput:
     y_hat: Tensor  # (..., batch, t_out)
-    groups: list[LatentGroup]
+    groups: list[LatentGroup]  # empty for a posterior-mean decode
     kl_groups: list[Tensor]  # one value per model and group, averaged over the batch
-    kl_latent: Tensor  # sum of the group terms
+    kl_latent: Tensor | None  # sum of the group terms; None for a posterior-mean decode
 
 
-def _head(params: ModelParams, name: str, x: Tensor) -> tuple[Tensor, Tensor]:
-    mu = conv1d(x, params[f"{name}.mu.w"], params[f"{name}.mu.b"])
-    lv = clamp(conv1d(x, params[f"{name}.lv.w"], params[f"{name}.lv.b"]), -10.0, 10.0)
-    return mu, lv
+def _head(params: ModelParams, name: str, x: Tensor) -> Tensor:
+    """A latent head's 1x1 convolution; log-variance heads are clamped."""
+    out = conv1d(x, params[f"{name}.w"], params[f"{name}.b"])
+    return clamp(out, -10.0, 10.0) if name.endswith(".lv") else out
 
 
 def generate(
@@ -500,43 +517,53 @@ def generate(
 ) -> ForwardOutput:
     """Top-down decode with the latents following the posterior heads over
     the encoder stack. With ``eps`` (one standard-normal array per group,
-    coarsest first) the latents are reparameterized samples; without it
-    they are the posterior means."""
+    coarsest first, each (..., batch, latent, t)) the latents are
+    reparameterized samples, and the prior heads and the KL are computed.
+    Without it the latents are the posterior means, and only what ``y_hat``
+    reads is computed: ``groups`` and ``kl_groups`` are empty and
+    ``kl_latent`` is None."""
     cfg = params.config
     if len(stack) != N_GROUPS:
         raise ContractError(f"encoder stack must have {N_GROUPS} levels")
 
-    batch = stack[0].data.shape[-3]
+    batch = stack[0].data.shape[-2]
     lengths = cfg.level_lengths()  # fine, middle, coarse
     group_lengths = (lengths[2], lengths[1], lengths[0])
-    s = add(params["h"], as_tensor(np.zeros((batch, 1, 1))))  # broadcast over batch
+    h = params["h"]  # (..., 1, c, t): as (..., c, 1, t), broadcast over the batch
+    s = reshape(h, h.shape[:-3] + (h.shape[-2], 1, h.shape[-1]))
+    s = add(s, as_tensor(np.zeros((batch, 1))))
     groups: list[LatentGroup] = []
     kl_groups: list[Tensor] = []
     for i in (1, 2, 3):
         s = _cell(params, f"dec{i}", s, training)
-        p_mu, p_lv = _head(params, f"prior{i}", s)
         enc_feat = stack[N_GROUPS - i]  # coarse group reads coarse features
-        mu, lv = _head(params, f"post{i}", concat([s, enc_feat], axis=-2))
-        kl = mean_(sum_(
-            kl_gaussian_elementwise(mu, lv, p_mu, p_lv), axis=(-2, -1)
-        ), axis=-1)
-        if eps is not None:
-            noise = np.asarray(eps[i - 1], dtype=np.float64)
-            if noise.shape != mu.data.shape:
-                raise ContractError(f"eps[{i - 1}] shape {noise.shape} != {mu.data.shape}")
-            z = add(mu, mul(exp_(mul(lv, as_tensor(0.5))), as_tensor(noise)))
-        else:
+        post_in = concat([s, enc_feat], axis=-3)
+        mu = _head(params, f"post{i}.mu", post_in)
+        if eps is None:
             z = mu
-        groups.append(LatentGroup(mu, lv, p_mu, p_lv, z))
-        kl_groups.append(kl)
-        s = conv1d(concat([s, z], axis=-2), params[f"merge{i}.w"], params[f"merge{i}.b"])
+        else:
+            noise = np.asarray(eps[i - 1], dtype=np.float64)
+            want = mu.shape[:-3] + (batch, mu.shape[-3], mu.shape[-1])
+            if noise.shape != want:
+                raise ContractError(f"eps[{i - 1}] shape {noise.shape} != {want}")
+            lv = _head(params, f"post{i}.lv", post_in)
+            p_mu = _head(params, f"prior{i}.mu", s)
+            p_lv = _head(params, f"prior{i}.lv", s)
+            kl = mean_(sum_(
+                kl_gaussian_elementwise(mu, lv, p_mu, p_lv), axis=(-3, -1)
+            ), axis=-1)
+            noise = as_tensor(np.swapaxes(noise, -3, -2))
+            z = add(mu, mul(exp_(mul(lv, as_tensor(0.5))), noise))
+            groups.append(LatentGroup(mu, lv, p_mu, p_lv, z))
+            kl_groups.append(kl)
+        s = conv1d(concat([s, z], axis=-3), params[f"merge{i}.w"], params[f"merge{i}.b"])
         if i < 3:
             s = upsample_repeat(s, group_lengths[i])
 
-    o = conv1d(s, params["out.conv.w"], params["out.conv.b"])  # (..., b, 1, t_in)
-    flat = reshape(o, o.shape[:-2] + (cfg.t_in,))
+    o = conv1d(s, params["out.conv.w"], params["out.conv.b"])  # (..., 1, b, t_in)
+    flat = reshape(o, o.shape[:-3] + o.shape[-2:])
     y_hat = linear(flat, params["out.proj.w"], params["out.proj.b"])
-    kl_latent = kl_groups[0]
+    kl_latent = kl_groups[0] if kl_groups else None
     for kl in kl_groups[1:]:
         kl_latent = add(kl_latent, kl)
     return ForwardOutput(y_hat=y_hat, groups=groups, kl_groups=kl_groups, kl_latent=kl_latent)
@@ -633,11 +660,6 @@ def energy(params: ModelParams, y: Tensor) -> Tensor:
     return add(quad, reshape(mlp, mlp.shape[:-1]))
 
 
-def _swish_prime(a: Tensor) -> Tensor:
-    s = sigmoid(a)
-    return add(s, mul(mul(a, s), sub(as_tensor(1.0), s)))
-
-
 def grad_energy(params: ModelParams, y: Tensor) -> Tensor:
     """d energy / d y, written with taped primitives.
 
@@ -649,8 +671,8 @@ def grad_energy(params: ModelParams, y: Tensor) -> Tensor:
     if y.data.ndim < 2 or y.data.shape[-1] != params.config.t_out:
         raise ContractError(f"grad_energy needs y (..., batch, {params.config.t_out})")
     a1, a2 = _energy_mlp_preacts(params, y)
-    g2 = mul(_swish_prime(a2), params["energy.w3"])  # w3 (..., 1, hidden) spans the batch
-    g1 = mul(_swish_prime(a1), matmul(g2, params["energy.w2"]))
+    g2 = mul(swish_prime(a2), params["energy.w3"])  # w3 (..., 1, hidden) spans the batch
+    g1 = mul(swish_prime(a1), matmul(g2, params["energy.w2"]))
     g_mlp = matmul(g1, params["energy.w1"])
     q = params["energy.q"]
     g_quad = mul(reshape(q, q.shape + (1, 1)), sub(y, _energy_center(params)))

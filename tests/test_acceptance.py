@@ -38,7 +38,9 @@ from dva.autodiff import (
     square,
     sub,
     sum_,
+    swapaxes,
     swish,
+    swish_prime,
     upsample_repeat,
 )
 from dva.cli import main
@@ -130,9 +132,20 @@ def test_a01_gradient_oracle():
 
     errors: dict[str, float] = {}
 
-    def case(name, builder, step=1e-5):
+    def channel_major(x):
+        """A (batch, c, t) draw laid out as the (c, batch, t) activations take it."""
+        return Tensor(np.ascontiguousarray(np.swapaxes(x.data, -3, -2)))
+
+    def case(name, builder, step=1e-5, channel_major_out=False):
         fn, tensors = builder()
-        probe = np.random.default_rng(len(name)).standard_normal(fn().data.shape)
+        shape = fn().data.shape
+        draw = np.random.default_rng(len(name)).standard_normal
+        if channel_major_out:
+            # drawn in (batch, c, t) order, as for the batch-major layout,
+            # so that the case checks the same numbers in the new layout
+            probe = np.swapaxes(draw(shape[:-3] + (shape[-2], shape[-3], shape[-1])), -3, -2)
+        else:
+            probe = draw(shape)
 
         def closure():
             return mean_(square(add(fn(), as_tensor(probe))))
@@ -150,6 +163,7 @@ def test_a01_gradient_oracle():
     case("exp", lambda: (lambda: exp_(ex), [ex]))
     case("sigmoid", lambda: (lambda: sigmoid(a), [a]))
     case("swish", lambda: (lambda: swish(a), [a]))
+    case("swish_prime", lambda: (lambda: swish_prime(a), [a]))
     rl = away_from(t((3, 4)), 0.0, 0.1)
     case("relu", lambda: (lambda: relu(rl), [rl]))
     cl = away_from(away_from(t((3, 4)), -0.8, 0.05), 0.8, 0.05)
@@ -159,33 +173,40 @@ def test_a01_gradient_oracle():
     case("sum_axis", lambda: (lambda: sum_(c3, axis=1, keepdims=True), [c3]))
     case("mean_axes", lambda: (lambda: mean_(c3, axis=(0, 2)), [c3]))
     case("reshape", lambda: (lambda: reshape(a, (2, 6)), [a]))
+    case("swapaxes", lambda: (lambda: swapaxes(c3, -3, -2), [c3]))
     cc1, cc2 = t((2, 3, 4)), t((2, 2, 4))
     case("concat", lambda: (lambda: concat([cc1, cc2], axis=1), [cc1, cc2]))
     lx, lw, lb = t((4, 5)), t((3, 5)), t((3,))
     case("linear", lambda: (lambda: linear(lx, lw, lb), [lx, lw, lb]))
     mm = t((5, 3))
     case("matmul", lambda: (lambda: matmul(lx, mm), [lx, mm]))
-    cx, ck, cb = t((2, 3, 9)), t((4, 3, 3)), t((4,))
-    case("conv1d", lambda: (lambda: conv1d(cx, ck, cb), [cx, ck, cb]))
+    cx, ck, cb = channel_major(t((2, 3, 9))), t((4, 3, 3)), t((4,))
+    case("conv1d", lambda: (lambda: conv1d(cx, ck, cb), [cx, ck, cb]), channel_major_out=True)
     dk = t((3, 1, 3))
-    case("depthwise_conv1d", lambda: (lambda: depthwise_conv1d(cx, dk), [cx, dk]))
+    case(
+        "depthwise_conv1d",
+        lambda: (lambda: depthwise_conv1d(cx, dk), [cx, dk]),
+        channel_major_out=True,
+    )
     pk = t((4, 3, 1))
     case(
         "separable_conv1d",
         lambda: (lambda: separable_conv1d(cx, dk, pk, cb), [cx, dk, pk, cb]),
+        channel_major_out=True,
     )
     d8 = t((2, 3, 8))
     case("downsample2", lambda: (lambda: downsample2(d8), [d8]))
     u4 = t((2, 3, 4))
     case("upsample_repeat", lambda: (lambda: upsample_repeat(u4, 8), [u4]))
 
-    bx, bg, bb = t((3, 4, 6)), t((4,), scale=0.2, loc=1.0), t((4,))
+    bx, bg, bb = channel_major(t((3, 4, 6))), t((4,), scale=0.2, loc=1.0), t((4,))
     case(
         "batch_norm_train",
         lambda: (
             lambda: batch_norm(bx, bg, bb, BatchNormState.create(4), training=True),
             [bx, bg, bb],
         ),
+        channel_major_out=True,
     )
     frozen = BatchNormState.create(4)
     frozen.mean = rng.standard_normal(4)
@@ -193,11 +214,14 @@ def test_a01_gradient_oracle():
     case(
         "batch_norm_eval",
         lambda: (lambda: batch_norm(bx, bg, bb, frozen, training=False), [bx, bg, bb]),
+        channel_major_out=True,
     )
-    sx, sw1, sb1, sw2, sb2 = t((2, 3, 5)), t((2, 3)), t((2,)), t((3, 2)), t((3,))
+    sx = channel_major(t((2, 3, 5)))
+    sw1, sb1, sw2, sb2 = t((2, 3)), t((2,)), t((3, 2)), t((3,))
     case(
         "se_gate",
         lambda: (lambda: se_gate(sx, sw1, sw2, sb1, sb2), [sx, sw1, sb1, sw2, sb2]),
+        channel_major_out=True,
     )
 
     worst_op = max(errors.values())

@@ -25,7 +25,9 @@ from dva.autodiff import (
     sigmoid,
     sub,
     sum_,
+    swapaxes,
     swish,
+    swish_prime,
     upsample_repeat,
 )
 from dva.errors import ContractError
@@ -62,7 +64,7 @@ def test_sigmoid_stable_at_extremes():
 
 
 def test_conv1d_identity_kernel():
-    x = Tensor(rng().normal(size=(2, 1, 7)))
+    x = Tensor(rng().normal(size=(1, 2, 7)))
     k = Tensor(np.ones((1, 1, 1)))
     assert np.array_equal(conv1d(x, k).data, x.data)
 
@@ -75,7 +77,7 @@ def test_conv1d_hand_example():
 
 
 def test_conv1d_zero_kernel():
-    x = Tensor(rng().normal(size=(3, 2, 5)))
+    x = Tensor(rng().normal(size=(2, 3, 5)))
     k = Tensor(np.zeros((4, 2, 3)))
     assert np.all(conv1d(x, k).data == 0.0)
 
@@ -87,11 +89,11 @@ def test_conv1d_rejects_even_kernel():
 
 def test_conv1d_rejects_channel_mismatch():
     with pytest.raises(ContractError):
-        conv1d(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 3, 3))))
+        conv1d(Tensor(np.zeros((2, 1, 4))), Tensor(np.zeros((1, 3, 3))))
 
 
 def test_separable_single_channel_collapses():
-    x = Tensor(rng(1).normal(size=(2, 1, 6)))
+    x = Tensor(rng(1).normal(size=(1, 2, 6)))
     depth = Tensor(rng(2).normal(size=(1, 1, 3)))
     point = Tensor(np.ones((1, 1, 1)))
     got = separable_conv1d(x, depth, point)
@@ -101,24 +103,24 @@ def test_separable_single_channel_collapses():
 
 def test_separable_identity_depth_mixes_channels():
     # depth kernels pass channels through; pointwise applies M
-    x = Tensor(rng(3).normal(size=(1, 2, 3)))
+    x = Tensor(rng(3).normal(size=(2, 1, 3)))
     depth = Tensor(np.array([[[0.0, 1.0, 0.0]], [[0.0, 1.0, 0.0]]]))
     m = np.array([[2.0, -1.0], [0.5, 3.0]])
     point = Tensor(m[:, :, None])
     out = separable_conv1d(x, depth, point)
-    want = np.einsum("ji,bit->bjt", m, x.data)
+    want = np.einsum("ji,ibt->jbt", m, x.data)
     assert np.allclose(out.data, want)
 
 
 def test_batch_norm_constant_input_is_zero():
-    x = Tensor(np.full((4, 2, 5), 3.7))
+    x = Tensor(np.full((2, 4, 5), 3.7))
     state = BatchNormState.create(2)
     out = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=True)
     assert np.allclose(out.data, 0.0)
 
 
 def test_batch_norm_two_point_batch():
-    x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1))
+    x = Tensor(np.array([1.0, 3.0]).reshape(1, 2, 1))
     state = BatchNormState.create(1)
     out = batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, training=True)
     assert np.allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-4)
@@ -126,10 +128,10 @@ def test_batch_norm_two_point_batch():
 
 def test_batch_norm_infer_is_frozen():
     state = BatchNormState.create(2)
-    x = Tensor(rng(4).normal(size=(3, 2, 4)))
+    x = Tensor(rng(4).normal(size=(2, 3, 4)))
     batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=True)
     mean_after, var_after = state.mean.copy(), state.var.copy()
-    y = Tensor(rng(5).normal(size=(3, 2, 4)))
+    y = Tensor(rng(5).normal(size=(2, 3, 4)))
     a = batch_norm(y, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=False)
     b = batch_norm(y, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=False)
     assert np.array_equal(a.data, b.data)
@@ -139,7 +141,7 @@ def test_batch_norm_infer_is_frozen():
 
 def test_batch_norm_running_stats_momentum():
     state = BatchNormState.create(1)
-    x = Tensor(np.array([1.0, 3.0]).reshape(2, 1, 1))
+    x = Tensor(np.array([1.0, 3.0]).reshape(1, 2, 1))
     batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, training=True)
     # fresh buffers are (mean 0, var 1); batch stats are (2, 1)
     assert state.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
@@ -147,7 +149,7 @@ def test_batch_norm_running_stats_momentum():
 
 
 def test_se_gate_zero_excite_halves_input():
-    x = Tensor(rng(6).normal(size=(2, 3, 5)))
+    x = Tensor(rng(6).normal(size=(3, 2, 5)))
     w1 = Tensor(rng(7).normal(size=(2, 3)))
     w2 = Tensor(np.zeros((3, 2)))
     out = se_gate(x, w1, w2)
@@ -155,7 +157,7 @@ def test_se_gate_zero_excite_halves_input():
 
 
 def test_se_gate_preserves_shape_and_bounds():
-    x = Tensor(rng(8).normal(size=(2, 4, 6)))
+    x = Tensor(rng(8).normal(size=(4, 2, 6)))
     w1 = Tensor(rng(9).normal(size=(2, 4)))
     w2 = Tensor(rng(10).normal(size=(4, 2)))
     out = se_gate(x, w1, w2)
@@ -309,6 +311,12 @@ def test_gradcheck_swish_sum():
             lambda t: sum_(mul(upsample_repeat(t, 6), upsample_repeat(t, 6))),
             lambda r: r.normal(size=(2, 2, 3)),
         ),
+        ("swish_prime", lambda t: sum_(swish_prime(t)), lambda r: 3.0 * r.normal(size=(6,))),
+        (
+            "swapaxes",
+            lambda t: sum_(mul(swapaxes(t, -3, -2), Tensor(np.arange(24.0).reshape(3, 2, 4) / 12.0))),
+            lambda r: r.normal(size=(2, 3, 4)),
+        ),
         (
             "concat",
             lambda t: sum_(mul(concat([t, mul(t, t)], axis=1), Tensor(np.arange(12.0).reshape(1, 12, 1) / 6.0))),
@@ -337,7 +345,7 @@ def test_gradcheck_linear_all_parameters():
 
 def test_gradcheck_conv1d_all_parameters():
     r = rng(21)
-    x = Tensor(r.normal(size=(2, 3, 6)))
+    x = Tensor(r.normal(size=(3, 2, 6)))
     k = Tensor(r.normal(size=(4, 3, 3)))
     b = Tensor(r.normal(size=(4,)))
 
@@ -350,7 +358,7 @@ def test_gradcheck_conv1d_all_parameters():
 
 def test_gradcheck_depthwise_conv1d():
     r = rng(22)
-    x = Tensor(r.normal(size=(2, 3, 5)))
+    x = Tensor(r.normal(size=(3, 2, 5)))
     k = Tensor(r.normal(size=(3, 1, 3)))
 
     def loss():
@@ -366,7 +374,7 @@ def test_gradcheck_conv1d_kernel_widths(k, t):
     # series shorter than the kernel: the outer taps read only zero padding
     # and the inner ones partial slices
     r = rng(40 + 10 * k + t)
-    x = Tensor(r.normal(size=(2, 3, t)))
+    x = Tensor(r.normal(size=(3, 2, t)))
     kern = Tensor(r.normal(size=(4, 3, k)))
     b = Tensor(r.normal(size=(4,)))
 
@@ -380,7 +388,7 @@ def test_gradcheck_conv1d_kernel_widths(k, t):
 @pytest.mark.parametrize("t", [7, 3])
 def test_gradcheck_depthwise_conv1d_width5(t):
     r = rng(60 + t)
-    x = Tensor(r.normal(size=(2, 3, t)))
+    x = Tensor(r.normal(size=(3, 2, t)))
     k = Tensor(r.normal(size=(3, 1, 5)))
 
     def loss():
@@ -391,38 +399,38 @@ def test_gradcheck_depthwise_conv1d_width5(t):
 
 
 def test_conv1d_matches_direct_sum():
-    # out[b, o, s] = sum_{i, j} w[o, i, j] * x[b, i, s + j - k//2], zero outside
+    # out[o, b, s] = sum_{i, j} w[o, i, j] * x[i, b, s + j - k//2], zero outside
     r = rng(70)
     for k, t in [(1, 5), (3, 5), (5, 5), (5, 2)]:
-        x = r.normal(size=(2, 3, t))
+        x = r.normal(size=(3, 2, t))
         w = r.normal(size=(4, 3, k))
-        want = np.zeros((2, 4, t))
+        want = np.zeros((4, 2, t))
         for s in range(t):
             for j in range(k):
                 src = s + j - k // 2
                 if 0 <= src < t:
-                    want[:, :, s] += x[:, :, src] @ w[:, :, j].T
+                    want[:, :, s] += w[:, :, j] @ x[:, :, src]
         assert np.allclose(conv1d(Tensor(x), Tensor(w)).data, want, atol=1e-12)
         depth = w[:3, :1, :]
-        want_dw = np.zeros((2, 3, t))
+        want_dw = np.zeros((3, 2, t))
         for s in range(t):
             for j in range(k):
                 src = s + j - k // 2
                 if 0 <= src < t:
-                    want_dw[:, :, s] += x[:, :, src] * depth[:, 0, j]
+                    want_dw[:, :, s] += x[:, :, src] * depth[:, 0, j, None]
         got_dw = depthwise_conv1d(Tensor(x), Tensor(depth)).data
         assert np.allclose(got_dw, want_dw, atol=1e-12)
 
 
 def test_gradcheck_batch_norm_train_mode():
     r = rng(23)
-    x = Tensor(r.normal(size=(3, 2, 4)))
+    x = Tensor(r.normal(size=(2, 3, 4)))
     gamma = Tensor(r.uniform(0.5, 1.5, size=(2,)))
     beta = Tensor(r.normal(size=(2,)))
     # standardization makes sum(y^2) nearly constant in x, so weight the
     # squares to keep the gradient well away from zero
-    c1 = Tensor(r.normal(size=(3, 2, 4)))
-    c2 = Tensor(r.normal(size=(3, 2, 4)))
+    c1 = Tensor(r.normal(size=(2, 3, 4)))
+    c2 = Tensor(r.normal(size=(2, 3, 4)))
 
     def loss():
         state = BatchNormState.create(2)  # fresh, so repeat calls are pure
@@ -433,7 +441,8 @@ def test_gradcheck_batch_norm_train_mode():
 
 
 def _batch_norm_reference(x, gamma, beta, mean, var, momentum, eps, training):
-    """The composite formula batch_norm replaced, in plain numpy.
+    """The composite formula batch_norm replaced, in plain numpy, on the
+    batch-major layout (batch, c, t).
 
     Returns (output, new running mean, new running var).
     """
@@ -455,25 +464,27 @@ def _batch_norm_reference(x, gamma, beta, mean, var, momentum, eps, training):
 def test_batch_norm_matches_composite_reference(training):
     r = rng(80)
     state = BatchNormState(mean=r.normal(size=3), var=r.uniform(0.5, 2.0, size=3))
+    ref_mean, ref_var = state.mean, state.var
     gamma, beta = r.uniform(0.5, 1.5, size=3), r.normal(size=3)
     for _ in range(3):
-        x = r.normal(loc=0.7, scale=2.0, size=(4, 3, 6))
-        want, want_mean, want_var = _batch_norm_reference(
-            x, gamma, beta, state.mean, state.var, 0.9, 1e-5, training
+        x = r.normal(loc=0.7, scale=2.0, size=(4, 3, 6))  # batch-major
+        want, ref_mean, ref_var = _batch_norm_reference(
+            x, gamma, beta, ref_mean, ref_var, 0.9, 1e-5, training
         )
-        got = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state, training)
-        assert np.max(np.abs(got.data - want)) < 1e-12
-        assert np.array_equal(state.mean, want_mean)
-        assert np.array_equal(state.var, want_var)
+        got = batch_norm(Tensor(x.transpose(1, 0, 2)), Tensor(gamma), Tensor(beta), state, training)
+        assert np.max(np.abs(got.data.transpose(1, 0, 2) - want)) < 1e-12
+        # the batch-major reference reduces (batch, t) in another order
+        np.testing.assert_allclose(state.mean, ref_mean, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(state.var, ref_var, rtol=1e-14)
 
 
 def test_gradcheck_batch_norm_inference_mode():
     r = rng(81)
-    x = Tensor(r.normal(size=(3, 2, 4)))
+    x = Tensor(r.normal(size=(2, 3, 4)))
     gamma = Tensor(r.uniform(0.5, 1.5, size=(2,)))
     beta = Tensor(r.normal(size=(2,)))
     state = BatchNormState(mean=r.normal(size=2), var=r.uniform(0.5, 2.0, size=2))
-    c1 = Tensor(r.normal(size=(3, 2, 4)))
+    c1 = Tensor(r.normal(size=(2, 3, 4)))
 
     def loss():
         y = batch_norm(x, gamma, beta, state, training=False)
@@ -484,7 +495,7 @@ def test_gradcheck_batch_norm_inference_mode():
 
 def test_gradcheck_se_gate():
     r = rng(24)
-    x = Tensor(r.normal(size=(2, 3, 4)))
+    x = Tensor(r.normal(size=(3, 2, 4)))
     w1 = Tensor(r.normal(size=(2, 3)))
     b1 = Tensor(r.normal(size=(2,)))
     w2 = Tensor(r.normal(size=(3, 2)))
@@ -499,7 +510,7 @@ def test_gradcheck_se_gate():
 
 def test_gradcheck_separable_conv():
     r = rng(25)
-    x = Tensor(r.normal(size=(2, 3, 5)))
+    x = Tensor(r.normal(size=(3, 2, 5)))
     depth = Tensor(r.normal(size=(3, 1, 3)))
     point = Tensor(r.normal(size=(4, 3, 1)))
 
@@ -520,7 +531,7 @@ def test_gradcheck_separable_conv():
 def test_op_sequence_is_deterministic(seed):
     def run():
         r = np.random.default_rng(seed)
-        x = Tensor(r.normal(size=(2, 3, 8)))
+        x = Tensor(r.normal(size=(3, 2, 8)))
         k = Tensor(r.normal(size=(3, 3, 3)))
         y = swish(conv1d(x, k))
         return downsample2(y).data
@@ -538,25 +549,25 @@ def test_op_sequence_is_deterministic(seed):
 )
 def test_shape_preservation(b, c, t, seed):
     r = np.random.default_rng(seed)
-    x = Tensor(r.normal(size=(b, c, t)))
+    x = Tensor(r.normal(size=(c, b, t)))
     k = Tensor(r.normal(size=(c, c, 3)))
-    assert conv1d(x, k).shape == (b, c, t)
-    assert depthwise_conv1d(x, Tensor(r.normal(size=(c, 1, 3)))).shape == (b, c, t)
+    assert conv1d(x, k).shape == (c, b, t)
+    assert depthwise_conv1d(x, Tensor(r.normal(size=(c, 1, 3)))).shape == (c, b, t)
     w1 = Tensor(r.normal(size=(max(c // 2, 1), c)))
     w2 = Tensor(r.normal(size=(c, max(c // 2, 1))))
-    assert se_gate(x, w1, w2).shape == (b, c, t)
+    assert se_gate(x, w1, w2).shape == (c, b, t)
     state = BatchNormState.create(c)
     g, be = Tensor(np.ones(c)), Tensor(np.zeros(c))
-    assert batch_norm(x, g, be, state, training=True).shape == (b, c, t)
-    assert downsample2(x).shape == (b, c, (t + 1) // 2)
+    assert batch_norm(x, g, be, state, training=True).shape == (c, b, t)
+    assert downsample2(x).shape == (c, b, (t + 1) // 2)
 
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10_000))
 def test_conv1d_is_linear_in_input(seed):
     r = np.random.default_rng(seed)
-    x1 = Tensor(r.normal(size=(1, 2, 6)))
-    x2 = Tensor(r.normal(size=(1, 2, 6)))
+    x1 = Tensor(r.normal(size=(2, 1, 6)))
+    x2 = Tensor(r.normal(size=(2, 1, 6)))
     k = Tensor(r.normal(size=(2, 2, 3)))
     lhs = conv1d(add(x1, x2), k).data
     rhs = conv1d(x1, k).data + conv1d(x2, k).data
@@ -603,13 +614,13 @@ def _stacked_case(name, r, model=None):
     n = r.normal
     if name.startswith("conv1d_k"):
         k = int(name[-1])
-        ins = [n(size=(2, 2, 3, 6)), n(size=(2, 4, 3, k)), n(size=(2, 4))]
+        ins = [n(size=(2, 3, 2, 6)), n(size=(2, 4, 3, k)), n(size=(2, 4))]
         return ins, (True, True, True), lambda x, w, b: conv1d(x, w, b)
     if name == "conv1d_shared_input":
-        ins = [n(size=(2, 3, 6)), n(size=(2, 4, 3, 3)), n(size=(2, 4))]
+        ins = [n(size=(3, 2, 6)), n(size=(2, 4, 3, 3)), n(size=(2, 4))]
         return ins, (False, True, True), lambda x, w, b: conv1d(x, w, b)
     if name == "depthwise_conv1d":
-        ins = [n(size=(2, 2, 3, 5)), n(size=(2, 3, 1, 3))]
+        ins = [n(size=(2, 3, 2, 5)), n(size=(2, 3, 1, 3))]
         return ins, (True, True), depthwise_conv1d
     if name == "linear":
         ins = [n(size=(2, 3, 4)), n(size=(2, 2, 4)), n(size=(2, 2))]
@@ -621,7 +632,7 @@ def _stacked_case(name, r, model=None):
     if name.startswith("batch_norm"):
         training = name.endswith("train")
         mean, var = n(size=(2, 2)), r.uniform(0.5, 2.0, size=(2, 2))
-        ins = [n(size=(2, 3, 2, 4)), r.uniform(0.5, 1.5, size=(2, 2)), n(size=(2, 2))]
+        ins = [n(size=(2, 2, 3, 4)), r.uniform(0.5, 1.5, size=(2, 2)), n(size=(2, 2))]
 
         def op(x, g, b):
             m = slice(None) if model is None else model
@@ -630,7 +641,7 @@ def _stacked_case(name, r, model=None):
 
         return ins, (True, True, True), op
     if name == "se_gate":
-        ins = [n(size=(2, 2, 3, 4)), n(size=(2, 2, 3)), n(size=(2, 2)), n(size=(2, 3, 2)), n(size=(2, 3))]
+        ins = [n(size=(2, 3, 2, 4)), n(size=(2, 2, 3)), n(size=(2, 2)), n(size=(2, 3, 2)), n(size=(2, 3))]
         return ins, (True,) * 5, lambda x, w1, b1, w2, b2: se_gate(x, w1, w2, b1, b2)
     raise KeyError(name)
 
@@ -694,7 +705,7 @@ def test_stacked_gradients_do_not_leak_across_models(name):
 
 def test_stacked_batch_norm_updates_each_models_buffers():
     r = rng(990)
-    x = r.normal(size=(2, 3, 2, 4))
+    x = r.normal(size=(2, 2, 3, 4))
     stacked = BatchNormState.create(2)
     stacked.mean, stacked.var = np.zeros((2, 2)), np.ones((2, 2))
     batch_norm(Tensor(x), Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), stacked, True)
@@ -707,9 +718,117 @@ def test_stacked_batch_norm_updates_each_models_buffers():
 
 def test_stacked_shapes_must_agree():
     with pytest.raises(ContractError):
-        conv1d(Tensor(np.zeros((3, 2, 3, 6))), Tensor(np.zeros((2, 4, 3, 1))))
+        conv1d(Tensor(np.zeros((3, 3, 2, 6))), Tensor(np.zeros((2, 4, 3, 1))))
     with pytest.raises(ContractError):
         batch_norm(
-            Tensor(np.zeros((2, 3, 2, 4))), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+            Tensor(np.zeros((2, 2, 3, 4))), Tensor(np.ones(2)), Tensor(np.zeros(2)),
             BatchNormState.create(2), training=True,
         )
+
+
+# ---------------------------------------------------------------------------
+# The channel-major kernels against the batch-major formulation they replaced
+# ---------------------------------------------------------------------------
+
+
+def _shifted(t, d):
+    """Output and input time slices for tap offset d: out[s_out] += x[s_in]."""
+    if d >= 0:
+        return slice(0, max(t - d, 0)), slice(d, t)
+    return slice(min(-d, t), t), slice(0, max(t + d, 0))
+
+
+def _conv1d_batch_major(x, w, b=None):
+    """x (..., batch, c_in, t): one matmul per kernel tap on shifted slices."""
+    k, t = w.shape[-1], x.shape[-1]
+    pad = k // 2
+    wb = w[..., None, :, :, :]
+    y = np.matmul(wb[..., pad], x)
+    for j in range(k):
+        if j != pad:
+            so, si = _shifted(t, j - pad)
+            y[..., so] += np.matmul(wb[..., j], x[..., si])
+    if b is not None:
+        y += b[..., None, :, None]
+    return y
+
+
+def _depthwise_batch_major(x, w):
+    """x (..., batch, c, t): k multiply-adds of shifted slices."""
+    k, t = w.shape[-1], x.shape[-1]
+    pad = k // 2
+    taps = w[..., None, :, 0, :, None]
+    y = x * taps[..., pad, :]
+    for j in range(k):
+        if j != pad:
+            so, si = _shifted(t, j - pad)
+            y[..., so] += x[..., si] * taps[..., j, :]
+    return y
+
+
+def _se_gate_batch_major(x, w1, w2, b1, b2):
+    """x (..., batch, c, t): a time average, two dense layers, a sigmoid gate."""
+    squeezed = x.mean(axis=-1)
+    hidden = np.maximum(np.matmul(squeezed, w1.swapaxes(-1, -2)) + b1[..., None, :], 0.0)
+    a = np.matmul(hidden, w2.swapaxes(-1, -2)) + b2[..., None, :]
+    return x * (0.5 * (np.tanh(0.5 * a) + 1.0))[..., None]
+
+
+def _to_batch_major(a):
+    return np.swapaxes(a, -3, -2)
+
+
+def _assert_rel(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("k,t", [(1, 10), (3, 10), (3, 3), (5, 3), (5, 2)])
+def test_conv_kernels_match_batch_major_formulation(lead, k, t):
+    r = rng(1000 + 10 * k + t + len(lead))
+    x = r.normal(size=lead + (16, 4, t))  # batch-major (..., batch, c, t)
+    w = r.normal(size=lead + (5, 4, k))
+    b = r.normal(size=lead + (5,))
+    depth = r.normal(size=lead + (4, 1, k))
+    xc = Tensor(_to_batch_major(x))
+    _assert_rel(_to_batch_major(conv1d(xc, Tensor(w), Tensor(b)).data), _conv1d_batch_major(x, w, b))
+    _assert_rel(_to_batch_major(depthwise_conv1d(xc, Tensor(depth)).data), _depthwise_batch_major(x, depth))
+    point = r.normal(size=lead + (5, 4, 1))
+    got = separable_conv1d(xc, Tensor(depth), Tensor(point), Tensor(b)).data
+    _assert_rel(_to_batch_major(got), _conv1d_batch_major(_depthwise_batch_major(x, depth), point, b))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_se_gate_matches_batch_major_formulation(lead):
+    r = rng(1100 + len(lead))
+    x = r.normal(size=lead + (16, 4, 10))
+    w1, b1 = r.normal(size=lead + (2, 4)), r.normal(size=lead + (2,))
+    w2, b2 = r.normal(size=lead + (4, 2)), r.normal(size=lead + (4,))
+    got = se_gate(Tensor(_to_batch_major(x)), *map(Tensor, (w1, w2, b1, b2))).data
+    _assert_rel(_to_batch_major(got), _se_gate_batch_major(x, w1, w2, b1, b2))
+
+
+def test_stacked_batch_norm_matches_batch_major_formulation():
+    r = rng(1200)
+    x = r.normal(loc=0.3, scale=1.5, size=(2, 16, 4, 10))
+    gamma, beta = r.uniform(0.5, 1.5, size=(2, 4)), r.normal(size=(2, 4))
+    mean, var = r.normal(size=(2, 4)), r.uniform(0.5, 2.0, size=(2, 4))
+    for training in (True, False):
+        state = BatchNormState(mean.copy(), var.copy())
+        got = batch_norm(Tensor(_to_batch_major(x)), Tensor(gamma), Tensor(beta), state, training)
+        for m in range(2):
+            want, want_mean, want_var = _batch_norm_reference(
+                x[m], gamma[m], beta[m], mean[m], var[m], 0.9, 1e-5, training
+            )
+            _assert_rel(_to_batch_major(got.data[m]), want)
+            _assert_rel(state.mean[m], want_mean)
+            _assert_rel(state.var[m], want_var)
+
+
+def test_band_matrix_holds_the_taps():
+    # depthwise_conv1d multiplies by M[u, s] = taps[u - s + k//2], zero off the band
+    x = Tensor(np.eye(4).reshape(1, 4, 4))  # one channel, rows are unit impulses
+    taps = np.array([1.0, 2.0, 3.0])
+    band = depthwise_conv1d(x, Tensor(taps.reshape(1, 1, 3))).data[0]
+    want = np.array([[2, 1, 0, 0], [3, 2, 1, 0], [0, 3, 2, 1], [0, 0, 3, 2]], dtype=float)
+    np.testing.assert_array_equal(band, want)

@@ -49,6 +49,12 @@ def kl_total(q_mean, q_logvar, p_mean, p_logvar):
     return sum_(kl_gaussian_elementwise(q_mean, q_logvar, p_mean, p_logvar))
 
 
+def zero_eps(batch):
+    """All-zero latent noise: z = mu + exp(lv / 2) * 0 = mu, the posterior
+    mean, with the prior heads and the KL computed."""
+    return [np.zeros((batch, TINY.latent, ln)) for ln in reversed(TINY.level_lengths())]
+
+
 def make_quadratic_energy(params, center):
     """Force E(y) = 0.5 * ||y - center||^2 exactly."""
     params.tensors["energy.q"].data = np.array(1.0)
@@ -74,7 +80,7 @@ def test_encode_level_lengths():
         stack = encode(params, x)
         want = (t_in, (t_in + 1) // 2, ((t_in + 1) // 2 + 1) // 2)
         assert tuple(e.shape[2] for e in stack) == want
-        assert all(e.shape[:2] == (2, 4) for e in stack)
+        assert all(e.shape[:2] == (4, 2) for e in stack)  # channel-major: (c, batch, t)
 
 
 def test_encode_zero_input_gives_zero_features():
@@ -146,12 +152,28 @@ def test_generate_has_three_groups_with_nonnegative_kl():
 def test_posterior_copied_onto_prior_zeroes_kl():
     params = tiny_params()
     x = Tensor(np.random.default_rng(6).normal(size=(2, 6, 8)))
-    out = generate(params, encode(params, x))
+    out = generate(params, encode(params, x), eps=zero_eps(2))
+    assert len(out.groups) == N_GROUPS
     for g in out.groups:
         copied = kl_total(g.p_mean, g.p_logvar, g.p_mean, g.p_logvar)
         assert float(copied.data) == 0.0
     # and the actual posterior diverges from the prior on random input
     assert float(out.kl_latent.data) > 0.0
+
+
+def test_posterior_mean_decode_computes_only_what_y_hat_reads():
+    # without eps: no prior heads, no log-variance heads and no KL, and the
+    # same y_hat as a decode whose latents are mu + exp(lv / 2) * 0
+    params = dense_tiny(12)
+    x = Tensor(np.random.default_rng(13).normal(size=(3, 6, 8)))
+    stack = encode(params, x)
+    with Tape() as tape:
+        out = generate(params, stack)
+    kinds = [backfn.__qualname__.split(".")[0] for _, _, backfn in tape.entries]
+    assert "clamp" not in kinds and "kl_gaussian_elementwise" not in kinds
+    assert out.groups == [] and out.kl_groups == [] and out.kl_latent is None
+    sampled = generate(params, stack, eps=zero_eps(3))
+    np.testing.assert_array_equal(out.y_hat.data, sampled.y_hat.data)
 
 
 def test_generate_rejects_malformed_stack():
@@ -192,9 +214,10 @@ def test_encoder_features_reach_posteriors():
     r = np.random.default_rng(10)
     x1 = Tensor(r.normal(size=(1, 6, 8)))
     x2 = Tensor(r.normal(size=(1, 6, 8)))
-    a = generate(params, encode(params, x1))
-    b = generate(params, encode(params, x2))
+    a = generate(params, encode(params, x1), eps=zero_eps(1))
+    b = generate(params, encode(params, x2), eps=zero_eps(1))
     assert not np.array_equal(a.y_hat.data, b.y_hat.data)
+    assert len(a.groups) == len(b.groups) == N_GROUPS
     for ga, gb in zip(a.groups, b.groups):
         assert not np.array_equal(ga.q_mean.data, gb.q_mean.data)
 
@@ -206,7 +229,8 @@ def test_logvar_heads_are_clamped():
         params.tensors[f"post{i}.lv.w"].data *= 1e6
         params.tensors[f"prior{i}.lv.w"].data *= 1e6
     x = Tensor(np.random.default_rng(11).normal(size=(2, 6, 8)))
-    out = generate(params, encode(params, x))
+    out = generate(params, encode(params, x), eps=zero_eps(2))
+    assert len(out.groups) == N_GROUPS
     for g in out.groups:
         assert np.all(g.q_logvar.data <= 10.0)
         assert np.all(g.q_logvar.data >= -10.0)
@@ -440,6 +464,22 @@ def test_energy_weights_never_move_the_prediction():
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
+
+
+def test_load_builds_the_expected_shapes_once_per_config(tmp_path, monkeypatch):
+    from dva import model
+
+    for seed in range(3):
+        save_params(tiny_params(seed), tmp_path / f"ck{seed}.npz")
+    model._checkpoint_shapes.cache_clear()
+    calls = []
+    build = ModelParams._build.__func__
+    monkeypatch.setattr(
+        ModelParams, "_build", classmethod(lambda cls, *a: calls.append(a) or build(cls, *a))
+    )
+    for seed in range(3):
+        load_params(tmp_path / f"ck{seed}.npz")
+    assert len(calls) == 1
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):

@@ -537,6 +537,19 @@ class TestPredict:
         assert y1.shape == (len(x), TINY.t_out)
         np.testing.assert_array_equal(y1, y2)
 
+    def test_one_window_matches_its_row_of_a_batch(self):
+        # a window's forecast does not depend on the batch it is predicted
+        # in, up to the rounding of GEMMs of another width
+        cfg = TrainConfig()
+        params = randomized_params(cfg, 3)
+        rng = np.random.default_rng(4)
+        x = 1.0 + 0.05 * rng.standard_normal((236, FEATURE_DIM, cfg.t_in))
+        refresh_norm_stats(params, x, cfg)
+        batched = predict(params, x, cfg)
+        for i in (0, 1, 117, 235):
+            alone = predict(params, x[i : i + 1], cfg)[0]
+            assert np.max(np.abs(alone - batched[i])) <= 1e-10 * np.max(np.abs(batched[i]))
+
     def test_denoiser_off_is_raw_generator_mean(self):
         params, x = self.trained()
         cfg = replace(TINY, denoiser=False)
