@@ -2,9 +2,9 @@
 
 Prints one JSON object: for each R, the median ms per optimiser step (batch
 draws, forward, backward and Adam, timed between consecutive Adam steps of
-``train_runs``) and the median s per epoch of ``train_runs`` (steps, the
-batch-norm refresh and validation), on a clean sinusoid stock with the
-default ``TrainConfig``.
+``train_runs``), the median s per epoch of ``train_runs`` (steps, the
+batch-norm refresh and validation) and the tape entries per step, on a clean
+sinusoid stock with the default ``TrainConfig``.
 
 Usage: PYTHONPATH=src python scripts/bench_train_runs.py [--runs 1 2 5] [--repeats 5]
 """
@@ -24,6 +24,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from dva.data import SynthSpec, build_dataset, synth_generate  # noqa: E402
+from dva import training  # noqa: E402
 from dva.optim import Adam  # noqa: E402
 from dva.training import TrainConfig, train_runs  # noqa: E402
 
@@ -49,6 +50,14 @@ def main() -> None:
         stamps.append(time.perf_counter())
 
     Adam.step = stamped
+    entries: list[int] = []
+    backward = training.backward
+
+    def counted(tape, loss, params=()):
+        entries.append(len(tape))
+        return backward(tape, loss, params)
+
+    training.backward = counted
     out = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, numpy {np.__version__},"
         " BLAS on one thread",
@@ -58,6 +67,7 @@ def main() -> None:
     for r in args.runs:
         cfgs = [replace(cfg, seed=s) for s in range(r)]
         epochs, steps = [], []
+        entries.clear()
         for _ in range(args.repeats):
             stamps.clear()
             t0 = time.perf_counter()
@@ -67,6 +77,7 @@ def main() -> None:
         out[f"R{r}"] = {
             "ms_per_step": round(1e3 * float(np.median(steps)), 3),
             "s_per_epoch": round(float(np.median(epochs)), 4),
+            "tape_entries_per_step": int(np.median(entries)),
         }
     print(json.dumps(out, indent=2))
 

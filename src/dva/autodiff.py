@@ -19,7 +19,6 @@ is shared by all R of them.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,10 +38,8 @@ __all__ = [
     "reshape",
     "swapaxes",
     "concat",
-    "sigmoid",
     "swish",
     "swish_prime",
-    "relu",
     "exp_",
     "square",
     "clamp",
@@ -50,7 +47,6 @@ __all__ = [
     "linear",
     "matmul",
     "conv1d",
-    "depthwise_conv1d",
     "downsample2",
     "upsample_repeat",
 ]
@@ -111,6 +107,12 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _taping() -> bool:
+    """Whether a tape is recording: a fused op saves what its backward
+    reads only then."""
+    return bool(_TAPE_STACK)
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backfn: Callable) -> Tensor:
@@ -282,25 +284,41 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """0.5 * (tanh(x / 2) + 1): overflow-free for large |x|, computed in
-    place in one buffer."""
-    s = np.tanh(0.5 * x)
+    """1 / (1 + exp(-x)) in one new buffer. exp overflows to inf below
+    x = -709, where the result is then exactly 0, so the overflow is not
+    reported."""
+    s = np.negative(x, out=np.empty(x.shape))
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
     s += 1.0
-    s *= 0.5
+    np.divide(1.0, s, out=s)
     return s
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-    out = Tensor(s)
-    return _record(out, (a,), lambda g, need: (g * s * (1.0 - s),))
+def _swish_fwd(x: np.ndarray, save: bool, out: np.ndarray | None = None):
+    """swish(x) = x * sigmoid(x), written into ``out`` (which may be x
+    itself), and what ``_swish_bwd`` reads: (output, sigmoid) when ``save``,
+    else None."""
+    s = _sigmoid(x)
+    a = np.multiply(x, s, out=out)
+    return a, ((a, s) if save else None)
+
+
+def _swish_bwd(saved, g: np.ndarray) -> np.ndarray:
+    """g * swish'(x) with swish'(x) = s + x s (1 - s) = s + a (1 - s), from
+    the saved output a and sigmoid s, in one new buffer."""
+    a, s = saved
+    d = 1.0 - s
+    d *= a
+    d += s
+    d *= g
+    return d
 
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x); smooth, non-monotone, ~x for large x, ~0 for small."""
-    s = _sigmoid(a.data)
-    out = Tensor(a.data * s)
-    return _record(out, (a,), lambda g, need: (g * s * (1.0 + a.data * (1.0 - s)),))
+    y, saved = _swish_fwd(a.data, True)
+    return _record(Tensor(y), (a,), lambda g, need: (_swish_bwd(saved, g),))
 
 
 def swish_prime(a: Tensor) -> Tensor:
@@ -311,11 +329,6 @@ def swish_prime(a: Tensor) -> Tensor:
     return _record(
         out, (a,), lambda g, need: (g * s * (1.0 - s) * (2.0 + a.data * (1.0 - 2.0 * s)),)
     )
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    return _record(out, (a,), lambda g, need: (g * (a.data > 0.0),))
 
 
 def exp_(a: Tensor) -> Tensor:
@@ -460,62 +473,6 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 
     inputs = (x, kernel) + ((bias,) if bias is not None else ())
     return _record(out, inputs, back)
-
-
-@functools.lru_cache(maxsize=64)
-def _band(t: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """A k-tap filter over t steps as a (t, t) band matrix M, M[u, s] =
-    taps[u - s + k // 2]: the gather index into the taps with a zero
-    appended (index k off the band), and the (t*t, k) one-hot matrix that
-    sums a band's entries back onto its taps."""
-    j = np.arange(t)[:, None] - np.arange(t)[None, :] + k // 2
-    index = np.where((j >= 0) & (j < k), j, k)
-    onehot = (index.reshape(-1, 1) == np.arange(k)).astype(np.float64)
-    index.setflags(write=False)
-    onehot.setflags(write=False)
-    return index, onehot
-
-
-def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel convolution: kernel (..., c, 1, k), each channel filtered
-    alone over channel-major x (..., c, batch, t), zero padded.
-
-    Computed as one batched matmul of x by a banded (..., c, t, t) matrix
-    gathered from the taps.
-    """
-    if kernel.data.ndim < 3 or kernel.data.shape[-2] != 1:
-        raise ContractError("depthwise kernel must have shape (..., c, 1, k)")
-    c, _, k = kernel.data.shape[-3:]
-    if k % 2 == 0:
-        raise ContractError(f"kernel width must be odd, got {k}")
-    if x.data.ndim < 3 or x.data.shape[-3] != c:
-        raise ContractError(
-            f"channel mismatch: x has {x.data.shape[-3] if x.data.ndim >= 3 else '?'},"
-            f" kernel expects {c}"
-        )
-    _lead(x, 3, kernel, 3, "depthwise_conv1d")
-    t = x.data.shape[-1]
-    index, onehot = _band(t, k)
-
-    def band() -> np.ndarray:
-        # gathered again in the backward rather than kept: at t = 10 the
-        # band holds more numbers than a batch-16 activation
-        taps = kernel.data[..., 0, :]
-        return np.concatenate([taps, np.zeros(taps.shape[:-1] + (1,))], axis=-1)[..., index]
-
-    out = Tensor(np.matmul(x.data, band()))
-
-    def back(g, need):
-        grads = [None, None]
-        if need[0]:
-            grads[0] = _unbroadcast(np.matmul(g, band().swapaxes(-1, -2)), x.data.shape)
-        if need[1]:
-            d_band = np.matmul(x.data.swapaxes(-1, -2), g)
-            dk = np.matmul(d_band.reshape(d_band.shape[:-2] + (t * t,)), onehot)
-            grads[1] = _unbroadcast(dk[..., None, :], kernel.data.shape)
-        return tuple(grads)
-
-    return _record(out, (x, kernel), back)
 
 
 def downsample2(x: Tensor) -> Tensor:

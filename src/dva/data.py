@@ -104,9 +104,28 @@ def load_ohlcv(path, ticker: str | None = None) -> list[PriceBar]:
         p = p / f"{ticker}.csv"
     if not p.exists():
         raise DataError(f"no such price file: {p}")
+    try:
+        return _read_ohlcv(p)
+    except UnicodeDecodeError:
+        raise not_utf8(p) from None
+
+
+def not_utf8(path: Path) -> ParseError:
+    """The error for a text file holding bytes that are not UTF-8: it names
+    the file and the line of the first such byte."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+        start = len(raw)
+    except UnicodeDecodeError as err:
+        start = err.start
+    return ParseError(f"{path} is not UTF-8 text", line=raw.count(b"\n", 0, start) + 1)
+
+
+def _read_ohlcv(p: Path) -> list[PriceBar]:
     bars: list[PriceBar] = []
     seen: set[dt.date] = set()
-    with open(p, newline="") as fh:
+    with open(p, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .data import FEATURE_DIM, R_INDEX, WindowPair
+from .data import FEATURE_DIM, R_INDEX, WindowPair, not_utf8
 from .errors import ContractError, DataError, ParseError
 
 __all__ = [
@@ -279,7 +279,10 @@ def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date]]:
     p = Path(path)
     if not p.exists():
         raise DataError(f"missing artifact: no prediction file {p}")
-    lines = p.read_text().split("\n")
+    try:
+        lines = p.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise not_utf8(p) from None
     if lines[-1] == "":
         lines.pop()
     header = next(csv.reader(lines[:1]), None)

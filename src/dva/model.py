@@ -29,6 +29,7 @@ import functools
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -41,6 +42,9 @@ from .atomic import atomic_open
 from .autodiff import (
     Tensor,
     _record,
+    _swish_bwd,
+    _swish_fwd,
+    _taping,
     _unbroadcast,
     add,
     as_tensor,
@@ -65,7 +69,19 @@ from .autodiff import (
 )
 from .diffusion import DiffusionSchedule
 from .errors import ConfigError, ContractError, DataError
-from .layers import BatchNormState, batch_norm, se_gate, separable_conv1d
+from .layers import (  # noqa: F401  (the ops: perfbench/tracing.py wraps dva.model.<op>)
+    BatchNormState,
+    _needed,
+    batch_norm,
+    batch_norm_bwd,
+    batch_norm_fwd,
+    se_bwd,
+    se_fwd,
+    se_gate,
+    separable_bwd,
+    separable_conv1d,
+    separable_fwd,
+)
 
 __all__ = [
     "N_GROUPS",
@@ -361,6 +377,20 @@ def _checkpoint_shapes(config: ModelConfig) -> MappingProxyType[str, tuple[int, 
     return MappingProxyType({k: v.shape for k, v in arrays.items()})
 
 
+def _read_npz(path) -> tuple[str | None, np.ndarray | None]:
+    """A checkpoint's ``__meta__`` text and ``values`` array, None where the
+    archive lacks one; a file that is not a readable .npz archive (garbage
+    bytes, a truncated archive) is a ``DataError``."""
+    try:
+        with np.load(path, allow_pickle=False) as f:
+            meta = str(f["__meta__"]) if "__meta__" in f.files else None
+            return meta, (f["values"] if "values" in f.files else None)
+    except (EOFError, OSError, ValueError, zipfile.BadZipFile) as err:
+        raise DataError(
+            f"checkpoint {path}: not a readable .npz archive ({type(err).__name__})"
+        ) from None
+
+
 def load_params(path, expected_hash: str | None = None) -> ModelParams:
     """Rebuild parameters from a checkpoint; a config-hash mismatch is fatal,
     and so is any array missing, extra or misshapen against a fresh model of
@@ -368,34 +398,33 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
     vector."""
     if not Path(path).exists():
         raise ConfigError(f"no such checkpoint: {path}")
-    with np.load(path, allow_pickle=False) as f:
-        if "__meta__" not in f.files:
-            raise DataError(f"checkpoint {path}: missing array __meta__")
-        try:
-            meta = json.loads(str(f["__meta__"]))
-        except ValueError:
-            meta = None
-        if not isinstance(meta, dict):
-            raise DataError(f"checkpoint {path}: __meta__ is not a JSON object")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
-        try:
-            config = ModelConfig(**meta["config"])
-            stored_hash = meta["config_hash"]
-        except KeyError as err:
-            raise DataError(f"checkpoint {path}: metadata has no {err}") from None
-        except TypeError as err:
-            raise DataError(f"checkpoint {path}: bad model config in metadata: {err}") from None
-        if config.hash() != stored_hash:
-            raise ConfigError("checkpoint config hash does not match its config")
-        if expected_hash is not None and stored_hash != expected_hash:
-            raise ConfigError(
-                f"checkpoint config hash {stored_hash} does not match"
-                f" expected {expected_hash}"
-            )
-        if "values" not in f.files:
-            raise DataError(f"checkpoint {path}: missing array values")
-        values = f["values"]
+    meta_text, values = _read_npz(path)
+    if meta_text is None:
+        raise DataError(f"checkpoint {path}: missing array __meta__")
+    try:
+        meta = json.loads(meta_text)
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {path}: __meta__ is not a JSON object")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+    try:
+        config = ModelConfig(**meta["config"])
+        stored_hash = meta["config_hash"]
+    except KeyError as err:
+        raise DataError(f"checkpoint {path}: metadata has no {err}") from None
+    except TypeError as err:
+        raise DataError(f"checkpoint {path}: bad model config in metadata: {err}") from None
+    if config.hash() != stored_hash:
+        raise ConfigError("checkpoint config hash does not match its config")
+    if expected_hash is not None and stored_hash != expected_hash:
+        raise ConfigError(
+            f"checkpoint config hash {stored_hash} does not match"
+            f" expected {expected_hash}"
+        )
+    if values is None:
+        raise DataError(f"checkpoint {path}: missing array values")
     if values.ndim != 1 or values.dtype != np.float64:
         raise DataError(
             f"checkpoint {path}: values must be a float64 vector,"
@@ -442,27 +471,57 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
+# A cell's 13 tensors in the order of its tape entry's inputs after x.
+_CELL_TENSORS = {
+    prefix: tuple(
+        f"{prefix}.{name}"
+        for name in (
+            "bn1.gamma", "bn1.beta", "conv1.depth", "conv1.point",
+            "bn2.gamma", "bn2.beta", "conv2.depth", "conv2.point", "conv2.bias",
+            "se.w1", "se.b1", "se.w2", "se.b2",
+        )
+    )
+    for prefix in _CELL_PREFIXES
+}
+
+
 def _cell(params: ModelParams, prefix: str, x: Tensor, training: bool) -> Tensor:
-    """Residual cell: [BN -> Swish -> separable conv] x2 -> SE, plus skip."""
+    """Residual cell: [BN -> swish -> separable conv] x2 -> SE, plus skip.
+
+    One taped op over x and the cell's 13 tensors: the forward chains the
+    layer kernels of ``dva.layers``, the backward runs their backward
+    kernels in reverse. With no tape recording, the forward keeps nothing
+    and works in place, so each intermediate buffer is dropped as soon as
+    the next one exists."""
+    names = _CELL_TENSORS[prefix]
     t = params.tensors
-    h = batch_norm(
-        x, t[f"{prefix}.bn1.gamma"], t[f"{prefix}.bn1.beta"],
-        params.bn_states[f"{prefix}.bn1"], training,
-    )
-    h = separable_conv1d(
-        swish(h), t[f"{prefix}.conv1.depth"], t[f"{prefix}.conv1.point"]
-    )
-    h = batch_norm(
-        h, t[f"{prefix}.bn2.gamma"], t[f"{prefix}.bn2.beta"],
-        params.bn_states[f"{prefix}.bn2"], training,
-    )
-    h = separable_conv1d(
-        swish(h), t[f"{prefix}.conv2.depth"], t[f"{prefix}.conv2.point"],
-        t[f"{prefix}.conv2.bias"],
-    )
-    h = se_gate(h, t[f"{prefix}.se.w1"], t[f"{prefix}.se.w2"],
-                t[f"{prefix}.se.b1"], t[f"{prefix}.se.b2"])
-    return add(x, h)
+    inputs = (x,) + tuple(t[k] for k in names)
+    g1, b1, d1, p1, g2, b2, d2, p2, pb2, w1, sb1, w2, sb2 = (v.data for v in inputs[1:])
+    save = _taping()
+    h, bn1 = batch_norm_fwd(x.data, g1, b1, params.bn_states[f"{prefix}.bn1"], training, save)
+    h, sw1 = _swish_fwd(h, save, out=h)
+    h, sep1 = separable_fwd(h, d1, p1, None, save)
+    h, bn2 = batch_norm_fwd(h, g2, b2, params.bn_states[f"{prefix}.bn2"], training, save)
+    h, sw2 = _swish_fwd(h, save, out=h)
+    h, sep2 = separable_fwd(h, d2, p2, pb2, save)
+    h, se = se_fwd(h, w1, sb1, w2, sb2, save)
+    h += x.data
+    out = Tensor(h)
+    if not save:
+        return out
+
+    def back(g, need):
+        dh, d_w1, d_sb1, d_w2, d_sb2 = se_bwd(se, g)
+        dh, d_d2, d_p2, d_pb2 = separable_bwd(sep2, dh)
+        dh, d_g2, d_b2 = batch_norm_bwd(bn2, _swish_bwd(sw2, dh))
+        dh, d_d1, d_p1, _ = separable_bwd(sep1, dh)
+        dx, d_g1, d_b1 = batch_norm_bwd(bn1, _swish_bwd(sw1, dh))
+        dx += g
+        grads = (dx, d_g1, d_b1, d_d1, d_p1, d_g2, d_b2, d_d2, d_p2, d_pb2,
+                 d_w1, d_sb1, d_w2, d_sb2)
+        return _needed(grads, need)
+
+    return _record(out, inputs, back)
 
 
 def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tensor]:

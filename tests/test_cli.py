@@ -287,6 +287,56 @@ class TestPredict:
         assert str(ckpt) in read_stderr_json(capsys)["message"]
 
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: b"\x00\x01 not an archive" * 8,
+            lambda raw: raw[: len(raw) // 2],
+        ],
+        ids=["garbage", "truncated"],
+    )
+    def test_unreadable_checkpoint_is_a_data_error(self, pipeline, tmp_path, capsys, corrupt):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out / "checkpoints", out / "checkpoints")
+        ckpt = out / "checkpoints" / "AAA_run0.npz"
+        ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["predict", "--config", str(cfg)]) == 3
+        err = read_stderr_json(capsys)
+        assert err["error"] == "DataError"
+        assert err["message"].startswith(f"checkpoint {ckpt}: not a readable .npz archive")
+
+    def test_checkpoint_without_values_is_a_data_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out / "checkpoints", out / "checkpoints")
+        ckpt = out / "checkpoints" / "AAA_run0.npz"
+        with np.load(ckpt) as f:
+            meta = f["__meta__"]
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, __meta__=meta)
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["predict", "--config", str(cfg)]) == 3
+        assert read_stderr_json(capsys) == {
+            "error": "DataError",
+            "message": f"checkpoint {ckpt}: missing array values",
+        }
+
+    def test_non_utf8_price_file_is_a_parse_error(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline.data, data)
+        prices = data / "BBB.csv"
+        lines = prices.read_bytes().split(b"\n")
+        lines[3] = lines[3][:4] + b"\xff" + lines[3][4:]
+        prices.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out / "checkpoints", out / "checkpoints")
+        cfg = write_json(tmp_path / "c.json", run_payload(data, out))
+        assert main(["predict", "--config", str(cfg)]) == 3
+        assert read_stderr_json(capsys) == {
+            "error": "ParseError",
+            "message": f"line 4: {prices} is not UTF-8 text",
+        }
+
     def test_version_1_checkpoint_is_a_config_error(self, pipeline, tmp_path, capsys):
         # a checkpoint of one array per key, as version 1 wrote them
         out = tmp_path / "out"
@@ -513,6 +563,22 @@ class TestPortfolio:
         cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out2))
         assert main(["portfolio", "--config", str(cfg)]) == 2
         assert "gamma_risk" in read_stderr_json(capsys)["message"]
+
+    def test_non_utf8_prediction_file_is_a_parse_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        for kind in ("predictions", "predictions_val"):
+            shutil.copytree(pipeline.out / kind, out / kind)
+        bad = out / "predictions" / "BBB_run1.csv"
+        lines = bad.read_bytes().split(b"\n")
+        lines[2] = b"\xfe" + lines[2]
+        bad.write_bytes(b"\n".join(lines))
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["portfolio", "--config", str(cfg)]) == 3
+        assert read_stderr_json(capsys) == {
+            "error": "ParseError",
+            "message": f"line 3: {bad} is not UTF-8 text",
+        }
 
     def test_regularization_off_records_null_lambda(self, pipeline, tmp_path):
         out2 = tmp_path / "o"

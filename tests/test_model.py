@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dva.autodiff import Tape, Tensor, add, as_tensor, backward, mul, square, sub, sum_
+from dva import model
+from dva.autodiff import Tape, Tensor, add, as_tensor, backward, mul, square, sub, sum_, swish
 from dva.diffusion import make_schedule
 from dva.errors import ConfigError, ContractError, DataError
 from dva.gradcheck import check_params, max_rel_error, _numeric_grad
+from dva.layers import batch_norm, se_gate, separable_conv1d
 from dva.model import (
     ForwardOutput,
     ModelConfig,
@@ -467,8 +469,6 @@ def test_energy_weights_never_move_the_prediction():
 
 
 def test_load_builds_the_expected_shapes_once_per_config(tmp_path, monkeypatch):
-    from dva import model
-
     for seed in range(3):
         save_params(tiny_params(seed), tmp_path / f"ck{seed}.npz")
     model._checkpoint_shapes.cache_clear()
@@ -765,3 +765,112 @@ def test_stacked_gradients_do_not_leak_across_models():
     for p in stacked.parameters():
         assert np.all(grads[p][1] == 0.0), p.name
     assert all(np.any(grads[stacked[k]][0] != 0.0) for k in ("stem.w", "energy.w1", "h"))
+
+
+# ---------------------------------------------------------------------------
+# the residual cell: one taped op over x and its 13 tensors
+# ---------------------------------------------------------------------------
+
+
+def composite_cell(params, prefix, x, training):
+    """The residual cell as the chain of Tensor-level layer ops it fuses,
+    one tape entry per op."""
+    t = params.tensors
+
+    def bn(j, h):
+        return batch_norm(
+            h, t[f"{prefix}.bn{j}.gamma"], t[f"{prefix}.bn{j}.beta"],
+            params.bn_states[f"{prefix}.bn{j}"], training,
+        )
+
+    h = separable_conv1d(swish(bn(1, x)), t[f"{prefix}.conv1.depth"], t[f"{prefix}.conv1.point"])
+    h = separable_conv1d(
+        swish(bn(2, h)), t[f"{prefix}.conv2.depth"], t[f"{prefix}.conv2.point"],
+        t[f"{prefix}.conv2.bias"],
+    )
+    h = se_gate(h, t[f"{prefix}.se.w1"], t[f"{prefix}.se.w2"],
+                t[f"{prefix}.se.b1"], t[f"{prefix}.se.b2"])
+    return add(x, h)
+
+
+def cell_case(training, seed=60):
+    """Two stacks of the same two dense models (running buffers moved off
+    their initial values), a stacked cell input and an output weighting."""
+    r = np.random.default_rng(seed)
+    models = [dense_tiny(seed), dense_tiny(seed + 1)]
+    for m in models:
+        for s in m.bn_states.values():
+            s.mean = r.normal(size=s.mean.shape)
+            s.var = r.uniform(0.5, 2.0, size=s.var.shape)
+    a, b = ModelParams.stack(models), ModelParams.stack(models)
+    x = r.normal(loc=0.2, size=(2, TINY.channels, 3, TINY.t_in))
+    w = r.normal(size=x.shape)
+    return a, b, x, w
+
+
+def cell_inputs(params, x):
+    return [x] + [params[k] for k in model._CELL_TENSORS["enc2"]]
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_fused_cell_matches_composite_of_layer_ops(training):
+    fused, ref, x, w = cell_case(training)
+    results = []
+    for params, cell in ((fused, model._cell), (ref, composite_cell)):
+        xt = Tensor(x.copy())
+        with Tape() as tape:
+            y = cell(params, "enc2", xt, training)
+            loss = sum_(mul(as_tensor(w), y))
+        ins = cell_inputs(params, xt)
+        grads = backward(tape, loss, params=ins)
+        results.append((y.data, [grads[t] for t in ins]))
+    (y_f, g_f), (y_r, g_r) = results
+    assert max_rel_error(y_f, y_r) <= 1e-12
+    assert len(g_f) == 14
+    for got, want in zip(g_f, g_r):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for j in (1, 2):
+        s_f, s_r = fused.bn_states[f"enc2.bn{j}"], ref.bn_states[f"enc2.bn{j}"]
+        assert max_rel_error(s_f.mean, s_r.mean) <= 1e-12
+        assert max_rel_error(s_f.var, s_r.var) <= 1e-12
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_gradcheck_fused_cell(training):
+    # one model; training mode moves the running buffers on every call, but
+    # reads only batch statistics, so the closure stays a pure function
+    params = dense_tiny(70)
+    r = np.random.default_rng(71)
+    for s in params.bn_states.values():
+        s.mean = r.normal(size=s.mean.shape)
+        s.var = r.uniform(0.5, 2.0, size=s.var.shape)
+    x = Tensor(r.normal(size=(TINY.channels, 3, TINY.t_in)))
+    w = Tensor(r.normal(size=x.shape))
+
+    def loss():
+        y = model._cell(params, "enc2", x, training)
+        return sum_(add(mul(w, y), mul(y, y)))
+
+    assert check_params(loss, cell_inputs(params, x)) < 1e-4
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_fused_cell_taped_and_untaped_are_bit_identical(training):
+    # the untaped forward works in place and keeps nothing; it computes the
+    # same numbers in the same order as the taped one
+    taped, untaped, x, _ = cell_case(training, seed=80)
+    with Tape() as tape:
+        y_t = model._cell(taped, "enc2", Tensor(x), training)
+    assert len(tape) == 1
+    y_u = model._cell(untaped, "enc2", Tensor(x), training)
+    np.testing.assert_array_equal(y_t.data, y_u.data)
+    for k, s in taped.bn_states.items():
+        np.testing.assert_array_equal(s.mean, untaped.bn_states[k].mean)
+        np.testing.assert_array_equal(s.var, untaped.bn_states[k].var)
+
+
+def test_fused_cell_leaves_its_input_intact():
+    params, _, x, _ = cell_case(True, seed=90)
+    xt = Tensor(x.copy())
+    model._cell(params, "enc2", xt, True)
+    np.testing.assert_array_equal(xt.data, x)

@@ -82,8 +82,9 @@ def randomized_params(cfg, seed):
 
 
 def test_default_training_step_tape_stays_fused():
-    # Convolution, batch norm and the latent KL are single taped primitives;
-    # spelled out as composites the default step recorded 349 entries.
+    # Convolution, the latent KL and each residual cell are single taped
+    # ops; spelled out as composites the default step recorded 349 entries,
+    # and with one entry per layer of the six cells 198.
     cfg = TrainConfig()
     rng = np.random.default_rng(11)
     params = ModelParams.init(cfg.model_config(), cfg.seed)
@@ -92,7 +93,7 @@ def test_default_training_step_tape_stays_fused():
         loss_t, _ = total_loss(
             batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
         )
-    assert len(tape) < 200
+    assert len(tape) <= 102
     grads = backward(tape, loss_t, params.parameters())
     assert all(np.all(np.isfinite(g)) for g in grads.values())
 
