@@ -35,12 +35,12 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
-    bars, _ = synth_generate(
+    prices, _ = synth_generate(
         SynthSpec(process="sinusoid", length=300, amplitude=0.9, period=10.0, start_price=1.0),
         seed=1,
     )
     cfg = TrainConfig(epochs=1)
-    split = build_dataset(bars, cfg.t_in, cfg.t_out)
+    split = build_dataset(prices, cfg.t_in, cfg.t_out)
 
     stamps: list[float] = []
     adam_step = Adam.step

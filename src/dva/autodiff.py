@@ -71,11 +71,6 @@ class Tensor:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data)
 
-    def require_finite(self, label: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise ContractError(f"{label} contains NaN or Inf")
-        return self
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape})"

@@ -36,9 +36,10 @@ from .data import (
     build_dataset,
     load_ohlcv,
     load_tickers,
-    stack_windows,
+    non_utf8_line,
     synth_generate,
     write_ohlcv,
+    write_tickers,
     write_truth,
 )
 from .errors import (
@@ -183,12 +184,10 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     for k, (name, spec) in enumerate(universe.tickers):
-        bars, r_true = synth_generate(spec, universe.seed + k)
-        write_ohlcv(out / f"{name}.csv", bars)
-        write_truth(out / f"{name}.truth.csv", bars, r_true)
-    (out / "tickers.txt").write_text(
-        "".join(f"{name}\n" for name, _ in universe.tickers)
-    )
+        prices, r_true = synth_generate(spec, universe.seed + k)
+        write_ohlcv(out / f"{name}.csv", prices)
+        write_truth(out / f"{name}.truth.csv", prices, r_true)
+    write_tickers(out / "tickers.txt", [name for name, _ in universe.tickers])
     _write_sidecar(out, "synth", started)
     _emit(
         {
@@ -208,13 +207,13 @@ def cmd_ingest_check(args) -> int:
         raise ConfigError(f"ticker list {rc.tickers_file} is empty")
     report = {}
     for ticker in tickers:
-        bars = load_ohlcv(rc.data_dir, ticker)
-        split = build_dataset(bars, cfg.t_in, cfg.t_out)
+        prices = load_ohlcv(rc.data_dir, ticker)
+        split = build_dataset(prices, cfg.t_in, cfg.t_out)
         report[ticker] = {
-            "rows": len(bars),
-            "first_date": bars[0].date.isoformat(),
-            "last_date": bars[-1].date.isoformat(),
-            "windows": len(split.train) + len(split.validation) + len(split.test),
+            "rows": len(prices.dates),
+            "first_date": prices.dates[0].isoformat(),
+            "last_date": prices.dates[-1].isoformat(),
+            "windows": sum(split.counts()),
             "split": {
                 "train": len(split.train),
                 "val": len(split.validation),
@@ -277,21 +276,19 @@ def cmd_predict(args) -> int:
 
     model_hash = cfg.model_config().hash()
     for ticker in tickers:
-        bars = load_ohlcv(rc.data_dir, ticker)
-        split = build_dataset(bars, cfg.t_in, cfg.t_out)
+        split = build_dataset(load_ohlcv(rc.data_dir, ticker), cfg.t_in, cfg.t_out)
         for run in range(rc.runs):
             ckpt = out / "checkpoints" / f"{ticker}_run{run}.npz"
             if not ckpt.exists():
                 raise DataError(f"missing artifact: no checkpoint {ckpt}")
             params = load_params(ckpt, expected_hash=model_hash)
-            for pairs, sub in (
+            for windows, sub in (
                 (split.test, "predictions"),
                 (split.validation, "predictions_val"),
             ):
-                x, _ = stack_windows(pairs)
-                y_hat = predict(params, x, cfg)
+                y_hat = predict(params, windows.x, cfg)
                 write_predictions(
-                    out / sub / f"{ticker}_run{run}.csv", pairs, y_hat
+                    out / sub / f"{ticker}_run{run}.csv", windows, y_hat
                 )
     _write_sidecar(out, "predict", started)
     _emit(
@@ -309,8 +306,7 @@ def _persistence_report(rc: RunConfig, tickers) -> Report:
     cfg = rc.train
     results = []
     for ticker in tickers:
-        bars = load_ohlcv(rc.data_dir, ticker)
-        split = build_dataset(bars, cfg.t_in, cfg.t_out)
+        split = build_dataset(load_ohlcv(rc.data_dir, ticker), cfg.t_in, cfg.t_out)
         errs = [
             mse(persistence_baseline(p.x, cfg.t_out), p.y) for p in split.test
         ]
@@ -324,8 +320,19 @@ def _report_from_metrics(path) -> Report:
     p = Path(path)
     if not p.exists():
         raise DataError(f"missing artifact: no metrics file {p}")
-    raw = json.loads(p.read_text())
-    per_stock = raw.get("per_stock") or {}
+    try:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ParseError(f"{p} is not UTF-8 text", line=non_utf8_line(p)) from None
+    except json.JSONDecodeError as err:
+        raise DataError(f"metrics file {p}: invalid JSON: {err}") from None
+    per_stock = (raw.get("per_stock") if isinstance(raw, dict) else None) or {}
+    if not isinstance(per_stock, dict) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("runs"), list)
+        and all(isinstance(v, (int, float)) for v in entry["runs"])
+        for entry in per_stock.values()
+    ):
+        raise DataError(f"metrics file {p}: per_stock must list each stock's run MSEs")
     results = [
         StockRunResult(stock=stock, run=i, mse=float(v))
         for stock, entry in per_stock.items()

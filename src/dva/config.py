@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data import SynthSpec
+from .data import SynthSpec, non_utf8_line
 from .errors import ConfigError
 from .portfolio import DEFAULT_GAMMA_GRID
 from .training import TrainConfig
@@ -153,7 +153,9 @@ def _load_json_object(path, where: str) -> dict:
     if not p.exists():
         raise ConfigError(f"{where}: no such file: {p}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{where}: line {non_utf8_line(p)}: not UTF-8 text") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{where}: invalid JSON: {err}") from None
     if not isinstance(raw, dict):

@@ -1,5 +1,8 @@
 """OHLCV ingestion, feature construction, windowing, splits, synthetic data.
 
+A price history is ``Prices(dates, ohlcv)``: its sorted trading days and
+one (L, 5) float64 array whose columns are open, high, low, close, volume.
+
 Features per trading day t (all relative to the previous close c_{t-1}):
 open/high/low ratios, z-scored volume, absolute close change, and the gross
 return r_t = c_t / c_{t-1}. A window pairs T consecutive feature rows with
@@ -13,32 +16,34 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, ContractError, DataError, ParseError
 
 __all__ = [
     "FEATURE_DIM",
     "R_INDEX",
     "SPLIT_RATIO",
-    "PriceBar",
+    "Prices",
     "WindowPair",
+    "Windows",
     "DatasetSplit",
     "SynthSpec",
     "load_ohlcv",
     "load_tickers",
+    "write_tickers",
     "write_ohlcv",
     "featurize",
     "make_windows",
-    "stack_windows",
     "chronological_split",
     "split_sizes",
     "train_volume_stats",
     "build_dataset",
     "synth_generate",
     "write_truth",
-    "load_truth",
 ]
 
 OHLCV_HEADER = ["date", "open", "high", "low", "close", "volume"]
@@ -48,25 +53,11 @@ R_INDEX = 5  # column of the gross return r in the features [o, h, l, v, delta, 
 SPLIT_RATIO = (7, 1, 2)  # train : validation : test windows
 
 
-@dataclass(frozen=True)
-class PriceBar:
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
+class Prices(NamedTuple):
+    """Sorted trading days and their (L, 5) open, high, low, close, volume."""
 
-    def validate(self) -> "PriceBar":
-        if min(self.open, self.high, self.low, self.close) <= 0.0:
-            raise DataError(f"{self.date}: prices must be positive")
-        if self.volume < 0.0:
-            raise DataError(f"{self.date}: volume must be >= 0")
-        if self.low > min(self.open, self.close):
-            raise DataError(f"{self.date}: low exceeds open/close")
-        if self.high < max(self.open, self.close):
-            raise DataError(f"{self.date}: high below open/close")
-        return self
+    dates: list[dt.date]
+    ohlcv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,10 +71,33 @@ class WindowPair:
 
 
 @dataclass(frozen=True)
+class Windows:
+    """N windows: inputs ``x`` (N, 6, T), features as channels, targets ``y``
+    (N, T_out) and anchor dates; item i is window i, anchored at feature row
+    ``start + i``, as a ``WindowPair`` of views."""
+
+    x: np.ndarray
+    y: np.ndarray
+    anchors: list[dt.date]
+    start: int
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, i) -> WindowPair:
+        i = range(len(self))[i]  # IndexError past either end
+        return WindowPair(self.x[i].T, self.y[i], self.anchors[i], self.start + i)
+
+    def part(self, lo: int, hi: int) -> "Windows":
+        """Windows lo..hi-1."""
+        return Windows(self.x[lo:hi], self.y[lo:hi], self.anchors[lo:hi], self.start + lo)
+
+
+@dataclass(frozen=True)
 class DatasetSplit:
-    train: list[WindowPair]
-    validation: list[WindowPair]
-    test: list[WindowPair]
+    train: Windows
+    validation: Windows
+    test: Windows
 
     def counts(self) -> tuple[int, int, int]:
         return (len(self.train), len(self.validation), len(self.test))
@@ -94,9 +108,9 @@ class DatasetSplit:
 # ---------------------------------------------------------------------------
 
 
-def load_ohlcv(path, ticker: str | None = None) -> list[PriceBar]:
-    """Read one price history; ``path`` may be the CSV itself or a directory
-    holding ``<TICKER>.csv``."""
+def load_ohlcv(path, ticker: str | None = None) -> Prices:
+    """Read one price history, sorted by date; ``path`` may be the CSV itself
+    or a directory holding ``<TICKER>.csv``."""
     p = Path(path)
     if p.is_dir():
         if ticker is None:
@@ -107,24 +121,23 @@ def load_ohlcv(path, ticker: str | None = None) -> list[PriceBar]:
     try:
         return _read_ohlcv(p)
     except UnicodeDecodeError:
-        raise not_utf8(p) from None
+        raise ParseError(f"{p} is not UTF-8 text", line=non_utf8_line(p)) from None
 
 
-def not_utf8(path: Path) -> ParseError:
-    """The error for a text file holding bytes that are not UTF-8: it names
-    the file and the line of the first such byte."""
+def non_utf8_line(path: Path) -> int:
+    """The line of the first byte of ``path`` that is not UTF-8."""
     raw = path.read_bytes()
     try:
         raw.decode("utf-8")
         start = len(raw)
     except UnicodeDecodeError as err:
         start = err.start
-    return ParseError(f"{path} is not UTF-8 text", line=raw.count(b"\n", 0, start) + 1)
+    return raw.count(b"\n", 0, start) + 1
 
 
-def _read_ohlcv(p: Path) -> list[PriceBar]:
-    bars: list[PriceBar] = []
-    seen: set[dt.date] = set()
+def _read_ohlcv(p: Path) -> Prices:
+    dates: list[dt.date] = []
+    values: list[float] = []
     with open(p, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -143,42 +156,68 @@ def _read_ohlcv(p: Path) -> list[PriceBar]:
                 raise ParseError(f"expected 6 fields, got {len(row)}", line=lineno)
             try:
                 date = dt.date.fromisoformat(row[0].strip())
-                o, h, l, c, v = (float(x) for x in row[1:])
+                bar = [float(x) for x in row[1:]]
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-            if not all(map(math.isfinite, (o, h, l, c, v))):
+            if not all(map(math.isfinite, bar)):
                 raise ParseError("non-finite value", line=lineno)
-            if date in seen:
-                raise DataError(f"{date}: duplicate date")
-            seen.add(date)
-            bars.append(PriceBar(date, o, h, l, c, v).validate())
-    bars.sort(key=lambda b: b.date)
-    return bars
+            dates.append(date)
+            values += bar
+    ohlcv = np.array(values).reshape(-1, 5)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    # the sort keeps rows of one date in file order: all but the first repeat
+    repeated = np.zeros(len(dates), dtype=bool)
+    repeated[order[1:]] = [dates[i] == dates[j] for i, j in zip(order, order[1:])]
+    _check_bars(dates, ohlcv, repeated)
+    return Prices([dates[i] for i in order], ohlcv[order])
 
 
-def write_ohlcv(path, bars: list[PriceBar]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(OHLCV_HEADER)
-        for b in bars:
-            w.writerow(
-                [b.date.isoformat()]
-                + [f"{x:.10g}" for x in (b.open, b.high, b.low, b.close, b.volume)]
-            )
+def _check_bars(dates: list[dt.date], ohlcv: np.ndarray, repeated: np.ndarray) -> None:
+    """Reject repeated dates and impossible bars: the error names the date
+    of the first offending row and its first broken rule."""
+    o, h, l, c, v = ohlcv.T
+    rules = [
+        (repeated, "duplicate date"),
+        (np.minimum(np.minimum(o, h), np.minimum(l, c)) <= 0.0, "prices must be positive"),
+        (v < 0.0, "volume must be >= 0"),
+        (l > np.minimum(o, c), "low exceeds open/close"),
+        (h < np.maximum(o, c), "high below open/close"),
+    ]
+    faults = [(int(np.argmax(mask)), text) for mask, text in rules if mask.any()]
+    if faults:  # the first row at fault; on a tie, the first rule
+        k, text = min(faults, key=lambda fault: fault[0])
+        raise DataError(f"{dates[k]}: {text}")
+
+
+def write_ohlcv(path, prices: Prices) -> None:
+    """The CSV ``load_ohlcv`` reads, written whole or not at all; values keep
+    10 significant digits. The bytes equal ``csv.writer``'s."""
+    dates, ohlcv = prices
+    row = "{},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g}\r\n".format
+    text = ",".join(OHLCV_HEADER) + "\r\n" + "".join(
+        row(d.isoformat(), *bar) for d, bar in zip(dates, ohlcv.tolist())
+    )
+    with atomic_open(path) as fh:
+        fh.write(text.encode())
 
 
 def load_tickers(path) -> list[str]:
     """Newline-separated ticker symbols; blanks and '#' comments skipped."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read tickers file {path}: {err.strerror}") from None
-    out = []
-    for line in text.splitlines():
-        name = line.strip()
-        if name and not name.startswith("#"):
-            out.append(name)
-    return out
+    except UnicodeDecodeError:
+        line = non_utf8_line(Path(path))
+        raise ConfigError(f"tickers file {path}: line {line}: not UTF-8 text") from None
+    names = (line.strip() for line in text.splitlines())
+    return [name for name in names if name and not name.startswith("#")]
+
+
+def write_tickers(path, names: list[str]) -> None:
+    """One ticker per line, written whole or not at all."""
+    with atomic_open(path) as fh:
+        fh.write("".join(f"{name}\n" for name in names).encode())
 
 
 # ---------------------------------------------------------------------------
@@ -187,56 +226,47 @@ def load_tickers(path) -> list[str]:
 
 
 def featurize(
-    bars: list[PriceBar], volume_stats: tuple[float, float] | None = None
+    prices: Prices, volume_stats: tuple[float, float] | None = None
 ) -> tuple[list[dt.date], np.ndarray]:
     """Drop the first bar (it anchors the normalization) and return the dates
     of the L remaining days with their (L, 6) features [o, h, l, v, delta, r].
     Volume is z-scored with ``volume_stats`` = (mean, std); when omitted, the
     stats of this series' own rows are used."""
-    if len(bars) < 2:
-        raise ContractError(f"featurize needs >= 2 bars, got {len(bars)}")
+    dates, ohlcv = prices
+    if len(dates) < 2:
+        raise ContractError(f"featurize needs >= 2 bars, got {len(dates)}")
     # rows open, high, low, close, volume; contiguous, so that the volume
     # statistics sum exactly as over a freshly built array
-    cols = np.array([(b.open, b.high, b.low, b.close, b.volume) for b in bars]).T.copy()
+    cols = np.ascontiguousarray(ohlcv.T)
     prev = cols[3, :-1]
     zero = np.flatnonzero(prev == 0.0)
     if zero.size:
-        raise DataError(f"{bars[zero[0]].date}: zero close cannot normalize the next day")
+        raise DataError(f"{dates[zero[0]]}: zero close cannot normalize the next day")
     raw_v = cols[4, 1:]
     if volume_stats is None:
         volume_stats = (float(raw_v.mean()), float(raw_v.std()))
     v_mean, v_std = volume_stats
-    features = np.empty((len(bars) - 1, FEATURE_DIM))
+    features = np.empty((len(dates) - 1, FEATURE_DIM))
     features[:, :3] = (cols[:3, 1:] / prev).T
     features[:, 3] = (raw_v - v_mean) / v_std if v_std > 0.0 else 0.0
     features[:, 4] = cols[3, 1:] - prev
     features[:, R_INDEX] = cols[3, 1:] / prev
-    return [b.date for b in bars[1:]], features
+    return dates[1:], features
 
 
-def make_windows(
-    dates: list[dt.date], features: np.ndarray, t_in: int, t_out: int
-) -> list[WindowPair]:
-    """Sliding (X, y) pairs, one per anchor row: max(0, L - T - T' + 1) of them."""
+def make_windows(dates: list[dt.date], features: np.ndarray, t_in: int, t_out: int) -> Windows:
+    """Sliding windows, one per anchor row: max(0, L - T - T' + 1) of them.
+    Window i takes feature rows i..i+T-1 as input and the returns of the
+    T' rows after them as targets."""
     if t_in < 1 or t_out < 1:
         raise ContractError(f"window lengths must be >= 1, got ({t_in}, {t_out})")
-    r_col = features[:, R_INDEX]
-    return [
-        WindowPair(
-            x=features[anchor - t_in + 1 : anchor + 1].copy(),
-            y=r_col[anchor + 1 : anchor + 1 + t_out].copy(),
-            anchor_date=dates[anchor],
-            anchor_index=anchor,
-        )
-        for anchor in range(t_in - 1, len(features) - t_out)
-    ]
-
-
-def stack_windows(pairs: list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Model inputs x (N, 6, t_in), features as channels, and targets y (N, t_out)."""
-    x = np.stack([p.x.T for p in pairs])
-    y = np.stack([p.y for p in pairs])
-    return x, y
+    n = max(0, len(features) - t_in - t_out + 1)
+    first = np.arange(n)[:, None]  # window i starts at feature row i
+    # x keeps each window's rows in time order in memory: the model's sums
+    # follow x's strides, and a C-ordered copy moves forecasts in the last bit
+    x = features[first + np.arange(t_in)].transpose(0, 2, 1)
+    y = features[t_in:, R_INDEX][first + np.arange(t_out)]
+    return Windows(x, y, dates[t_in - 1 : t_in - 1 + n], t_in - 1)
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:
@@ -251,40 +281,37 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n_train, n - n_train - n_test, n_test
 
 
-def chronological_split(pairs: list[WindowPair]) -> DatasetSplit:
+def chronological_split(windows: Windows) -> DatasetSplit:
     """Contiguous prefix/middle/suffix partition in anchor order."""
-    if len(pairs) < 10:
-        raise ConfigError(f"need at least 10 windows to split, got {len(pairs)}")
-    anchors = [p.anchor_index for p in pairs]
-    if anchors != sorted(anchors):
-        raise ContractError("windows must be sorted by anchor before splitting")
-    n_train, n_val, _ = split_sizes(len(pairs))
+    if len(windows) < 10:
+        raise ConfigError(f"need at least 10 windows to split, got {len(windows)}")
+    n_train, n_val, _ = split_sizes(len(windows))
     return DatasetSplit(
-        train=pairs[:n_train],
-        validation=pairs[n_train : n_train + n_val],
-        test=pairs[n_train + n_val :],
+        train=windows.part(0, n_train),
+        validation=windows.part(n_train, n_train + n_val),
+        test=windows.part(n_train + n_val, len(windows)),
     )
 
 
-def train_volume_stats(bars: list[PriceBar], t_in: int, t_out: int) -> tuple[float, float]:
+def train_volume_stats(prices: Prices, t_in: int, t_out: int) -> tuple[float, float]:
     """Volume mean/std over exactly the rows a training window can see.
 
     Train inputs cover feature rows [0, n_train + t_in - 1); using only these
     keeps validation/test volumes out of the normalization.
     """
-    n_rows = len(bars) - 1
-    n_windows = max(0, n_rows - t_in - t_out + 1)
+    n_windows = max(0, len(prices.dates) - t_in - t_out)  # over L - 1 feature rows
     n_train, _, _ = split_sizes(n_windows) if n_windows >= 10 else (n_windows, 0, 0)
-    vols = np.array([b.volume for b in bars[1 : 1 + n_train + t_in - 1]])
+    # contiguous, as in featurize
+    vols = np.ascontiguousarray(prices.ohlcv[1 : n_train + t_in, 4])
     if vols.size == 0:
         raise ConfigError("series too short to compute train volume statistics")
     return float(vols.mean()), float(vols.std())
 
 
-def build_dataset(bars: list[PriceBar], t_in: int, t_out: int) -> DatasetSplit:
+def build_dataset(prices: Prices, t_in: int, t_out: int) -> DatasetSplit:
     """featurize -> window -> split, with leakage-free volume normalization."""
-    stats = train_volume_stats(bars, t_in, t_out)
-    dates, features = featurize(bars, volume_stats=stats)
+    stats = train_volume_stats(prices, t_in, t_out)
+    dates, features = featurize(prices, volume_stats=stats)
     return chronological_split(make_windows(dates, features, t_in, t_out))
 
 
@@ -333,17 +360,12 @@ class SynthSpec:
 
 
 def _trading_days(start: dt.date, count: int) -> list[dt.date]:
-    days = []
-    d = start
-    while len(days) < count:
-        if d.weekday() < 5:
-            days.append(d)
-        d += dt.timedelta(days=1)
-    return days
+    """The first ``count`` weekdays from ``start`` on."""
+    return np.busday_offset(start, np.arange(count), roll="forward").tolist()
 
 
-def synth_generate(spec: SynthSpec, seed: int) -> tuple[list[PriceBar], np.ndarray]:
-    """Generate bars plus the noiseless gross-return series r_true.
+def synth_generate(spec: SynthSpec, seed: int) -> tuple[Prices, np.ndarray]:
+    """Generate a price history plus the noiseless gross-return series r_true.
 
     r_true has one entry per bar from the second onward, aligned with the r
     feature of the same date.
@@ -353,11 +375,9 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[list[PriceBar], np.ndarr
     n = spec.length
     dates = _trading_days(spec.start_date, n)
 
-    mu = np.empty(n)  # mu[0] unused; returns start at t=1
-    mu[0] = 0.0
+    mu = np.zeros(n)  # mu[0] unused; returns start at t=1
     eps = rng.normal(size=n)
-    realized = np.empty(n)
-    realized[0] = 0.0
+    realized = np.zeros(n)
     for t in range(1, n):
         if spec.process == "sinusoid":
             mu[t] = spec.amplitude * math.sin(2.0 * math.pi * t / spec.period + spec.phase)
@@ -368,54 +388,33 @@ def synth_generate(spec: SynthSpec, seed: int) -> tuple[list[PriceBar], np.ndarr
             mu[t] = spec.drift + spec.ar_coeff * (prev - spec.drift)
         realized[t] = mu[t] + spec.noise_scale * eps[t]
 
-    closes = np.empty(n)
-    closes[0] = spec.start_price
-    for t in range(1, n):
-        growth = max(1.0 + realized[t], 1e-6)  # guard absurd negative draws
-        closes[t] = closes[t - 1] * growth
+    growth = np.maximum(1.0 + realized[1:], 1e-6)  # guard absurd negative draws
+    closes = np.cumprod(np.concatenate([[spec.start_price], growth]))
 
     jitter = np.abs(rng.normal(size=n)) * spec.intraday_scale
     vol_z = rng.normal(size=n)
-    bars = []
-    for t in range(n):
-        prev_close = closes[t - 1] if t > 0 else closes[0]
-        open_ = 0.5 * (prev_close + closes[t])
-        hi = max(open_, closes[t]) * (1.0 + jitter[t])
-        lo = min(open_, closes[t]) * max(1.0 - jitter[t], 1e-6)
-        volume = spec.base_volume * math.exp(spec.volume_noise * vol_z[t])
-        bars.append(
-            PriceBar(dates[t], open_, hi, lo, closes[t], volume).validate()
-        )
+    ohlcv = np.empty((n, 5))
+    ohlcv[:, 0] = 0.5 * (np.concatenate([closes[:1], closes[:-1]]) + closes)
+    ohlcv[:, 1] = np.maximum(ohlcv[:, 0], closes) * (1.0 + jitter)
+    ohlcv[:, 2] = np.minimum(ohlcv[:, 0], closes) * np.maximum(1.0 - jitter, 1e-6)
+    ohlcv[:, 3] = closes
+    # libm's exp, which numpy's vectorised exp may differ from in the last bit
+    ohlcv[:, 4] = [spec.base_volume * math.exp(spec.volume_noise * z) for z in vol_z.tolist()]
+    _check_bars(dates, ohlcv, np.zeros(n, dtype=bool))
     r_true = 1.0 + mu[1:]
-    return bars, r_true
+    return Prices(dates, ohlcv), r_true
 
 
-def write_truth(path, bars: list[PriceBar], r_true: np.ndarray) -> None:
-    """Sidecar with one row per bar from the second onward: date,r_true."""
-    if len(r_true) != len(bars) - 1:
+def write_truth(path, prices: Prices, r_true: np.ndarray) -> None:
+    """Sidecar with one row per bar from the second onward: date,r_true;
+    written whole or not at all."""
+    dates = prices.dates
+    if len(r_true) != len(dates) - 1:
         raise ContractError(
-            f"r_true length {len(r_true)} != bars - 1 = {len(bars) - 1}"
+            f"r_true length {len(r_true)} != bars - 1 = {len(dates) - 1}"
         )
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRUTH_HEADER)
-        for bar, r in zip(bars[1:], r_true):
-            w.writerow([bar.date.isoformat(), f"{r:.12g}"])
-
-
-def load_truth(path) -> tuple[list[dt.date], np.ndarray]:
-    dates, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != TRUTH_HEADER:
-            raise ParseError(f"truth header must be {','.join(TRUTH_HEADER)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                dates.append(dt.date.fromisoformat(row[0].strip()))
-                values.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(str(exc), line=lineno) from None
-    return dates, np.array(values)
+    text = ",".join(TRUTH_HEADER) + "\r\n" + "".join(
+        f"{d.isoformat()},{r:.12g}\r\n" for d, r in zip(dates[1:], r_true.tolist())
+    )
+    with atomic_open(path) as fh:
+        fh.write(text.encode())

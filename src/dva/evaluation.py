@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .data import FEATURE_DIM, R_INDEX, WindowPair, not_utf8
+from .data import FEATURE_DIM, R_INDEX, WindowPair, non_utf8_line
 from .errors import ContractError, DataError, ParseError
 
 __all__ = [
@@ -212,15 +212,17 @@ def write_predictions(path, pairs: Sequence[WindowPair], y_hat: np.ndarray) -> N
         raise ContractError(
             f"predictions {y_hat.shape} do not cover {len(pairs)} windows"
         )
+    t_out = y_hat.shape[1]
+    dates, targets = [], []
     for pair in pairs:
         if pair.y.shape != y_hat.shape[1:]:
             raise ContractError(
                 f"horizon mismatch: prediction {y_hat.shape[1:]} vs target {pair.y.shape}"
             )
-    t_out = y_hat.shape[1]
-    dates = [d for p in pairs for d in [p.anchor_date.isoformat()] * t_out]
+        dates += [pair.anchor_date.isoformat()] * t_out
+        targets.append(pair.y)
     steps = list(range(1, t_out + 1)) * len(pairs)
-    y_true = np.array([p.y for p in pairs], dtype=np.float64).ravel()
+    y_true = np.array(targets, dtype=np.float64).ravel()
     # overlapping windows repeat each target up to t_out times: format each
     # distinct value once, keyed by its bits so that -0.0 and 0.0 stay apart
     # (a dict, not np.unique: a first sort pages in numpy's sort kernels,
@@ -282,7 +284,7 @@ def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date]]:
     try:
         lines = p.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError:
-        raise not_utf8(p) from None
+        raise ParseError(f"{p} is not UTF-8 text", line=non_utf8_line(p)) from None
     if lines[-1] == "":
         lines.pop()
     header = next(csv.reader(lines[:1]), None)

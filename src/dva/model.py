@@ -312,11 +312,6 @@ class ModelParams:
         }
         return ModelParams(self.config, t, bn)
 
-    def require_finite(self) -> "ModelParams":
-        for k, v in self.tensors.items():
-            v.require_finite(k)
-        return self
-
 
 def _checkpoint_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     """The named arrays a checkpoint stores, metadata aside."""

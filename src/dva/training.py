@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tape, Tensor, add, as_tensor, backward, mean_, mul, square, sub, sum_
-from .data import FEATURE_DIM, DatasetSplit, WindowPair, build_dataset, load_ohlcv, stack_windows
+from .data import FEATURE_DIM, DatasetSplit, build_dataset, load_ohlcv
 from .diffusion import (
     DiffusionSchedule,
     diffuse_input,
@@ -371,7 +371,7 @@ def train_runs(
     if not split.train or not split.validation:
         raise ConfigError("training needs nonempty train and validation sets")
     schedule = cfg.schedule()
-    x_train, y_train = stack_windows(split.train)
+    x_train, y_train = split.train.x, split.train.y
     models = [ModelParams.init(cfg.model_config(), c.seed) for c in cfgs]
     for m in models:
         # start the output head at the per-step mean of the training
@@ -382,7 +382,7 @@ def train_runs(
 
     rngs = [np.random.default_rng([c.seed, 1]) for c in cfgs]
     opt = Adam(params.parameters(), cfg.lr)
-    n_batches = math.ceil(len(split.train) / cfg.batch_size)
+    n_batches = math.ceil(len(x_train) / cfg.batch_size)
 
     runs = range(len(cfgs))
     epochs: list[list[EpochStats]] = [[] for _ in runs]
@@ -390,7 +390,7 @@ def train_runs(
     best_epoch = [-1 for _ in runs]
     best_params: list[ModelParams | None] = [None for _ in runs]
     for epoch in range(cfg.epochs):
-        orders = [rng.permutation(len(split.train)) for rng in rngs]
+        orders = [rng.permutation(len(x_train)) for rng in rngs]
         sums = np.zeros((len(cfgs), 3))
         for b_idx in range(n_batches):
             batches = []
@@ -414,7 +414,7 @@ def train_runs(
             opt.step(backward(tape, loss_t, params.parameters()))
             sums += [(c.mse, c.kl, c.dsm) for c in comps]
         refresh_norm_stats(params, x_train, cfg)
-        val = evaluate_mse(params, split.validation, cfg)
+        val = evaluate_mse(params, split.validation.x, split.validation.y, cfg)
         for r in runs:
             if not math.isfinite(val[r]):
                 raise TrainingAbort(
@@ -469,12 +469,11 @@ def predict(params: ModelParams, x: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return y_hat.data.copy()
 
 
-def evaluate_mse(params: ModelParams, pairs: Sequence[WindowPair], cfg: TrainConfig):
-    """Deterministic MSE of predict() against the clean targets: a float, or
-    one per model of a stack."""
-    if not pairs:
+def evaluate_mse(params: ModelParams, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
+    """Deterministic MSE of predict() on inputs x (N, 6, t_in) against the
+    clean targets y (N, t_out): a float, or one per model of a stack."""
+    if len(x) == 0:
         raise ConfigError("cannot evaluate on an empty window set")
-    x, y = stack_windows(pairs)
     return np.mean((predict(params, x, cfg) - y) ** 2, axis=(-2, -1))
 
 
@@ -497,8 +496,7 @@ def _experiment_job(args: tuple) -> list[dict]:
         return {"stock": ticker, "run": r, "seed": cfgs[r].seed, "ok": False, "error": str(err)}
 
     try:
-        bars = load_ohlcv(data_dir, ticker)
-        split = build_dataset(bars, cfg.t_in, cfg.t_out)
+        split = build_dataset(load_ohlcv(data_dir, ticker), cfg.t_in, cfg.t_out)
         live = list(range(runs))
         trained = []
         while live:
@@ -508,7 +506,7 @@ def _experiment_job(args: tuple) -> list[dict]:
             except TrainingAbort as err:
                 r = live.pop(err.run)
                 outcomes[r] = failed(r, err)
-        x_test, y_test = stack_windows(split.test)
+        x_test, y_test = split.test.x, split.test.y
         for r, (params, history) in zip(live, trained):
             save_params(params, Path(out_dir) / "checkpoints" / f"{ticker}_run{r}.npz")
             y_hat = predict(params, x_test, cfg)

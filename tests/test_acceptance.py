@@ -41,7 +41,7 @@ from dva.autodiff import (
     upsample_repeat,
 )
 from dva.cli import main
-from dva.data import FEATURE_DIM, SynthSpec, build_dataset, stack_windows, synth_generate
+from dva.data import FEATURE_DIM, SynthSpec, build_dataset, synth_generate
 from dva.diffusion import diffuse_input, diffuse_target, make_schedule
 from dva.errors import DegenerateReturnsError
 from dva.evaluation import StockRunResult, aggregate, persistence_baseline
@@ -92,8 +92,8 @@ def sin_universe(length, noise, seed, *, phase=0.0, amplitude=0.9, period=10.0):
         volume_noise=0.0,
         intraday_scale=0.0,
     )
-    bars, r_true = synth_generate(spec, seed)
-    return build_dataset(bars, 10, 10), r_true
+    prices, r_true = synth_generate(spec, seed)
+    return build_dataset(prices, 10, 10), r_true
 
 
 def truth_windows(pairs, r_true):
@@ -391,9 +391,8 @@ def test_a04_signal_recovery():
     for k, phase in enumerate((0.0, 2.0, 4.0)):
         split, _ = sin_universe(800, 0.0, 101 + k, phase=phase)
         params, _ = train_stock(split, cfg)
-        mse = evaluate_mse(params, split.test, cfg)
-        _, y_test = stack_windows(split.test)
-        target_var = float(y_test.var())
+        mse = evaluate_mse(params, split.test.x, split.test.y, cfg)
+        target_var = float(split.test.y.var())
         pers = float(
             np.mean(
                 [
@@ -435,7 +434,7 @@ def test_a05_noise_robustness():
                 cfgs.append(cfg)
             # the five seeds train together; each run equals train_stock(split, cfg)
             mses = [
-                evaluate_mse(params, split.test, cfg)
+                evaluate_mse(params, split.test.x, split.test.y, cfg)
                 for cfg, (params, _) in zip(cfgs, train_runs(split, cfgs))
             ]
             sds[name] = float(np.std(mses, ddof=1))
@@ -461,7 +460,7 @@ def test_a05_noise_robustness():
 def test_a06_denoise_jump():
     """The one-step correction beats the raw prediction on noisy targets."""
     split, r_true = sin_universe(400, 0.02, 601)
-    x_test, _ = stack_windows(split.test)
+    x_test = split.test.x
     y_true = truth_windows(split.test, r_true)
     wins = 0
     details = []

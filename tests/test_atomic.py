@@ -1,4 +1,5 @@
-"""Checkpoints and prediction files are written whole or not at all."""
+"""Checkpoints, prediction files and synthetic inputs are written whole or
+not at all."""
 
 import datetime as dt
 import errno
@@ -11,7 +12,15 @@ from hypothesis import strategies as st
 
 import dva.atomic
 from dva.atomic import atomic_open
-from dva.data import FEATURE_DIM, WindowPair
+from dva.data import (
+    FEATURE_DIM,
+    SynthSpec,
+    WindowPair,
+    synth_generate,
+    write_ohlcv,
+    write_tickers,
+    write_truth,
+)
 from dva.evaluation import load_predictions, write_predictions
 from dva.model import ModelConfig, ModelParams, load_params, save_params
 
@@ -48,7 +57,14 @@ def write_prediction_file(path):
     write_predictions(path, pairs, np.random.default_rng(4).normal(size=(5, 4)))
 
 
-WRITERS = {"ck.npz": write_checkpoint, "p.csv": write_prediction_file}
+PRICES, R_TRUE = synth_generate(SynthSpec(length=30), seed=2)
+WRITERS = {
+    "ck.npz": write_checkpoint,
+    "p.csv": write_prediction_file,
+    "AAA.csv": lambda path: write_ohlcv(path, PRICES),
+    "AAA.truth.csv": lambda path: write_truth(path, PRICES, R_TRUE),
+    "tickers.txt": lambda path: write_tickers(path, ["AAA", "BBB"]),
+}
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))

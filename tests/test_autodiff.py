@@ -202,11 +202,6 @@ def test_upsample_repeat_rejects_overreach():
         upsample_repeat(Tensor(np.zeros((1, 1, 2))), 5)
 
 
-def test_require_finite_flags_nan():
-    with pytest.raises(ContractError):
-        Tensor(np.array([1.0, np.nan])).require_finite()
-
-
 # ---------------------------------------------------------------------------
 # backward() basics
 # ---------------------------------------------------------------------------

@@ -251,6 +251,30 @@ class TestTrain:
         assert main(["train"]) == 2
         assert "--config" in read_stderr_json(capsys)["message"]
 
+    @pytest.mark.parametrize("kind", ["tickers", "run config", "synth spec"])
+    def test_non_utf8_config_input_is_a_config_error(self, pipeline, tmp_path, capsys, kind):
+        tickers = tmp_path / "tickers.txt"
+        tickers.write_text("AAA\nBBB\n")
+        cfg = write_json(
+            tmp_path / "c.json",
+            run_payload(pipeline.data, tmp_path / "o", tickers_file=str(tickers)),
+        )
+        spec = write_json(tmp_path / "synth.json", synth_payload())
+        bad = {"tickers": tickers, "run config": cfg, "synth spec": spec}[kind]
+        lines = bad.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+        if kind == "synth spec":
+            argv = ["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]
+        else:
+            argv = ["ingest-check", "--config", str(cfg)]
+        assert main(argv) == 2
+        where = {"tickers": "tickers file"}.get(kind, kind)
+        assert read_stderr_json(capsys) == {
+            "error": "ConfigError",
+            "message": f"{where} {bad}: line 2: not UTF-8 text",
+        }
+
 
 class TestPredict:
     def test_validation_predictions_exist(self, pipeline):
@@ -455,6 +479,34 @@ class TestEvaluate:
             f"predictions and baseline {baseline} cover different stocks:"
             " predictions lack ['CCC'], the baseline lacks ['BBB']"
         )
+
+    @pytest.mark.parametrize(
+        "text, error, cause",
+        [
+            (b'{"per_stock": {', "DataError", ": invalid JSON: "),
+            (b'{"per_stock": {"AAA": {"mean": 0.1}}}', "DataError", ": per_stock must list"),
+            (b'{"per_stock": {"AAA": {"runs": [0.1, null]}}}', "DataError", ": per_stock must list"),
+            (b'[0.1]', "DataError", " has no per-stock results"),
+            (b'{\n"per_stock": \xff}', "ParseError", " is not UTF-8 text"),
+        ],
+        ids=["bad-json", "no-runs", "null-run", "not-an-object", "not-utf8"],
+    )
+    def test_malformed_baseline_is_a_data_error(
+        self, pipeline, tmp_path, capsys, text, error, cause
+    ):
+        out2 = tmp_path / "o6"
+        out2.mkdir()
+        shutil.copytree(pipeline.out / "predictions", out2 / "predictions")
+        baseline = tmp_path / "metrics.json"
+        baseline.write_bytes(text)
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out2))
+        argv = ["evaluate", "--config", str(cfg), "--baseline", str(baseline)]
+        assert main(argv) == 3
+        err = read_stderr_json(capsys)
+        assert err["error"] == error
+        prefix = "line 2: " if error == "ParseError" else "metrics file "
+        assert err["message"].startswith(f"{prefix}{baseline}{cause}")
+        assert not (out2 / "report.json").exists()
 
     def test_missing_baseline_file(self, pipeline, tmp_path, capsys):
         out2 = tmp_path / "o3"

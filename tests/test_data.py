@@ -1,40 +1,43 @@
 """Ingestion, features, windows, splits, and synthetic series with truth."""
 
+import csv
 import datetime as dt
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dva.data import (
     FEATURE_DIM,
     R_INDEX,
-    PriceBar,
     SynthSpec,
     build_dataset,
     chronological_split,
     featurize,
     load_ohlcv,
     load_tickers,
-    load_truth,
     make_windows,
     split_sizes,
-    stack_windows,
     synth_generate,
     train_volume_stats,
     write_ohlcv,
     write_truth,
 )
-from dva.errors import ConfigError, ContractError, DataError, ParseError
+from dva.data import OHLCV_HEADER, Prices
+from dva.errors import ConfigError, ContractError, DataError, DvaError, ParseError
 
 
-def bar(day, o, h, l, c, v=1000.0):
-    return PriceBar(dt.date(2020, 1, 1) + dt.timedelta(days=day), o, h, l, c, v)
+def history(rows):
+    """A price history of (o, h, l, c, v) rows on consecutive days."""
+    dates = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(len(rows))]
+    return Prices(dates, np.array(rows, dtype=float).reshape(-1, 5))
 
 
 def constant_bars(n, price=100.0):
-    return [bar(i, price, price, price, price) for i in range(n)]
+    return history([(price, price, price, price, 1000.0)] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +48,8 @@ def constant_bars(n, price=100.0):
 def test_load_empty_after_header(tmp_path):
     f = tmp_path / "X.csv"
     f.write_text("date,open,high,low,close,volume\n")
-    assert load_ohlcv(f) == []
+    dates, ohlcv = load_ohlcv(f)
+    assert dates == [] and ohlcv.shape == (0, 5)
 
 
 def test_load_rejects_low_above_high(tmp_path):
@@ -91,26 +95,151 @@ def test_load_sorts_by_date(tmp_path):
         "2020-01-03,10,11,9,10,5\n"
         "2020-01-02,10,11,9,10,5\n"
     )
-    bars = load_ohlcv(f)
-    assert [b.date.isoformat() for b in bars] == ["2020-01-02", "2020-01-03"]
+    dates, _ = load_ohlcv(f)
+    assert [d.isoformat() for d in dates] == ["2020-01-02", "2020-01-03"]
 
 
 def test_load_roundtrip_756_bars(tmp_path):
-    bars, _ = synth_generate(SynthSpec(length=756, noise_scale=0.01), seed=5)
+    prices, _ = synth_generate(SynthSpec(length=756, noise_scale=0.01), seed=5)
     f = tmp_path / "SYN.csv"
-    write_ohlcv(f, bars)
-    loaded = load_ohlcv(f)
-    assert len(loaded) == 756
-    assert all(a.date == b.date for a, b in zip(loaded, bars))
-    assert loaded == sorted(loaded, key=lambda b: b.date)
+    write_ohlcv(f, prices)
+    dates, ohlcv = load_ohlcv(f)
+    assert len(dates) == 756 and ohlcv.shape == (756, 5)
+    assert dates == prices.dates
+    assert dates == sorted(dates)
+    np.testing.assert_allclose(ohlcv, prices.ohlcv, rtol=1e-9)
 
 
 def test_load_by_ticker_from_directory(tmp_path):
-    bars = constant_bars(5)
-    write_ohlcv(tmp_path / "ABC.csv", bars)
-    assert len(load_ohlcv(tmp_path, "ABC")) == 5
+    write_ohlcv(tmp_path / "ABC.csv", constant_bars(5))
+    assert len(load_ohlcv(tmp_path, "ABC").dates) == 5
     with pytest.raises(DataError):
         load_ohlcv(tmp_path, "MISSING")
+
+
+@dataclass(frozen=True)
+class ReferenceBar:
+    date: dt.date
+    open: float
+    high: float
+    low: float
+    close: float
+    volume: float
+
+    def validate(self):
+        if min(self.open, self.high, self.low, self.close) <= 0.0:
+            raise DataError(f"{self.date}: prices must be positive")
+        if self.volume < 0.0:
+            raise DataError(f"{self.date}: volume must be >= 0")
+        if self.low > min(self.open, self.close):
+            raise DataError(f"{self.date}: low exceeds open/close")
+        if self.high < max(self.open, self.close):
+            raise DataError(f"{self.date}: high below open/close")
+        return self
+
+
+def reference_read_ohlcv(p):
+    """The reader as it was: one validated bar object per row, in file order."""
+    bars = []
+    seen = set()
+    with open(p, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("missing header", line=1) from None
+        if [h.strip().lower() for h in header] != OHLCV_HEADER:
+            raise ParseError(
+                f"header must be {','.join(OHLCV_HEADER)}, got {','.join(header)}",
+                line=1,
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 6:
+                raise ParseError(f"expected 6 fields, got {len(row)}", line=lineno)
+            try:
+                date = dt.date.fromisoformat(row[0].strip())
+                o, h, l, c, v = (float(x) for x in row[1:])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            if not all(map(math.isfinite, (o, h, l, c, v))):
+                raise ParseError("non-finite value", line=lineno)
+            if date in seen:
+                raise DataError(f"{date}: duplicate date")
+            seen.add(date)
+            bars.append(ReferenceBar(date, o, h, l, c, v).validate())
+    bars.sort(key=lambda b: b.date)
+    dates = [b.date for b in bars]
+    ohlcv = np.array([(b.open, b.high, b.low, b.close, b.volume) for b in bars])
+    return dates, ohlcv.reshape(-1, 5)
+
+
+def outcome(read, path):
+    try:
+        dates, ohlcv = read(path)
+    except DvaError as err:
+        return type(err), str(err)
+    return dates, ohlcv.shape, ohlcv.view(np.int64).tolist()
+
+
+# a valid bar from its low, open and close above it, high above both, volume
+BARS = st.tuples(
+    st.floats(1e-3, 1e4), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+    st.floats(0.0, 1e9),
+)
+FAULTS = [
+    "header", "fields", "date", "float", "non-finite", "duplicate",
+    "positive", "volume", "low", "high",
+]
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    days=st.lists(
+        st.dates(dt.date(1990, 1, 1), dt.date(2040, 1, 1)), unique=True, min_size=2, max_size=10
+    ),
+    fault=st.sampled_from([None] + FAULTS),
+    data=st.data(),
+)
+def test_load_matches_row_reference(tmp_path_factory, days, fault, data):
+    rows = []
+    for day in days:
+        low, a, b, d, v = data.draw(BARS)
+        o, c = low * (1.0 + a), low * (1.0 + b)
+        high = max(o, c) * (1.0 + d)
+        rows.append([f" {day.isoformat()}"] + [repr(x) for x in (o, high, low, c, v)])
+    header = ",".join(OHLCV_HEADER)
+    k = data.draw(st.integers(0, len(rows) - 1))
+    o, c = float(rows[k][1]), float(rows[k][4])
+    if fault == "header":
+        header = "date,open,high,low,close"
+    elif fault == "fields":
+        del rows[k][data.draw(st.integers(0, 5))]
+    elif fault == "date":
+        rows[k][0] = "2021-02-30"
+    elif fault == "float":
+        rows[k][data.draw(st.integers(1, 5))] = "1.2.3"
+    elif fault == "non-finite":
+        rows[k][data.draw(st.integers(1, 5))] = data.draw(st.sampled_from(["inf", "-inf", "nan"]))
+    elif fault == "duplicate":
+        rows[k][0] = rows[k - 1][0]
+    elif fault == "positive":
+        rows[k][data.draw(st.integers(1, 4))] = data.draw(st.sampled_from(["0", "-0.0", "-2.5"]))
+    elif fault == "volume":
+        rows[k][5] = "-1e-9"
+    elif fault == "low":
+        rows[k][3] = repr(min(o, c) * 1.5)
+    elif fault == "high":
+        rows[k][2] = repr(max(o, c) * 0.5)
+    lines = [header] + [",".join(r) for r in rows]
+    for _ in range(data.draw(st.integers(0, 2))):  # blank lines are skipped
+        lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from(["", " "])))
+    f = tmp_path_factory.mktemp("ohlcv") / "X.csv"
+    f.write_text("\n".join(lines) + "\n")
+    want = outcome(reference_read_ohlcv, f)
+    assert outcome(load_ohlcv, f) == want
+    assert (fault is None) == (len(want) == 3)
 
 
 def test_load_tickers(tmp_path):
@@ -125,10 +254,10 @@ def test_load_tickers(tmp_path):
 
 
 def test_featurize_hand_example():
-    bars = [bar(0, 100, 100, 100, 100), bar(1, 102, 105, 99, 101)]
-    dates, feats = featurize(bars, volume_stats=(0.0, 1.0))
+    prices = history([(100, 100, 100, 100, 1000), (102, 105, 99, 101, 1000)])
+    dates, feats = featurize(prices, volume_stats=(0.0, 1.0))
     o, h, l, _, delta, r = feats[0]
-    assert dates == [bars[1].date]
+    assert dates == [prices.dates[1]]
     assert (o, h, l, r) == pytest.approx((1.02, 1.05, 0.99, 1.01))
     assert delta == pytest.approx(1.0)
 
@@ -146,8 +275,8 @@ def test_featurize_constant_series():
 
 
 def test_featurize_volume_zscore():
-    bars = [bar(i, 100, 100, 100, 100, v=float(100 + i)) for i in range(5)]
-    _, feats = featurize(bars)  # stats over its own rows
+    prices = history([(100, 100, 100, 100, 100 + i) for i in range(5)])
+    _, feats = featurize(prices)  # stats over its own rows
     vs = feats[:, 3]
     assert vs.mean() == pytest.approx(0.0, abs=1e-12)
     assert vs.std() == pytest.approx(1.0, abs=1e-12)
@@ -159,36 +288,29 @@ def test_featurize_constant_volume_maps_to_zero():
 
 
 def test_feature_row_invariants_hold():
-    bars, _ = synth_generate(SynthSpec(length=50), seed=9)
-    for o, h, l, _, _, r in featurize(bars)[1]:
+    prices, _ = synth_generate(SynthSpec(length=50), seed=9)
+    for o, h, l, _, _, r in featurize(prices)[1]:
         assert l <= min(o, r) + 1e-12
         assert h >= max(o, r) - 1e-12
         assert min(o, h, l, r) > 0
 
 
 def test_featurize_matches_per_row_float_arithmetic():
-    bars, _ = synth_generate(SynthSpec(length=60, noise_scale=0.03), seed=12)
+    prices, _ = synth_generate(SynthSpec(length=60, noise_scale=0.03), seed=12)
     v_mean, v_std = 1.1e6, 2.3e5
+    rows = prices.ohlcv.tolist()
     want = [
-        (
-            b.open / p.close,
-            b.high / p.close,
-            b.low / p.close,
-            (b.volume - v_mean) / v_std,
-            b.close - p.close,
-            b.close / p.close,
-        )
-        for p, b in zip(bars, bars[1:])
+        (o / pc, h / pc, l / pc, (v - v_mean) / v_std, c - pc, c / pc)
+        for (_, _, _, pc, _), (o, h, l, c, v) in zip(rows, rows[1:])
     ]
-    _, feats = featurize(bars, volume_stats=(v_mean, v_std))
+    _, feats = featurize(prices, volume_stats=(v_mean, v_std))
     assert np.array_equal(feats, np.array(want))
 
 
 def test_featurize_rejects_zero_close():
-    bars = [bar(0, 1, 1, 1, 1), bar(1, 1, 1, 1, 1), bar(2, 1, 1, 1, 1)]
-    bars[1] = PriceBar(bars[1].date, 1.0, 1.0, 0.0, 0.0, 1000.0)
-    with pytest.raises(DataError, match=str(bars[1].date)):
-        featurize(bars)
+    prices = history([(1, 1, 1, 1, 1000), (1, 1, 0, 0, 1000), (1, 1, 1, 1, 1000)])
+    with pytest.raises(DataError, match=str(prices.dates[1])):
+        featurize(prices)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +325,12 @@ def test_window_count_formula():
 
 def test_window_count_boundary():
     dates, feats = featurize(constant_bars(20))  # 19 rows < T + T'
-    assert make_windows(dates, feats, 10, 10) == []
+    windows = make_windows(dates, feats, 10, 10)
+    assert len(windows) == 0 and windows.x.shape == (0, FEATURE_DIM, 10)
 
 
 def test_window_targets_follow_anchor():
-    bars = [bar(i, 100 + i, 100 + i, 100 + i, 100 + i) for i in range(12)]
-    dates, feats = featurize(bars)
+    dates, feats = featurize(history([(100 + i,) * 4 + (1000,) for i in range(12)]))
     pairs = make_windows(dates, feats, 3, 2)
     first = pairs[0]
     assert first.anchor_index == 2
@@ -218,13 +340,58 @@ def test_window_targets_follow_anchor():
     assert np.array_equal(first.x[-1], feats[2])
 
 
-def test_stack_windows_layout():
-    bars, _ = synth_generate(SynthSpec(length=40), seed=5)
-    pairs = make_windows(*featurize(bars), 6, 4)
-    x, y = stack_windows(pairs)
-    assert x.shape == (len(pairs), FEATURE_DIM, 6) and y.shape == (len(pairs), 4)
-    for i, p in enumerate(pairs):
-        assert np.array_equal(x[i], p.x.T) and np.array_equal(y[i], p.y)
+def reference_windows(dates, features, t_in, t_out):
+    """Windows as make_windows once built them: one copied (x, y, anchor
+    date, anchor row) per anchor."""
+    r_col = features[:, R_INDEX]
+    return [
+        (features[a - t_in + 1 : a + 1].copy(), r_col[a + 1 : a + 1 + t_out].copy(), dates[a], a)
+        for a in range(t_in - 1, len(features) - t_out)
+    ]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    length=st.integers(2, 60),
+    t_in=st.integers(1, 12),
+    t_out=st.integers(1, 12),
+    seed=st.integers(0, 3),
+)
+@example(length=20, t_in=10, t_out=10, seed=0)  # 19 feature rows: no window
+def test_windows_match_per_anchor_slicing(length, t_in, t_out, seed):
+    dates, feats = featurize(synth_generate(SynthSpec(length=length), seed=seed)[0])
+    windows = make_windows(dates, feats, t_in, t_out)
+    want = reference_windows(dates, feats, t_in, t_out)
+    n = len(want)
+    assert len(windows) == n
+    assert windows.x.shape == (n, FEATURE_DIM, t_in) and windows.y.shape == (n, t_out)
+    if n:  # stacked as the model reads them, features as channels
+        assert np.array_equal(windows.x, np.stack([x.T for x, _, _, _ in want]))
+        assert np.array_equal(windows.y, np.stack([y for _, y, _, _ in want]))
+    assert windows.anchors == [d for _, _, d, _ in want]
+    for i, (x, y, d, a) in enumerate(want):
+        pair = windows[i]
+        assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
+        assert (pair.anchor_date, pair.anchor_index) == (d, a)
+
+
+def test_windows_sequence_contract():
+    split = build_dataset(synth_generate(SynthSpec(length=120), seed=3)[0], 10, 10)
+    test = split.test
+    n = len(test)
+    assert n == len(test.x) == len(test.anchors) > 2
+    for i in (0, np.int64(n - 1), -1):
+        pair = test[i]
+        assert pair.x.shape == (10, FEATURE_DIM)
+        assert np.array_equal(pair.x.T, test.x[i])
+        assert np.array_equal(pair.y, test.y[i])
+        assert pair.anchor_date == test.anchors[i]
+    assert test[np.int64(2)].anchor_index == test.start + 2
+    assert split.validation[0].anchor_index == split.train[-1].anchor_index + 1
+    for i in (n, np.int64(n), -n - 1):
+        with pytest.raises(IndexError):
+            test[i]
+    assert [p.anchor_date for p in test] == test.anchors
 
 
 def test_split_sizes_frozen_examples():
@@ -261,11 +428,10 @@ def test_split_sizes_sum_and_stay_near_ratio(n):
 
 
 def test_windows_tile_with_stride_t_out():
-    bars, _ = synth_generate(SynthSpec(length=100), seed=2)
-    dates, feats = featurize(bars)
+    prices, _ = synth_generate(SynthSpec(length=100), seed=2)
+    dates, feats = featurize(prices)
     t_in, t_out = 5, 4
-    pairs = make_windows(dates, feats, t_in, t_out)[::t_out]
-    tiled = np.concatenate([p.y for p in pairs])
+    tiled = make_windows(dates, feats, t_in, t_out).y[::t_out].ravel()
     r_seq = feats[:, R_INDEX]
     start = t_in  # first target index
     assert np.array_equal(tiled, r_seq[start : start + len(tiled)])
@@ -278,24 +444,27 @@ def test_windows_tile_with_stride_t_out():
 
 def test_synth_noiseless_constant_drift():
     spec = SynthSpec(process="ar1", noise_scale=0.0, ar_coeff=0.0, drift=0.001, length=50)
-    bars, r_true = synth_generate(spec, seed=0)
+    prices, r_true = synth_generate(spec, seed=0)
     assert np.all(r_true == 1.001)
-    realized = np.array([b2.close / b1.close for b1, b2 in zip(bars, bars[1:])])
+    closes = prices.ohlcv[:, 3]
+    realized = closes[1:] / closes[:-1]
     assert np.allclose(realized, 1.001, atol=1e-12)
 
 
 def test_synth_same_seed_is_identical():
     spec = SynthSpec(length=60)
-    a_bars, a_truth = synth_generate(spec, seed=42)
-    b_bars, b_truth = synth_generate(spec, seed=42)
-    assert a_bars == b_bars
+    (a_dates, a_ohlcv), a_truth = synth_generate(spec, seed=42)
+    (b_dates, b_ohlcv), b_truth = synth_generate(spec, seed=42)
+    assert a_dates == b_dates
+    assert np.array_equal(a_ohlcv, b_ohlcv)
     assert np.array_equal(a_truth, b_truth)
 
 
 def test_synth_return_variance_tracks_noise_scale():
     spec = SynthSpec(process="random_walk", noise_scale=0.02, drift=0.0, length=10_001)
-    bars, _ = synth_generate(spec, seed=3)
-    r = np.array([b2.close / b1.close for b1, b2 in zip(bars, bars[1:])])
+    prices, _ = synth_generate(spec, seed=3)
+    closes = prices.ohlcv[:, 3]
+    r = closes[1:] / closes[:-1]
     assert abs(r.var() - 0.02**2) < 0.05 * 0.02**2
 
 
@@ -307,31 +476,34 @@ def test_synth_rejects_bad_config():
 
 
 def test_synth_bars_satisfy_ohlc_invariants():
-    bars, _ = synth_generate(SynthSpec(length=300, noise_scale=0.03), seed=8)
-    for b in bars:
-        b.validate()
-    dates = [b.date for b in bars]
+    (dates, ohlcv), _ = synth_generate(SynthSpec(length=300, noise_scale=0.03), seed=8)
+    o, h, l, c, v = ohlcv.T
+    assert np.all(ohlcv[:, :4] > 0.0) and np.all(v >= 0.0)
+    assert np.all(l <= np.minimum(o, c)) and np.all(h >= np.maximum(o, c))
     assert dates == sorted(dates)
     assert all(d.weekday() < 5 for d in dates)
 
 
 def test_synth_sinusoid_truth_matches_signal():
     spec = SynthSpec(process="sinusoid", amplitude=0.02, period=40.0, noise_scale=0.0, length=90)
-    bars, r_true = synth_generate(spec, seed=1)
+    prices, r_true = synth_generate(spec, seed=1)
     t = np.arange(1, 90)
     want = 1.0 + 0.02 * np.sin(2.0 * np.pi * t / 40.0)
     assert np.allclose(r_true, want, atol=1e-15)
-    realized = np.array([b2.close / b1.close for b1, b2 in zip(bars, bars[1:])])
+    closes = prices.ohlcv[:, 3]
+    realized = closes[1:] / closes[:-1]
     assert np.allclose(realized, want, atol=1e-12)
 
 
 def test_truth_sidecar_roundtrip(tmp_path):
-    bars, r_true = synth_generate(SynthSpec(length=40), seed=6)
+    prices, r_true = synth_generate(SynthSpec(length=40), seed=6)
     f = tmp_path / "syn.truth.csv"
-    write_truth(f, bars, r_true)
-    dates, values = load_truth(f)
-    assert dates == [b.date for b in bars[1:]]
-    assert np.allclose(values, r_true, atol=1e-12)
+    write_truth(f, prices, r_true)
+    with open(f, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["date", "r_true"]
+    assert [dt.date.fromisoformat(d) for d, _ in rows] == prices.dates[1:]
+    assert np.allclose([float(r) for _, r in rows], r_true, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +512,20 @@ def test_truth_sidecar_roundtrip(tmp_path):
 
 
 def test_close_reconstructs_from_returns():
-    bars, _ = synth_generate(SynthSpec(length=200, noise_scale=0.02), seed=4)
-    r = featurize(bars)[1][:, R_INDEX]
-    recon = bars[0].close * np.cumprod(r)
-    closes = np.array([b.close for b in bars[1:]])
+    prices, _ = synth_generate(SynthSpec(length=200, noise_scale=0.02), seed=4)
+    r = featurize(prices)[1][:, R_INDEX]
+    recon = prices.ohlcv[0, 3] * np.cumprod(r)
+    closes = prices.ohlcv[1:, 3]
     assert np.max(np.abs(recon - closes) / closes) < 1e-12
 
 
 def test_build_dataset_volume_stats_exclude_test_region():
-    bars, _ = synth_generate(SynthSpec(length=120), seed=10)
+    prices, _ = synth_generate(SynthSpec(length=120), seed=10)
     t_in, t_out = 5, 3
-    mean, std = train_volume_stats(bars, t_in, t_out)
-    split = build_dataset(bars, t_in, t_out)
+    mean, std = train_volume_stats(prices, t_in, t_out)
+    split = build_dataset(prices, t_in, t_out)
     n_train = len(split.train)
-    train_vols = np.array([b.volume for b in bars[1 : 1 + n_train + t_in - 1]])
+    train_vols = prices.ohlcv[1 : 1 + n_train + t_in - 1, 4]
     assert mean == pytest.approx(train_vols.mean())
     assert std == pytest.approx(train_vols.std())
     # z-scoring with these stats centers exactly the train-visible rows
@@ -362,10 +534,11 @@ def test_build_dataset_volume_stats_exclude_test_region():
 
 
 def test_build_dataset_deterministic():
-    bars, _ = synth_generate(SynthSpec(length=150), seed=11)
-    a = build_dataset(bars, 6, 4)
-    b = build_dataset(bars, 6, 4)
+    prices, _ = synth_generate(SynthSpec(length=150), seed=11)
+    a = build_dataset(prices, 6, 4)
+    b = build_dataset(prices, 6, 4)
     assert a.counts() == b.counts()
-    for pa, pb in zip(a.train + a.validation + a.test, b.train + b.validation + b.test):
-        assert np.array_equal(pa.x, pb.x)
-        assert np.array_equal(pa.y, pb.y)
+    for wa, wb in zip((a.train, a.validation, a.test), (b.train, b.validation, b.test)):
+        assert np.array_equal(wa.x, wb.x)
+        assert np.array_equal(wa.y, wb.y)
+        assert wa.anchors == wb.anchors

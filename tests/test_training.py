@@ -55,8 +55,8 @@ def tiny_split(seed=0, length=80, **spec_kw):
         start_price=1.0,
         **spec_kw,
     )
-    bars, _ = synth_generate(spec, seed=seed)
-    return build_dataset(bars, TINY.t_in, TINY.t_out)
+    prices, _ = synth_generate(spec, seed=seed)
+    return build_dataset(prices, TINY.t_in, TINY.t_out)
 
 
 def random_batch(cfg, rng, batch=5):
@@ -431,7 +431,7 @@ class TestTrainStock:
     def test_best_checkpoint_frozen_at_best_epoch(self):
         split = tiny_split()
         params, hist = train_stock(split, replace(TINY, epochs=3))
-        assert evaluate_mse(params, split.validation, TINY) == pytest.approx(
+        assert evaluate_mse(params, split.validation.x, split.validation.y, TINY) == pytest.approx(
             hist.best_val_mse()
         )
 
@@ -508,8 +508,7 @@ class TestRefreshNormStats:
         params = ModelParams.init(cfg.model_config(), 0)
         before_w = {k: t.data.copy() for k, t in params.tensors.items()}
         before_bn = {k: s.mean.copy() for k, s in params.bn_states.items()}
-        x = np.stack([p.x.T for p in split.train])
-        refresh_norm_stats(params, x, cfg)
+        refresh_norm_stats(params, split.train.x, cfg)
         for k, t in params.tensors.items():
             np.testing.assert_array_equal(t.data, before_w[k])
         moved = any(
@@ -528,8 +527,7 @@ class TestPredict:
     def trained(self):
         split = tiny_split()
         params, _ = train_stock(split, TINY)
-        x = np.stack([p.x.T for p in split.test])
-        return params, x
+        return params, split.test.x
 
     def test_output_shape_and_repeatability(self):
         params, x = self.trained()
@@ -577,8 +575,9 @@ class TestPredict:
 
     def test_evaluate_mse_empty(self):
         params, _ = self.trained()
+        x, y = np.empty((0, FEATURE_DIM, TINY.t_in)), np.empty((0, TINY.t_out))
         with pytest.raises(ConfigError):
-            evaluate_mse(params, [], TINY)
+            evaluate_mse(params, x, y, TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +596,8 @@ def write_universe(data_dir, tickers, length=80):
             phase=0.7 * k,
             start_price=1.0,
         )
-        bars, _ = synth_generate(spec, seed=50 + k)
-        write_ohlcv(data_dir / f"{ticker}.csv", bars)
+        prices, _ = synth_generate(spec, seed=50 + k)
+        write_ohlcv(data_dir / f"{ticker}.csv", prices)
 
 
 class TestRunExperiment:
@@ -644,10 +643,9 @@ class TestRunExperiment:
         from dva.data import load_ohlcv
 
         split = build_dataset(load_ohlcv(data, "AAA"), self.CFG.t_in, self.CFG.t_out)
-        x = np.stack([p.x.T for p in split.test])
         y_hat, _, _ = load_predictions(out / "predictions" / "AAA_run0.csv")
         np.testing.assert_array_equal(
-            predict(params, x, self.CFG).ravel(), y_hat
+            predict(params, split.test.x, self.CFG).ravel(), y_hat
         )
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -739,8 +737,8 @@ class TestRunExperiment:
         write_universe(data / "..", [])  # no-op; keep directory layout simple
         # a ticker with too little history fails inside its own job
         spec = SynthSpec(process="sinusoid", length=15, start_price=1.0)
-        bars, _ = synth_generate(spec, seed=0)
-        write_ohlcv(data / "SHORT.csv", bars)
+        prices, _ = synth_generate(spec, seed=0)
+        write_ohlcv(data / "SHORT.csv", prices)
         metrics = run_experiment(
             ["GOOD", "SHORT"], data, self.CFG, tmp_path / "out", runs=1
         )
