@@ -1,12 +1,16 @@
-"""Whole-file artifact writes: a file is either complete or absent."""
+"""Whole-file artifact writes, the package's only file writer: a file is
+either complete or absent."""
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
 
-__all__ = ["atomic_open"]
+__all__ = ["atomic_open", "write_csv", "write_json"]
 
 
 @contextmanager
@@ -24,3 +28,18 @@ def atomic_open(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, payload) -> None:
+    """Two-space-indented JSON with sorted keys and a final newline."""
+    with atomic_open(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+
+
+def write_csv(path, header, rows) -> None:
+    """A header and rows in ``csv.writer``'s dialect: ``\\r\\n`` line ends,
+    quotes only where a field needs them."""
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    with atomic_open(path) as fh:
+        fh.write(text.getvalue().encode())

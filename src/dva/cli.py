@@ -16,7 +16,6 @@ functions of (config, data, seed); wall-clock information goes only to the
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime as dt
 import json
@@ -26,6 +25,7 @@ import sys
 import time
 from pathlib import Path
 
+from .atomic import write_csv, write_json
 from .config import (
     RunConfig,
     SynthUniverse,
@@ -33,6 +33,7 @@ from .config import (
     load_synth_spec,
 )
 from .data import (
+    R_INDEX,
     build_dataset,
     load_ohlcv,
     load_tickers,
@@ -57,7 +58,6 @@ from .evaluation import (
     StockRunResult,
     aggregate,
     mse,
-    persistence_baseline,
     report_as_dict,
     uncertainty_improvement,
     write_predictions,
@@ -106,12 +106,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _resolve_out(flag_value, cfg_out: str | None) -> Path:
     """--out beats the config, which beats the DVA_OUT environment root."""
     for candidate in (flag_value, cfg_out, os.environ.get("DVA_OUT")):
@@ -143,7 +137,7 @@ def _clear(paths) -> None:
 def _write_sidecar(out: Path, command: str, started: float) -> None:
     """Timestamps live here and only here, so reruns stay byte-identical
     everywhere else."""
-    _write_json(
+    write_json(
         out / "run_info.json",
         {
             "command": command,
@@ -247,7 +241,7 @@ def cmd_train(args) -> int:
     )
     metrics["run_config"] = rc.as_dict()
     metrics["run_config_hash"] = rc.hash()
-    _write_json(out / "metrics.json", metrics)
+    write_json(out / "metrics.json", metrics)
     _write_sidecar(out, "train", started)
     if metrics["partial"]:
         raise DvaError(
@@ -306,12 +300,11 @@ def _persistence_report(rc: RunConfig, tickers) -> Report:
     cfg = rc.train
     results = []
     for ticker in tickers:
-        split = build_dataset(load_ohlcv(rc.data_dir, ticker), cfg.t_in, cfg.t_out)
-        errs = [
-            mse(persistence_baseline(p.x, cfg.t_out), p.y) for p in split.test
-        ]
+        test = build_dataset(load_ohlcv(rc.data_dir, ticker), cfg.t_in, cfg.t_out).test
+        # per-window MSEs of the last gross return carried over the horizon
+        errs = ((test.x[:, R_INDEX, -1:] - test.y) ** 2).mean(axis=1)
         results.append(
-            StockRunResult(stock=ticker, run=0, mse=float(sum(errs) / len(errs)))
+            StockRunResult(stock=ticker, run=0, mse=sum(errs.tolist()) / len(errs))
         )
     return aggregate(results)
 
@@ -322,6 +315,8 @@ def _report_from_metrics(path) -> Report:
         raise DataError(f"missing artifact: no metrics file {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as err:
+        raise DataError(f"metrics file {p}: cannot read: {err.strerror}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{p} is not UTF-8 text", line=non_utf8_line(p)) from None
     except json.JSONDecodeError as err:
@@ -371,7 +366,7 @@ def cmd_evaluate(args) -> int:
     rows = uncertainty_improvement(before, model_report)
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(
+    write_json(
         out / "report.json",
         {
             "schema_version": 1,
@@ -439,7 +434,7 @@ def cmd_portfolio(args) -> int:
     }
     payload.update(portfolio_report_as_dict(report))
     payload["warnings"] = tuning_warnings + payload["warnings"]
-    _write_json(out / "portfolio.json", payload)
+    write_json(out / "portfolio.json", payload)
     (out / "weights").mkdir(parents=True, exist_ok=True)
     for run_result in report.runs:
         write_weights_csv(
@@ -498,6 +493,7 @@ def cmd_sweep(args) -> int:
             metrics = run_experiment(
                 tickers, rc.data_dir, cell_cfg, cell_dir, runs=rc.runs, jobs=args.jobs
             )
+            write_json(cell_dir / "metrics.json", metrics)
             agg = metrics["aggregate"] or {}
             any_partial = any_partial or metrics["partial"]
             rows.append(
@@ -509,10 +505,7 @@ def cmd_sweep(args) -> int:
                     str(metrics["partial"]).lower(),
                 ]
             )
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        writer.writerows(rows)
+    write_csv(out / "summary.csv", SWEEP_HEADER, rows)
     _write_sidecar(out, "sweep", started)
     if any_partial:
         raise DvaError(f"sweep had failing cells; partial summary kept at {out}")

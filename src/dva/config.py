@@ -154,6 +154,8 @@ def _load_json_object(path, where: str) -> dict:
         raise ConfigError(f"{where}: no such file: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ConfigError(f"{where}: cannot read: {err.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{where}: line {non_utf8_line(p)}: not UTF-8 text") from None
     except json.JSONDecodeError as err:

@@ -120,6 +120,8 @@ def load_ohlcv(path, ticker: str | None = None) -> Prices:
         raise DataError(f"no such price file: {p}")
     try:
         return _read_ohlcv(p)
+    except OSError as err:
+        raise DataError(f"price file {p}: cannot read: {err.strerror}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{p} is not UTF-8 text", line=non_utf8_line(p)) from None
 

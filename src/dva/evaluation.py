@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv
 from .data import FEATURE_DIM, R_INDEX, WindowPair, non_utf8_line
 from .errors import ContractError, DataError, ParseError
 
@@ -191,11 +191,8 @@ def uncertainty_improvement(report_a: Report, report_b: Report) -> list[Uncertai
 
 
 def write_uncertainty_csv(path, rows: Sequence[UncertaintyRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(UNCERTAINTY_HEADER)
-        for r in rows:
-            writer.writerow([r.stock, repr(float(r.sd_before)), repr(float(r.pct_mse_change))])
+    cells = ([r.stock, repr(float(r.sd_before)), repr(float(r.pct_mse_change))] for r in rows)
+    write_csv(path, UNCERTAINTY_HEADER, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +280,8 @@ def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date]]:
         raise DataError(f"missing artifact: no prediction file {p}")
     try:
         lines = p.read_text(encoding="utf-8").split("\n")
+    except OSError as err:
+        raise DataError(f"prediction file {p}: cannot read: {err.strerror}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{p} is not UTF-8 text", line=non_utf8_line(p)) from None
     if lines[-1] == "":

@@ -380,7 +380,7 @@ def _read_npz(path) -> tuple[str | None, np.ndarray | None]:
         with np.load(path, allow_pickle=False) as f:
             meta = str(f["__meta__"]) if "__meta__" in f.files else None
             return meta, (f["values"] if "values" in f.files else None)
-    except (EOFError, OSError, ValueError, zipfile.BadZipFile) as err:
+    except (EOFError, NotImplementedError, OSError, ValueError, zipfile.BadZipFile) as err:
         raise DataError(
             f"checkpoint {path}: not a readable .npz archive ({type(err).__name__})"
         ) from None

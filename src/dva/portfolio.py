@@ -12,7 +12,6 @@ windows tiling the evaluated span.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .atomic import write_csv
 from .errors import (
     ConfigError,
     ContractError,
@@ -659,11 +659,9 @@ def write_weights_csv(path, report: BacktestReport, run: int) -> None:
     chosen = next((r for r in report.runs if r.run == run), None)
     if chosen is None:
         raise ContractError(f"report has no run {run}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEIGHTS_HEADER)
-        for p in chosen.periods:
-            for ticker in sorted(p.weights):
-                writer.writerow(
-                    [p.period_start.isoformat(), ticker, repr(p.weights[ticker])]
-                )
+    rows = (
+        [p.period_start.isoformat(), ticker, repr(p.weights[ticker])]
+        for p in chosen.periods
+        for ticker in sorted(p.weights)
+    )
+    write_csv(path, WEIGHTS_HEADER, rows)

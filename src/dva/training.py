@@ -536,13 +536,13 @@ def run_experiment(
     runs: int = 5,
     jobs: int = 1,
 ) -> dict:
-    """Train stocks x runs, write prediction/checkpoint/metrics artifacts.
+    """Train stocks x runs, write checkpoint and prediction artifacts, and
+    return the metrics dict; the caller writes it.
 
     Run r uses seed cfg.seed + r. The job unit is a stock: its runs train
     together in one process, and ``jobs`` processes share the stocks.
     Per-(stock, run) failures are recorded and the experiment continues;
-    the metrics carry a ``partial`` flag. Returns the metrics dict that was
-    written to ``<out_dir>/metrics.json``.
+    the metrics carry a ``partial`` flag.
     """
     cfg.validate()
     if runs < 1:
@@ -600,7 +600,4 @@ def run_experiment(
         "partial": bool(failures),
         "warnings": warnings,
     }
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return metrics

@@ -1,9 +1,11 @@
-"""Checkpoints, prediction files and synthetic inputs are written whole or
-not at all."""
+"""Every artifact is written whole or not at all, and only through
+``dva.atomic``."""
 
+import ast
 import datetime as dt
 import errno
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dva.atomic
-from dva.atomic import atomic_open
+from dva.atomic import atomic_open, write_csv, write_json
 from dva.data import (
     FEATURE_DIM,
     SynthSpec,
@@ -21,8 +23,14 @@ from dva.data import (
     write_tickers,
     write_truth,
 )
-from dva.evaluation import load_predictions, write_predictions
+from dva.evaluation import (
+    UncertaintyRow,
+    load_predictions,
+    write_predictions,
+    write_uncertainty_csv,
+)
 from dva.model import ModelConfig, ModelParams, load_params, save_params
+from dva.portfolio import BacktestReport, PeriodResult, RunBacktest, write_weights_csv
 
 TINY = ModelConfig(t_in=8, t_out=4, channels=4, latent=2, se_reduction=2, energy_hidden=6)
 
@@ -57,13 +65,37 @@ def write_prediction_file(path):
     write_predictions(path, pairs, np.random.default_rng(4).normal(size=(5, 4)))
 
 
+def write_weights_file(path):
+    periods = tuple(
+        PeriodResult(
+            period_start=dt.date(2021, 2, 1) + dt.timedelta(days=7 * k),
+            sharpe=0.5, equal_weight_sharpe=0.4,
+            weights={"AAA": 0.1 * k, "BBB": 1.0 - 0.1 * k},
+            qp_iterations=3, lasso_sweeps=None,
+        )
+        for k in range(6)
+    )
+    run = RunBacktest(run=0, periods=periods, avg_sharpe=0.5, avg_equal_weight_sharpe=0.4)
+    report = BacktestReport(
+        gamma_risk=1.0, lam=None, runs=(run,), avg_sharpe=0.5, avg_equal_weight_sharpe=0.4
+    )
+    write_weights_csv(path, report, 0)
+
+
 PRICES, R_TRUE = synth_generate(SynthSpec(length=30), seed=2)
+PAYLOAD = {"kind": "metrics", "per_stock": {"AAA": {"runs": [0.25, 1e-300]}}, "ok": True}
 WRITERS = {
     "ck.npz": write_checkpoint,
     "p.csv": write_prediction_file,
     "AAA.csv": lambda path: write_ohlcv(path, PRICES),
     "AAA.truth.csv": lambda path: write_truth(path, PRICES, R_TRUE),
     "tickers.txt": lambda path: write_tickers(path, ["AAA", "BBB"]),
+    "metrics.json": lambda path: write_json(path, PAYLOAD),
+    "summary.csv": lambda path: write_csv(path, ["a", "b"], [["1,5", 'say "x"'], ["", "2"]]),
+    "uncertainty.csv": lambda path: write_uncertainty_csv(
+        path, [UncertaintyRow("AAA", 0.125, -3.5), UncertaintyRow("BBB", 0.5, 12.0)]
+    ),
+    "weights_run0.csv": write_weights_file,
 }
 
 
@@ -119,3 +151,121 @@ def test_temp_name_matches_no_artifact_pattern(tmp_path, name):
         fh.write(b"x")
     assert temp.endswith(".tmp") and not temp.endswith((".csv", ".npz"))
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_helpers_write_the_bytes_of_json_dump_and_csv_writer(tmp_path):
+    import csv
+    import json
+
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(PAYLOAD, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    rows = [["1,5", 'say "x"'], ["", "2"], ["line\nbreak", "3"]]
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b"])
+        writer.writerows(rows)
+    write_json(tmp_path / "m.json", PAYLOAD)
+    write_csv(tmp_path / "m.csv", ["a", "b"], iter(rows))
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one writer: no module but dva/atomic.py opens a file for writing
+# ---------------------------------------------------------------------------
+
+FILE_TAKERS = {"json.dump": 1, "np.save": 0, "np.savez": 0, "np.savez_compressed": 0,
+               "csv.writer": 0}
+
+
+def _is_write_mode(node) -> bool:
+    """A mode argument that writes, appends or creates; one the code works
+    out at run time counts, since it may."""
+    if not isinstance(node, ast.Constant):
+        return True
+    text = node.value
+    return isinstance(text, str) and set(text) <= set("rwxabt+") and bool(set(text) & set("wxa+"))
+
+
+def write_faults(source: str) -> list[str]:
+    tree = ast.parse(source)
+    handles = {
+        item.optional_vars.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.With)
+        for item in node.items
+        if isinstance(item.context_expr, ast.Call)
+        and ast.unparse(item.context_expr.func) in ("atomic_open", "dva.atomic.atomic_open")
+        and isinstance(item.optional_vars, ast.Name)
+    }
+    faults = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        name = func.rsplit(".", 1)[-1]
+        where = f"line {node.lineno}: {func}"
+        if name == "open":
+            modes = [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
+            # open(path, mode) and os.open(path, flags); Path.open(mode)
+            modes += node.args[1:2] if isinstance(node.func, ast.Name) or func in (
+                "io.open", "os.open") else node.args[:1]
+            if any(_is_write_mode(m) for m in modes):
+                faults.append(where)
+        elif name in ("write_text", "write_bytes"):
+            faults.append(where)
+        elif func in FILE_TAKERS:
+            k = FILE_TAKERS[func]
+            target = node.args[k] if len(node.args) > k else None
+            if not (isinstance(target, ast.Name) and target.id in handles):
+                faults.append(where)
+    return faults
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'open(p, "w")',
+        'open(p, mode="ab")',
+        'open(p, "r+")',
+        'open(p, m)',
+        'Path(p).open("x")',
+        'os.open(p, os.O_WRONLY)',
+        'p.write_text("x")',
+        'p.write_bytes(b"x")',
+        'json.dump(d, p)',
+        'with open(p, "w") as fh:\n    json.dump(d, fh)',
+        'np.save(p, a)',
+        'np.savez(p, a=a)',
+        'csv.writer(fh)',
+    ],
+)
+def test_guard_finds_each_kind_of_write(source):
+    assert write_faults(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "open(p)",
+        'open(p, "rb")',
+        'open(p, newline="", encoding="utf-8")',
+        'zf.open("values.npy")',
+        'with atomic_open(p) as fh:\n    np.savez(fh, a=a)\n    json.dump(d, fh)',
+    ],
+)
+def test_guard_passes_reads_and_atomic_handles(source):
+    assert write_faults(source) == []
+
+
+def test_only_dva_atomic_writes_files():
+    src = Path(dva.atomic.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    faults = {
+        m.name: write_faults(m.read_text(encoding="utf-8"))
+        for m in modules
+        if m.name != "atomic.py"
+    }
+    assert {name: f for name, f in faults.items() if f} == {}

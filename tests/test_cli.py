@@ -1,15 +1,20 @@
 """End-to-end command-line pipeline: artifacts, determinism, error JSON."""
 
 import csv
+import dataclasses
 import json
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dva.cli import DEFAULT_WEIGHT_GRID, main
-from dva.evaluation import load_predictions
+import dva.atomic
+from dva.cli import DEFAULT_WEIGHT_GRID, _persistence_report, main
+from dva.config import load_run_config
+from dva.data import build_dataset, load_ohlcv
+from dva.evaluation import load_predictions, persistence_baseline
 
 LENGTH = 160
 
@@ -204,6 +209,24 @@ class TestTrain:
         assert metrics["run_config"]["data_dir"] == str(pipeline.data)
         assert metrics["run_config_hash"]
         assert (pipeline.out / "run_info.json").exists()
+
+    def test_metrics_replaced_once_with_run_config(self, pipeline, tmp_path, monkeypatch):
+        real_replace = dva.atomic.os.replace
+        written = []
+
+        def record(src, dst):
+            if Path(dst).name == "metrics.json":
+                written.append(json.loads(Path(src).read_text()))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(dva.atomic.os, "replace", record)
+        out = tmp_path / "o"
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out, runs=1))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert len(written) == 1
+        assert written[0]["run_config"] == load_run_config(cfg).as_dict()
+        assert written[0]["run_config_hash"] == load_run_config(cfg).hash()
+        assert written[0] == json.loads((out / "metrics.json").read_text())
 
     def test_checkpoints_and_predictions(self, pipeline):
         for ticker in ("AAA", "BBB"):
@@ -404,6 +427,18 @@ class TestEvaluate:
         assert len(rows) == 3
         sds = [float(r[1]) for r in rows[1:]]
         assert sds == sorted(sds)
+
+    @pytest.mark.parametrize("t_out", [1, 3, 7])
+    def test_persistence_matches_per_window_reference(self, pipeline, t_out):
+        rc = load_run_config(pipeline.cfg)
+        rc = dataclasses.replace(rc, train=dataclasses.replace(rc.train, t_out=t_out))
+        report = _persistence_report(rc, ["AAA", "BBB"])
+        for stock in report.stocks:
+            test = build_dataset(load_ohlcv(pipeline.data, stock.stock), 8, t_out).test
+            errs = [
+                float(np.mean((persistence_baseline(p.x, t_out) - p.y) ** 2)) for p in test
+            ]
+            assert stock.runs == (sum(errs) / len(errs),)
 
     def test_missing_predictions(self, pipeline, tmp_path, capsys):
         cfg = write_json(
@@ -733,6 +768,43 @@ class TestPlumbing:
         cfg = write_json(tmp_path / "c.json", payload)
         assert main(["evaluate", "--config", str(cfg)]) == 0
         assert (out2 / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "case, code, error",
+        [
+            ("run config", 2, "ConfigError"),
+            ("synth spec", 2, "ConfigError"),
+            ("baseline", 3, "DataError"),
+            ("prediction file", 3, "DataError"),
+            ("price file", 3, "DataError"),
+        ],
+    )
+    def test_directory_in_place_of_a_file(self, pipeline, tmp_path, capsys, case, code, error):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline.out / "predictions", out / "predictions")
+        data = tmp_path / "data"
+        shutil.copytree(pipeline.data, data)
+        cfg = write_json(tmp_path / "c.json", run_payload(data, out))
+        bad = {
+            "run config": tmp_path / "run.json",
+            "synth spec": tmp_path / "synth.json",
+            "baseline": tmp_path / "metrics.json",
+            "prediction file": out / "predictions" / "AAA_run0.csv",
+            "price file": data / "AAA.csv",
+        }[case]
+        bad.unlink(missing_ok=True)
+        bad.mkdir()
+        argv = {
+            "run config": ["ingest-check", "--config", str(bad)],
+            "synth spec": ["synth", "--spec", str(bad), "--out", str(tmp_path / "d")],
+            "baseline": ["evaluate", "--config", str(cfg), "--baseline", str(bad)],
+            "prediction file": ["evaluate", "--config", str(cfg)],
+            "price file": ["ingest-check", "--config", str(cfg)],
+        }[case]
+        assert main(argv) == code
+        err = read_stderr_json(capsys)
+        assert err["error"] == error
+        assert str(bad) in err["message"] and "Is a directory" in err["message"]
 
     def test_success_stdout_is_json(self, pipeline, capsys):
         assert main(["ingest-check", "--config", str(pipeline.cfg)]) == 0

@@ -609,8 +609,8 @@ class TestRunExperiment:
         write_universe(data, ["AAA", "BBB"])
         metrics = run_experiment(["AAA", "BBB"], data, self.CFG, out, runs=2)
 
-        assert (out / "metrics.json").exists()
-        assert metrics == json.loads((out / "metrics.json").read_text())
+        # the caller writes metrics.json, once, with its run config added
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoints", "predictions"]
         for ticker in ("AAA", "BBB"):
             for run in (0, 1):
                 assert (out / "checkpoints" / f"{ticker}_run{run}.npz").exists()
@@ -651,13 +651,14 @@ class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         data = tmp_path / "data"
         write_universe(data, ["AAA"])
-        outs = []
+        outs, texts = [], []
         for name in ("out1", "out2"):
             out = tmp_path / name
-            run_experiment(["AAA"], data, self.CFG, out, runs=2)
+            metrics = run_experiment(["AAA"], data, self.CFG, out, runs=2)
             outs.append(out)
+            texts.append(json.dumps(metrics, sort_keys=True))
+        assert texts[0] == texts[1]
         for rel in (
-            "metrics.json",
             "predictions/AAA_run0.csv",
             "predictions/AAA_run1.csv",
         ):
@@ -670,8 +671,7 @@ class TestRunExperiment:
         parallel = tmp_path / "parallel"
         m1 = run_experiment(["AAA", "BBB"], data, self.CFG, serial, runs=2, jobs=1)
         m2 = run_experiment(["AAA", "BBB"], data, self.CFG, parallel, runs=2, jobs=2)
-        assert m1 == m2
-        assert (serial / "metrics.json").read_bytes() == (parallel / "metrics.json").read_bytes()
+        assert json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)
         for ticker in ("AAA", "BBB"):
             for run in (0, 1):
                 name = f"{ticker}_run{run}"
@@ -693,7 +693,9 @@ class TestRunExperiment:
         data = tmp_path / "data"
         write_universe(data, ["AAA"])
         clean = tmp_path / "clean"
-        run_experiment(["AAA"], data, self.CFG, clean, runs=3)
+        clean_details = run_experiment(["AAA"], data, self.CFG, clean, runs=3)[
+            "per_stock"
+        ]["AAA"]
 
         real = tr.make_batch
 
@@ -711,7 +713,6 @@ class TestRunExperiment:
         assert "non-finite loss" in metrics["failures"][0]["error"]
         details = metrics["per_stock"]["AAA"]["run_details"]
         assert [d["run"] for d in details] == [0, 2]
-        clean_details = json.loads((clean / "metrics.json").read_text())["per_stock"]["AAA"]
         assert details == [clean_details["run_details"][r] for r in (0, 2)]
         assert not (out / "predictions" / "AAA_run1.csv").exists()
         assert not (out / "checkpoints" / "AAA_run1.npz").exists()
