@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import datetime as dt
 import json
+import math
 import os
 import shutil
 import sys
@@ -34,10 +35,13 @@ from .config import (
 )
 from .data import (
     R_INDEX,
+    DatasetSplit,
+    Prices,
     build_dataset,
     load_ohlcv,
     load_tickers,
     non_utf8_line,
+    price_file,
     synth_generate,
     write_ohlcv,
     write_tickers,
@@ -193,16 +197,21 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _dataset(rc: RunConfig, ticker: str) -> tuple[Prices, DatasetSplit]:
+    """One ticker's prices and their split; errors name the ticker and file."""
+    prices = load_ohlcv(rc.data_dir, ticker)
+    where = f"ticker {ticker}, price file {price_file(rc.data_dir, ticker)}"
+    return prices, build_dataset(prices, rc.train.t_in, rc.train.t_out, where)
+
+
 def cmd_ingest_check(args) -> int:
     rc = _config_from(args)
-    cfg = rc.train
     tickers = load_tickers(rc.tickers_file)
     if not tickers:
         raise ConfigError(f"ticker list {rc.tickers_file} is empty")
     report = {}
     for ticker in tickers:
-        prices = load_ohlcv(rc.data_dir, ticker)
-        split = build_dataset(prices, cfg.t_in, cfg.t_out)
+        prices, split = _dataset(rc, ticker)
         report[ticker] = {
             "rows": len(prices.dates),
             "first_date": prices.dates[0].isoformat(),
@@ -270,7 +279,7 @@ def cmd_predict(args) -> int:
 
     model_hash = cfg.model_config().hash()
     for ticker in tickers:
-        split = build_dataset(load_ohlcv(rc.data_dir, ticker), cfg.t_in, cfg.t_out)
+        split = _dataset(rc, ticker)[1]
         for run in range(rc.runs):
             ckpt = out / "checkpoints" / f"{ticker}_run{run}.npz"
             if not ckpt.exists():
@@ -297,10 +306,9 @@ def cmd_predict(args) -> int:
 
 def _persistence_report(rc: RunConfig, tickers) -> Report:
     """Deterministic last-value-carried-forward results on the test split."""
-    cfg = rc.train
     results = []
     for ticker in tickers:
-        test = build_dataset(load_ohlcv(rc.data_dir, ticker), cfg.t_in, cfg.t_out).test
+        test = _dataset(rc, ticker)[1].test
         # per-window MSEs of the last gross return carried over the horizon
         errs = ((test.x[:, R_INDEX, -1:] - test.y) ** 2).mean(axis=1)
         results.append(
@@ -345,10 +353,13 @@ def cmd_evaluate(args) -> int:
     targets = [out / "report.json", out / "uncertainty.csv"]
     _refuse_overwrite(targets, args.force)
 
-    model_report = aggregate(
-        StockRunResult(f.stock, f.run, mse(f.y_hat, f.y_true))
-        for f in load_prediction_frames(out / "predictions")
-    )
+    results = []
+    for f in load_prediction_frames(out / "predictions"):
+        err = mse(f.y_hat, f.y_true)
+        if not math.isfinite(err):
+            raise DataError(f"prediction file {f.path}: the forecast errors have no finite MSE")
+        results.append(StockRunResult(f.stock, f.run, err))
+    model_report = aggregate(results)
     tickers = load_tickers(rc.tickers_file)
     if args.baseline:
         before = _report_from_metrics(args.baseline)

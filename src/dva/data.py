@@ -32,6 +32,7 @@ __all__ = [
     "Windows",
     "DatasetSplit",
     "SynthSpec",
+    "price_file",
     "load_ohlcv",
     "load_tickers",
     "write_tickers",
@@ -108,14 +109,20 @@ class DatasetSplit:
 # ---------------------------------------------------------------------------
 
 
-def load_ohlcv(path, ticker: str | None = None) -> Prices:
-    """Read one price history, sorted by date; ``path`` may be the CSV itself
-    or a directory holding ``<TICKER>.csv``."""
+def price_file(path, ticker: str | None = None) -> Path:
+    """``path`` itself, or ``<TICKER>.csv`` in it when it is a directory."""
     p = Path(path)
     if p.is_dir():
         if ticker is None:
             raise ContractError("a ticker is required when path is a directory")
         p = p / f"{ticker}.csv"
+    return p
+
+
+def load_ohlcv(path, ticker: str | None = None) -> Prices:
+    """Read one price history, sorted by date; ``path`` may be the CSV itself
+    or a directory holding ``<TICKER>.csv``."""
+    p = price_file(path, ticker)
     if not p.exists():
         raise DataError(f"no such price file: {p}")
     try:
@@ -295,24 +302,32 @@ def chronological_split(windows: Windows) -> DatasetSplit:
     )
 
 
-def train_volume_stats(prices: Prices, t_in: int, t_out: int) -> tuple[float, float]:
+def train_volume_stats(
+    prices: Prices, t_in: int, t_out: int, source: str = "price history"
+) -> tuple[float, float]:
     """Volume mean/std over exactly the rows a training window can see.
 
     Train inputs cover feature rows [0, n_train + t_in - 1); using only these
-    keeps validation/test volumes out of the normalization.
+    keeps validation/test volumes out of the normalization. A history too
+    short to split into 10 windows is a ``DataError`` naming ``source``.
     """
-    n_windows = max(0, len(prices.dates) - t_in - t_out)  # over L - 1 feature rows
-    n_train, _, _ = split_sizes(n_windows) if n_windows >= 10 else (n_windows, 0, 0)
+    need = t_in + t_out + 10  # the first bar anchors the features
+    if len(prices.dates) < need:
+        raise DataError(
+            f"{source}: {len(prices.dates)} bars, but t_in={t_in} and t_out={t_out}"
+            f" need at least {need} to split into 10 windows"
+        )
+    n_train, _, _ = split_sizes(len(prices.dates) - t_in - t_out)
     # contiguous, as in featurize
     vols = np.ascontiguousarray(prices.ohlcv[1 : n_train + t_in, 4])
-    if vols.size == 0:
-        raise ConfigError("series too short to compute train volume statistics")
     return float(vols.mean()), float(vols.std())
 
 
-def build_dataset(prices: Prices, t_in: int, t_out: int) -> DatasetSplit:
+def build_dataset(
+    prices: Prices, t_in: int, t_out: int, source: str = "price history"
+) -> DatasetSplit:
     """featurize -> window -> split, with leakage-free volume normalization."""
-    stats = train_volume_stats(prices, t_in, t_out)
+    stats = train_volume_stats(prices, t_in, t_out, source)
     dates, features = featurize(prices, volume_stats=stats)
     return chronological_split(make_windows(dates, features, t_in, t_out))
 

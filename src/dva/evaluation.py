@@ -50,14 +50,16 @@ UNCERTAINTY_HEADER = ["stock", "sd_before", "pct_mse_change"]
 
 
 def mse(pred, target) -> float:
-    """Mean of squared differences over every element."""
+    """Mean of squared differences over every element; inf, without a
+    warning, where the squares overflow."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     if p.shape != t.shape:
         raise ContractError(f"mse needs matching shapes, got {p.shape} vs {t.shape}")
     if p.size == 0:
         raise ContractError("mse of empty sequences is undefined")
-    return float(np.mean((p - t) ** 2))
+    with np.errstate(over="ignore"):
+        return float(np.mean((p - t) ** 2))
 
 
 def persistence_baseline(window, t_out: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,8 +57,8 @@ DEFAULT_GAMMA_GRID = tuple(float(10.0 ** (-1 + k / 4)) for k in range(13))
 GLASSO_JITTER = 1e-8
 GLASSO_TOL = 1e-7
 GLASSO_MAX_SWEEPS = 200
-# Simplex QP: the stationarity residual that ends the ascent, and its
-# iteration cap.
+# Simplex QP: the stationarity residual that accepts weights, and the
+# ascent's iteration cap.
 QP_TOL = 1e-8
 QP_MAX_ITER = 10_000
 
@@ -223,7 +223,8 @@ def graphical_lasso(sigma, lam: float) -> Precision:
 
 @dataclass(frozen=True)
 class Weights:
-    """Long-only capital fractions and the solver iterations they took."""
+    """Long-only capital fractions and the solver's iterations: its KKT
+    solves, or its ascent's residual tests where the ascent ran."""
 
     w: np.ndarray
     iterations: int = 0
@@ -249,84 +250,75 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
 def _stationarity(w: np.ndarray, grad: np.ndarray) -> float:
     """Simplex KKT residual: equal gradients on the support, none larger off it."""
     support = w > 1e-12
-    tau = float(w[support] @ grad[support])  # sum w = 1 on the support
-    return max(
-        float(np.max(np.abs(grad[support] - tau))),
-        float(np.max(np.maximum(grad[~support] - tau, 0.0), initial=0.0)),
-    )
+    excess = grad - float(w[support] @ grad[support])  # sum w = 1 on the support
+    return float(np.where(support, np.abs(excess), excess).max(initial=0.0))
 
 
-def _face_optimum(mu, sig, gamma_risk, face) -> np.ndarray | None:
-    """Maximizer of the objective on the affine hull of one simplex face:
-    solves [γΣ_FF 1; 1ᵀ 0][w_F; ν] = [μ_F; 1]. None when that system is
-    singular, or its solution is not strictly inside the face or not
-    stationary on the whole simplex to ``QP_TOL``."""
-    k = int(face.sum())
-    kkt = np.ones((k + 1, k + 1))
-    kkt[:k, :k] = gamma_risk * sig[np.ix_(face, face)]
-    kkt[k, k] = 0.0
-    rhs = np.append(mu[face], 1.0)
-    try:
-        sol = np.linalg.solve(kkt, rhs)[:k]
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)) or sol.min() <= 0.0:
-        return None
-    w = np.zeros(mu.size)
-    w[face] = sol / sol.sum()
-    if _stationarity(w, mu - gamma_risk * (sig @ w)) >= QP_TOL:
-        return None
-    return w
+def _walk(mu, sig, gamma_risk, face, seen) -> tuple[np.ndarray | None, int]:
+    """Walk simplex faces from ``face``, solving each face's KKT system
+    [γΣ_FF 1; 1ᵀ 0][w_F; ν] = [μ_F; 1]: drop stocks solved <= 0, else add
+    the off-face stock of largest gradient. Returns the first strictly
+    positive, ``QP_TOL``-stationary solution (None on a face in ``seen``, a
+    singular or non-finite system, or 2S + 1 faces) and the solves made."""
+    solves = 0
+    for _ in range(2 * mu.size + 1):
+        key = face.tobytes()
+        if key in seen:
+            break
+        seen.add(key)
+        idx = np.flatnonzero(face)
+        k = idx.size
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = gamma_risk * sig[idx[:, None], idx]
+        kkt[k, k] = 0.0
+        rhs = np.ones(k + 1)
+        rhs[:k] = mu[idx]
+        solves += 1
+        try:
+            sol = np.linalg.solve(kkt, rhs)[:k]
+        except np.linalg.LinAlgError:
+            break
+        total = sol.sum()  # not finite when any entry is not
+        if not np.isfinite(total):
+            break
+        face = face.copy()
+        if sol.min() <= 0.0:
+            face[idx[sol <= 0.0]] = False
+            continue
+        w = np.zeros(mu.size)
+        w[idx] = sol / total
+        grad = mu - gamma_risk * (sig @ w)
+        if _stationarity(w, grad) < QP_TOL:
+            return w, solves
+        off = np.flatnonzero(~face)
+        if not off.size:
+            break
+        face[off[np.argmax(grad[off])]] = True
+    return None, solves
 
 
-def mean_variance_weights(mu, sigma_eff, gamma_risk: float) -> Weights:
-    """Maximize w'mu - (gamma_risk/2) w'Σw over the no-short simplex.
-
-    Projected gradient ascent with the fixed step 1/(gamma_risk * ||Σ||₂),
-    accelerated by exact face steps: once two iterates in a row share a
-    support, the optimum on that face comes from its KKT system, and it
-    replaces the iterate if it is strictly positive and stationary. A face
-    whose system is singular (a raw covariance of more stocks than horizon
-    days) or whose optimum fails is left to the gradient steps and not
-    solved again. Stops at a stationarity residual below ``QP_TOL``
-    (equalized gradients on the support, no ascent direction off it) or
-    errors after ``QP_MAX_ITER`` iterations; ``iterations`` counts the
-    residual tests.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    sig = np.asarray(sigma_eff, dtype=np.float64)
-    if mu.ndim != 1 or sig.shape != (mu.size, mu.size):
-        raise ContractError(f"shape mismatch: mu {mu.shape}, sigma {sig.shape}")
-    if not np.allclose(sig, sig.T, atol=1e-10):
-        raise ContractError("sigma_eff must be symmetric")
-    if gamma_risk <= 0:
-        raise ContractError(f"gamma_risk must be > 0, got {gamma_risk}")
-    s = mu.size
-    spectral = float(np.linalg.eigvalsh(sig)[-1]) if s > 1 else float(sig[0, 0])
+def _ascent(mu, sig, gamma_risk, seen) -> Weights:
+    """Projected gradient ascent from the uniform split, step 1/(γ‖Σ‖₂),
+    ended early by a walk from a support two iterates share; ``iterations``
+    counts its residual tests."""
+    spectral = float(np.linalg.eigvalsh(sig)[-1]) if mu.size > 1 else float(sig[0, 0])
     if spectral <= 0.0:
-        # degenerate quadratic: the objective is linear, the argmax is the
-        # uniform split over the best-mean stocks (deterministic tie rule)
         best = mu == mu.max()
-        return Weights(w=best / best.sum()).validate()
-
+        return Weights(w=best / best.sum())
     step = 1.0 / (gamma_risk * spectral)
-    w = np.full(s, 1.0 / s)
+    w = np.full(mu.size, 1.0 / mu.size)
     last_support = None
-    failed_face = None
     for it in range(1, QP_MAX_ITER + 1):
         grad = mu - gamma_risk * (sig @ w)
         resid = _stationarity(w, grad)
         if resid < QP_TOL:
             break
         support = w > 1e-12
-        if np.array_equal(support, last_support) and not np.array_equal(
-            support, failed_face
-        ):
-            face_w = _face_optimum(mu, sig, gamma_risk, support)
+        if np.array_equal(support, last_support):
+            face_w, _ = _walk(mu, sig, gamma_risk, support, seen)
             if face_w is not None:
                 w = face_w
                 break
-            failed_face = support
         last_support = support
         w = _project_simplex(w + step * grad)
     else:
@@ -334,7 +326,36 @@ def mean_variance_weights(mu, sigma_eff, gamma_risk: float) -> Weights:
             f"mean-variance ascent did not converge in {QP_MAX_ITER} iterations",
             residual=resid,
         )
-    return Weights(w=np.maximum(w, 0.0), iterations=it).validate()
+    return Weights(w=np.maximum(w, 0.0), iterations=it)
+
+
+def _weights_path(mu, sigma_eff, gammas: Sequence[float]) -> list[Weights]:
+    """``mean_variance_weights`` at each ascending gamma, each walk started
+    from the previous gamma's support."""
+    mu = np.asarray(mu, dtype=np.float64)
+    sig = np.asarray(sigma_eff, dtype=np.float64)
+    if mu.ndim != 1 or sig.shape != (mu.size, mu.size):
+        raise ContractError(f"shape mismatch: mu {mu.shape}, sigma {sig.shape}")
+    if not np.allclose(sig, sig.T, atol=1e-10):
+        raise ContractError("sigma_eff must be symmetric")
+    if min(gammas) <= 0:
+        raise ContractError(f"gamma_risk must be > 0, got {min(gammas)}")
+    face = mu == mu.max()
+    path = []
+    for gamma in gammas:
+        seen: set[bytes] = set()
+        w, solves = _walk(mu, sig, gamma, face, seen)
+        weights = _ascent(mu, sig, gamma, seen) if w is None else Weights(w, solves)
+        path.append(weights.validate())
+        face = weights.w > 0.0
+    return path
+
+
+def mean_variance_weights(mu, sigma_eff, gamma_risk: float) -> Weights:
+    """Maximize w'mu - (gamma_risk/2) w'Σw over the no-short simplex: the
+    face walk from the best-mean stocks, or the ascent where it fails (a
+    singular face: a raw covariance of more stocks than horizon days)."""
+    return _weights_path(mu, sigma_eff, (gamma_risk,))[0]
 
 
 def equal_weights(s: int) -> Weights:
@@ -375,6 +396,7 @@ class PredictionFrame:
     anchors: tuple[dt.date, ...]
     y_hat: np.ndarray  # (windows, t_out) gross returns
     y_true: np.ndarray  # (windows, t_out) gross returns
+    path: Path | None = None  # the prediction file read, if any
 
     def by_anchor(self) -> dict[dt.date, int]:
         return {a: i for i, a in enumerate(self.anchors)}
@@ -409,6 +431,7 @@ def load_prediction_frames(pred_dir) -> list[PredictionFrame]:
                 anchors=tuple(anchors),
                 y_hat=y_hat.reshape(-1, t_out),
                 y_true=y_true.reshape(-1, t_out),
+                path=f,
             )
         )
     if not frames:
@@ -460,6 +483,7 @@ class _Period:
     sigma_eff: np.ndarray  # (S, S) sample covariance or inverse lasso precision
     realized_net: np.ndarray  # (S, t_out) realized net returns
     lasso_sweeps: int | None  # None = raw covariance, no lasso
+    equal_weight_sharpe: float
 
 
 @dataclass(frozen=True)
@@ -471,9 +495,13 @@ class _PreparedRun:
     periods: tuple[_Period | str, ...]  # a string is a skipped period's warning
 
 
+def _degenerate(run: int, anchor: dt.date) -> str:
+    return f"run {run}: period {anchor.isoformat()} skipped, degenerate realized returns"
+
+
 def _prepare_run(frames: Sequence[PredictionFrame], lam: float | None) -> _PreparedRun:
-    """Moments, effective covariance and realized returns of every period:
-    the graphical lasso runs here, once per period, whatever the gamma."""
+    """Moments, effective covariance, realized returns and equal-weight
+    Sharpe of every period: the graphical lasso runs here, once per period."""
     stocks = sorted(f.stock for f in frames)
     by_stock = {f.stock: f for f in frames}
     row_of = {f.stock: f.by_anchor() for f in frames}
@@ -481,6 +509,7 @@ def _prepare_run(frames: Sequence[PredictionFrame], lam: float | None) -> _Prepa
     t_out = frames[0].y_hat.shape[1]
     if any(f.y_hat.shape[1] != t_out for f in frames):
         raise DataError(f"run {run}: stocks disagree on the prediction horizon")
+    eq_w = equal_weights(len(stocks)).w
     periods: list[_Period | str] = []
     for anchor in _period_anchors(frames):
         rows_hat, rows_true = [], []
@@ -496,9 +525,13 @@ def _prepare_run(frames: Sequence[PredictionFrame], lam: float | None) -> _Prepa
             i = row_of[s][anchor]
             rows_hat.append(f.y_hat[i])
             rows_true.append(f.y_true[i])
-        pred = np.array(rows_hat)
         realized_net = np.array(rows_true) - 1.0
-        moments = prediction_moments(pred)
+        try:
+            sr_eq = sharpe(eq_w @ realized_net)
+        except DegenerateReturnsError:
+            periods.append(_degenerate(run, anchor))
+            continue
+        moments = prediction_moments(np.array(rows_hat))
         if lam is None:
             sigma_eff, sweeps = moments.sigma, None
         else:
@@ -506,7 +539,7 @@ def _prepare_run(frames: Sequence[PredictionFrame], lam: float | None) -> _Prepa
             sigma_eff = np.linalg.inv(precision.theta)
             sigma_eff = (sigma_eff + sigma_eff.T) / 2.0
             sweeps = precision.sweeps
-        periods.append(_Period(anchor, moments.mu, sigma_eff, realized_net, sweeps))
+        periods.append(_Period(anchor, moments.mu, sigma_eff, realized_net, sweeps, sr_eq))
     return _PreparedRun(run=run, stocks=tuple(stocks), periods=tuple(periods))
 
 
@@ -520,35 +553,38 @@ def _prepare(frames: Iterable[PredictionFrame], lam: float | None) -> list[_Prep
     return [_prepare_run(by_run[run], lam) for run in sorted(by_run)]
 
 
+def _scored(prepared: Sequence[_PreparedRun]) -> Iterator[_Period]:
+    """The periods that get weights, in run and calendar order."""
+    return (p for prep in prepared for p in prep.periods if not isinstance(p, str))
+
+
 def _score(
-    prepared: Sequence[_PreparedRun], gamma_risk: float, lam: float | None
+    prepared: Sequence[_PreparedRun],
+    weights: Iterator[Weights],
+    gamma_risk: float,
+    lam: float | None,
 ) -> BacktestReport:
-    """Weights and Sharpe ratios at one gamma over prepared periods."""
+    """Sharpe ratios at one gamma of the scored periods' ``weights``."""
     warnings: list[str] = []
     runs = []
     for prep in prepared:
-        eq_w = equal_weights(len(prep.stocks)).w
         periods = []
         for period in prep.periods:
             if isinstance(period, str):
                 warnings.append(period)
                 continue
-            w = mean_variance_weights(period.mu, period.sigma_eff, gamma_risk)
+            w = next(weights)
             try:
                 sr = sharpe(w.w @ period.realized_net)
-                sr_eq = sharpe(eq_w @ period.realized_net)
             except DegenerateReturnsError:
-                warnings.append(
-                    f"run {prep.run}: period {period.start.isoformat()} skipped,"
-                    " degenerate realized returns"
-                )
+                warnings.append(_degenerate(prep.run, period.start))
                 continue
             periods.append(
                 PeriodResult(
                     period_start=period.start,
                     sharpe=sr,
-                    equal_weight_sharpe=sr_eq,
-                    weights=dict(zip(prep.stocks, (float(x) for x in w.w))),
+                    equal_weight_sharpe=period.equal_weight_sharpe,
+                    weights=dict(zip(prep.stocks, w.w.tolist())),
                     qp_iterations=w.iterations,
                     lasso_sweeps=period.lasso_sweeps,
                 )
@@ -592,7 +628,9 @@ def backtest(
     at that penalty. Periods with a missing stock or degenerate realized
     returns are skipped and reported in the warnings.
     """
-    return _score(_prepare(frames, lam), gamma_risk, lam)
+    prepared = _prepare(frames, lam)
+    weights = (mean_variance_weights(p.mu, p.sigma_eff, gamma_risk) for p in _scored(prepared))
+    return _score(prepared, weights, gamma_risk, lam)
 
 
 def tune_gamma(
@@ -602,15 +640,18 @@ def tune_gamma(
 ) -> float:
     """Grid-search the risk aversion by average Sharpe; ties take the
     smallest value so stronger risk aversion must earn its keep. The
-    gamma-free period inputs, graphical lasso included, are built once."""
+    gamma-free period inputs, graphical lasso included, are built once, and
+    each period's weights come from one walk along the sorted grid."""
     if not grid:
         raise ConfigError("gamma grid is empty")
+    gammas = sorted(float(g) for g in grid)
     prepared = _prepare(frames, lam)
+    paths = [_weights_path(p.mu, p.sigma_eff, gammas) for p in _scored(prepared)]
     best_gamma = None
     best_score = -np.inf
-    for gamma in sorted(float(g) for g in grid):
+    for k, gamma in enumerate(gammas):
         try:
-            report = _score(prepared, gamma, lam)
+            report = _score(prepared, (path[k] for path in paths), gamma, lam)
         except ConfigError:
             continue
         if report.avg_sharpe > best_score:

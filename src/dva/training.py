@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tape, Tensor, add, as_tensor, backward, mean_, mul, square, sub, sum_
-from .data import FEATURE_DIM, DatasetSplit, build_dataset, load_ohlcv
+from .data import FEATURE_DIM, DatasetSplit, build_dataset, load_ohlcv, price_file
 from .diffusion import (
     DiffusionSchedule,
     diffuse_input,
@@ -496,7 +496,8 @@ def _experiment_job(args: tuple) -> list[dict]:
         return {"stock": ticker, "run": r, "seed": cfgs[r].seed, "ok": False, "error": str(err)}
 
     try:
-        split = build_dataset(load_ohlcv(data_dir, ticker), cfg.t_in, cfg.t_out)
+        where = f"ticker {ticker}, price file {price_file(data_dir, ticker)}"
+        split = build_dataset(load_ohlcv(data_dir, ticker), cfg.t_in, cfg.t_out, where)
         live = list(range(runs))
         trained = []
         while live:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import shutil
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -458,6 +459,25 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(cfg)]) == 3
         assert "ragged" in read_stderr_json(capsys)["message"]
 
+    def test_huge_forecast_is_a_data_error_naming_the_file(self, pipeline, tmp_path, capsys):
+        # a finite y_hat whose square overflows: no numpy warning, and the
+        # fault is the prediction file's, not a broken invariant
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out / "predictions", out / "predictions")
+        path = out / "predictions" / "AAA_run0.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        date, step, _, y_true = lines[1].rstrip("\r\n").split(",")
+        lines[1] = f"{date},{step},1e308,{y_true}\r\n"
+        path.write_text("".join(lines))
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", "--config", str(cfg)]) == 3
+        assert read_stderr_json(capsys) == {
+            "error": "DataError",
+            "message": f"prediction file {path}: the forecast errors have no finite MSE",
+        }
+
     def test_explicit_baseline_metrics(self, pipeline, tmp_path):
         out2 = tmp_path / "o2"
         out2.mkdir()
@@ -747,6 +767,45 @@ class TestSweep:
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
+
+
+class TestShortPriceFile:
+    """A price file too short to split is the data's fault, in every command
+    that splits it: the error names the ticker, the file and its bars."""
+
+    def cut(self, pipeline, tmp_path, bars=14):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline.data, data)
+        path = data / "BBB.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[: 1 + bars]))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline.out / "checkpoints", out / "checkpoints")
+        shutil.copytree(pipeline.out / "predictions", out / "predictions")
+        cfg = write_json(tmp_path / "c.json", run_payload(data, out))
+        message = (
+            f"ticker BBB, price file {path}: 14 bars, but t_in=8 and t_out=4"
+            " need at least 22 to split into 10 windows"
+        )
+        return cfg, out, message
+
+    @pytest.mark.parametrize("command", ["ingest-check", "predict", "evaluate"])
+    def test_exits_3_naming_the_file(self, pipeline, tmp_path, capsys, command):
+        cfg, _, message = self.cut(pipeline, tmp_path)
+        argv = [command, "--config", str(cfg)] + (["--force"] if command == "predict" else [])
+        assert main(argv) == 3
+        assert read_stderr_json(capsys) == {"error": "DataError", "message": message}
+
+    def test_train_records_it_as_the_stock_failure(self, pipeline, tmp_path, capsys):
+        cfg, out, message = self.cut(pipeline, tmp_path)
+        assert main(["train", "--config", str(cfg), "--force"]) == 1
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["partial"] is True
+        assert sorted(metrics["per_stock"]) == ["AAA"]
+        assert [(f["stock"], f["error"]) for f in metrics["failures"]] == [
+            ("BBB", message),
+            ("BBB", message),
+        ]
 
 
 class TestPlumbing:

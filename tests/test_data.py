@@ -417,6 +417,16 @@ def test_split_requires_ten_pairs():
         chronological_split(make_windows(dates, feats, 3, 3))
 
 
+@pytest.mark.parametrize("bars", [0, 1, 15])
+def test_history_too_short_to_split_is_a_data_error(bars):
+    # 3 + 3 + 10 bars make exactly 10 windows; fewer is the data's fault
+    prices = constant_bars(bars)
+    for fn in (train_volume_stats, build_dataset):
+        with pytest.raises(DataError, match=f"^AAA.csv: {bars} bars, .* need at least 16 "):
+            fn(prices, 3, 3, "AAA.csv")
+    assert sum(build_dataset(constant_bars(16), 3, 3).counts()) == 10
+
+
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(10, 5000))
 def test_split_sizes_sum_and_stay_near_ratio(n):

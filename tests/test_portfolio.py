@@ -308,8 +308,9 @@ class TestMeanVarianceWeights:
         np.testing.assert_allclose(w.w, np.full(s, 1.0 / s), atol=1e-8)
 
     def test_identical_stocks_stay_uniform_exactly(self):
-        # equal means and an all-equal covariance leave no preference; the
-        # uniform start is already stationary, bit for bit
+        # equal means and an all-equal covariance leave no preference: the
+        # face walk meets a singular system, and the ascent's uniform start
+        # is already stationary, bit for bit
         sigma = np.full((3, 3), 0.04)
         w = mean_variance_weights(np.full(3, 0.01), sigma, 1.5)
         assert np.array_equal(w.w, np.full(3, 1.0 / 3.0))
@@ -322,9 +323,9 @@ class TestMeanVarianceWeights:
                 assert np.max(np.abs(got - expect)) <= 1e-5
 
     def test_iteration_count_stays_low(self):
-        # face steps end most solves within a few iterations: on these 78
-        # problems the plain projected-gradient reference needs 3973, this
-        # solver 375
+        # the face walk ends most solves within a few KKT solves: on these 78
+        # problems the plain projected-gradient reference needs 3973
+        # iterations, the walk from the best-mean stocks 342 solves
         total = sum(
             mean_variance_weights(mu, sigma, gamma).iterations
             for mu, sigma in regularized_problems(3)
@@ -334,8 +335,8 @@ class TestMeanVarianceWeights:
 
     def test_raw_rank_deficient_covariances(self):
         # 30 stocks from 10 days: Σ has rank 9, so every face of more than
-        # nine stocks has a singular KKT system and the gradient steps carry
-        # the solve
+        # nine stocks has a singular KKT system; the walk must stay on
+        # smaller faces or leave the solve to the ascent
         rng = np.random.default_rng(19)
         for _ in range(3):
             gross = 1.0 + 0.01 * rng.normal(size=(30, 10)) + 0.002 * rng.normal(size=(30, 1))
@@ -346,6 +347,8 @@ class TestMeanVarianceWeights:
                 assert qp_residual(w.w, m.mu, m.sigma, gamma) < 1e-8
 
     def test_iterations_recorded(self):
+        # the walk's KKT solves; the ascent's residual tests when it runs
+        # (one for identical stocks); none for a zero covariance
         w = mean_variance_weights(np.array([0.1, 0.2]), np.eye(2), 1.0)
         assert w.iterations >= 1
         assert mean_variance_weights(np.full(3, 0.01), np.full((3, 3), 0.04), 1.5).iterations == 1
@@ -423,6 +426,78 @@ class TestMeanVarianceWeights:
         np.testing.assert_array_equal(equal_weights(4).w, np.full(4, 0.25))
         with pytest.raises(ContractError):
             equal_weights(0)
+
+
+def raw_rank9_problems(seed, n=3):
+    """Means and raw sample covariances of 30 stocks over 10 days (rank 9)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        gross = 1.0 + 0.01 * rng.normal(size=(30, 10)) + 0.002 * rng.normal(size=(30, 1))
+        m = prediction_moments(gross)
+        yield m.mu, m.sigma
+
+
+class TestWeightsPath:
+    """One walk along the sorted grid per period, each gamma started from the
+    previous gamma's face, gives what a lone solve at that gamma gives."""
+
+    def check_path(self, mu, sigma, ref_tol):
+        path = portfolio._weights_path(mu, sigma, DEFAULT_GAMMA_GRID)
+        assert len(path) == len(DEFAULT_GAMMA_GRID)
+        for gamma, w in zip(DEFAULT_GAMMA_GRID, path):
+            assert np.array_equal(w.w, mean_variance_weights(mu, sigma, gamma).w)
+            assert qp_residual(w.w, mu, sigma, gamma) < 1e-8
+            try:
+                expect, _ = reference_projected_gradient(mu, sigma, gamma, tol=ref_tol)
+            except AssertionError:
+                continue  # the reference did not converge
+            assert np.max(np.abs(w.w - expect)) <= 1e-5
+
+    @pytest.mark.parametrize("s", range(2, 13))
+    def test_positive_definite(self, s):
+        rng = np.random.default_rng(200 + s)
+        for _ in range(2):
+            self.check_path(0.1 * rng.normal(size=s), random_psd(rng, s), 1e-8)
+
+    def test_raw_rank_deficient(self):
+        # at 1 % daily returns a 1e-8 residual leaves the reference up to
+        # 2e-5 from the optimum, so it runs to 1e-10 here
+        for mu, sigma in raw_rank9_problems(19):
+            self.check_path(mu, sigma, 1e-10)
+
+    def test_walk_ends_every_solve_here(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(portfolio, "_ascent", lambda *args: calls.append(args))
+        for mu, sigma in [*regularized_problems(3), *raw_rank9_problems(19)]:
+            portfolio._weights_path(mu, sigma, DEFAULT_GAMMA_GRID)
+        assert calls == []
+
+    def test_ascent_fallback_still_reached(self, monkeypatch):
+        # identical stocks: every face's KKT system is singular, so only the
+        # ascent can answer, and its uniform start is already stationary
+        calls = []
+        ascent = portfolio._ascent
+
+        def counted(*args):
+            calls.append(args[2])
+            return ascent(*args)
+
+        monkeypatch.setattr(portfolio, "_ascent", counted)
+        mu, sigma = np.full(3, 0.01), np.full((3, 3), 0.04)
+        path = portfolio._weights_path(mu, sigma, (0.5, 1.5))
+        assert calls == [0.5, 1.5]
+        for w in path:
+            assert np.array_equal(w.w, np.full(3, 1.0 / 3.0))
+            assert w.iterations == 1
+
+    def test_ascent_face_steps_reach_the_optimum(self, monkeypatch):
+        # run alone, the ascent's own face steps end at the same face
+        # optimum, bit for bit
+        mu, sigma = regularized_problems(3)[0]
+        expect = mean_variance_weights(mu, sigma, 2.0)
+        got = portfolio._ascent(mu, sigma, 2.0, set())
+        assert qp_residual(got.w, mu, sigma, 2.0) < 1e-8
+        assert np.array_equal(got.w, expect.w)
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +712,40 @@ class TestBacktest:
         )
         assert [r.run for r in report.runs] == [0]
         assert report.runs[0].periods == (expected,)
+
+
+    def test_warning_order_mixes_prepared_and_scored_skips(self, monkeypatch):
+        # period 0 lacks BBB; in period 1 only the weights' returns are
+        # degenerate (everything on AAA, which realizes a constant), so it is
+        # skipped per gamma; in period 2 the equal-weight returns are
+        # degenerate too, so it is skipped before any lasso or solve
+        rng = np.random.default_rng(13)
+        frames = varied_universe(rng, windows=12, t_out=3)
+        aaa, bbb = frames
+        a_hat, a_true, b_true = aaa.y_hat.copy(), aaa.y_true.copy(), bbb.y_true.copy()
+        a_hat[3] += 0.5
+        a_true[3] = 1.01
+        a_true[6] = b_true[6] = 1.02
+        frames = [
+            make_frame("AAA", 0, a_hat, a_true),
+            make_frame("BBB", 0, bbb.y_hat[1:], b_true[1:], anchors=bbb.anchors[1:]),
+        ]
+        calls = []
+
+        def counting(sigma, lam):
+            calls.append(lam)
+            return graphical_lasso(sigma, lam)
+
+        monkeypatch.setattr(portfolio, "graphical_lasso", counting)
+        report = backtest(frames, gamma_risk=0.1, lam=0.05)
+        day = [(D0 + dt.timedelta(days=k)).isoformat() for k in (0, 3, 6, 9)]
+        assert report.warnings == (
+            f"run 0: period {day[0]} skipped, missing stocks ['BBB']",
+            f"run 0: period {day[1]} skipped, degenerate realized returns",
+            f"run 0: period {day[2]} skipped, degenerate realized returns",
+        )
+        assert [p.period_start.isoformat() for p in report.runs[0].periods] == [day[3]]
+        assert len(calls) == 2  # periods 1 and 3
 
 
 class TestTuneGamma:
