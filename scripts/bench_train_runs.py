@@ -2,9 +2,10 @@
 
 Prints one JSON object: for each R, the median ms per optimiser step (batch
 draws, forward, backward and Adam, timed between consecutive Adam steps of
-``train_runs``), the median s per epoch of ``train_runs`` (steps, the
-batch-norm refresh and validation) and the tape entries per step, on a clean
-sinusoid stock with the default ``TrainConfig``.
+``train_runs``), the median ms of ``Adam.step`` alone, the median s per
+epoch of ``train_runs`` (steps, the batch-norm refresh and validation) and
+the tape entries per step, on a clean sinusoid stock with the default
+``TrainConfig``.
 
 Usage: PYTHONPATH=src python scripts/bench_train_runs.py [--runs 1 2 5] [--repeats 5]
 """
@@ -43,11 +44,14 @@ def main() -> None:
     split = build_dataset(prices, cfg.t_in, cfg.t_out)
 
     stamps: list[float] = []
+    adam_s: list[float] = []
     adam_step = Adam.step
 
     def stamped(self, grads):
+        t0 = time.perf_counter()
         adam_step(self, grads)
         stamps.append(time.perf_counter())
+        adam_s.append(stamps[-1] - t0)
 
     Adam.step = stamped
     entries: list[int] = []
@@ -68,6 +72,7 @@ def main() -> None:
         cfgs = [replace(cfg, seed=s) for s in range(r)]
         epochs, steps = [], []
         entries.clear()
+        adam_s.clear()
         for _ in range(args.repeats):
             stamps.clear()
             t0 = time.perf_counter()
@@ -76,6 +81,7 @@ def main() -> None:
             steps.extend(np.diff(stamps))  # one epoch: consecutive steps only
         out[f"R{r}"] = {
             "ms_per_step": round(1e3 * float(np.median(steps)), 3),
+            "adam_ms_per_step": round(1e3 * float(np.median(adam_s)), 3),
             "s_per_epoch": round(float(np.median(epochs)), 4),
             "tape_entries_per_step": int(np.median(entries)),
         }

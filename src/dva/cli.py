@@ -100,10 +100,9 @@ def _exit_code(err: Exception) -> int:
     return 1
 
 
-def _fail(err: Exception) -> int:
-    payload = {"error": type(err).__name__, "message": str(err)}
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    return _exit_code(err)
+def _fail(error: str, message: str, code: int) -> int:
+    print(json.dumps({"error": error, "message": message}, sort_keys=True), file=sys.stderr)
+    return code
 
 
 def _emit(payload: dict) -> None:
@@ -253,10 +252,14 @@ def cmd_train(args) -> int:
     write_json(out / "metrics.json", metrics)
     _write_sidecar(out, "train", started)
     if metrics["partial"]:
-        raise DvaError(
-            f"{len(metrics['failures'])} training runs failed;"
-            f" partial metrics kept at {out / 'metrics.json'}"
-        )
+        # the smallest exit code among the failed runs' error classes, so that
+        # a data fault (3) is never masked by a training abort (5)
+        failed = {f["error_type"] for f in metrics["failures"]}
+        codes = [(c, e.__name__) for e, c in _EXIT_CODES.items() if e.__name__ in failed]
+        code, error = min(codes, default=(1, "DvaError"))
+        n = len(metrics["failures"])
+        message = f"{n} training runs failed; partial metrics kept at {out / 'metrics.json'}"
+        return _fail(error, message, code)
     _emit({"ok": True, "metrics": str(out / "metrics.json")})
     return 0
 
@@ -587,10 +590,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DvaError as err:
-        return _fail(err)
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports, not raises
-        return _fail(err)
+        return _fail(type(err).__name__, str(err), _exit_code(err))
 
 
 if __name__ == "__main__":

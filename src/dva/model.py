@@ -159,19 +159,33 @@ _CELL_PREFIXES = tuple(f"enc{i}" for i in (1, 2, 3)) + tuple(f"dec{i}" for i in 
 
 
 class ModelParams:
-    """Named parameter tensors plus batch-norm running buffers."""
+    """Named parameter tensors plus batch-norm running buffers.
+
+    The tensors are views laid end to end over one float64 vector, ``flat``,
+    one per ``(key, shape)`` pair of ``layout`` in its order, which is sorted
+    by key. Writing into ``flat`` (as ``Adam`` does) updates every tensor at
+    once, so a value that must outlive an update is a copy: ``run(r)``, or a
+    checkpoint."""
 
     def __init__(
-        self,
-        config: ModelConfig,
-        tensors: dict[str, Tensor],
-        bn_states: dict[str, BatchNormState],
+        self, config: ModelConfig, flat: np.ndarray, layout: Sequence, bn_states: dict
     ):
         self.config = config
-        self.tensors = tensors
+        self.flat = flat
+        offsets = [0, *accumulate(math.prod(shape) for _, shape in layout)]
+        self.tensors = {
+            key: Tensor(flat[start:stop].reshape(shape), name=key)
+            for (key, shape), start, stop in zip(layout, offsets, offsets[1:])
+        }
         self.bn_states = bn_states
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def _packed(cls, config: ModelConfig, arrays: dict, bn: dict) -> "ModelParams":
+        """A model whose ``flat`` joins copies of ``arrays`` in sorted-key order."""
+        layout = sorted((k, np.shape(v)) for k, v in arrays.items())
+        return cls(config, np.concatenate([np.ravel(arrays[k]) for k, _ in layout]), layout, bn)
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "ModelParams":
@@ -188,17 +202,17 @@ class ModelParams:
         bn = {}
 
         def w(name, shape, fan_in):
-            t[name] = Tensor(normal(size=shape) / np.sqrt(fan_in), name=name)
+            t[name] = normal(size=shape) / np.sqrt(fan_in)
 
         def zeros(name, shape):
-            t[name] = Tensor(np.zeros(shape), name=name)
+            t[name] = np.zeros(shape)
 
         w("stem.w", (c, config.in_channels, 1), config.in_channels)
         zeros("stem.b", (c,))
 
         for prefix in _CELL_PREFIXES:
             for j in (1, 2):
-                t[f"{prefix}.bn{j}.gamma"] = Tensor(np.ones(c), name=f"{prefix}.bn{j}.gamma")
+                t[f"{prefix}.bn{j}.gamma"] = np.ones(c)
                 zeros(f"{prefix}.bn{j}.beta", (c,))
                 bn[f"{prefix}.bn{j}"] = BatchNormState.create(c)
                 w(f"{prefix}.conv{j}.depth", (c, 1, k), k)
@@ -219,7 +233,7 @@ class ModelParams:
             zeros(f"{prefix}.se.b2", (c,))
 
         lengths = config.level_lengths()
-        t["h"] = Tensor(0.1 * normal(size=(1, c, lengths[2])), name="h")
+        t["h"] = 0.1 * normal(size=(1, c, lengths[2]))
 
         for i in (1, 2, 3):
             # the posterior head starts as a copy of the prior head on the
@@ -229,8 +243,8 @@ class ModelParams:
             for part in ("mu", "lv"):
                 prior = 0.1 * normal(size=(zc, c, 1)) / np.sqrt(c)
                 bias = np.full(zc, LOGVAR_INIT) if part == "lv" else np.zeros(zc)
-                t[f"prior{i}.{part}.w"] = Tensor(prior, name=f"prior{i}.{part}.w")
-                t[f"prior{i}.{part}.b"] = Tensor(bias.copy(), name=f"prior{i}.{part}.b")
+                t[f"prior{i}.{part}.w"] = prior
+                t[f"prior{i}.{part}.b"] = bias
                 post = np.concatenate(
                     [
                         prior,
@@ -240,8 +254,8 @@ class ModelParams:
                     ],
                     axis=1,
                 )
-                t[f"post{i}.{part}.w"] = Tensor(post, name=f"post{i}.{part}.w")
-                t[f"post{i}.{part}.b"] = Tensor(bias.copy(), name=f"post{i}.{part}.b")
+                t[f"post{i}.{part}.w"] = post
+                t[f"post{i}.{part}.b"] = bias
             w(f"merge{i}.w", (c, c + zc, 1), c + zc)
             zeros(f"merge{i}.b", (c,))
 
@@ -251,7 +265,7 @@ class ModelParams:
         # the default forecast is "repeat the summarised input pattern",
         # which is the strongest data-free prior for short-horizon series
         # and leaves only a residual correction for training to build
-        t["out.proj.w"] = Tensor(np.eye(config.t_out, config.t_in), name="out.proj.w")
+        t["out.proj.w"] = np.eye(config.t_out, config.t_in)
         zeros("out.proj.b", (config.t_out,))
 
         # The denoiser starts with an exactly-zero gradient field (jump =
@@ -260,19 +274,14 @@ class ModelParams:
         # to.  The small first-layer scale keeps its early learned pull
         # gentle; score matching grows it as evidence accumulates.
         hh = config.energy_hidden
-        t["energy.q"] = Tensor(np.array(0.0), name="energy.q")
+        zeros("energy.q", ())
         zeros("energy.c", (config.t_out,))
-        t["energy.w1"] = Tensor(
-            0.3 * normal(size=(hh, config.t_out)) / np.sqrt(config.t_out),
-            name="energy.w1",
-        )
+        t["energy.w1"] = 0.3 * normal(size=(hh, config.t_out)) / np.sqrt(config.t_out)
         zeros("energy.b1", (hh,))
-        t["energy.w2"] = Tensor(
-            0.3 * normal(size=(hh, hh)) / np.sqrt(hh), name="energy.w2"
-        )
+        t["energy.w2"] = 0.3 * normal(size=(hh, hh)) / np.sqrt(hh)
         zeros("energy.b2", (hh,))
         zeros("energy.w3", (1, hh))
-        return cls(config, t, bn)
+        return cls._packed(config, t, bn)
 
     # -- access -------------------------------------------------------------
 
@@ -280,7 +289,7 @@ class ModelParams:
         return self.tensors[name]
 
     def parameters(self) -> list[Tensor]:
-        return [self.tensors[k] for k in sorted(self.tensors)]
+        return list(self.tensors.values())
 
     @classmethod
     def stack(cls, models: Sequence["ModelParams"]) -> "ModelParams":
@@ -289,37 +298,37 @@ class ModelParams:
         config = models[0].config
         if any(m.config != config for m in models):
             raise ContractError("stacked models must share one config")
-        first = models[0]
-        t = {
-            k: Tensor(np.stack([m.tensors[k].data for m in models]), name=k)
-            for k in first.tensors
-        }
+        t = {k: np.stack([m.tensors[k].data for m in models]) for k in models[0].tensors}
         bn = {
             k: BatchNormState(
                 np.stack([m.bn_states[k].mean for m in models]),
                 np.stack([m.bn_states[k].var for m in models]),
             )
-            for k in first.bn_states
+            for k in models[0].bn_states
         }
-        return cls(config, t, bn)
+        return cls._packed(config, t, bn)
 
     def run(self, r: int) -> "ModelParams":
         """A copy of model r of a stack, with a checkpoint's shapes."""
-        t = {k: Tensor(np.array(v.data[r]), name=v.name) for k, v in self.tensors.items()}
+        t = {k: v.data[r] for k, v in self.tensors.items()}
         bn = {
             k: BatchNormState(s.mean[r].copy(), s.var[r].copy())
             for k, s in self.bn_states.items()
         }
-        return ModelParams(self.config, t, bn)
+        return ModelParams._packed(self.config, t, bn)
 
 
-def _checkpoint_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    """The named arrays a checkpoint stores, metadata aside."""
-    arrays = {f"tensor:{k}": v.data for k, v in params.tensors.items()}
-    for k, s in params.bn_states.items():
-        arrays[f"bn_mean:{k}"] = s.mean
-        arrays[f"bn_var:{k}"] = s.var
-    return arrays
+@functools.lru_cache(maxsize=8)
+def _checkpoint_shapes(config: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
+    """``{key: shape}`` of every array a checkpoint of ``config`` stores, in
+    sorted-key order: the batch-norm buffers, then the tensors in ``flat``
+    order; built once per config, read-only."""
+    # zero-filled: drawing no random numbers keeps numpy.random unimported
+    params = ModelParams._build(config, lambda size: np.zeros(size))
+    bn = sorted(params.bn_states)
+    shapes = {f"bn_{kind}:{k}": (config.channels,) for kind in ("mean", "var") for k in bn}
+    shapes.update((f"tensor:{t.name}", t.shape) for t in params.parameters())
+    return MappingProxyType(shapes)
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -327,18 +336,18 @@ def save_params(params: ModelParams, path) -> None:
 
     The file holds two arrays: ``values``, every checkpoint array raveled
     and joined in sorted-key order, and ``__meta__``, whose ``layout``
-    lists the ``[key, shape]`` of each slice in that order."""
+    lists the ``[key, shape]`` of each slice in that order. The tensors sort
+    last, so the tail of ``values`` is ``params.flat``."""
     if params["stem.b"].shape != (params.config.channels,):
         raise ContractError("save_params writes one model, not a stack")
-    arrays = _checkpoint_arrays(params)
-    keys = sorted(arrays)
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "config_hash": params.config.hash(),
-        "layout": [[k, list(arrays[k].shape)] for k in keys],
+        "layout": [[k, list(v)] for k, v in _checkpoint_shapes(params.config).items()],
     }
-    values = np.concatenate([np.ravel(arrays[k]) for k in keys])
+    bn = [params.bn_states[k] for k in sorted(params.bn_states)]
+    values = np.concatenate([*(s.mean for s in bn), *(s.var for s in bn), params.flat])
     with atomic_open(path) as fh:
         np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), values=values)
 
@@ -363,15 +372,6 @@ def _layout_shapes(layout) -> dict[str, tuple[int, ...]] | None:
     return shapes
 
 
-@functools.lru_cache(maxsize=8)
-def _checkpoint_shapes(config: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
-    """``{key: shape}`` of every array a checkpoint of ``config`` stores, in
-    ``_checkpoint_arrays`` order; built once per config, read-only."""
-    # zero-filled: drawing no random numbers keeps numpy.random unimported
-    arrays = _checkpoint_arrays(ModelParams._build(config, lambda size: np.zeros(size)))
-    return MappingProxyType({k: v.shape for k, v in arrays.items()})
-
-
 def _read_npz(path) -> tuple[str | None, np.ndarray | None]:
     """A checkpoint's ``__meta__`` text and ``values`` array, None where the
     archive lacks one; a file that is not a readable .npz archive (garbage
@@ -389,8 +389,8 @@ def _read_npz(path) -> tuple[str | None, np.ndarray | None]:
 def load_params(path, expected_hash: str | None = None) -> ModelParams:
     """Rebuild parameters from a checkpoint; a config-hash mismatch is fatal,
     and so is any array missing, extra or misshapen against a fresh model of
-    the stored config. The loaded tensors are views into one ``values``
-    vector."""
+    the stored config. The loaded model's ``flat`` is the tensors' tail of
+    the stored ``values`` vector, and its batch-norm buffers view the rest."""
     if not Path(path).exists():
         raise ConfigError(f"no such checkpoint: {path}")
     meta_text, values = _read_npz(path)
@@ -445,20 +445,16 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
                 f"checkpoint {path}: array {key} has shape {stored[key]},"
                 f" expected {expected[key]}"
             )
-    offsets = [0, *accumulate(sizes)]
-    views = {
-        key: values[start:stop].reshape(shape)
-        for (key, shape), start, stop in zip(stored.items(), offsets, offsets[1:])
-    }
-    tensors = {}
-    bn: dict[str, BatchNormState] = {}
-    for key in expected:
-        kind, _, name = key.partition(":")
-        if kind == "tensor":
-            tensors[name] = Tensor(views[key], name=name)
-        elif kind == "bn_mean":
-            bn[name] = BatchNormState(views[key], views[f"bn_var:{name}"])
-    return ModelParams(config, tensors, bn)
+    if list(stored) != list(expected):
+        raise DataError(f"checkpoint {path}: layout keys are not in sorted order")
+    # sorted, the batch-norm means, then their variances, each (channels,),
+    # come first, and the tensors' tail of ``values`` is the model's flat vector
+    names = [key.partition(":")[2] for key in stored if key.startswith("bn_mean:")]
+    n_bn = 2 * len(names) * config.channels
+    means, variances = values[:n_bn].reshape(2, len(names), config.channels)
+    bn = {name: BatchNormState(m, v) for name, m, v in zip(names, means, variances)}
+    tensors = [(k.partition(":")[2], s) for k, s in stored.items() if k.startswith("tensor:")]
+    return ModelParams(config, values[n_bn:], tensors, bn)
 
 
 # ---------------------------------------------------------------------------

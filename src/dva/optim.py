@@ -15,44 +15,45 @@ ADAM_EPS = 1e-8  # added to the root of the second moment
 
 
 class Adam:
-    """Tracks first/second moments of all parameters in two flat buffers.
+    """Adam on one flat parameter vector, updated in place.
 
-    Each step gathers the parameters and their gradients into flat vectors,
-    updates every coordinate in one elementwise pass, and assigns each
-    ``param.data`` a fresh view of the new flat parameter vector rather than
-    writing in place, so values captured earlier (detached copies, tape
-    closures) are never disturbed.
+    ``params`` are the tensors whose ``data`` view ``flat`` end to end, in
+    order: a model's ``ModelParams.flat`` and ``parameters()``. Each step
+    gathers the gradients into one vector in that order and updates the two
+    moments and ``flat`` in place with whole-vector ops, using the gathered
+    vector and one scratch vector for the intermediates. Every tensor reads
+    its new value at once, so a value that must survive later steps is a
+    copy (``ModelParams.run``, a checkpoint), never a view.
     """
 
-    def __init__(self, params: list[Tensor], lr: float):
+    def __init__(self, flat: np.ndarray, params: list[Tensor], lr: float):
         self.lr = lr
+        self.flat = flat
         self.params = list(params)
         self.step_count = 0
-        self._shapes = [p.data.shape for p in self.params]
-        bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
-        self._spans = list(zip(bounds[:-1], bounds[1:]))
-        self._m = np.zeros(bounds[-1])
-        self._v = np.zeros(bounds[-1])
+        self._m = np.zeros(flat.size)
+        self._v = np.zeros(flat.size)
+        self._scratch = np.empty(flat.size)
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
-        flat_g = []
-        for p, shape in zip(self.params, self._shapes):
+        gathered = []
+        for p in self.params:
             g = grads.get(p)
             if g is None:
                 raise ContractError(f"missing gradient for parameter {p!r}")
-            if g.shape != shape:
-                raise ContractError(f"gradient shape {g.shape} != {shape} for {p!r}")
-            flat_g.append(g.reshape(-1))
+            if g.shape != p.data.shape:
+                raise ContractError(f"gradient shape {g.shape} != {p.data.shape} for {p!r}")
+            gathered.append(g)
+        g = np.concatenate(gathered, axis=None)
+        s, m, v = self._scratch, self._m, self._v
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - ADAM_BETA1**t
-        bc2 = 1.0 - ADAM_BETA2**t
-        g = np.concatenate(flat_g)
-        theta = np.concatenate([p.data.reshape(-1) for p in self.params])
-        self._m = ADAM_BETA1 * self._m + (1.0 - ADAM_BETA1) * g
-        self._v = ADAM_BETA2 * self._v + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = self._m / bc1
-        v_hat = self._v / bc2
-        theta = theta - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        for p, shape, (lo, hi) in zip(self.params, self._shapes, self._spans):
-            p.data = theta[lo:hi].reshape(shape)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, g, out=g), 1.0 - ADAM_BETA2, out=g)
+        # g becomes sqrt(v_hat) + eps, and s the step lr * m_hat / g
+        np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=g), out=g)
+        g += ADAM_EPS
+        np.multiply(np.divide(m, 1.0 - ADAM_BETA1**t, out=s), self.lr, out=s)
+        self.flat -= np.divide(s, g, out=s)

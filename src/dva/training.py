@@ -372,16 +372,14 @@ def train_runs(
         raise ConfigError("training needs nonempty train and validation sets")
     schedule = cfg.schedule()
     x_train, y_train = split.train.x, split.train.y
-    models = [ModelParams.init(cfg.model_config(), c.seed) for c in cfgs]
-    for m in models:
-        # start the output head at the per-step mean of the training
-        # targets: gross returns sit near 1.0, further than Adam can move a
-        # zero bias within the configured epoch budget
-        m["out.proj.b"].data = y_train.mean(axis=0)
-    params = ModelParams.stack(models)
+    params = ModelParams.stack([ModelParams.init(cfg.model_config(), c.seed) for c in cfgs])
+    # start the output head, in the flat vector Adam updates, at the per-step
+    # mean of the training targets: gross returns sit near 1.0, further than
+    # Adam can move a zero bias within the configured epoch budget
+    params["out.proj.b"].data[...] = y_train.mean(axis=0)
 
     rngs = [np.random.default_rng([c.seed, 1]) for c in cfgs]
-    opt = Adam(params.parameters(), cfg.lr)
+    opt = Adam(params.flat, params.parameters(), cfg.lr)
     n_batches = math.ceil(len(x_train) / cfg.batch_size)
 
     runs = range(len(cfgs))
@@ -493,7 +491,8 @@ def _experiment_job(args: tuple) -> list[dict]:
     outcomes: dict[int, dict] = {}
 
     def failed(r: int, err: DvaError) -> dict:
-        return {"stock": ticker, "run": r, "seed": cfgs[r].seed, "ok": False, "error": str(err)}
+        return {"stock": ticker, "run": r, "seed": cfgs[r].seed, "ok": False,
+                "error": str(err), "error_type": type(err).__name__}
 
     try:
         where = f"ticker {ticker}, price file {price_file(data_dir, ticker)}"
@@ -570,7 +569,7 @@ def run_experiment(
         StockRunResult(o["stock"], o["run"], o["test_mse"]) for o in outcomes if o["ok"]
     ]
     failures = [
-        {k: o[k] for k in ("stock", "run", "seed", "error")}
+        {k: o[k] for k in ("stock", "run", "seed", "error", "error_type")}
         for o in outcomes
         if not o["ok"]
     ]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dva.atomic
+import dva.cli
 from dva.cli import DEFAULT_WEIGHT_GRID, _persistence_report, main
 from dva.config import load_run_config
 from dva.data import build_dataset, load_ohlcv
@@ -798,7 +799,8 @@ class TestShortPriceFile:
 
     def test_train_records_it_as_the_stock_failure(self, pipeline, tmp_path, capsys):
         cfg, out, message = self.cut(pipeline, tmp_path)
-        assert main(["train", "--config", str(cfg), "--force"]) == 1
+        assert main(["train", "--config", str(cfg), "--force"]) == 3
+        assert read_stderr_json(capsys)["error"] == "DataError"
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["partial"] is True
         assert sorted(metrics["per_stock"]) == ["AAA"]
@@ -806,6 +808,35 @@ class TestShortPriceFile:
             ("BBB", message),
             ("BBB", message),
         ]
+        assert {f["error_type"] for f in metrics["failures"]} == {"DataError"}
+
+
+@pytest.mark.parametrize(
+    "failed, code, error",
+    [
+        (["TrainingAbort"], 5, "TrainingAbort"),
+        (["TrainingAbort", "DataError"], 3, "DataError"),
+        (["ParseError", "ConfigError", "TrainingAbort"], 2, "ConfigError"),
+        (["DvaError", "TrainingAbort"], 5, "TrainingAbort"),
+        (["DvaError"], 1, "DvaError"),
+    ],
+)
+def test_train_exits_with_the_smallest_code_of_its_failures(
+    pipeline, tmp_path, capsys, monkeypatch, failed, code, error
+):
+    def run_experiment(tickers, data_dir, cfg, out, runs, jobs):
+        failures = [
+            {"stock": "AAA", "run": r, "seed": r, "error": "x", "error_type": name}
+            for r, name in enumerate(failed)
+        ]
+        return {"failures": failures, "partial": True}
+
+    monkeypatch.setattr(dva.cli, "run_experiment", run_experiment)
+    cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, tmp_path / "o"))
+    assert main(["train", "--config", str(cfg)]) == code
+    payload = read_stderr_json(capsys)
+    assert payload["error"] == error
+    assert f"{len(failed)} training runs failed" in payload["message"]
 
 
 class TestPlumbing:

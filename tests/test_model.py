@@ -615,11 +615,13 @@ def _swap_first_shape(meta):
          "layout is not a list of [key, shape] pairs"),
         (_edit_meta(_swap_first_shape), "layout covers"),
         (lambda a: a.update(values=a["values"][:-1]), "layout covers"),
+        (_edit_meta(lambda m: m["layout"].reverse()), "layout keys are not in sorted order"),
     ],
     ids=["missing-meta", "meta-not-json", "meta-not-object", "missing-config-hash",
          "unknown-config-key", "missing-values", "values-not-1d", "missing-layout",
          "layout-not-list", "layout-entry-not-pair", "layout-negative-dim",
-         "layout-repeated-key", "layout-sum-too-small", "values-too-short"],
+         "layout-repeated-key", "layout-sum-too-small", "values-too-short",
+         "layout-unsorted"],
 )
 def test_checkpoint_bad_metadata_is_a_data_error(tmp_path, edit, message):
     f = tmp_path / "ck.npz"
@@ -688,6 +690,27 @@ def test_stack_and_run_round_trip(tmp_path):
         save_params(stacked, tmp_path / "stack.npz")
     with pytest.raises(ContractError):
         ModelParams.stack([a, ModelParams.init(ModelConfig(t_in=8, t_out=4), seed=0)])
+
+
+@pytest.mark.parametrize("make", ["init", "stack", "run", "load"])
+def test_every_tensor_views_its_models_flat_vector(tmp_path, make):
+    params = tiny_params(seed=5)
+    if make in ("stack", "run"):
+        params = ModelParams.stack([params, tiny_params(seed=6)])
+    if make == "run":
+        params = params.run(1)
+    if make == "load":
+        save_params(params, tmp_path / "ck.npz")
+        params = load_params(tmp_path / "ck.npz")
+    flat = params.flat
+    assert flat.dtype == np.float64 and flat.ndim == 1
+    offset = 0
+    for t in params.parameters():
+        view = flat[offset : offset + t.data.size]
+        assert np.shares_memory(t.data, flat), t.name
+        assert t.data.ctypes.data == view.ctypes.data, t.name
+        offset += t.data.size
+    assert offset == flat.size
 
 
 def test_stacked_forward_matches_each_model_alone():

@@ -9,12 +9,23 @@ from hypothesis import strategies as st
 
 from dva.autodiff import Tensor
 from dva.errors import ContractError
+from dva.model import ModelConfig, ModelParams, load_params, save_params
 from dva.optim import Adam
 
 
+def _adam(*values, lr=5e-4):
+    """Adam over tensors that view one flat vector end to end, one per value
+    in order, and the tensors."""
+    flat = np.concatenate([np.ravel(v) for v in values]).astype(np.float64)
+    ends = np.cumsum([np.size(v) for v in values])
+    params = [
+        Tensor(flat[end - np.size(v) : end].reshape(np.shape(v))) for v, end in zip(values, ends)
+    ]
+    return Adam(flat, params, lr), params
+
+
 def test_zero_gradient_leaves_params_unchanged():
-    p = Tensor(np.array([1.0, -2.0, 3.0]))
-    opt = Adam([p], 5e-4)
+    opt, (p,) = _adam([1.0, -2.0, 3.0])
     before = p.data.copy()
     opt.step({p: np.zeros(3)})
     assert np.array_equal(p.data, before)
@@ -22,8 +33,7 @@ def test_zero_gradient_leaves_params_unchanged():
 
 def test_first_step_magnitude_is_lr():
     # bias correction makes m_hat/sqrt(v_hat) = g/|g| on step one (eps aside)
-    p = Tensor(np.array(10.0))
-    opt = Adam([p], 5e-4)
+    opt, (p,) = _adam(10.0)
     opt.step({p: np.array(1.0)})
     assert float(p.data) == pytest.approx(10.0 - 5e-4, abs=1e-9)
 
@@ -31,8 +41,7 @@ def test_first_step_magnitude_is_lr():
 @settings(deadline=None, max_examples=30)
 @given(g=st.floats(min_value=1e-6, max_value=1e6), sign=st.sampled_from([-1.0, 1.0]))
 def test_first_step_opposes_gradient(g, sign):
-    p = Tensor(np.array(0.0))
-    opt = Adam([p], 5e-4)
+    opt, (p,) = _adam(0.0)
     opt.step({p: np.array(sign * g)})
     assert np.sign(p.data) == -sign
 
@@ -47,9 +56,8 @@ def test_update_direction_invariant_to_gradient_scale(scale, seed):
     # of degree zero in the gradient stream
     r = np.random.default_rng(seed)
     grads = [r.normal(size=(4,)) for _ in range(5)]
-    p_a = Tensor(np.zeros(4))
-    p_b = Tensor(np.zeros(4))
-    opt_a, opt_b = Adam([p_a], 1e-2), Adam([p_b], 1e-2)
+    opt_a, (p_a,) = _adam(np.zeros(4), lr=1e-2)
+    opt_b, (p_b,) = _adam(np.zeros(4), lr=1e-2)
     with mock.patch("dva.optim.ADAM_EPS", 0.0):
         for g in grads:
             opt_a.step({p_a: g})
@@ -58,27 +66,37 @@ def test_update_direction_invariant_to_gradient_scale(scale, seed):
 
 
 def test_step_counter_increments():
-    p = Tensor(np.zeros(2))
-    opt = Adam([p], 5e-4)
+    opt, (p,) = _adam(np.zeros(2))
     for expected in (1, 2, 3):
         opt.step({p: np.ones(2)})
         assert opt.step_count == expected
 
 
 def test_missing_gradient_is_an_error():
-    p = Tensor(np.zeros(2))
-    opt = Adam([p], 5e-4)
+    opt, _ = _adam(np.zeros(2))
     with pytest.raises(ContractError):
         opt.step({})
 
 
-def test_update_assigns_fresh_array():
-    # detached copies of the old value must not be disturbed by a step
-    p = Tensor(np.array([1.0, 1.0]))
-    snapshot = p.data
-    Adam([p], 5e-4).step({p: np.ones(2)})
-    assert np.array_equal(snapshot, [1.0, 1.0])
-    assert p.data is not snapshot
+def test_snapshot_and_checkpoint_survive_later_steps(tmp_path):
+    # steps write the stack's flat vector in place, so a best-epoch snapshot
+    # and a written checkpoint must be copies that later steps leave alone
+    cfg = ModelConfig(t_in=8, t_out=4, channels=4, latent=2, se_reduction=2, energy_hidden=6)
+    params = ModelParams.stack([ModelParams.init(cfg, seed=s) for s in (0, 1)])
+    opt = Adam(params.flat, params.parameters(), 1e-2)
+    opt.step({p: np.ones(p.shape) for p in params.parameters()})
+    snapshot = params.run(1)
+    kept = snapshot.flat.copy()
+    path = tmp_path / "ck.npz"
+    save_params(snapshot, path)
+    written = path.read_bytes()
+    stem = params["stem.w"].data.copy()
+    for _ in range(3):
+        opt.step({p: np.ones(p.shape) for p in params.parameters()})
+    assert np.all(params["stem.w"].data < stem)
+    assert np.array_equal(snapshot.flat, kept)
+    assert path.read_bytes() == written
+    assert np.array_equal(load_params(path).flat, kept)
 
 
 def _per_tensor_adam(values, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -104,8 +122,7 @@ def test_flat_buffer_matches_per_tensor_update_bitwise():
     shapes = [(), (4,), (3, 2), (2, 3, 1), (1, 4, 3)]
     init = [r.normal(size=s) for s in shapes]
     grad_steps = [[r.normal(size=s) for s in shapes] for _ in range(6)]
-    params = [Tensor(v.copy()) for v in init]
-    opt = Adam(params, 1e-2)
+    opt, params = _adam(*init, lr=1e-2)
     for grads in grad_steps:
         opt.step(dict(zip(params, grads)))
     want = _per_tensor_adam(init, grad_steps, 1e-2)
@@ -115,6 +132,6 @@ def test_flat_buffer_matches_per_tensor_update_bitwise():
 
 
 def test_mis_shaped_gradient_is_an_error():
-    p = Tensor(np.zeros((2, 3)))
+    opt, (p,) = _adam(np.zeros((2, 3)))
     with pytest.raises(ContractError):
-        Adam([p], 5e-4).step({p: np.ones(6)})
+        opt.step({p: np.ones(6)})

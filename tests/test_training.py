@@ -477,6 +477,29 @@ class TestTrainRuns:
                 np.testing.assert_array_equal(params.bn_states[name].var, st.var)
         assert len({h.best_epoch for _, h in together}) > 1  # selection is per run
 
+    def test_output_bias_starts_at_the_target_mean_in_the_flat_vector(self, monkeypatch):
+        # Adam updates the stack's flat vector, so the start value must be
+        # written there, not into an array a rebind detaches from it
+        import dva.training as tr
+
+        split = tiny_split()
+        first = []
+
+        class Recording(tr.Adam):
+            def step(self, grads):
+                if self.step_count == 0:
+                    offset = 0
+                    for p in self.params:
+                        if p.name == "out.proj.b":
+                            first.append(self.flat[offset : offset + p.data.size].copy())
+                        offset += p.data.size
+                super().step(grads)
+
+        monkeypatch.setattr(tr, "Adam", Recording)
+        train_runs(split, [replace(TINY, seed=s, epochs=1) for s in (0, 1)])
+        mean = split.train.y.mean(axis=0)
+        np.testing.assert_array_equal(first[0], np.concatenate([mean, mean]))
+
     def test_configs_may_differ_only_in_seed(self):
         split = tiny_split()
         with pytest.raises(ConfigError, match="seed"):
