@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import operator
 import re
 from dataclasses import dataclass
 from itertools import repeat
@@ -240,26 +241,24 @@ def write_predictions(path, pairs: Sequence[WindowPair], y_hat: np.ndarray) -> N
         fh.write(text.encode())
 
 
-def _read_rows(lines: list[str]) -> tuple[list[float], list[float], list[dt.date]]:
+def _read_rows(lines: list[str]) -> tuple[list[float], list[float], list[dt.date], list[int]]:
     """Parse data rows one by one with ``csv``; a bad row raises a
     ``ParseError`` naming its line."""
-    y_hat, y_true, dates = [], [], []
+    y_hat, y_true, dates, steps = [], [], [], []
     for lineno, row in enumerate(csv.reader(lines), start=2):
         if len(row) != 4:
             raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
         try:
             dates.append(dt.date.fromisoformat(row[0]))
-            step = int(row[1])
+            steps.append(int(row[1]))
             y_hat.append(float(row[2]))
             y_true.append(float(row[3]))
         except ValueError as err:
             raise ParseError(str(err), line=lineno) from None
-        if step < 1:
-            raise ParseError(f"step must be >= 1, got {step}", line=lineno)
-    return y_hat, y_true, dates
+    return y_hat, y_true, dates, steps
 
 
-def _read_columns(lines: list[str]) -> tuple[list[float], list[float], list[dt.date]]:
+def _read_columns(lines: list[str]) -> tuple[list[float], list[float], list[dt.date], list[int]]:
     """Parse data rows column by column; raises ``ValueError`` on any row
     ``_read_rows`` would not read the same way."""
     if set(map(str.count, lines, repeat(","))) - {3}:
@@ -268,15 +267,29 @@ def _read_columns(lines: list[str]) -> tuple[list[float], list[float], list[dt.d
     fields = ",".join(lines).split(",")
     raw_dates = fields[0::4]
     parsed = {s: dt.date.fromisoformat(s) for s in dict.fromkeys(raw_dates)}
-    if min(map(int, fields[1::4]), default=1) < 1:
-        raise ValueError("step below 1")
+    steps = list(map(int, fields[1::4]))
     y_hat = list(map(float, fields[2::4]))
     y_true = list(map(float, fields[3::4]))
-    return y_hat, y_true, list(map(parsed.__getitem__, raw_dates))
+    return y_hat, y_true, list(map(parsed.__getitem__, raw_dates)), steps
+
+
+def _check_steps(path: Path, steps: list[int], dates: list[dt.date]) -> None:
+    """Each anchor's rows (a run of equal dates) must number their steps 1,
+    2, ... in order; a ``ParseError`` names the first line that does not."""
+    # up to the first wrong row, step i - 1 is right, so row i expects one
+    # more than it on the same date and 1 on a new one
+    same = [False, *map(operator.eq, dates[1:], dates[:-1])]
+    expected = list(map(operator.add, map(operator.mul, [0, *steps[:-1]], same), repeat(1)))
+    if steps != expected:
+        i = next(i for i, (s, e) in enumerate(zip(steps, expected)) if s != e)
+        raise ParseError(
+            f"{path}: step {steps[i]} out of order, expected {expected[i]}", line=i + 2
+        )
 
 
 def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date]]:
-    """Read a prediction file back; returns (y_hat, y_true, anchor dates)."""
+    """Read a prediction file back; returns (y_hat, y_true, anchor dates).
+    A row that does not parse, then a step out of order, is a ``ParseError``."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"missing artifact: no prediction file {p}")
@@ -294,11 +307,12 @@ def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date]]:
             f"header must be {','.join(PREDICTION_HEADER)}, got {header}", line=1
         )
     try:
-        y_hat, y_true, dates = _read_columns(lines[1:])
+        y_hat, y_true, dates, steps = _read_columns(lines[1:])
     except ValueError:
-        y_hat, y_true, dates = _read_rows(lines[1:])
+        y_hat, y_true, dates, steps = _read_rows(lines[1:])
     if not y_hat:
         raise DataError(f"missing artifact: prediction file {p} has no rows")
+    _check_steps(p, steps, dates)
     return np.array(y_hat), np.array(y_true), dates
 
 

@@ -25,17 +25,16 @@ def _numeric_grad(f: Callable[[], Tensor], x: Tensor, step: float) -> np.ndarray
     # arrays degrades to one); rebind as a mutable array so the in-place
     # perturbation below actually reaches the closure.
     x.data = np.asarray(x.data, dtype=np.float64)
-    num = np.zeros_like(x.data)
-    flat = x.data.ravel()
-    nflat = num.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
+    num = np.zeros(x.data.shape)
+    # in place: ``ravel`` of a strided view (a stacked parameter) is a copy
+    for i in np.ndindex(x.data.shape):
+        orig = x.data[i]
+        x.data[i] = orig + step
         fp = f().item()
-        flat[i] = orig - step
+        x.data[i] = orig - step
         fm = f().item()
-        flat[i] = orig
-        nflat[i] = (fp - fm) / (2.0 * step)
+        x.data[i] = orig
+        num[i] = (fp - fm) / (2.0 * step)
     return num
 
 

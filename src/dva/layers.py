@@ -75,9 +75,9 @@ def batch_norm_fwd(x, gamma, beta, state: BatchNormState, training: bool, save: 
     """Per-channel normalisation of x (..., c, b, t) over its contiguous
     (b, t) rows, then the affine pair gamma, beta (..., c).
 
-    Training mode uses the batch statistics and folds them into ``state``;
-    inference mode reads ``state`` only, folded with the affine pair into
-    one scale and shift per channel."""
+    Training mode uses the batch statistics and folds them into ``state``
+    in place; inference mode reads ``state`` only, folded with the affine
+    pair into one scale and shift per channel."""
     lead = x.shape[:-2]
     n = x.shape[-2] * x.shape[-1]
     rows = x.reshape(lead + (n,))
@@ -87,8 +87,8 @@ def batch_norm_fwd(x, gamma, beta, state: BatchNormState, training: bool, save: 
         xhat = rows - mu
         var = np.einsum("...n,...n->...", xhat, xhat) / n
         m = BN_MOMENTUM
-        state.mean = m * state.mean + (1.0 - m) * mu[..., 0]
-        state.var = m * state.var + (1.0 - m) * var
+        state.mean[...] = m * state.mean + (1.0 - m) * mu[..., 0]
+        state.var[...] = m * state.var + (1.0 - m) * var
         std = np.sqrt(var + BN_EPS)[..., None]
         xhat /= std
         y = np.multiply(xhat, g_c, out=None if save else xhat)

@@ -159,42 +159,42 @@ _CELL_PREFIXES = tuple(f"enc{i}" for i in (1, 2, 3)) + tuple(f"dec{i}" for i in 
 
 
 class ModelParams:
-    """Named parameter tensors plus batch-norm running buffers.
+    """Named parameter tensors plus batch-norm running buffers, all views of
+    one float64 array, ``values``: ``(N,)`` for a model, ``(R, N)`` with one
+    row per model for a stack. A row is laid out as a checkpoint's
+    ``values`` (``_checkpoint_shapes``): the buffers, then the tensors as
+    ``flat``, which ``Adam`` updates in place. So a value that must outlive
+    an update is a copy (``run(r)``, a checkpoint), and a tensor is changed
+    by writing through it (``t.data[...] = ...``), never by rebinding it."""
 
-    The tensors are views laid end to end over one float64 vector, ``flat``,
-    one per ``(key, shape)`` pair of ``layout`` in its order, which is sorted
-    by key. Writing into ``flat`` (as ``Adam`` does) updates every tensor at
-    once, so a value that must outlive an update is a copy: ``run(r)``, or a
-    checkpoint."""
-
-    def __init__(
-        self, config: ModelConfig, flat: np.ndarray, layout: Sequence, bn_states: dict
-    ):
+    def __init__(self, config: ModelConfig, values: np.ndarray):
         self.config = config
-        self.flat = flat
-        offsets = [0, *accumulate(math.prod(shape) for _, shape in layout)]
-        self.tensors = {
-            key: Tensor(flat[start:stop].reshape(shape), name=key)
-            for (key, shape), start, stop in zip(layout, offsets, offsets[1:])
-        }
-        self.bn_states = bn_states
+        self.values = values
+        self.tensors, self.bn_states, means = {}, {}, {}
+        shapes = _checkpoint_shapes(config)
+        offsets = [0, *accumulate(math.prod(shape) for shape in shapes.values())]
+        for (key, shape), start, stop in zip(shapes.items(), offsets, offsets[1:]):
+            kind, _, name = key.partition(":")
+            view = values[..., start:stop].reshape(values.shape[:-1] + shape)
+            if kind == "tensor":
+                self.tensors[name] = Tensor(view, name=name)
+            elif kind == "bn_mean":
+                means[name] = view
+            else:  # bn_var, which sorts after every mean
+                self.bn_states[name] = BatchNormState(means[name], view)
+        self.flat = values[..., offsets[2 * len(self.bn_states)] :]  # the tensors sort last
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def _packed(cls, config: ModelConfig, arrays: dict, bn: dict) -> "ModelParams":
-        """A model whose ``flat`` joins copies of ``arrays`` in sorted-key order."""
-        layout = sorted((k, np.shape(v)) for k, v in arrays.items())
-        return cls(config, np.concatenate([np.ravel(arrays[k]) for k, _ in layout]), layout, bn)
-
-    @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "ModelParams":
-        return cls._build(config, np.random.default_rng(seed).normal)
+        arrays = cls._build(config, np.random.default_rng(seed).normal)
+        return cls(config, np.concatenate([np.ravel(arrays[k]) for k in sorted(arrays)]))
 
     @classmethod
-    def _build(cls, config: ModelConfig, normal) -> "ModelParams":
-        """Every tensor and batch-norm buffer of ``config``; ``normal(size=)``
-        supplies the random draws, in a fixed order."""
+    def _build(cls, config: ModelConfig, normal) -> dict[str, np.ndarray]:
+        """Every array of a model of ``config``, keyed as in a checkpoint;
+        ``normal(size=)`` supplies the random draws, in a fixed order."""
         config.validate()
         c, zc, k = config.channels, config.latent, config.kernel
         cr = config.se_reduction
@@ -214,7 +214,8 @@ class ModelParams:
             for j in (1, 2):
                 t[f"{prefix}.bn{j}.gamma"] = np.ones(c)
                 zeros(f"{prefix}.bn{j}.beta", (c,))
-                bn[f"{prefix}.bn{j}"] = BatchNormState.create(c)
+                bn[f"bn_mean:{prefix}.bn{j}"] = np.zeros(c)
+                bn[f"bn_var:{prefix}.bn{j}"] = np.ones(c)
                 w(f"{prefix}.conv{j}.depth", (c, 1, k), k)
             w(f"{prefix}.conv1.point", (c, c, 1), c)
             # the closing pointwise conv starts at zero, so every residual
@@ -281,7 +282,7 @@ class ModelParams:
         t["energy.w2"] = 0.3 * normal(size=(hh, hh)) / np.sqrt(hh)
         zeros("energy.b2", (hh,))
         zeros("energy.w3", (1, hh))
-        return cls._packed(config, t, bn)
+        return bn | {f"tensor:{key}": v for key, v in t.items()}
 
     # -- access -------------------------------------------------------------
 
@@ -293,63 +294,53 @@ class ModelParams:
 
     @classmethod
     def stack(cls, models: Sequence["ModelParams"]) -> "ModelParams":
-        """R single models of one config as one model with a leading axis R
-        on every tensor and batch-norm buffer."""
+        """R single models of one config as one model whose ``values`` row r
+        is model r's, so every tensor and batch-norm buffer gains a leading
+        axis R."""
         config = models[0].config
         if any(m.config != config for m in models):
             raise ContractError("stacked models must share one config")
-        t = {k: np.stack([m.tensors[k].data for m in models]) for k in models[0].tensors}
-        bn = {
-            k: BatchNormState(
-                np.stack([m.bn_states[k].mean for m in models]),
-                np.stack([m.bn_states[k].var for m in models]),
-            )
-            for k in models[0].bn_states
-        }
-        return cls._packed(config, t, bn)
+        for m in models:
+            m._check_views()
+        return cls(config, np.stack([m.values for m in models]))
 
     def run(self, r: int) -> "ModelParams":
         """A copy of model r of a stack, with a checkpoint's shapes."""
-        t = {k: v.data[r] for k, v in self.tensors.items()}
-        bn = {
-            k: BatchNormState(s.mean[r].copy(), s.var[r].copy())
-            for k, s in self.bn_states.items()
-        }
-        return ModelParams._packed(self.config, t, bn)
+        return ModelParams(self.config, self.values[r].copy())
+
+    def _check_views(self) -> None:
+        """A tensor rebound rather than written through no longer views
+        ``values``, which would silently keep its old value."""
+        for t in self.tensors.values():
+            if not np.may_share_memory(t.data, self.values):
+                raise ContractError(f"tensor {t.name} was rebound: write through t.data[...]")
 
 
 @functools.lru_cache(maxsize=8)
 def _checkpoint_shapes(config: ModelConfig) -> MappingProxyType[str, tuple[int, ...]]:
-    """``{key: shape}`` of every array a checkpoint of ``config`` stores, in
-    sorted-key order: the batch-norm buffers, then the tensors in ``flat``
-    order; built once per config, read-only."""
+    """``{key: shape}`` of every array of a model of ``config`` in sorted-key
+    order: the batch-norm means, their variances, then the tensors; built
+    once per config, read-only."""
     # zero-filled: drawing no random numbers keeps numpy.random unimported
-    params = ModelParams._build(config, lambda size: np.zeros(size))
-    bn = sorted(params.bn_states)
-    shapes = {f"bn_{kind}:{k}": (config.channels,) for kind in ("mean", "var") for k in bn}
-    shapes.update((f"tensor:{t.name}", t.shape) for t in params.parameters())
-    return MappingProxyType(shapes)
+    arrays = ModelParams._build(config, lambda size: np.zeros(size))
+    return MappingProxyType({k: np.shape(arrays[k]) for k in sorted(arrays)})
 
 
 def save_params(params: ModelParams, path) -> None:
-    """Write one model; save model r of a stack as ``params.run(r)``.
-
-    The file holds two arrays: ``values``, every checkpoint array raveled
-    and joined in sorted-key order, and ``__meta__``, whose ``layout``
-    lists the ``[key, shape]`` of each slice in that order. The tensors sort
-    last, so the tail of ``values`` is ``params.flat``."""
-    if params["stem.b"].shape != (params.config.channels,):
+    """Write one model (model r of a stack as ``params.run(r)``): its
+    ``values`` vector, and ``__meta__``, whose ``layout`` lists the
+    ``[key, shape]`` of each slice of ``values`` in order."""
+    if params.values.ndim != 1:
         raise ContractError("save_params writes one model, not a stack")
+    params._check_views()
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "config_hash": params.config.hash(),
         "layout": [[k, list(v)] for k, v in _checkpoint_shapes(params.config).items()],
     }
-    bn = [params.bn_states[k] for k in sorted(params.bn_states)]
-    values = np.concatenate([*(s.mean for s in bn), *(s.var for s in bn), params.flat])
     with atomic_open(path) as fh:
-        np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), values=values)
+        np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), values=params.values)
 
 
 def _layout_shapes(layout) -> dict[str, tuple[int, ...]] | None:
@@ -389,8 +380,7 @@ def _read_npz(path) -> tuple[str | None, np.ndarray | None]:
 def load_params(path, expected_hash: str | None = None) -> ModelParams:
     """Rebuild parameters from a checkpoint; a config-hash mismatch is fatal,
     and so is any array missing, extra or misshapen against a fresh model of
-    the stored config. The loaded model's ``flat`` is the tensors' tail of
-    the stored ``values`` vector, and its batch-norm buffers view the rest."""
+    the stored config. The loaded model's ``values`` is the stored vector."""
     if not Path(path).exists():
         raise ConfigError(f"no such checkpoint: {path}")
     meta_text, values = _read_npz(path)
@@ -447,14 +437,7 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
             )
     if list(stored) != list(expected):
         raise DataError(f"checkpoint {path}: layout keys are not in sorted order")
-    # sorted, the batch-norm means, then their variances, each (channels,),
-    # come first, and the tensors' tail of ``values`` is the model's flat vector
-    names = [key.partition(":")[2] for key in stored if key.startswith("bn_mean:")]
-    n_bn = 2 * len(names) * config.channels
-    means, variances = values[:n_bn].reshape(2, len(names), config.channels)
-    bn = {name: BatchNormState(m, v) for name, m, v in zip(names, means, variances)}
-    tensors = [(k.partition(":")[2], s) for k, s in stored.items() if k.startswith("tensor:")]
-    return ModelParams(config, values[n_bn:], tensors, bn)
+    return ModelParams(config, values)
 
 
 # ---------------------------------------------------------------------------

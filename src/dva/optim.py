@@ -15,15 +15,13 @@ ADAM_EPS = 1e-8  # added to the root of the second moment
 
 
 class Adam:
-    """Adam on one flat parameter vector, updated in place.
-
-    ``params`` are the tensors whose ``data`` view ``flat`` end to end, in
-    order: a model's ``ModelParams.flat`` and ``parameters()``. Each step
-    gathers the gradients into one vector in that order and updates the two
-    moments and ``flat`` in place with whole-vector ops, using the gathered
-    vector and one scratch vector for the intermediates. Every tensor reads
-    its new value at once, so a value that must survive later steps is a
-    copy (``ModelParams.run``, a checkpoint), never a view.
+    """Adam on one flat parameter array, updated in place: ``flat`` is
+    ``ModelParams.flat``, a model's ``(P,)`` or a stack's ``(R, P)``, and
+    ``params`` its ``parameters()``, whose ``data`` view each row end to end.
+    Each step gathers the gradients row by row into one array shaped like
+    ``flat`` and updates the two moments and ``flat`` in place, with that
+    array and one scratch array for the intermediates. A value that must
+    survive later steps is a copy (``ModelParams.run``, a checkpoint).
     """
 
     def __init__(self, flat: np.ndarray, params: list[Tensor], lr: float):
@@ -31,11 +29,12 @@ class Adam:
         self.flat = flat
         self.params = list(params)
         self.step_count = 0
-        self._m = np.zeros(flat.size)
-        self._v = np.zeros(flat.size)
-        self._scratch = np.empty(flat.size)
+        self._m = np.zeros(flat.shape)
+        self._v = np.zeros(flat.shape)
+        self._scratch = np.empty(flat.shape)
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        row = self.flat.shape[:-1] + (-1,)
         gathered = []
         for p in self.params:
             g = grads.get(p)
@@ -43,8 +42,8 @@ class Adam:
                 raise ContractError(f"missing gradient for parameter {p!r}")
             if g.shape != p.data.shape:
                 raise ContractError(f"gradient shape {g.shape} != {p.data.shape} for {p!r}")
-            gathered.append(g)
-        g = np.concatenate(gathered, axis=None)
+            gathered.append(g.reshape(row))
+        g = np.concatenate(gathered, axis=-1)
         s, m, v = self._scratch, self._m, self._v
         self.step_count += 1
         t = self.step_count

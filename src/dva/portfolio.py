@@ -413,6 +413,9 @@ def load_prediction_frames(pred_dir) -> list[PredictionFrame]:
         if m is None:
             continue
         y_hat, y_true, dates = load_predictions(f)
+        bad = np.flatnonzero(~(np.isfinite(y_hat) & np.isfinite(y_true)))
+        if bad.size:
+            raise DataError(f"{f}: line {bad[0] + 2} holds a non-finite y_hat or y_true")
         anchors: list[dt.date] = []
         starts = []
         for i, d in enumerate(dates):

@@ -108,10 +108,7 @@ def dense_params(cfg: TrainConfig, seed: int) -> ModelParams:
     params = ModelParams.init(cfg.model_config(), seed)
     rng = np.random.default_rng(seed + 1000)
     for t in params.tensors.values():
-        # asarray keeps 0-d entries as mutable arrays (standard_normal(())
-        # returns an immutable scalar, which would silently break in-place
-        # finite-difference perturbation)
-        t.data = np.asarray(0.3 * rng.standard_normal(t.data.shape))
+        t.data[...] = 0.3 * rng.standard_normal(t.data.shape)
     return params
 
 

@@ -274,6 +274,14 @@ def test_gradcheck_quadratic_is_tight():
     assert err < 1e-8
 
 
+def test_gradcheck_perturbs_a_strided_tensor_in_place():
+    # a transpose is a strided view, whose ravel is a copy the closure
+    # never reads; the check must perturb the tensor itself
+    a = _away_from_zero(rng(15), (3, 4))
+    err = finite_difference_check(lambda t: sum_(mul(t, t)), Tensor(a.T))
+    assert err < 1e-8
+
+
 def test_gradcheck_swish_sum():
     x = Tensor(_away_from_zero(rng(14), (10,)))
     err = finite_difference_check(lambda t: sum_(swish(t)), x)

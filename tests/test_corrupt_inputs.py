@@ -121,3 +121,49 @@ def test_corrupt_input_exits_inside_the_taxonomy(pristine, tmp_path_factory, kin
         assert code in (0, 2, 3, 4, 5), stderr.getvalue()
         if code:
             assert json.loads(stderr.getvalue())["error"] in dva_error_names()
+
+
+def _set(col, value):
+    def edit(rows):
+        rows[1][col] = value
+    return edit
+
+
+def _swap_steps(rows):
+    rows[0][1], rows[1][1] = rows[1][1], rows[0][1]
+
+
+def _steps_all_one(rows):
+    for row in rows:
+        row[1] = "1"
+
+
+# edit of the data rows (fields as strings), the error, where it points
+BAD_PREDICTIONS = {
+    "inf y_hat": (_set(2, "inf"), "DataError", "line 3"),
+    "nan y_true": (_set(3, "nan"), "DataError", "line 3"),
+    "swapped steps": (_swap_steps, "ParseError", "line 2"),
+    "steps all 1": (_steps_all_one, "ParseError", "line 3"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "portfolio"])
+@pytest.mark.parametrize("bad", sorted(BAD_PREDICTIONS))
+def test_bad_prediction_rows_exit_3_naming_file_and_line(pristine, tmp_path, command, bad):
+    # a non-finite value or a misnumbered step would otherwise reach the
+    # covariance (exit 4) or pair the days wrongly across stocks (exit 0)
+    edit, error, where = BAD_PREDICTIONS[bad]
+    for sub in ("data", "out"):
+        shutil.copytree(pristine / sub, tmp_path / sub)
+    write_inputs(tmp_path)
+    target = tmp_path / "out" / "predictions" / "AAA_run0.csv"
+    header, *lines = target.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    edit(rows)
+    target.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([command, "--config", str(tmp_path / "run.json")])
+    err = json.loads(stderr.getvalue())
+    assert (code, err["error"]) == (3, error)
+    assert str(target) in err["message"] and where in err["message"]

@@ -289,6 +289,21 @@ class TestPredictionFiles:
         with pytest.raises(ParseError, match="step"):
             load_predictions(path)
 
+    @pytest.mark.parametrize(
+        "steps, line",
+        [((2, 1, 3), 2), ((1, 3, 2), 3), ((1, 1, 1), 3), ((1, 2), 4)],
+        ids=["swapped", "skipped", "all-ones", "second-anchor-not-1"],
+    )
+    def test_steps_out_of_order_name_the_line(self, tmp_path, steps, line):
+        rows = [f"2021-01-15,{k},1.0,1.0" for k in steps]
+        if len(steps) == 2:  # a second anchor that starts at step 2
+            rows.append("2021-01-18,2,1.0,1.0")
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join([",".join(PREDICTION_HEADER)] + rows) + "\n")
+        with pytest.raises(ParseError, match="out of order") as err:
+            load_predictions(path)
+        assert err.value.line == line and str(path) in str(err.value)
+
     def test_header_only_is_missing_artifact(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(",".join(PREDICTION_HEADER) + "\n")
@@ -312,8 +327,9 @@ def csv_reference_bytes(pairs, y_hat) -> bytes:
 
 def reference_load(path):
     """Row-by-row ``csv.reader`` parse of a prediction file: the reference
-    for the values, errors and line numbers of ``load_predictions``."""
-    y_hat, y_true, dates = [], [], []
+    for the values, errors and line numbers of ``load_predictions``. The
+    rows are parsed first; then each anchor's steps must count 1, 2, ..."""
+    y_hat, y_true, dates, steps = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -326,15 +342,20 @@ def reference_load(path):
                 raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
             try:
                 dates.append(dt.date.fromisoformat(row[0]))
-                step = int(row[1])
+                steps.append(int(row[1]))
                 y_hat.append(float(row[2]))
                 y_true.append(float(row[3]))
             except ValueError as err:
                 raise ParseError(str(err), line=lineno) from None
-            if step < 1:
-                raise ParseError(f"step must be >= 1, got {step}", line=lineno)
     if not y_hat:
         raise DataError(f"missing artifact: prediction file {path} has no rows")
+    expected = 0
+    for lineno, (step, date, prev) in enumerate(zip(steps, dates, [None] + dates), start=2):
+        expected = expected + 1 if date == prev else 1
+        if step != expected:
+            raise ParseError(
+                f"{path}: step {step} out of order, expected {expected}", line=lineno
+            )
     return np.array(y_hat), np.array(y_true), dates
 
 
@@ -379,6 +400,7 @@ class TestPredictionBytes:
                 ),
                 min_size=1,
                 max_size=6,
+                unique_by=lambda row: row[0],  # one window per anchor date
             )
         )
     )
@@ -459,6 +481,14 @@ class TestScanPredictions:
         y_hat = 1.0 + 0.01 * r.standard_normal(shape)
         y_true = 1.0 + 0.01 * r.standard_normal(shape)
         assert mse(y_hat, y_true) == mse(y_hat.ravel(), y_true.ravel())
+
+    @pytest.mark.parametrize("y_hat, y_true", [([1.0, np.inf], [1.0, 1.0]),
+                                               ([1.0, 1.0], [np.nan, 1.0])])
+    def test_a_non_finite_value_names_file_and_line(self, tmp_path, y_hat, y_true):
+        self.write(tmp_path / "AAA_run0.csv", y_hat, y_true)
+        line = 2 + int(np.isfinite(y_hat[0] + y_true[0]))
+        with pytest.raises(DataError, match=f"AAA_run0.csv: line {line} holds a non-finite"):
+            load_prediction_frames(tmp_path)
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(DataError, match="missing artifact"):

@@ -59,14 +59,14 @@ def zero_eps(batch):
 
 def make_quadratic_energy(params, center):
     """Force E(y) = 0.5 * ||y - center||^2 exactly."""
-    params.tensors["energy.q"].data = np.array(1.0)
-    params.tensors["energy.c"].data = np.asarray(center, dtype=np.float64)
-    params.tensors["energy.w3"].data = np.zeros_like(params.tensors["energy.w3"].data)
+    params.tensors["energy.q"].data[...] = 1.0
+    params.tensors["energy.c"].data[...] = center
+    params.tensors["energy.w3"].data[...] = 0.0
 
 
 def zero_energy(params):
-    params.tensors["energy.q"].data = np.array(0.0)
-    params.tensors["energy.w3"].data = np.zeros_like(params.tensors["energy.w3"].data)
+    params.tensors["energy.q"].data[...] = 0.0
+    params.tensors["energy.w3"].data[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +457,8 @@ def test_energy_weights_never_move_the_prediction():
     params = tiny_params(seed=7)
     x = Tensor(np.random.default_rng(29).normal(size=(2, 6, 8)))
     before = generate(params, encode(params, x)).y_hat.data
-    params.tensors["energy.w1"].data = params.tensors["energy.w1"].data * 2.0
-    params.tensors["energy.q"].data = np.array(5.0)
+    params.tensors["energy.w1"].data *= 2.0
+    params.tensors["energy.q"].data[...] = 5.0
     after = generate(params, encode(params, x)).y_hat.data
     assert np.array_equal(before, after)
 
@@ -666,7 +666,7 @@ def dense_tiny(seed):
     params = tiny_params(seed)
     r = np.random.default_rng(seed + 500)
     for t in params.tensors.values():
-        t.data = np.asarray(0.3 * r.standard_normal(t.data.shape))
+        t.data[...] = 0.3 * r.standard_normal(t.data.shape)
     return params
 
 
@@ -702,15 +702,47 @@ def test_every_tensor_views_its_models_flat_vector(tmp_path, make):
     if make == "load":
         save_params(params, tmp_path / "ck.npz")
         params = load_params(tmp_path / "ck.npz")
-    flat = params.flat
-    assert flat.dtype == np.float64 and flat.ndim == 1
-    offset = 0
-    for t in params.parameters():
-        view = flat[offset : offset + t.data.size]
-        assert np.shares_memory(t.data, flat), t.name
-        assert t.data.ctypes.data == view.ctypes.data, t.name
-        offset += t.data.size
-    assert offset == flat.size
+    # a training-mode forward writes the running buffers in place
+    encode(params, Tensor(np.random.default_rng(0).normal(size=(3, 6, 8))), training=True)
+    values = params.values
+    lead = (2,) if make == "stack" else ()
+    assert values.dtype == np.float64 and values.shape[:-1] == lead
+    bn = [params.bn_states[k] for k in sorted(params.bn_states)]
+    buffers = [*(s.mean for s in bn), *(s.var for s in bn)]
+    tensors = [t.data for t in params.parameters()]
+    for a in buffers + tensors + [params.flat]:
+        assert np.shares_memory(a, values)
+    # each row of values is the buffers then the tensors, in sorted-key
+    # order, and flat is the tensors' part
+    values[...] = np.arange(values.size).reshape(values.shape)
+
+    def rows(arrays):
+        return np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
+
+    np.testing.assert_array_equal(rows(buffers + tensors), values)
+    np.testing.assert_array_equal(rows(tensors), params.flat)
+
+
+def test_stack_rows_are_the_models_values():
+    models = [dense_tiny(1), dense_tiny(2)]
+    stacked = ModelParams.stack(models)
+    for r, single in enumerate(models):
+        assert stacked.values[r].tobytes() == single.values.tobytes()
+        back = stacked.run(r)
+        assert back.values.tobytes() == single.values.tobytes()
+        assert not np.shares_memory(back.values, stacked.values)
+
+
+def test_a_rebound_tensor_is_refused(tmp_path):
+    # a rebound tensor no longer views values, which would silently keep
+    # the old value in a checkpoint or a stack
+    params = tiny_params(seed=3)
+    params.tensors["energy.q"].data = np.array(1.0)
+    with pytest.raises(ContractError, match="energy.q"):
+        save_params(params, tmp_path / "ck.npz")
+    assert not (tmp_path / "ck.npz").exists()
+    with pytest.raises(ContractError, match="energy.q"):
+        ModelParams.stack([tiny_params(seed=4), params])
 
 
 def test_stacked_forward_matches_each_model_alone():
@@ -823,8 +855,8 @@ def cell_case(training, seed=60):
     models = [dense_tiny(seed), dense_tiny(seed + 1)]
     for m in models:
         for s in m.bn_states.values():
-            s.mean = r.normal(size=s.mean.shape)
-            s.var = r.uniform(0.5, 2.0, size=s.var.shape)
+            s.mean[...] = r.normal(size=s.mean.shape)
+            s.var[...] = r.uniform(0.5, 2.0, size=s.var.shape)
     a, b = ModelParams.stack(models), ModelParams.stack(models)
     x = r.normal(loc=0.2, size=(2, TINY.channels, 3, TINY.t_in))
     w = r.normal(size=x.shape)
@@ -865,8 +897,8 @@ def test_gradcheck_fused_cell(training):
     params = dense_tiny(70)
     r = np.random.default_rng(71)
     for s in params.bn_states.values():
-        s.mean = r.normal(size=s.mean.shape)
-        s.var = r.uniform(0.5, 2.0, size=s.var.shape)
+        s.mean[...] = r.normal(size=s.mean.shape)
+        s.var[...] = r.uniform(0.5, 2.0, size=s.var.shape)
     x = Tensor(r.normal(size=(TINY.channels, 3, TINY.t_in)))
     w = Tensor(r.normal(size=x.shape))
 

@@ -72,7 +72,7 @@ def randomized_params(cfg, seed):
     params = ModelParams.init(cfg.model_config(), seed)
     rng = np.random.default_rng(seed + 1000)
     for name, t in params.tensors.items():
-        t.data = 0.3 * rng.standard_normal(t.data.shape)
+        t.data[...] = 0.3 * rng.standard_normal(t.data.shape)
     return params
 
 
@@ -490,15 +490,16 @@ class TestTrainRuns:
                 if self.step_count == 0:
                     offset = 0
                     for p in self.params:
+                        size = p.data[0].size  # one model's share of a row
                         if p.name == "out.proj.b":
-                            first.append(self.flat[offset : offset + p.data.size].copy())
-                        offset += p.data.size
+                            first.append(self.flat[:, offset : offset + size].copy())
+                        offset += size
                 super().step(grads)
 
         monkeypatch.setattr(tr, "Adam", Recording)
         train_runs(split, [replace(TINY, seed=s, epochs=1) for s in (0, 1)])
         mean = split.train.y.mean(axis=0)
-        np.testing.assert_array_equal(first[0], np.concatenate([mean, mean]))
+        np.testing.assert_array_equal(first[0], np.stack([mean, mean]))
 
     def test_configs_may_differ_only_in_seed(self):
         split = tiny_split()
