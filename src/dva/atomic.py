@@ -1,5 +1,6 @@
-"""Whole-file artifact writes, the package's only file writer: a file is
-either complete or absent."""
+"""Whole-file artifact writes and input reads, the package's only file I/O:
+a written file is complete or absent, and a fault in an input names it as
+``<kind> <path>: ...``, adding ``line N:`` for a fault at a byte or row."""
 
 from __future__ import annotations
 
@@ -7,10 +8,15 @@ import csv
 import io
 import json
 import os
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
-__all__ = ["atomic_open", "write_csv", "write_json"]
+import numpy as np
+
+from .errors import DataError, ParseError
+
+__all__ = ["atomic_open", "write_csv", "write_json", "read_utf8", "read_npz"]
 
 
 @contextmanager
@@ -43,3 +49,38 @@ def write_csv(path, header, rows) -> None:
     csv.writer(text).writerows([header, *rows])
     with atomic_open(path) as fh:
         fh.write(text.getvalue().encode())
+
+
+def _read(path, kind: str, error: type = DataError) -> bytes:
+    """The bytes of an input; missing or unreadable, it is an ``error``:
+    ``DataError``, or ``ConfigError`` for a configuration input."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as err:
+        raise error(f"{kind} {path}: cannot read: {err.strerror}") from None
+
+
+def read_utf8(path, kind: str, error: type = DataError) -> str:
+    """The UTF-8 text of an input, line ends made ``\\n``; a byte that is not
+    UTF-8 is an ``error`` naming its line (for ``DataError``, a ``ParseError``)."""
+    raw = _read(path, kind, error)
+    try:
+        return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        if error is DataError:
+            raise ParseError(f"{kind} {path}", line, "not UTF-8 text") from None
+        raise error(f"{kind} {path}: line {line}: not UTF-8 text") from None
+
+
+def read_npz(path, kind: str) -> dict[str, np.ndarray]:
+    """The arrays of a .npz archive, pickles refused."""
+    raw = _read(path, kind)
+    try:
+        with np.load(io.BytesIO(raw), allow_pickle=False) as f:
+            return {name: f[name] for name in f.files}
+    except (EOFError, NotImplementedError, OSError, ValueError, zipfile.BadZipFile) as err:
+        raise DataError(
+            f"{kind} {path}: not a readable .npz archive ({type(err).__name__})"
+        ) from None

@@ -26,7 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-from .atomic import write_csv, write_json
+from .atomic import read_utf8, write_csv, write_json
 from .config import (
     RunConfig,
     SynthUniverse,
@@ -40,7 +40,6 @@ from .data import (
     build_dataset,
     load_ohlcv,
     load_tickers,
-    non_utf8_line,
     price_file,
     synth_generate,
     write_ohlcv,
@@ -199,7 +198,7 @@ def cmd_synth(args) -> int:
 def _dataset(rc: RunConfig, ticker: str) -> tuple[Prices, DatasetSplit]:
     """One ticker's prices and their split; errors name the ticker and file."""
     prices = load_ohlcv(rc.data_dir, ticker)
-    where = f"ticker {ticker}, price file {price_file(rc.data_dir, ticker)}"
+    where = f"price file {price_file(rc.data_dir, ticker)}"
     return prices, build_dataset(prices, rc.train.t_in, rc.train.t_out, where)
 
 
@@ -285,8 +284,6 @@ def cmd_predict(args) -> int:
         split = _dataset(rc, ticker)[1]
         for run in range(rc.runs):
             ckpt = out / "checkpoints" / f"{ticker}_run{run}.npz"
-            if not ckpt.exists():
-                raise DataError(f"missing artifact: no checkpoint {ckpt}")
             params = load_params(ckpt, expected_hash=model_hash)
             for windows, sub in (
                 (split.test, "predictions"),
@@ -321,31 +318,25 @@ def _persistence_report(rc: RunConfig, tickers) -> Report:
 
 
 def _report_from_metrics(path) -> Report:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"missing artifact: no metrics file {p}")
+    where = f"metrics file {path}"
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise DataError(f"metrics file {p}: cannot read: {err.strerror}") from None
-    except UnicodeDecodeError:
-        raise ParseError(f"{p} is not UTF-8 text", line=non_utf8_line(p)) from None
+        raw = json.loads(read_utf8(path, "metrics file"))
     except json.JSONDecodeError as err:
-        raise DataError(f"metrics file {p}: invalid JSON: {err}") from None
+        raise DataError(f"{where}: invalid JSON: {err}") from None
     per_stock = (raw.get("per_stock") if isinstance(raw, dict) else None) or {}
     if not isinstance(per_stock, dict) or not all(
         isinstance(entry, dict) and isinstance(entry.get("runs"), list)
         and all(isinstance(v, (int, float)) for v in entry["runs"])
         for entry in per_stock.values()
     ):
-        raise DataError(f"metrics file {p}: per_stock must list each stock's run MSEs")
+        raise DataError(f"{where}: per_stock must list each stock's run MSEs")
     results = [
         StockRunResult(stock=stock, run=i, mse=float(v))
         for stock, entry in per_stock.items()
         for i, v in enumerate(entry["runs"])
     ]
     if not results:
-        raise DataError(f"metrics file {p} has no per-stock results")
+        raise DataError(f"{where}: no per-stock results")
     return aggregate(results)
 
 

@@ -14,9 +14,9 @@ import datetime as dt
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .data import SynthSpec, non_utf8_line
+from .atomic import read_utf8
+from .data import SynthSpec
 from .errors import ConfigError
 from .portfolio import DEFAULT_GAMMA_GRID
 from .training import TrainConfig
@@ -148,16 +148,10 @@ def _typed(value, want: type, key: str):
     raise ConfigError(f"field {key} has unsupported type {want}")  # pragma: no cover
 
 
-def _load_json_object(path, where: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{where}: no such file: {p}")
+def _load_json_object(path, kind: str) -> dict:
+    where = f"{kind} {path}"
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise ConfigError(f"{where}: cannot read: {err.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{where}: line {non_utf8_line(p)}: not UTF-8 text") from None
+        raw = json.loads(read_utf8(path, kind, ConfigError))
     except json.JSONDecodeError as err:
         raise ConfigError(f"{where}: invalid JSON: {err}") from None
     if not isinstance(raw, dict):
@@ -185,7 +179,7 @@ def _train_config_from(raw: dict, where: str) -> TrainConfig:
 
 def load_run_config(path) -> RunConfig:
     where = f"run config {path}"
-    raw = _load_json_object(path, where)
+    raw = _load_json_object(path, "run config")
     _check_schema_version(raw, RUN_CONFIG_SCHEMA_VERSION, where)
 
     unknown = sorted(set(raw) - set(_RUN_KEYS) - set(_TRAIN_FIELDS))
@@ -290,7 +284,7 @@ def _synth_spec_from(raw: dict, where: str) -> SynthSpec:
 
 def load_synth_spec(path) -> SynthUniverse:
     where = f"synth spec {path}"
-    raw = _load_json_object(path, where)
+    raw = _load_json_object(path, "synth spec")
     _check_schema_version(raw, SYNTH_SCHEMA_VERSION, where)
     unknown = sorted(set(raw) - {"schema_version", "seed", "tickers"})
     if unknown:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_utf8
 from .errors import ConfigError, ContractError, DataError, ParseError
 
 __all__ = [
@@ -121,69 +122,47 @@ def price_file(path, ticker: str | None = None) -> Path:
 
 def load_ohlcv(path, ticker: str | None = None) -> Prices:
     """Read one price history, sorted by date; ``path`` may be the CSV itself
-    or a directory holding ``<TICKER>.csv``."""
+    or a directory holding ``<TICKER>.csv``. A fault names file and line."""
     p = price_file(path, ticker)
-    if not p.exists():
-        raise DataError(f"no such price file: {p}")
-    try:
-        return _read_ohlcv(p)
-    except OSError as err:
-        raise DataError(f"price file {p}: cannot read: {err.strerror}") from None
-    except UnicodeDecodeError:
-        raise ParseError(f"{p} is not UTF-8 text", line=non_utf8_line(p)) from None
-
-
-def non_utf8_line(path: Path) -> int:
-    """The line of the first byte of ``path`` that is not UTF-8."""
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-        start = len(raw)
-    except UnicodeDecodeError as err:
-        start = err.start
-    return raw.count(b"\n", 0, start) + 1
-
-
-def _read_ohlcv(p: Path) -> Prices:
+    where = f"price file {p}"
+    reader = csv.reader(io.StringIO(read_utf8(p, "price file")))
+    header = next(reader, [])
+    if [h.strip().lower() for h in header] != OHLCV_HEADER:
+        got = ",".join(header) or "nothing"
+        raise ParseError(where, 1, f"header must be {','.join(OHLCV_HEADER)}, got {got}")
     dates: list[dt.date] = []
     values: list[float] = []
-    with open(p, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    lines: list[int] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 6:
+            raise ParseError(where, lineno, f"expected 6 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header", line=1) from None
-        if [h.strip().lower() for h in header] != OHLCV_HEADER:
-            raise ParseError(
-                f"header must be {','.join(OHLCV_HEADER)}, got {','.join(header)}",
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 6:
-                raise ParseError(f"expected 6 fields, got {len(row)}", line=lineno)
-            try:
-                date = dt.date.fromisoformat(row[0].strip())
-                bar = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if not all(map(math.isfinite, bar)):
-                raise ParseError("non-finite value", line=lineno)
-            dates.append(date)
-            values += bar
+            date = dt.date.fromisoformat(row[0].strip())
+            bar = [float(x) for x in row[1:]]
+        except ValueError as exc:
+            raise ParseError(where, lineno, str(exc)) from None
+        if not all(map(math.isfinite, bar)):
+            raise ParseError(where, lineno, "non-finite value")
+        dates.append(date)
+        values += bar
+        lines.append(lineno)
     ohlcv = np.array(values).reshape(-1, 5)
     order = sorted(range(len(dates)), key=dates.__getitem__)
     # the sort keeps rows of one date in file order: all but the first repeat
     repeated = np.zeros(len(dates), dtype=bool)
     repeated[order[1:]] = [dates[i] == dates[j] for i, j in zip(order, order[1:])]
-    _check_bars(dates, ohlcv, repeated)
+    _check_bars(dates, ohlcv, repeated, where, lines)
     return Prices([dates[i] for i in order], ohlcv[order])
 
 
-def _check_bars(dates: list[dt.date], ohlcv: np.ndarray, repeated: np.ndarray) -> None:
+def _check_bars(
+    dates: list[dt.date], ohlcv: np.ndarray, repeated: np.ndarray, where=None, lines=()
+) -> None:
     """Reject repeated dates and impossible bars: the error names the date
-    of the first offending row and its first broken rule."""
+    of the first offending row and its first broken rule, after ``where``
+    (the price file) and the row's entry of ``lines`` if given."""
     o, h, l, c, v = ohlcv.T
     rules = [
         (repeated, "duplicate date"),
@@ -195,7 +174,8 @@ def _check_bars(dates: list[dt.date], ohlcv: np.ndarray, repeated: np.ndarray) -
     faults = [(int(np.argmax(mask)), text) for mask, text in rules if mask.any()]
     if faults:  # the first row at fault; on a tie, the first rule
         k, text = min(faults, key=lambda fault: fault[0])
-        raise DataError(f"{dates[k]}: {text}")
+        at = f"{where}: line {lines[k]}: " if where else ""
+        raise DataError(f"{at}{dates[k]}: {text}")
 
 
 def write_ohlcv(path, prices: Prices) -> None:
@@ -212,13 +192,7 @@ def write_ohlcv(path, prices: Prices) -> None:
 
 def load_tickers(path) -> list[str]:
     """Newline-separated ticker symbols; blanks and '#' comments skipped."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError(f"cannot read tickers file {path}: {err.strerror}") from None
-    except UnicodeDecodeError:
-        line = non_utf8_line(Path(path))
-        raise ConfigError(f"tickers file {path}: line {line}: not UTF-8 text") from None
+    text = read_utf8(path, "tickers file", ConfigError)
     names = (line.strip() for line in text.splitlines())
     return [name for name in names if name and not name.startswith("#")]
 

@@ -14,13 +14,12 @@ class DataError(DvaError):
 
 
 class ParseError(DataError):
-    """A file could not be parsed; carries the offending line number."""
+    """Line N of an input could not be parsed: ``<where>: line N: <message>``,
+    where ``where`` is the input's kind and path; ``line`` carries N."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, where: str, line: int, message: str):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"{where}: line {line}: {message}")
 
 
 class ConfigError(DvaError):

@@ -17,13 +17,12 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open, write_csv
-from .data import FEATURE_DIM, R_INDEX, WindowPair, non_utf8_line
+from .atomic import atomic_open, read_utf8, write_csv
+from .data import FEATURE_DIM, R_INDEX, WindowPair
 from .errors import ContractError, DataError, ParseError
 
 __all__ = [
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 PREDICTION_HEADER = ["anchor_date", "step", "y_hat", "y_true"]
+Columns = tuple[list[float], list[float], list[dt.date], list[int]]  # y_hat, y_true, dates, steps
 UNCERTAINTY_HEADER = ["stock", "sd_before", "pct_mse_change"]
 
 
@@ -241,24 +241,24 @@ def write_predictions(path, pairs: Sequence[WindowPair], y_hat: np.ndarray) -> N
         fh.write(text.encode())
 
 
-def _read_rows(lines: list[str]) -> tuple[list[float], list[float], list[dt.date], list[int]]:
+def _read_rows(where: str, lines: list[str]) -> Columns:
     """Parse data rows one by one with ``csv``; a bad row raises a
     ``ParseError`` naming its line."""
     y_hat, y_true, dates, steps = [], [], [], []
     for lineno, row in enumerate(csv.reader(lines), start=2):
         if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+            raise ParseError(where, lineno, f"expected 4 fields, got {len(row)}")
         try:
             dates.append(dt.date.fromisoformat(row[0]))
             steps.append(int(row[1]))
             y_hat.append(float(row[2]))
             y_true.append(float(row[3]))
         except ValueError as err:
-            raise ParseError(str(err), line=lineno) from None
+            raise ParseError(where, lineno, str(err)) from None
     return y_hat, y_true, dates, steps
 
 
-def _read_columns(lines: list[str]) -> tuple[list[float], list[float], list[dt.date], list[int]]:
+def _read_columns(lines: list[str]) -> Columns:
     """Parse data rows column by column; raises ``ValueError`` on any row
     ``_read_rows`` would not read the same way."""
     if set(map(str.count, lines, repeat(","))) - {3}:
@@ -273,7 +273,7 @@ def _read_columns(lines: list[str]) -> tuple[list[float], list[float], list[dt.d
     return y_hat, y_true, list(map(parsed.__getitem__, raw_dates)), steps
 
 
-def _check_steps(path: Path, steps: list[int], dates: list[dt.date]) -> None:
+def _check_steps(where: str, steps: list[int], dates: list[dt.date]) -> None:
     """Each anchor's rows (a run of equal dates) must number their steps 1,
     2, ... in order; a ``ParseError`` names the first line that does not."""
     # up to the first wrong row, step i - 1 is right, so row i expects one
@@ -282,38 +282,27 @@ def _check_steps(path: Path, steps: list[int], dates: list[dt.date]) -> None:
     expected = list(map(operator.add, map(operator.mul, [0, *steps[:-1]], same), repeat(1)))
     if steps != expected:
         i = next(i for i, (s, e) in enumerate(zip(steps, expected)) if s != e)
-        raise ParseError(
-            f"{path}: step {steps[i]} out of order, expected {expected[i]}", line=i + 2
-        )
+        raise ParseError(where, i + 2, f"step {steps[i]} out of order, expected {expected[i]}")
 
 
-def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date]]:
-    """Read a prediction file back; returns (y_hat, y_true, anchor dates).
+def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date], list[int]]:
+    """Read a prediction file back: (y_hat, y_true, anchor dates, steps) by row.
     A row that does not parse, then a step out of order, is a ``ParseError``."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"missing artifact: no prediction file {p}")
-    try:
-        lines = p.read_text(encoding="utf-8").split("\n")
-    except OSError as err:
-        raise DataError(f"prediction file {p}: cannot read: {err.strerror}") from None
-    except UnicodeDecodeError:
-        raise ParseError(f"{p} is not UTF-8 text", line=non_utf8_line(p)) from None
+    where = f"prediction file {path}"
+    lines = read_utf8(path, "prediction file").split("\n")
     if lines[-1] == "":
         lines.pop()
     header = next(csv.reader(lines[:1]), None)
     if header != PREDICTION_HEADER:
-        raise ParseError(
-            f"header must be {','.join(PREDICTION_HEADER)}, got {header}", line=1
-        )
+        raise ParseError(where, 1, f"header must be {','.join(PREDICTION_HEADER)}, got {header}")
     try:
         y_hat, y_true, dates, steps = _read_columns(lines[1:])
     except ValueError:
-        y_hat, y_true, dates, steps = _read_rows(lines[1:])
+        y_hat, y_true, dates, steps = _read_rows(where, lines[1:])
     if not y_hat:
-        raise DataError(f"missing artifact: prediction file {p} has no rows")
-    _check_steps(p, steps, dates)
-    return np.array(y_hat), np.array(y_true), dates
+        raise DataError(f"{where}: no data rows")
+    _check_steps(where, steps, dates)
+    return np.array(y_hat), np.array(y_true), dates, steps
 
 
 _PREDICTION_NAME = re.compile(r"^(?P<stock>.+)_run(?P<run>\d+)\.csv$")

@@ -29,16 +29,14 @@ import functools
 import hashlib
 import json
 import math
-import zipfile
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from pathlib import Path
 from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_npz
 from .autodiff import (
     Tensor,
     _record,
@@ -363,37 +361,21 @@ def _layout_shapes(layout) -> dict[str, tuple[int, ...]] | None:
     return shapes
 
 
-def _read_npz(path) -> tuple[str | None, np.ndarray | None]:
-    """A checkpoint's ``__meta__`` text and ``values`` array, None where the
-    archive lacks one; a file that is not a readable .npz archive (garbage
-    bytes, a truncated archive) is a ``DataError``."""
-    try:
-        with np.load(path, allow_pickle=False) as f:
-            meta = str(f["__meta__"]) if "__meta__" in f.files else None
-            return meta, (f["values"] if "values" in f.files else None)
-    except (EOFError, NotImplementedError, OSError, ValueError, zipfile.BadZipFile) as err:
-        raise DataError(
-            f"checkpoint {path}: not a readable .npz archive ({type(err).__name__})"
-        ) from None
-
-
 def load_params(path, expected_hash: str | None = None) -> ModelParams:
     """Rebuild parameters from a checkpoint; a config-hash mismatch is fatal,
     and so is any array missing, extra or misshapen against a fresh model of
     the stored config. The loaded model's ``values`` is the stored vector."""
-    if not Path(path).exists():
-        raise ConfigError(f"no such checkpoint: {path}")
-    meta_text, values = _read_npz(path)
-    if meta_text is None:
+    arrays = read_npz(path, "checkpoint")
+    if "__meta__" not in arrays:
         raise DataError(f"checkpoint {path}: missing array __meta__")
     try:
-        meta = json.loads(meta_text)
+        meta = json.loads(str(arrays["__meta__"]))
     except ValueError:
         meta = None
     if not isinstance(meta, dict):
         raise DataError(f"checkpoint {path}: __meta__ is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+        raise ConfigError(f"checkpoint {path}: unsupported version {meta.get('version')}")
     try:
         config = ModelConfig(**meta["config"])
         stored_hash = meta["config_hash"]
@@ -402,12 +384,13 @@ def load_params(path, expected_hash: str | None = None) -> ModelParams:
     except TypeError as err:
         raise DataError(f"checkpoint {path}: bad model config in metadata: {err}") from None
     if config.hash() != stored_hash:
-        raise ConfigError("checkpoint config hash does not match its config")
+        raise ConfigError(f"checkpoint {path}: config hash does not match its config")
     if expected_hash is not None and stored_hash != expected_hash:
         raise ConfigError(
-            f"checkpoint config hash {stored_hash} does not match"
+            f"checkpoint {path}: config hash {stored_hash} does not match"
             f" expected {expected_hash}"
         )
+    values = arrays.get("values")
     if values is None:
         raise DataError(f"checkpoint {path}: missing array values")
     if values.ndim != 1 or values.dtype != np.float64:

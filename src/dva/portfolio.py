@@ -88,7 +88,7 @@ class PeriodMoments:
 
 def prediction_moments(preds) -> PeriodMoments:
     """Net the gross-return predictions, then average over the horizon and
-    take the sample covariance across stocks (divisor T'-1)."""
+    take the sample covariance across stocks (divisor T'-1); overflow is a ``DataError``."""
     arr = np.asarray(preds, dtype=np.float64)
     if arr.ndim != 2:
         raise ContractError(f"expected (stocks, horizon) predictions, got {arr.shape}")
@@ -97,10 +97,13 @@ def prediction_moments(preds) -> PeriodMoments:
         raise ContractError("need at least one stock")
     if t_out < 2:
         raise ContractError(f"covariance needs horizon >= 2, got {t_out}")
-    net = arr - 1.0
-    mu = net.mean(axis=1)
-    centered = net - mu[:, None]
-    sigma = centered @ centered.T / (t_out - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        net = arr - 1.0
+        mu = net.mean(axis=1)
+        centered = net - mu[:, None]
+        sigma = centered @ centered.T / (t_out - 1)
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise DataError("the forecasts have no finite mean and covariance")
     return PeriodMoments(mu=mu, sigma=sigma).validate()
 
 
@@ -412,26 +415,23 @@ def load_prediction_frames(pred_dir) -> list[PredictionFrame]:
         m = _PREDICTION_NAME.match(f.name)
         if m is None:
             continue
-        y_hat, y_true, dates = load_predictions(f)
+        y_hat, y_true, dates, steps = load_predictions(f)
+        where = f"prediction file {f}"
         bad = np.flatnonzero(~(np.isfinite(y_hat) & np.isfinite(y_true)))
         if bad.size:
-            raise DataError(f"{f}: line {bad[0] + 2} holds a non-finite y_hat or y_true")
-        anchors: list[dt.date] = []
-        starts = []
-        for i, d in enumerate(dates):
-            if not anchors or d != anchors[-1]:
-                anchors.append(d)
-                starts.append(i)
-        starts.append(len(dates))
-        widths = {starts[i + 1] - starts[i] for i in range(len(anchors))}
-        if len(widths) != 1:
-            raise DataError(f"{f}: ragged prediction horizons {sorted(widths)}")
-        t_out = widths.pop()
+            raise DataError(f"{where}: line {bad[0] + 2}: a non-finite y_hat or y_true")
+        # the reader checked each anchor's steps count 1, 2, ...: anchors start at 1
+        anchors = steps.count(1)
+        t_out = len(steps) // anchors
+        expected = list(range(1, t_out + 1)) * anchors
+        if steps != expected:  # the first row off the pattern; steps are >= 1
+            i = next(i for i, (s, e) in enumerate(zip(steps, expected + [0])) if s != e)
+            raise DataError(f"{where}: line {i + 2}: ragged prediction horizons")
         frames.append(
             PredictionFrame(
                 stock=m.group("stock"),
                 run=int(m.group("run")),
-                anchors=tuple(anchors),
+                anchors=tuple(dates[::t_out]),
                 y_hat=y_hat.reshape(-1, t_out),
                 y_true=y_true.reshape(-1, t_out),
                 path=f,
@@ -510,8 +510,9 @@ def _prepare_run(frames: Sequence[PredictionFrame], lam: float | None) -> _Prepa
     row_of = {f.stock: f.by_anchor() for f in frames}
     run = frames[0].run
     t_out = frames[0].y_hat.shape[1]
-    if any(f.y_hat.shape[1] != t_out for f in frames):
-        raise DataError(f"run {run}: stocks disagree on the prediction horizon")
+    odd = [f.path for f in frames if f.y_hat.shape[1] != t_out]
+    if odd:
+        raise DataError(f"prediction file {odd[0]}: horizon unlike {frames[0].path}'s")
     eq_w = equal_weights(len(stocks)).w
     periods: list[_Period | str] = []
     for anchor in _period_anchors(frames):
@@ -534,7 +535,15 @@ def _prepare_run(frames: Sequence[PredictionFrame], lam: float | None) -> _Prepa
         except DegenerateReturnsError:
             periods.append(_degenerate(run, anchor))
             continue
-        moments = prediction_moments(np.array(rows_hat))
+        try:
+            moments = prediction_moments(np.array(rows_hat))
+        except DataError as err:  # name the first stock whose own variance overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                name = stocks[int(np.argmin(np.isfinite(np.var(rows_hat, axis=1))))]
+            raise DataError(
+                f"prediction file {by_stock[name].path}: line {row_of[name][anchor] * t_out + 2}:"
+                f" {err} in period {anchor.isoformat()} of run {run}"
+            ) from None
         if lam is None:
             sigma_eff, sweeps = moments.sigma, None
         else:

@@ -495,7 +495,7 @@ def _experiment_job(args: tuple) -> list[dict]:
                 "error": str(err), "error_type": type(err).__name__}
 
     try:
-        where = f"ticker {ticker}, price file {price_file(data_dir, ticker)}"
+        where = f"price file {price_file(data_dir, ticker)}"
         split = build_dataset(load_ohlcv(data_dir, ticker), cfg.t_in, cfg.t_out, where)
         live = list(range(runs))
         trained = []

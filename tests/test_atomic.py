@@ -1,5 +1,6 @@
 """Every artifact is written whole or not at all, and only through
-``dva.atomic``."""
+``dva.atomic``; every input is read only through it, and a fault in one
+names its kind, path and line."""
 
 import ast
 import datetime as dt
@@ -14,15 +15,20 @@ from hypothesis import strategies as st
 
 import dva.atomic
 from dva.atomic import atomic_open, write_csv, write_json
+from dva.cli import _report_from_metrics
+from dva.config import load_run_config, load_synth_spec
 from dva.data import (
     FEATURE_DIM,
     SynthSpec,
     WindowPair,
     synth_generate,
     write_ohlcv,
+    load_ohlcv,
+    load_tickers,
     write_tickers,
     write_truth,
 )
+from dva.errors import ConfigError, DataError, DvaError, ParseError
 from dva.evaluation import (
     UncertaintyRow,
     load_predictions,
@@ -188,6 +194,15 @@ def _is_write_mode(node) -> bool:
     return isinstance(text, str) and set(text) <= set("rwxabt+") and bool(set(text) & set("wxa+"))
 
 
+def _open_modes(node, func: str) -> list:
+    """The mode arguments of an ``open`` call: open(path, mode) and
+    os.open(path, flags) take it second, Path.open(mode) first."""
+    modes = [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
+    modes += node.args[1:2] if isinstance(node.func, ast.Name) or func in (
+        "io.open", "os.open") else node.args[:1]
+    return modes
+
+
 def write_faults(source: str) -> list[str]:
     tree = ast.parse(source)
     handles = {
@@ -207,11 +222,7 @@ def write_faults(source: str) -> list[str]:
         name = func.rsplit(".", 1)[-1]
         where = f"line {node.lineno}: {func}"
         if name == "open":
-            modes = [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
-            # open(path, mode) and os.open(path, flags); Path.open(mode)
-            modes += node.args[1:2] if isinstance(node.func, ast.Name) or func in (
-                "io.open", "os.open") else node.args[:1]
-            if any(_is_write_mode(m) for m in modes):
+            if any(_is_write_mode(m) for m in _open_modes(node, func)):
                 faults.append(where)
         elif name in ("write_text", "write_bytes"):
             faults.append(where)
@@ -269,3 +280,134 @@ def test_only_dva_atomic_writes_files():
         if m.name != "atomic.py"
     }
     assert {name: f for name, f in faults.items() if f} == {}
+
+
+# ---------------------------------------------------------------------------
+# one reader: no module but dva/atomic.py reads a file
+# ---------------------------------------------------------------------------
+
+FILE_READERS = {"np.load", "numpy.load", "json.load", "np.fromfile", "np.loadtxt",
+                "np.genfromtxt"}
+
+
+def _is_read_mode(node) -> bool:
+    """A mode argument that reads: one with ``r`` or ``+``, one the code
+    works out at run time, or anything that is not a mode at all (as the
+    member name of ``ZipFile.open``)."""
+    if not isinstance(node, ast.Constant):
+        return True
+    text = node.value
+    is_mode = isinstance(text, str) and set(text) <= set("rwxabt+")
+    return not is_mode or bool(set(text) & set("r+"))
+
+
+def read_faults(source: str) -> list[str]:
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        name = func.rsplit(".", 1)[-1]
+        where = f"line {node.lineno}: {func}"
+        if name == "open":
+            modes = _open_modes(node, func)
+            if not modes or any(_is_read_mode(m) for m in modes):
+                faults.append(where)
+        elif isinstance(node.func, ast.Attribute) and name in ("read_text", "read_bytes"):
+            faults.append(where)
+        elif func in FILE_READERS:
+            faults.append(where)
+    return faults
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "open(p)",
+        'open(p, "rb")',
+        'open(p, mode="r", encoding="utf-8")',
+        'open(p, "r+")',
+        "open(p, m)",
+        'io.open(p, newline="")',
+        "os.open(p, os.O_RDONLY)",
+        "Path(p).open()",
+        'zf.open("values.npy")',
+        'p.read_text(encoding="utf-8")',
+        "Path(p).read_bytes()",
+        "np.load(p, allow_pickle=False)",
+        "json.load(fh)",
+        "np.loadtxt(p)",
+    ],
+)
+def test_read_guard_finds_each_kind_of_read(source):
+    assert read_faults(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'open(p, "w")',
+        'open(p, mode="ab")',
+        "json.loads(text)",
+        'read_utf8(p, "price file")',
+        'dva.atomic.read_npz(p, "checkpoint")',
+        'with atomic_open(p) as fh:\n    fh.write(b"x")',
+    ],
+)
+def test_read_guard_passes_writes_and_the_readers_of_dva_atomic(source):
+    assert read_faults(source) == []
+
+
+def test_only_dva_atomic_reads_files():
+    src = Path(dva.atomic.__file__).parent
+    faults = {
+        m.name: read_faults(m.read_text(encoding="utf-8"))
+        for m in sorted(src.glob("*.py"))
+        if m.name != "atomic.py"
+    }
+    assert len(faults) > 10
+    assert {name: f for name, f in faults.items() if f} == {}
+
+
+# ---------------------------------------------------------------------------
+# one form for a fault in any input: <kind> <path>: [line N: ]...
+# ---------------------------------------------------------------------------
+
+# input kind: (its reader, the class of a missing or unreadable file, the
+# class of a byte that is not UTF-8; None for a binary input)
+INPUT_READERS = {
+    "run config": (load_run_config, ConfigError, ConfigError),
+    "synth spec": (load_synth_spec, ConfigError, ConfigError),
+    "tickers file": (load_tickers, ConfigError, ConfigError),
+    # by ticker, as the commands read it: a directory given itself is no file
+    "price file": (lambda path: load_ohlcv(path.parent, "input"), DataError, ParseError),
+    "prediction file": (load_predictions, DataError, ParseError),
+    "metrics file": (_report_from_metrics, DataError, ParseError),
+    "checkpoint": (load_params, DataError, None),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, fault",
+    [
+        (kind, fault)
+        for kind, (_, _, not_utf8) in sorted(INPUT_READERS.items())
+        for fault in ["missing", "directory"] + ["not-utf8"] * (not_utf8 is not None)
+    ],
+)
+def test_every_input_names_its_kind_path_and_line(tmp_path, kind, fault):
+    read, missing, not_utf8 = INPUT_READERS[kind]
+    path = tmp_path / "input.csv"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not-utf8":
+        path.write_bytes(b"first line\nsecond \xff line\n")
+    with pytest.raises(DvaError) as err:
+        read(path)
+    text = {
+        "missing": "cannot read: No such file or directory",
+        "directory": "cannot read: Is a directory",
+        "not-utf8": "line 2: not UTF-8 text",
+    }[fault]
+    assert type(err.value) is (not_utf8 if fault == "not-utf8" else missing)
+    assert str(err.value) == f"{kind} {path}: {text}"

@@ -234,7 +234,7 @@ class TestTrain:
         for ticker in ("AAA", "BBB"):
             for run in (0, 1):
                 assert (pipeline.out / "checkpoints" / f"{ticker}_run{run}.npz").exists()
-                y_hat, y_true, dates = load_predictions(
+                y_hat, y_true, dates, _ = load_predictions(
                     pipeline.out / "predictions" / f"{ticker}_run{run}.csv"
                 )
                 assert len(y_hat) == len(y_true) == len(dates)
@@ -306,7 +306,7 @@ class TestPredict:
         for ticker in ("AAA", "BBB"):
             for run in (0, 1):
                 path = pipeline.out / "predictions_val" / f"{ticker}_run{run}.csv"
-                y_hat, y_true, dates = load_predictions(path)
+                y_hat, y_true, dates, _ = load_predictions(path)
                 assert len(y_hat) > 0
 
     def test_regeneration_is_byte_identical(self, pipeline):
@@ -320,7 +320,11 @@ class TestPredict:
             tmp_path / "c.json", run_payload(pipeline.data, tmp_path / "empty")
         )
         assert main(["predict", "--config", str(cfg)]) == 3
-        assert "checkpoint" in read_stderr_json(capsys)["message"]
+        ckpt = tmp_path / "empty" / "checkpoints" / "AAA_run0.npz"
+        assert read_stderr_json(capsys) == {
+            "error": "DataError",
+            "message": f"checkpoint {ckpt}: cannot read: No such file or directory",
+        }
 
     def test_malformed_checkpoint_metadata(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
@@ -383,7 +387,7 @@ class TestPredict:
         assert main(["predict", "--config", str(cfg)]) == 3
         assert read_stderr_json(capsys) == {
             "error": "ParseError",
-            "message": f"line 4: {prices} is not UTF-8 text",
+            "message": f"price file {prices}: line 4: not UTF-8 text",
         }
 
     def test_version_1_checkpoint_is_a_config_error(self, pipeline, tmp_path, capsys):
@@ -406,7 +410,7 @@ class TestPredict:
         assert main(["predict", "--config", str(cfg)]) == 2
         assert read_stderr_json(capsys) == {
             "error": "ConfigError",
-            "message": "unsupported checkpoint version 1",
+            "message": f"checkpoint {ckpt}: unsupported version 1",
         }
 
 
@@ -542,8 +546,8 @@ class TestEvaluate:
             (b'{"per_stock": {', "DataError", ": invalid JSON: "),
             (b'{"per_stock": {"AAA": {"mean": 0.1}}}', "DataError", ": per_stock must list"),
             (b'{"per_stock": {"AAA": {"runs": [0.1, null]}}}', "DataError", ": per_stock must list"),
-            (b'[0.1]', "DataError", " has no per-stock results"),
-            (b'{\n"per_stock": \xff}', "ParseError", " is not UTF-8 text"),
+            (b'[0.1]', "DataError", ": no per-stock results"),
+            (b'{\n"per_stock": \xff}', "ParseError", ": line 2: not UTF-8 text"),
         ],
         ids=["bad-json", "no-runs", "null-run", "not-an-object", "not-utf8"],
     )
@@ -560,8 +564,7 @@ class TestEvaluate:
         assert main(argv) == 3
         err = read_stderr_json(capsys)
         assert err["error"] == error
-        prefix = "line 2: " if error == "ParseError" else "metrics file "
-        assert err["message"].startswith(f"{prefix}{baseline}{cause}")
+        assert err["message"].startswith(f"metrics file {baseline}{cause}")
         assert not (out2 / "report.json").exists()
 
     def test_missing_baseline_file(self, pipeline, tmp_path, capsys):
@@ -581,7 +584,10 @@ class TestEvaluate:
             )
             == 3
         )
-        assert "missing artifact" in read_stderr_json(capsys)["message"]
+        assert read_stderr_json(capsys) == {
+            "error": "DataError",
+            "message": f"metrics file {tmp_path / 'absent.json'}: cannot read: No such file or directory",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +691,32 @@ class TestPortfolio:
         assert main(["portfolio", "--config", str(cfg)]) == 3
         assert read_stderr_json(capsys) == {
             "error": "ParseError",
-            "message": f"line 3: {bad} is not UTF-8 text",
+            "message": f"prediction file {bad}: line 3: not UTF-8 text",
+        }
+
+    @pytest.mark.parametrize("huge", ["1e200", "1e308"])
+    def test_huge_forecast_is_a_data_error_naming_the_file(
+        self, pipeline, tmp_path, capsys, huge
+    ):
+        # a finite y_hat whose variance overflows: no numpy warning and no
+        # lasso on NaN, but the fault of the file that holds it
+        out = tmp_path / "o"
+        out.mkdir()
+        for kind in ("predictions", "predictions_val"):
+            shutil.copytree(pipeline.out / kind, out / kind)
+        path = out / "predictions" / "AAA_run0.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        date, step, _, y_true = lines[1].rstrip("\r\n").split(",")
+        lines[1] = f"{date},{step},{huge},{y_true}\r\n"
+        path.write_text("".join(lines))
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["portfolio", "--config", str(cfg)]) == 3
+        assert read_stderr_json(capsys) == {
+            "error": "DataError",
+            "message": f"prediction file {path}: line 2: the forecasts have no finite"
+            f" mean and covariance in period {date} of run 0",
         }
 
     def test_regularization_off_records_null_lambda(self, pipeline, tmp_path):
@@ -772,7 +803,7 @@ class TestSweep:
 
 class TestShortPriceFile:
     """A price file too short to split is the data's fault, in every command
-    that splits it: the error names the ticker, the file and its bars."""
+    that splits it: the error names the price file and its bars."""
 
     def cut(self, pipeline, tmp_path, bars=14):
         data = tmp_path / "data"
@@ -785,7 +816,7 @@ class TestShortPriceFile:
         shutil.copytree(pipeline.out / "predictions", out / "predictions")
         cfg = write_json(tmp_path / "c.json", run_payload(data, out))
         message = (
-            f"ticker BBB, price file {path}: 14 bars, but t_in=8 and t_out=4"
+            f"price file {path}: 14 bars, but t_in=8 and t_out=4"
             " need at least 22 to split into 10 windows"
         )
         return cfg, out, message

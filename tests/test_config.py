@@ -106,7 +106,7 @@ class TestLoadRunConfig:
             load_run_config(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="no such file"):
+        with pytest.raises(ConfigError, match="cannot read: No such file or directory"):
             load_run_config(tmp_path / "absent.json")
 
     def test_invalid_json(self, tmp_path):

@@ -1,6 +1,8 @@
 """Corrupt input bytes fail inside the exit-code taxonomy: every input kind,
 with bytes flipped or cut off, makes ``dva`` exit 0, 2, 3, 4 or 5 and name a
-``DvaError`` subclass on stderr, never exit 1 with a stray exception."""
+``DvaError`` subclass on stderr, never exit 1 with a stray exception. A
+corrupt price or prediction file that fails a command is named in its
+message."""
 
 import contextlib
 import io
@@ -120,7 +122,10 @@ def test_corrupt_input_exits_inside_the_taxonomy(pristine, tmp_path_factory, kin
             code = main(argv)
         assert code in (0, 2, 3, 4, 5), stderr.getvalue()
         if code:
-            assert json.loads(stderr.getvalue())["error"] in dva_error_names()
+            err = json.loads(stderr.getvalue())
+            assert err["error"] in dva_error_names()
+            if kind in ("OHLCV", "predictions"):
+                assert str(target) in err["message"]
 
 
 def _set(col, value):

@@ -126,49 +126,47 @@ class ReferenceBar:
     close: float
     volume: float
 
-    def validate(self):
+    def validate(self, where):
+        """``where`` names the file and line: ``price file <path>: line N: ``."""
         if min(self.open, self.high, self.low, self.close) <= 0.0:
-            raise DataError(f"{self.date}: prices must be positive")
+            raise DataError(f"{where}{self.date}: prices must be positive")
         if self.volume < 0.0:
-            raise DataError(f"{self.date}: volume must be >= 0")
+            raise DataError(f"{where}{self.date}: volume must be >= 0")
         if self.low > min(self.open, self.close):
-            raise DataError(f"{self.date}: low exceeds open/close")
+            raise DataError(f"{where}{self.date}: low exceeds open/close")
         if self.high < max(self.open, self.close):
-            raise DataError(f"{self.date}: high below open/close")
+            raise DataError(f"{where}{self.date}: high below open/close")
         return self
 
 
 def reference_read_ohlcv(p):
-    """The reader as it was: one validated bar object per row, in file order."""
+    """The reader as it was: one validated bar object per row, in file order;
+    a fault names the price file and the row's line."""
     bars = []
     seen = set()
+    where = f"price file {p}"
     with open(p, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header", line=1) from None
+        header = next(reader, [])
         if [h.strip().lower() for h in header] != OHLCV_HEADER:
-            raise ParseError(
-                f"header must be {','.join(OHLCV_HEADER)}, got {','.join(header)}",
-                line=1,
-            )
+            got = ",".join(header) or "nothing"
+            raise ParseError(where, 1, f"header must be {','.join(OHLCV_HEADER)}, got {got}")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 6:
-                raise ParseError(f"expected 6 fields, got {len(row)}", line=lineno)
+                raise ParseError(where, lineno, f"expected 6 fields, got {len(row)}")
             try:
                 date = dt.date.fromisoformat(row[0].strip())
                 o, h, l, c, v = (float(x) for x in row[1:])
             except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+                raise ParseError(where, lineno, str(exc)) from None
             if not all(map(math.isfinite, (o, h, l, c, v))):
-                raise ParseError("non-finite value", line=lineno)
+                raise ParseError(where, lineno, "non-finite value")
             if date in seen:
-                raise DataError(f"{date}: duplicate date")
+                raise DataError(f"{where}: line {lineno}: {date}: duplicate date")
             seen.add(date)
-            bars.append(ReferenceBar(date, o, h, l, c, v).validate())
+            bars.append(ReferenceBar(date, o, h, l, c, v).validate(f"{where}: line {lineno}: "))
     bars.sort(key=lambda b: b.date)
     dates = [b.date for b in bars]
     ohlcv = np.array([(b.open, b.high, b.low, b.close, b.volume) for b in bars])

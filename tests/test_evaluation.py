@@ -242,7 +242,8 @@ class TestPredictionFiles:
         y_hat = rng.normal(size=(2, 3)) + 1.0
         path = tmp_path / "p.csv"
         write_predictions(path, pairs, y_hat)
-        got_hat, got_true, dates = load_predictions(path)
+        got_hat, got_true, dates, steps = load_predictions(path)
+        assert steps == [1, 2, 3, 1, 2, 3]
         np.testing.assert_array_equal(got_hat, y_hat.ravel())
         np.testing.assert_array_equal(got_true, np.concatenate([p.y for p in pairs]))
         assert dates[0] == dt.date(2021, 1, 15) and dates[3] == dt.date(2021, 1, 16)
@@ -263,8 +264,10 @@ class TestPredictionFiles:
             )
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="missing artifact"):
-            load_predictions(tmp_path / "absent.csv")
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataError) as err:
+            load_predictions(path)
+        assert str(err.value) == f"prediction file {path}: cannot read: No such file or directory"
 
     def test_bad_header_line_number(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -307,8 +310,9 @@ class TestPredictionFiles:
     def test_header_only_is_missing_artifact(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(",".join(PREDICTION_HEADER) + "\n")
-        with pytest.raises(DataError, match="missing artifact"):
+        with pytest.raises(DataError) as err:
             load_predictions(path)
+        assert str(err.value) == f"prediction file {path}: no data rows"
 
 
 def csv_reference_bytes(pairs, y_hat) -> bytes:
@@ -330,42 +334,41 @@ def reference_load(path):
     for the values, errors and line numbers of ``load_predictions``. The
     rows are parsed first; then each anchor's steps must count 1, 2, ..."""
     y_hat, y_true, dates, steps = [], [], [], []
+    where = f"prediction file {path}"
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != PREDICTION_HEADER:
             raise ParseError(
-                f"header must be {','.join(PREDICTION_HEADER)}, got {header}", line=1
+                where, 1, f"header must be {','.join(PREDICTION_HEADER)}, got {header}"
             )
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
+                raise ParseError(where, lineno, f"expected 4 fields, got {len(row)}")
             try:
                 dates.append(dt.date.fromisoformat(row[0]))
                 steps.append(int(row[1]))
                 y_hat.append(float(row[2]))
                 y_true.append(float(row[3]))
             except ValueError as err:
-                raise ParseError(str(err), line=lineno) from None
+                raise ParseError(where, lineno, str(err)) from None
     if not y_hat:
-        raise DataError(f"missing artifact: prediction file {path} has no rows")
+        raise DataError(f"{where}: no data rows")
     expected = 0
     for lineno, (step, date, prev) in enumerate(zip(steps, dates, [None] + dates), start=2):
         expected = expected + 1 if date == prev else 1
         if step != expected:
-            raise ParseError(
-                f"{path}: step {step} out of order, expected {expected}", line=lineno
-            )
-    return np.array(y_hat), np.array(y_true), dates
+            raise ParseError(where, lineno, f"step {step} out of order, expected {expected}")
+    return np.array(y_hat), np.array(y_true), dates, steps
 
 
 def outcome(load, path):
     """What a reader makes of a file: the error, or the bits it returns."""
     try:
-        y_hat, y_true, dates = load(path)
+        y_hat, y_true, dates, steps = load(path)
     except DataError as err:
         return type(err).__name__, str(err), getattr(err, "line", None)
-    return y_hat.tobytes(), y_true.tobytes(), dates
+    return y_hat.tobytes(), y_true.tobytes(), dates, steps
 
 
 AWKWARD = [-0.0, 1e-300, 1.0000000000000002, float("nan"), float("inf"),
@@ -414,8 +417,9 @@ class TestPredictionBytes:
         path = tmp_path_factory.mktemp("rt") / "p.csv"
         write_predictions(path, pairs, y_hat)
         assert path.read_bytes() == csv_reference_bytes(pairs, y_hat)
-        got_hat, got_true, dates = load_predictions(path)
+        got_hat, got_true, dates, steps = load_predictions(path)
         t_out = y_hat.shape[1]
+        assert steps == list(range(1, t_out + 1)) * len(pairs)
         assert got_hat.tobytes() == y_hat.ravel().tobytes()
         assert got_true.tobytes() == np.concatenate([p.y for p in pairs]).tobytes()
         assert dates == [p.anchor_date for p in pairs for _ in range(t_out)]
@@ -487,8 +491,12 @@ class TestScanPredictions:
     def test_a_non_finite_value_names_file_and_line(self, tmp_path, y_hat, y_true):
         self.write(tmp_path / "AAA_run0.csv", y_hat, y_true)
         line = 2 + int(np.isfinite(y_hat[0] + y_true[0]))
-        with pytest.raises(DataError, match=f"AAA_run0.csv: line {line} holds a non-finite"):
+        with pytest.raises(DataError) as err:
             load_prediction_frames(tmp_path)
+        assert str(err.value) == (
+            f"prediction file {tmp_path / 'AAA_run0.csv'}: line {line}:"
+            " a non-finite y_hat or y_true"
+        )
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(DataError, match="missing artifact"):

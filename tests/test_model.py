@@ -509,8 +509,10 @@ def test_checkpoint_rejects_hash_mismatch(tmp_path):
 
 
 def test_checkpoint_missing_file(tmp_path):
-    with pytest.raises(ConfigError):
-        load_params(tmp_path / "nope.npz")
+    path = tmp_path / "nope.npz"
+    with pytest.raises(DataError) as err:
+        load_params(path)
+    assert str(err.value) == f"checkpoint {path}: cannot read: No such file or directory"
 
 
 def rewrite_members(path, edit):
@@ -633,7 +635,7 @@ def test_checkpoint_bad_metadata_is_a_data_error(tmp_path, edit, message):
 def test_checkpoint_of_another_version_is_a_config_error(tmp_path):
     f = tmp_path / "ck.npz"
     rewrite_members(f, _edit_meta(lambda m: m.update(version=1)))
-    with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
+    with pytest.raises(ConfigError, match=re.escape(f"checkpoint {f}: unsupported version 1")):
         load_params(f)
 
 

@@ -638,7 +638,7 @@ class TestRunExperiment:
         for ticker in ("AAA", "BBB"):
             for run in (0, 1):
                 assert (out / "checkpoints" / f"{ticker}_run{run}.npz").exists()
-                y_hat, y_true, _ = load_predictions(
+                y_hat, y_true, _, _ = load_predictions(
                     out / "predictions" / f"{ticker}_run{run}.csv"
                 )
                 assert y_hat.size == y_true.size > 0
@@ -651,7 +651,7 @@ class TestRunExperiment:
         # the persisted prediction files reproduce the reported MSEs exactly
         for ticker in ("AAA", "BBB"):
             for run, detail in enumerate(metrics["per_stock"][ticker]["run_details"]):
-                y_hat, y_true, _ = load_predictions(
+                y_hat, y_true, _, _ = load_predictions(
                     out / "predictions" / f"{ticker}_run{run}.csv"
                 )
                 assert detail["test_mse"] == pytest.approx(
@@ -667,7 +667,7 @@ class TestRunExperiment:
         from dva.data import load_ohlcv
 
         split = build_dataset(load_ohlcv(data, "AAA"), self.CFG.t_in, self.CFG.t_out)
-        y_hat, _, _ = load_predictions(out / "predictions" / "AAA_run0.csv")
+        y_hat, _, _, _ = load_predictions(out / "predictions" / "AAA_run0.csv")
         np.testing.assert_array_equal(
             predict(params, split.test.x, self.CFG).ravel(), y_hat
         )
