@@ -8,13 +8,13 @@ where ``need`` is False: inputs that no parameter reaches get no VJP.
 Tensors are immutable by convention: no primitive writes to an input's
 ``data`` buffer, so a tape stays valid until it is dropped.
 
-The convolutions take channel-major activations ``(..., channels, batch,
-time)``, so a per-channel operation sees one contiguous ``batch*time`` row
-per channel. The linear-algebra primitives accept leading axes in front of
-their usual shapes and broadcast over them through ``np.matmul``: a kernel
-``(R, c_out, c_in, k)`` applied to ``(R, c_in, batch, t)`` runs R
-independent convolutions in one call, and an input without the leading axis
-is shared by all R of them.
+The pointwise convolution takes channel-major activations ``(..., channels,
+batch, time)``, so a per-channel operation sees one contiguous
+``batch*time`` row per channel. The linear-algebra primitives accept leading
+axes in front of their usual shapes and broadcast over them through
+``np.matmul``: a kernel ``(R, c_out, c_in, 1)`` applied to ``(R, c_in,
+batch, t)`` runs R independent convolutions in one call, and an input
+without the leading axis is shared by all R of them.
 """
 
 from __future__ import annotations
@@ -408,20 +408,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Cross-correlation along time with zero padding and stride 1, as one
-    GEMM (im2col; Chellapilla, Puri & Simard 2006).
+    """A pointwise (1x1) convolution: one GEMM of kernel (..., c_out, c_in,
+    1) by x (..., c_in, batch*t), plus bias (..., c_out) when given.
 
-    x (..., c_in, batch, t) is channel-major, kernel (..., c_out, c_in, k)
-    with k odd, bias (..., c_out); the output (..., c_out, batch, t) keeps t
-    and the broadcast leading axes. A k-wide kernel multiplies k zero-padded
-    shifted copies of x stacked on the channel axis; a 1x1 kernel multiplies
-    x itself: one matmul of (c_out, c_in) by (c_in, batch*t).
+    x (..., c_in, batch, t) is channel-major; the output (..., c_out, batch,
+    t) keeps t and the broadcast leading axes. A kernel wider than one step
+    is a ContractError: filters along time are the depthwise kernels of
+    ``dva.layers``.
     """
     if x.data.ndim < 3 or kernel.data.ndim < 3:
-        raise ContractError("conv1d needs x (..., c, b, t) and kernel (..., c_out, c_in, k)")
+        raise ContractError("conv1d needs x (..., c, b, t) and kernel (..., c_out, c_in, 1)")
     c_out, c_in, k = kernel.data.shape[-3:]
-    if k % 2 == 0:
-        raise ContractError(f"kernel width must be odd, got {k}")
+    if k != 1:
+        raise ContractError(f"conv1d is pointwise: kernel width must be 1, got {k}")
     if x.data.shape[-3] != c_in:
         raise ContractError(
             f"channel mismatch: x has {x.data.shape[-3]}, kernel expects {c_in}"
@@ -429,17 +428,9 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     _lead(x, 3, kernel, 3, "conv1d")
     if bias is not None and bias.data.shape != kernel.data.shape[:-2]:
         raise ContractError(f"bias shape {bias.shape} != {kernel.data.shape[:-2]}")
-    lead = x.data.shape[:-3]
     b, t = x.data.shape[-2:]
-    pad = k // 2
-    if k == 1:
-        cols = x.data
-    else:
-        xp = np.zeros(lead + (c_in, b, t + 2 * pad))
-        xp[..., pad : pad + t] = x.data
-        cols = np.stack([xp[..., j : j + t] for j in range(k)], axis=-3)
-    cols = cols.reshape(lead + (c_in * k, b * t))  # rows ordered (c_in, tap)
-    w = kernel.data.reshape(kernel.data.shape[:-2] + (c_in * k,))
+    cols = x.data.reshape(x.data.shape[:-3] + (c_in, b * t))
+    w = kernel.data.reshape(kernel.data.shape[:-2] + (c_in,))
     y = np.matmul(w, cols)
     if bias is not None:
         y += bias.data[..., None]
@@ -450,18 +441,10 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         grads = [None, None]
         if need[0]:
             dcols = np.matmul(w.swapaxes(-1, -2), g2)
-            if k == 1:
-                dx = dcols.reshape(dcols.shape[:-1] + (b, t))
-            else:
-                dcols = dcols.reshape(dcols.shape[:-2] + (c_in, k, b, t))
-                dxp = np.zeros(dcols.shape[:-3] + (b, t + 2 * pad))
-                for j in range(k):
-                    dxp[..., j : j + t] += dcols[..., j, :, :]
-                dx = dxp[..., pad : pad + t]
-            grads[0] = _unbroadcast(dx, x.data.shape)
+            grads[0] = _unbroadcast(dcols.reshape(dcols.shape[:-1] + (b, t)), x.data.shape)
         if need[1]:
             dw = np.matmul(g2, cols.swapaxes(-1, -2))
-            grads[1] = _unbroadcast(dw.reshape(dw.shape[:-1] + (c_in, k)), kernel.data.shape)
+            grads[1] = _unbroadcast(dw[..., None], kernel.data.shape)
         if bias is not None:
             grads.append(_unbroadcast(g2.sum(axis=-1), bias.data.shape) if need[2] else None)
         return tuple(grads)

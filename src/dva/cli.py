@@ -459,18 +459,20 @@ def cmd_portfolio(args) -> int:
 
 
 def _parse_grid(text: str | None, name: str) -> tuple[float, ...]:
+    """The values of ``--<name>-grid``; a fault names the flag."""
     if text is None:
         return DEFAULT_WEIGHT_GRID
+    flag = f"--{name}-grid"
     try:
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError as err:
-        raise ConfigError(f"{name}: {err}") from None
+        raise ConfigError(f"{flag}: {err}") from None
     if not values:
-        raise ConfigError(f"{name} grid is empty")
-    if any(v < 0 for v in values):
-        raise ConfigError(f"{name} grid entries must be >= 0, got {list(values)}")
+        raise ConfigError(f"{flag}: grid is empty")
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise ConfigError(f"{flag}: entries must be finite and >= 0, got {list(values)}")
     if len(set(values)) != len(values):
-        raise ConfigError(f"{name} grid has duplicates: {list(values)}")
+        raise ConfigError(f"{flag}: grid has duplicates: {list(values)}")
     return values
 
 

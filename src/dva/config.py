@@ -13,6 +13,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .atomic import read_utf8
@@ -127,25 +128,40 @@ def _check_schema_version(raw: dict, expected: int, where: str) -> None:
         )
 
 
-def _typed(value, want: type, key: str):
-    """JSON-to-field coercion; bool is not an int here."""
+def _typed(value, want: type, key: str, where: str):
+    """JSON-to-field coercion; bool is not an int here, and a number must be
+    finite (Python's json reads NaN and Infinity)."""
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field {key} must be a number, got {value!r}")
-        return float(value)
+            raise ConfigError(f"{where}: field {key} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal past the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{where}: field {key} must be finite, got {number!r}")
+        return number
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field {key} must be an integer, got {value!r}")
+            raise ConfigError(f"{where}: field {key} must be an integer, got {value!r}")
         return value
     if want is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"field {key} must be true or false, got {value!r}")
+            raise ConfigError(f"{where}: field {key} must be true or false, got {value!r}")
         return value
     if want is str:
         if not isinstance(value, str):
-            raise ConfigError(f"field {key} must be a string, got {value!r}")
+            raise ConfigError(f"{where}: field {key} must be a string, got {value!r}")
         return value
-    raise ConfigError(f"field {key} has unsupported type {want}")  # pragma: no cover
+    raise ConfigError(f"{where}: field {key} has unsupported type {want}")  # pragma: no cover
+
+
+def _validated(config, where: str):
+    """``config.validate()``, with a fault prefixed by the file it came from."""
+    try:
+        return config.validate()
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from None
 
 
 def _load_json_object(path, kind: str) -> dict:
@@ -170,7 +186,7 @@ _FIELD_TYPES = {name: _annotation_type(f) for name, f in _TRAIN_FIELDS.items()}
 
 
 def _train_config_from(raw: dict, where: str) -> TrainConfig:
-    kwargs = {key: _typed(value, _FIELD_TYPES[key], key) for key, value in raw.items()}
+    kwargs = {key: _typed(value, _FIELD_TYPES[key], key, where) for key, value in raw.items()}
     try:
         return TrainConfig(**kwargs)
     except TypeError as err:  # pragma: no cover - guarded by key filtering
@@ -186,12 +202,12 @@ def load_run_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"{where}: unknown config keys: {unknown}")
 
-    data_dir = _typed(_require(raw, "data_dir", where), str, "data_dir")
-    tickers_file = _typed(_require(raw, "tickers_file", where), str, "tickers_file")
+    data_dir = _typed(_require(raw, "data_dir", where), str, "data_dir", where)
+    tickers_file = _typed(_require(raw, "tickers_file", where), str, "tickers_file", where)
     out_dir = raw.get("out_dir")
     if out_dir is not None:
-        out_dir = _typed(out_dir, str, "out_dir")
-    runs = _typed(raw.get("runs", 5), int, "runs")
+        out_dir = _typed(out_dir, str, "out_dir", where)
+    runs = _typed(raw.get("runs", 5), int, "runs", where)
 
     train = _train_config_from(
         {k: v for k, v in raw.items() if k in _TRAIN_FIELDS}, where
@@ -205,27 +221,27 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{where}: unknown portfolio keys: {punknown}")
     gamma_risk = praw.get("gamma_risk")
     if gamma_risk is not None:
-        gamma_risk = _typed(gamma_risk, float, "portfolio.gamma_risk")
+        gamma_risk = _typed(gamma_risk, float, "portfolio.gamma_risk", where)
     grid = praw.get("gamma_grid", list(DEFAULT_GAMMA_GRID))
     if not isinstance(grid, list):
         raise ConfigError(f"{where}: portfolio.gamma_grid must be a list")
     portfolio = PortfolioOptions(
-        regularize=_typed(praw.get("regularize", True), bool, "portfolio.regularize"),
-        lam=_typed(praw.get("lambda", 0.1), float, "portfolio.lambda"),
+        regularize=_typed(praw.get("regularize", True), bool, "portfolio.regularize", where),
+        lam=_typed(praw.get("lambda", 0.1), float, "portfolio.lambda", where),
         gamma_risk=gamma_risk,
         gamma_grid=tuple(
-            _typed(g, float, f"portfolio.gamma_grid[{i}]") for i, g in enumerate(grid)
+            _typed(g, float, f"portfolio.gamma_grid[{i}]", where) for i, g in enumerate(grid)
         ),
     )
-
-    return RunConfig(
+    config = RunConfig(
         data_dir=data_dir,
         tickers_file=tickers_file,
         out_dir=out_dir,
         runs=runs,
         train=train,
         portfolio=portfolio,
-    ).validate()
+    )
+    return _validated(config, where)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +270,10 @@ class SynthUniverse:
                 raise ConfigError(
                     f"ticker name {name!r} must be alphanumeric/underscore"
                 )
-            spec.validate()
+            try:
+                spec.validate()
+            except ConfigError as err:
+                raise ConfigError(f"ticker {name}: {err}") from None
         return self
 
 
@@ -278,7 +297,7 @@ def _synth_spec_from(raw: dict, where: str) -> SynthSpec:
             except ValueError as err:
                 raise ConfigError(f"{where}: start_date: {err}") from None
         else:
-            kwargs[key] = _typed(value, _SYNTH_TYPES[key], f"{where}: {key}")
+            kwargs[key] = _typed(value, _SYNTH_TYPES[key], key, where)
     return SynthSpec(**kwargs)
 
 
@@ -289,7 +308,7 @@ def load_synth_spec(path) -> SynthUniverse:
     unknown = sorted(set(raw) - {"schema_version", "seed", "tickers"})
     if unknown:
         raise ConfigError(f"{where}: unknown config keys: {unknown}")
-    seed = _typed(_require(raw, "seed", where), int, "seed")
+    seed = _typed(_require(raw, "seed", where), int, "seed", where)
     tickers_raw = _require(raw, "tickers", where)
     if not isinstance(tickers_raw, dict) or not tickers_raw:
         raise ConfigError(f"{where}: tickers must be a non-empty object")
@@ -297,4 +316,4 @@ def load_synth_spec(path) -> SynthUniverse:
         (name, _synth_spec_from(tickers_raw[name], f"{where}: ticker {name}"))
         for name in sorted(tickers_raw)
     )
-    return SynthUniverse(seed=seed, tickers=tickers).validate()
+    return _validated(SynthUniverse(seed=seed, tickers=tickers), where)

@@ -1,18 +1,17 @@
 """The generator's layers, each written once as a pair of numpy kernels.
 
-A layer's math is a forward kernel ``*_fwd(x, params..., save) -> (out,
-saved)`` and a backward kernel ``*_bwd(saved, g) -> (dx, dparams...)`` over
-plain arrays, one gradient per array input (None for an absent bias).
-``saved`` holds what the backward reads, and is None when ``save`` is False:
-then nothing is kept, and a forward may overwrite the buffers it allocated
-(``se_fwd`` also overwrites x, which its caller must own).
+A layer's math is a forward kernel ``<layer>(x, params..., save) -> (out,
+saved)`` and a backward kernel ``<layer>_bwd(saved, g) -> (dx,
+dparams...)`` over plain arrays, one gradient per array input (None for an
+absent bias). ``saved`` holds what the backward reads, and is None when
+``save`` is False: then nothing is kept, and a forward may overwrite the
+buffers it allocated (``se_gate`` also overwrites x, which its caller must
+own).
 
-The Tensor-level ops ``batch_norm``, ``depthwise_conv1d``,
-``separable_conv1d`` and ``se_gate`` each record one pair as one tape entry.
 The residual cell (``dva.model``) chains the pairs, with swish
-(``_swish_fwd``/``_swish_bwd``) between them, into a single entry, and runs
-the backward kernels in reverse. Activations are channel-major (..., c,
-batch, t); the only mutable state is the running mean/variance buffer
+(``_swish_fwd``/``_swish_bwd``) between them, into a single tape entry, and
+runs the backward kernels in reverse. Activations are channel-major (...,
+c, batch, t); the only mutable state is the running mean/variance buffer
 carried by batch norm.
 """
 
@@ -23,24 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (  # noqa: F401  (conv1d: perfbench/tracing.py wraps dva.layers.conv1d)
-    Tensor,
-    _lead,
-    _record,
-    _sigmoid,
-    _unbroadcast,
-    conv1d,
-)
-from .errors import ContractError
+# conv1d: perfbench/tracing.py wraps dva.layers.conv1d
+from .autodiff import _sigmoid, _unbroadcast, conv1d  # noqa: F401
 
 __all__ = [
     "BN_MOMENTUM",
     "BN_EPS",
     "BatchNormState",
     "batch_norm",
+    "batch_norm_bwd",
     "depthwise_conv1d",
+    "depthwise_conv1d_bwd",
     "se_gate",
+    "se_gate_bwd",
     "separable_conv1d",
+    "separable_conv1d_bwd",
 ]
 
 BN_MOMENTUM = 0.9  # weight of the old running statistics in each update
@@ -56,22 +52,13 @@ class BatchNormState:
     mean: np.ndarray
     var: np.ndarray
 
-    @classmethod
-    def create(cls, channels: int) -> "BatchNormState":
-        return cls(mean=np.zeros(channels), var=np.ones(channels))
-
-
-def _needed(grads, need):
-    """The gradients a tape entry returns: None where ``need`` is False."""
-    return tuple(d if n else None for d, n in zip(grads, need))
-
 
 # ---------------------------------------------------------------------------
 # Batch norm
 # ---------------------------------------------------------------------------
 
 
-def batch_norm_fwd(x, gamma, beta, state: BatchNormState, training: bool, save: bool):
+def batch_norm(x, gamma, beta, state: BatchNormState, training: bool, save: bool):
     """Per-channel normalisation of x (..., c, b, t) over its contiguous
     (b, t) rows, then the affine pair gamma, beta (..., c).
 
@@ -128,29 +115,6 @@ def batch_norm_bwd(saved, g):
     return dx.reshape(shape), d_gamma, d_beta
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    state: BatchNormState,
-    training: bool,
-) -> Tensor:
-    """Batch norm as one taped op; see ``batch_norm_fwd``. gamma, beta and
-    the running buffers are (..., c), one set per leading index, so each
-    model of a stack is normalised by its own statistics."""
-    if x.data.ndim < 3:
-        raise ContractError("batch_norm needs x (..., c, b, t)")
-    shape = x.data.shape[:-2]
-    if gamma.data.shape != shape or beta.data.shape != shape:
-        raise ContractError(f"gamma/beta must have shape {shape}")
-    y, saved = batch_norm_fwd(x.data, gamma.data, beta.data, state, training, True)
-
-    def back(g, need):
-        return _needed(batch_norm_bwd(saved, g), need)
-
-    return _record(Tensor(y), (x, gamma, beta), back)
-
-
 # ---------------------------------------------------------------------------
 # Depthwise and separable convolution
 # ---------------------------------------------------------------------------
@@ -170,7 +134,7 @@ def _band(t: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return spread, gather
 
 
-def depthwise_fwd(x, kernel):
+def depthwise_conv1d(x, kernel):
     """Each channel of x (..., c, b, t) filtered alone by its taps in kernel
     (..., c, 1, k), zero padded: one batched matmul by the (..., c, t, t)
     band matrix. It takes no ``save``: what its backward reads is x and the
@@ -181,7 +145,7 @@ def depthwise_fwd(x, kernel):
     return np.matmul(x, band), (x, band, kernel.shape)
 
 
-def depthwise_bwd(saved, g):
+def depthwise_conv1d_bwd(saved, g):
     """(dx, d_kernel)."""
     x, band, kernel_shape = saved
     t = x.shape[-1]
@@ -192,11 +156,11 @@ def depthwise_bwd(saved, g):
     return dx, _unbroadcast(dk[..., None, :], kernel_shape)
 
 
-def separable_fwd(x, depth, point, bias, save: bool):
-    """A depthwise filter along time (``depthwise_fwd``), then a 1x1
+def separable_conv1d(x, depth, point, bias, save: bool):
+    """A depthwise filter along time (``depthwise_conv1d``), then a 1x1
     pointwise channel mix: one GEMM of point (..., c_out, c_in, 1) by the
     filtered (..., c_in, b*t), plus bias (..., c_out) when given."""
-    u, dw = depthwise_fwd(x, depth)
+    u, dw = depthwise_conv1d(x, depth)
     b, t = u.shape[-2:]
     w = point[..., 0]
     v = np.matmul(w, u.reshape(u.shape[:-2] + (b * t,)))
@@ -206,7 +170,7 @@ def separable_fwd(x, depth, point, bias, save: bool):
     return v.reshape(v.shape[:-1] + (b, t)), saved
 
 
-def separable_bwd(saved, g):
+def separable_conv1d_bwd(saved, g):
     """(dx, d_depth, d_point, d_bias), d_bias None without a bias."""
     dw, u, w, point_shape, has_bias = saved
     b, t = u.shape[-2:]
@@ -217,60 +181,8 @@ def separable_bwd(saved, g):
         _unbroadcast(np.einsum("...n->...", g2), point_shape[:-2]) if has_bias else None
     )
     du = np.matmul(w.swapaxes(-1, -2), g2)
-    dx, d_depth = depthwise_bwd(dw, du.reshape(du.shape[:-1] + (b, t)))
+    dx, d_depth = depthwise_conv1d_bwd(dw, du.reshape(du.shape[:-1] + (b, t)))
     return dx, d_depth, d_point, d_bias
-
-
-def _check_depthwise(x: Tensor, kernel: Tensor) -> None:
-    if kernel.data.ndim < 3 or kernel.data.shape[-2] != 1:
-        raise ContractError("depthwise kernel must have shape (..., c, 1, k)")
-    c, _, k = kernel.data.shape[-3:]
-    if k % 2 == 0:
-        raise ContractError(f"kernel width must be odd, got {k}")
-    if x.data.ndim < 3 or x.data.shape[-3] != c:
-        raise ContractError(
-            f"channel mismatch: x has {x.data.shape[-3] if x.data.ndim >= 3 else '?'},"
-            f" kernel expects {c}"
-        )
-    _lead(x, 3, kernel, 3, "depthwise_conv1d")
-
-
-def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel convolution as one taped op; see ``depthwise_fwd``."""
-    _check_depthwise(x, kernel)
-    y, saved = depthwise_fwd(x.data, kernel.data)
-
-    def back(g, need):
-        return _needed(depthwise_bwd(saved, g), need)
-
-    return _record(Tensor(y), (x, kernel), back)
-
-
-def separable_conv1d(
-    x: Tensor,
-    depth_kernel: Tensor,
-    point_kernel: Tensor,
-    bias: Tensor | None = None,
-) -> Tensor:
-    """Depthwise filter along time, then a 1x1 pointwise channel mix, as one
-    taped op; see ``separable_fwd``."""
-    _check_depthwise(x, depth_kernel)
-    p = point_kernel.data
-    if p.ndim < 3 or p.shape[-1] != 1 or p.shape[-2] != depth_kernel.data.shape[-3]:
-        raise ContractError(f"point kernel must be (..., c_out, {depth_kernel.shape[-3]}, 1)")
-    _lead(x, 3, point_kernel, 3, "separable_conv1d")
-    _lead(depth_kernel, 3, point_kernel, 3, "separable_conv1d")
-    if bias is not None and bias.data.shape != p.shape[:-2]:
-        raise ContractError(f"bias shape {bias.shape} != {p.shape[:-2]}")
-    y, saved = separable_fwd(
-        x.data, depth_kernel.data, p, None if bias is None else bias.data, True
-    )
-    inputs = (x, depth_kernel, point_kernel) + ((bias,) if bias is not None else ())
-
-    def back(g, need):
-        return _needed(separable_bwd(saved, g), need)
-
-    return _record(Tensor(y), inputs, back)
 
 
 # ---------------------------------------------------------------------------
@@ -288,69 +200,39 @@ def _time_mean(t: int) -> np.ndarray:
     return v
 
 
-def se_fwd(x, w1, b1, w2, b2, save: bool):
+def se_gate(x, w1, b1, w2, b2, save: bool):
     """Squeeze-and-excitation: rescale the channels of x (..., c, b, t) by a
     gate in (0, 1). Squeeze is a time average, excitation a two-layer
-    bottleneck w1 (..., c_r, c), w2 (..., c, c_r) with optional biases,
-    relu between and a sigmoid after, one gate per channel and batch row.
-    Without ``save`` the gate multiplies x in place."""
+    bottleneck w1 (..., c_r, c) plus b1 (..., c_r), w2 (..., c, c_r) plus
+    b2 (..., c), relu between and a sigmoid after, one gate per channel and
+    batch row. Without ``save`` the gate multiplies x in place."""
     t = x.shape[-1]
     m = np.matmul(x, _time_mean(t))[..., 0]
     h = np.matmul(w1, m)
-    if b1 is not None:
-        h += b1[..., None]
+    h += b1[..., None]
     np.maximum(h, 0.0, out=h)
     z = np.matmul(w2, h)
-    if b2 is not None:
-        z += b2[..., None]
+    z += b2[..., None]
     gate = _sigmoid(z)
     y = np.multiply(x, gate[..., None], out=None if save else x)
-    saved = (x, m, h, gate, w1, w2, b1 is not None, b2 is not None) if save else None
+    saved = (x, m, h, gate, w1, w2) if save else None
     return y, saved
 
 
-def se_bwd(saved, g):
-    """(dx, d_w1, d_b1, d_w2, d_b2), a bias gradient None without the bias."""
-    x, m, h, gate, w1, w2, has_b1, has_b2 = saved
+def se_gate_bwd(saved, g):
+    """(dx, d_w1, d_b1, d_w2, d_b2)."""
+    x, m, h, gate, w1, w2 = saved
     t = x.shape[-1]
     dx = g * gate[..., None]
     dz = np.einsum("...t,...t->...", g, x)
     dz *= gate
     dz *= 1.0 - gate
     d_w2 = _unbroadcast(np.matmul(dz, h.swapaxes(-1, -2)), w2.shape)
-    d_b2 = _unbroadcast(np.einsum("...b->...", dz), w2.shape[:-1]) if has_b2 else None
+    d_b2 = _unbroadcast(np.einsum("...b->...", dz), w2.shape[:-1])
     dh = np.matmul(w2.swapaxes(-1, -2), dz)
     dh *= h > 0.0
     d_w1 = _unbroadcast(np.matmul(dh, m.swapaxes(-1, -2)), w1.shape)
-    d_b1 = _unbroadcast(np.einsum("...b->...", dh), w1.shape[:-1]) if has_b1 else None
+    d_b1 = _unbroadcast(np.einsum("...b->...", dh), w1.shape[:-1])
     dm = np.matmul(w1.swapaxes(-1, -2), dh)
     dx += (dm * (1.0 / t))[..., None]
     return _unbroadcast(dx, x.shape), d_w1, d_b1, d_w2, d_b2
-
-
-def se_gate(
-    x: Tensor,
-    w1: Tensor,
-    w2: Tensor,
-    b1: Tensor | None = None,
-    b2: Tensor | None = None,
-) -> Tensor:
-    """Squeeze-and-excitation as one taped op; see ``se_fwd``."""
-    if x.data.ndim < 3:
-        raise ContractError("se_gate needs x (..., c, b, t)")
-    c = x.data.shape[-3]
-    if w1.data.ndim < 2 or w1.data.shape[-1] != c or w2.data.shape[-2:] != w1.data.shape[-2:][::-1]:
-        raise ContractError(f"se_gate needs w1 (..., c_r, {c}) and w2 (..., {c}, c_r)")
-    y, saved = se_fwd(
-        x.data, w1.data, None if b1 is None else b1.data,
-        w2.data, None if b2 is None else b2.data, True,
-    )
-    biases = tuple(b for b in (b1, b2) if b is not None)
-    inputs = (x, w1, w2) + biases
-
-    def back(g, need):
-        dx, d_w1, d_b1, d_w2, d_b2 = se_bwd(saved, g)
-        grads = (dx, d_w1, d_w2) + tuple(d for d in (d_b1, d_b2) if d is not None)
-        return _needed(grads, need)
-
-    return _record(Tensor(y), inputs, back)

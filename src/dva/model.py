@@ -67,18 +67,14 @@ from .autodiff import (
 )
 from .diffusion import DiffusionSchedule
 from .errors import ConfigError, ContractError, DataError
-from .layers import (  # noqa: F401  (the ops: perfbench/tracing.py wraps dva.model.<op>)
+from .layers import (
     BatchNormState,
-    _needed,
     batch_norm,
     batch_norm_bwd,
-    batch_norm_fwd,
-    se_bwd,
-    se_fwd,
     se_gate,
-    separable_bwd,
+    se_gate_bwd,
     separable_conv1d,
-    separable_fwd,
+    separable_conv1d_bwd,
 )
 
 __all__ = [
@@ -455,28 +451,28 @@ def _cell(params: ModelParams, prefix: str, x: Tensor, training: bool) -> Tensor
     inputs = (x,) + tuple(t[k] for k in names)
     g1, b1, d1, p1, g2, b2, d2, p2, pb2, w1, sb1, w2, sb2 = (v.data for v in inputs[1:])
     save = _taping()
-    h, bn1 = batch_norm_fwd(x.data, g1, b1, params.bn_states[f"{prefix}.bn1"], training, save)
+    h, bn1 = batch_norm(x.data, g1, b1, params.bn_states[f"{prefix}.bn1"], training, save)
     h, sw1 = _swish_fwd(h, save, out=h)
-    h, sep1 = separable_fwd(h, d1, p1, None, save)
-    h, bn2 = batch_norm_fwd(h, g2, b2, params.bn_states[f"{prefix}.bn2"], training, save)
+    h, sep1 = separable_conv1d(h, d1, p1, None, save)
+    h, bn2 = batch_norm(h, g2, b2, params.bn_states[f"{prefix}.bn2"], training, save)
     h, sw2 = _swish_fwd(h, save, out=h)
-    h, sep2 = separable_fwd(h, d2, p2, pb2, save)
-    h, se = se_fwd(h, w1, sb1, w2, sb2, save)
+    h, sep2 = separable_conv1d(h, d2, p2, pb2, save)
+    h, se = se_gate(h, w1, sb1, w2, sb2, save)
     h += x.data
     out = Tensor(h)
     if not save:
         return out
 
     def back(g, need):
-        dh, d_w1, d_sb1, d_w2, d_sb2 = se_bwd(se, g)
-        dh, d_d2, d_p2, d_pb2 = separable_bwd(sep2, dh)
+        dh, d_w1, d_sb1, d_w2, d_sb2 = se_gate_bwd(se, g)
+        dh, d_d2, d_p2, d_pb2 = separable_conv1d_bwd(sep2, dh)
         dh, d_g2, d_b2 = batch_norm_bwd(bn2, _swish_bwd(sw2, dh))
-        dh, d_d1, d_p1, _ = separable_bwd(sep1, dh)
+        dh, d_d1, d_p1, _ = separable_conv1d_bwd(sep1, dh)
         dx, d_g1, d_b1 = batch_norm_bwd(bn1, _swish_bwd(sw1, dh))
         dx += g
         grads = (dx, d_g1, d_b1, d_d1, d_p1, d_g2, d_b2, d_d2, d_p2, d_pb2,
                  d_w1, d_sb1, d_w2, d_sb2)
-        return _needed(grads, need)
+        return tuple(d if n else None for d, n in zip(grads, need))
 
     return _record(out, inputs, back)
 

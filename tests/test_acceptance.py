@@ -49,11 +49,15 @@ from dva.gradcheck import check_params
 from dva.layers import (
     BatchNormState,
     batch_norm,
+    batch_norm_bwd,
     depthwise_conv1d,
+    depthwise_conv1d_bwd,
     se_gate,
+    se_gate_bwd,
     separable_conv1d,
+    separable_conv1d_bwd,
 )
-from dva.model import ModelParams
+from dva.model import _CELL_TENSORS, ModelParams, _cell
 from dva.portfolio import (
     PredictionFrame,
     backtest,
@@ -72,6 +76,7 @@ from dva.training import (
     train_runs,
     train_stock,
 )
+from layer_ops import fresh_state, taped
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -177,51 +182,36 @@ def test_a01_gradient_oracle():
     case("linear", lambda: (lambda: linear(lx, lw, lb), [lx, lw, lb]))
     mm = t((5, 3))
     case("matmul", lambda: (lambda: matmul(lx, mm), [lx, mm]))
-    cx, ck, cb = channel_major(t((2, 3, 9))), t((4, 3, 3)), t((4,))
+    cx, ck, cb = channel_major(t((2, 3, 9))), t((4, 3, 1)), t((4,))
     case("conv1d", lambda: (lambda: conv1d(cx, ck, cb), [cx, ck, cb]), channel_major_out=True)
+
+    def pair(name, fwd, bwd, inputs, *args):
+        """A kernel pair of ``dva.layers`` as one tape entry."""
+
+        def op():
+            return taped(fwd, bwd, inputs, *args)
+
+        case(name, lambda: (op, [x for x in inputs if x is not None]), channel_major_out=True)
+
     dk = t((3, 1, 3))
-    case(
-        "depthwise_conv1d",
-        lambda: (lambda: depthwise_conv1d(cx, dk), [cx, dk]),
-        channel_major_out=True,
-    )
+    pair("depthwise_conv1d", depthwise_conv1d, depthwise_conv1d_bwd, (cx, dk))
     pk = t((4, 3, 1))
-    case(
-        "separable_conv1d",
-        lambda: (lambda: separable_conv1d(cx, dk, pk, cb), [cx, dk, pk, cb]),
-        channel_major_out=True,
-    )
+    pair("separable_conv1d", separable_conv1d, separable_conv1d_bwd, (cx, dk, pk, cb), True)
+    pair("separable_no_bias", separable_conv1d, separable_conv1d_bwd, (cx, dk, pk, None), True)
     d8 = t((2, 3, 8))
     case("downsample2", lambda: (lambda: downsample2(d8), [d8]))
     u4 = t((2, 3, 4))
     case("upsample_repeat", lambda: (lambda: upsample_repeat(u4, 8), [u4]))
 
     bx, bg, bb = channel_major(t((3, 4, 6))), t((4,), scale=0.2, loc=1.0), t((4,))
-    case(
-        "batch_norm_train",
-        lambda: (
-            lambda: batch_norm(bx, bg, bb, BatchNormState.create(4), training=True),
-            [bx, bg, bb],
-        ),
-        channel_major_out=True,
-    )
-    frozen = BatchNormState.create(4)
-    frozen.mean = rng.standard_normal(4)
-    frozen.var = 0.5 + rng.random(4)
-    case(
-        "batch_norm_eval",
-        lambda: (lambda: batch_norm(bx, bg, bb, frozen, training=False), [bx, bg, bb]),
-        channel_major_out=True,
-    )
+    # batch statistics only: the running buffers move on every call but are
+    # never read, so the closure stays pure
+    pair("batch_norm_train", batch_norm, batch_norm_bwd, (bx, bg, bb), fresh_state(4), True, True)
+    frozen = BatchNormState(rng.standard_normal(4), 0.5 + rng.random(4))
+    pair("batch_norm_eval", batch_norm, batch_norm_bwd, (bx, bg, bb), frozen, False, True)
     sx = channel_major(t((2, 3, 5)))
     sw1, sb1, sw2, sb2 = t((2, 3)), t((2,)), t((3, 2)), t((3,))
-    case(
-        "se_gate",
-        lambda: (lambda: se_gate(sx, sw1, sw2, sb1, sb2), [sx, sw1, sb1, sw2, sb2]),
-        channel_major_out=True,
-    )
-
-    worst_op = max(errors.values())
+    pair("se_gate", se_gate, se_gate_bwd, (sx, sw1, sb1, sw2, sb2), True)
 
     # Composed loss on a small full model at a 10-day-in / 10-day-out scale
     # reduced to T = T' = 8: MSE + latent KL + output KL + unblocked score
@@ -242,6 +232,19 @@ def test_a01_gradient_oracle():
         denoiser=True,
     )
     params = dense_params(cfg, 5)
+
+    # the fused residual cell, its kernel pairs chained into one tape entry
+    cell_params = dense_params(cfg, 6)
+    cell_x = channel_major(t((3, cfg.channels, cfg.t_in)))
+    cell_inputs = [cell_x] + [cell_params[k] for k in _CELL_TENSORS["enc1"]]
+    for training in (True, False):
+        case(
+            f"residual_cell_{'train' if training else 'eval'}",
+            lambda: (lambda: _cell(cell_params, "enc1", cell_x, training), cell_inputs),
+            channel_major_out=True,
+        )
+
+    worst_op = max(errors.values())
     data_rng = np.random.default_rng(3)
     x = 1.0 + 0.05 * data_rng.standard_normal((3, FEATURE_DIM, cfg.t_in))
     y = 1.0 + 0.05 * data_rng.standard_normal((3, cfg.t_out))

@@ -35,10 +35,15 @@ from dva.gradcheck import check_params, finite_difference_check, max_rel_error
 from dva.layers import (
     BatchNormState,
     batch_norm,
+    batch_norm_bwd,
     depthwise_conv1d,
+    depthwise_conv1d_bwd,
     se_gate,
+    se_gate_bwd,
     separable_conv1d,
+    separable_conv1d_bwd,
 )
+from layer_ops import fresh_state, taped
 
 
 def rng(seed=0):
@@ -87,15 +92,16 @@ def test_conv1d_identity_kernel():
 
 
 def test_conv1d_hand_example():
-    x = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
-    k = Tensor(np.array([[[0.0, 1.0, 1.0]]]))
-    out = conv1d(x, k)
-    assert np.array_equal(out.data, [[[3.0, 5.0, 3.0]]])
+    # two input channels mixed into one output channel, plus its bias
+    x = Tensor(np.array([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]]))
+    k = Tensor(np.array([[[2.0], [-1.0]]]))
+    out = conv1d(x, k, Tensor(np.array([0.5])))
+    assert np.array_equal(out.data, [[[-1.5, -0.5, 0.5]]])
 
 
 def test_conv1d_zero_kernel():
     x = Tensor(rng().normal(size=(2, 3, 5)))
-    k = Tensor(np.zeros((4, 2, 3)))
+    k = Tensor(np.zeros((4, 2, 1)))
     assert np.all(conv1d(x, k).data == 0.0)
 
 
@@ -104,83 +110,83 @@ def test_conv1d_rejects_even_kernel():
         conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, 2))))
 
 
+def test_conv1d_rejects_wide_kernel():
+    # conv1d is pointwise only; filters along time are depthwise_conv1d
+    with pytest.raises(ContractError, match="kernel width must be 1, got 3"):
+        conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, 3))))
+
+
 def test_conv1d_rejects_channel_mismatch():
     with pytest.raises(ContractError):
-        conv1d(Tensor(np.zeros((2, 1, 4))), Tensor(np.zeros((1, 3, 3))))
+        conv1d(Tensor(np.zeros((2, 1, 4))), Tensor(np.zeros((1, 3, 1))))
 
 
 def test_separable_single_channel_collapses():
-    x = Tensor(rng(1).normal(size=(1, 2, 6)))
-    depth = Tensor(rng(2).normal(size=(1, 1, 3)))
-    point = Tensor(np.ones((1, 1, 1)))
-    got = separable_conv1d(x, depth, point)
-    want = conv1d(x, depth)
-    assert np.allclose(got.data, want.data)
+    x = rng(1).normal(size=(1, 2, 6))
+    depth = rng(2).normal(size=(1, 1, 3))
+    got, _ = separable_conv1d(x, depth, np.ones((1, 1, 1)), None, False)
+    want, _ = depthwise_conv1d(x, depth)
+    assert np.allclose(got, want)
 
 
 def test_separable_identity_depth_mixes_channels():
     # depth kernels pass channels through; pointwise applies M
-    x = Tensor(rng(3).normal(size=(2, 1, 3)))
-    depth = Tensor(np.array([[[0.0, 1.0, 0.0]], [[0.0, 1.0, 0.0]]]))
+    x = rng(3).normal(size=(2, 1, 3))
+    depth = np.array([[[0.0, 1.0, 0.0]], [[0.0, 1.0, 0.0]]])
     m = np.array([[2.0, -1.0], [0.5, 3.0]])
-    point = Tensor(m[:, :, None])
-    out = separable_conv1d(x, depth, point)
-    want = np.einsum("ji,ibt->jbt", m, x.data)
-    assert np.allclose(out.data, want)
+    out, _ = separable_conv1d(x, depth, m[:, :, None], None, False)
+    want = np.einsum("ji,ibt->jbt", m, x)
+    assert np.allclose(out, want)
 
 
 def test_batch_norm_constant_input_is_zero():
-    x = Tensor(np.full((2, 4, 5), 3.7))
-    state = BatchNormState.create(2)
-    out = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=True)
-    assert np.allclose(out.data, 0.0)
+    x = np.full((2, 4, 5), 3.7)
+    out, _ = batch_norm(x, np.ones(2), np.zeros(2), fresh_state(2), True, False)
+    assert np.allclose(out, 0.0)
 
 
 def test_batch_norm_two_point_batch():
-    x = Tensor(np.array([1.0, 3.0]).reshape(1, 2, 1))
-    state = BatchNormState.create(1)
-    out = batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, training=True)
-    assert np.allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-4)
+    x = np.array([1.0, 3.0]).reshape(1, 2, 1)
+    out, _ = batch_norm(x, np.ones(1), np.zeros(1), fresh_state(1), True, False)
+    assert np.allclose(out.ravel(), [-1.0, 1.0], atol=1e-4)
 
 
 def test_batch_norm_infer_is_frozen():
-    state = BatchNormState.create(2)
-    x = Tensor(rng(4).normal(size=(2, 3, 4)))
-    batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=True)
+    state = fresh_state(2)
+    batch_norm(rng(4).normal(size=(2, 3, 4)), np.ones(2), np.zeros(2), state, True, False)
     mean_after, var_after = state.mean.copy(), state.var.copy()
-    y = Tensor(rng(5).normal(size=(2, 3, 4)))
-    a = batch_norm(y, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=False)
-    b = batch_norm(y, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=False)
-    assert np.array_equal(a.data, b.data)
+    y = rng(5).normal(size=(2, 3, 4))
+    a, _ = batch_norm(y, np.ones(2), np.zeros(2), state, False, False)
+    b, _ = batch_norm(y, np.ones(2), np.zeros(2), state, False, False)
+    assert np.array_equal(a, b)
     assert np.array_equal(state.mean, mean_after)
     assert np.array_equal(state.var, var_after)
 
 
 def test_batch_norm_running_stats_momentum():
-    state = BatchNormState.create(1)
-    x = Tensor(np.array([1.0, 3.0]).reshape(1, 2, 1))
-    batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state, training=True)
+    state = fresh_state(1)
+    x = np.array([1.0, 3.0]).reshape(1, 2, 1)
+    batch_norm(x, np.ones(1), np.zeros(1), state, True, False)
     # fresh buffers are (mean 0, var 1); batch stats are (2, 1)
     assert state.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
     assert state.var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
 
 
 def test_se_gate_zero_excite_halves_input():
-    x = Tensor(rng(6).normal(size=(3, 2, 5)))
-    w1 = Tensor(rng(7).normal(size=(2, 3)))
-    w2 = Tensor(np.zeros((3, 2)))
-    out = se_gate(x, w1, w2)
-    assert np.allclose(out.data, x.data / 2.0)
+    x = rng(6).normal(size=(3, 2, 5))
+    w1 = rng(7).normal(size=(2, 3))
+    out, _ = se_gate(x, w1, np.zeros(2), np.zeros((3, 2)), np.zeros(3), True)
+    assert np.allclose(out, x / 2.0)
 
 
 def test_se_gate_preserves_shape_and_bounds():
-    x = Tensor(rng(8).normal(size=(4, 2, 6)))
-    w1 = Tensor(rng(9).normal(size=(2, 4)))
-    w2 = Tensor(rng(10).normal(size=(4, 2)))
-    out = se_gate(x, w1, w2)
+    x = rng(8).normal(size=(4, 2, 6))
+    w1 = rng(9).normal(size=(2, 4))
+    w2 = rng(10).normal(size=(4, 2))
+    out, _ = se_gate(x, w1, np.zeros(2), w2, np.zeros(4), True)
     assert out.shape == x.shape
-    gate = out.data / np.where(x.data == 0.0, 1.0, x.data)
-    mask = x.data != 0.0
+    gate = out / np.where(x == 0.0, 1.0, x)
+    mask = x != 0.0
     assert np.all(gate[mask] > 0.0) and np.all(gate[mask] < 1.0)
 
 
@@ -364,7 +370,7 @@ def test_gradcheck_linear_all_parameters():
 def test_gradcheck_conv1d_all_parameters():
     r = rng(21)
     x = Tensor(r.normal(size=(3, 2, 6)))
-    k = Tensor(r.normal(size=(4, 3, 3)))
+    k = Tensor(r.normal(size=(4, 3, 1)))
     b = Tensor(r.normal(size=(4,)))
 
     def loss():
@@ -374,23 +380,10 @@ def test_gradcheck_conv1d_all_parameters():
     assert check_params(loss, [x, k, b]) < 1e-4
 
 
-def test_gradcheck_depthwise_conv1d():
-    r = rng(22)
-    x = Tensor(r.normal(size=(3, 2, 5)))
-    k = Tensor(r.normal(size=(3, 1, 3)))
-
-    def loss():
-        y = depthwise_conv1d(x, k)
-        return sum_(mul(y, y))
-
-    assert check_params(loss, [x, k]) < 1e-4
-
-
-@pytest.mark.parametrize("k,t", [(1, 6), (5, 6), (5, 3), (5, 2)])
+@pytest.mark.parametrize("k,t", [(1, 6)])
 def test_gradcheck_conv1d_kernel_widths(k, t):
-    # k = 3 is test_gradcheck_conv1d_all_parameters. (5, 3) and (5, 2) are
-    # series shorter than the kernel: the outer taps read only zero padding
-    # and the inner ones partial slices
+    # conv1d is pointwise: width 1 is the only kernel it takes. Wider
+    # filters are depthwise_conv1d's, checked below at widths 3 and 5
     r = rng(40 + 10 * k + t)
     x = Tensor(r.normal(size=(3, 2, t)))
     kern = Tensor(r.normal(size=(4, 3, k)))
@@ -403,6 +396,18 @@ def test_gradcheck_conv1d_kernel_widths(k, t):
     assert check_params(loss, [x, kern, b]) < 1e-4
 
 
+def test_gradcheck_depthwise_conv1d():
+    r = rng(22)
+    x = Tensor(r.normal(size=(3, 2, 5)))
+    k = Tensor(r.normal(size=(3, 1, 3)))
+
+    def loss():
+        y = taped(depthwise_conv1d, depthwise_conv1d_bwd, (x, k))
+        return sum_(mul(y, y))
+
+    assert check_params(loss, [x, k]) < 1e-4
+
+
 @pytest.mark.parametrize("t", [7, 3])
 def test_gradcheck_depthwise_conv1d_width5(t):
     r = rng(60 + t)
@@ -410,33 +415,29 @@ def test_gradcheck_depthwise_conv1d_width5(t):
     k = Tensor(r.normal(size=(3, 1, 5)))
 
     def loss():
-        y = depthwise_conv1d(x, k)
+        y = taped(depthwise_conv1d, depthwise_conv1d_bwd, (x, k))
         return sum_(mul(y, y))
 
     assert check_params(loss, [x, k]) < 1e-4
 
 
 def test_conv1d_matches_direct_sum():
-    # out[o, b, s] = sum_{i, j} w[o, i, j] * x[i, b, s + j - k//2], zero outside
+    # conv1d: out[o, b, s] = sum_i w[o, i, 0] * x[i, b, s]; depthwise_conv1d:
+    # out[c, b, s] = sum_j taps[c, 0, j] * x[c, b, s + j - k//2], zero outside
     r = rng(70)
     for k, t in [(1, 5), (3, 5), (5, 5), (5, 2)]:
         x = r.normal(size=(3, 2, t))
-        w = r.normal(size=(4, 3, k))
-        want = np.zeros((4, 2, t))
-        for s in range(t):
-            for j in range(k):
-                src = s + j - k // 2
-                if 0 <= src < t:
-                    want[:, :, s] += w[:, :, j] @ x[:, :, src]
+        w = r.normal(size=(4, 3, 1))
+        want = np.einsum("oi,ibs->obs", w[:, :, 0], x)
         assert np.allclose(conv1d(Tensor(x), Tensor(w)).data, want, atol=1e-12)
-        depth = w[:3, :1, :]
+        depth = r.normal(size=(3, 1, k))
         want_dw = np.zeros((3, 2, t))
         for s in range(t):
             for j in range(k):
                 src = s + j - k // 2
                 if 0 <= src < t:
                     want_dw[:, :, s] += x[:, :, src] * depth[:, 0, j, None]
-        got_dw = depthwise_conv1d(Tensor(x), Tensor(depth)).data
+        got_dw, _ = depthwise_conv1d(x, depth)
         assert np.allclose(got_dw, want_dw, atol=1e-12)
 
 
@@ -451,8 +452,8 @@ def test_gradcheck_batch_norm_train_mode():
     c2 = Tensor(r.normal(size=(2, 3, 4)))
 
     def loss():
-        state = BatchNormState.create(2)  # fresh, so repeat calls are pure
-        y = batch_norm(x, gamma, beta, state, training=True)
+        state = fresh_state(2)  # fresh, so repeat calls are pure
+        y = taped(batch_norm, batch_norm_bwd, (x, gamma, beta), state, True, True)
         return sum_(add(mul(c1, y), mul(c2, mul(y, y))))
 
     assert check_params(loss, [x, gamma, beta]) < 1e-4
@@ -489,8 +490,8 @@ def test_batch_norm_matches_composite_reference(training):
         want, ref_mean, ref_var = _batch_norm_reference(
             x, gamma, beta, ref_mean, ref_var, 0.9, 1e-5, training
         )
-        got = batch_norm(Tensor(x.transpose(1, 0, 2)), Tensor(gamma), Tensor(beta), state, training)
-        assert np.max(np.abs(got.data.transpose(1, 0, 2) - want)) < 1e-12
+        got, _ = batch_norm(x.transpose(1, 0, 2), gamma, beta, state, training, False)
+        assert np.max(np.abs(got.transpose(1, 0, 2) - want)) < 1e-12
         # the batch-major reference reduces (batch, t) in another order
         np.testing.assert_allclose(state.mean, ref_mean, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(state.var, ref_var, rtol=1e-14)
@@ -505,7 +506,7 @@ def test_gradcheck_batch_norm_inference_mode():
     c1 = Tensor(r.normal(size=(2, 3, 4)))
 
     def loss():
-        y = batch_norm(x, gamma, beta, state, training=False)
+        y = taped(batch_norm, batch_norm_bwd, (x, gamma, beta), state, False, True)
         return sum_(mul(c1, mul(y, y)))
 
     assert check_params(loss, [x, gamma, beta]) < 1e-4
@@ -520,23 +521,26 @@ def test_gradcheck_se_gate():
     b2 = Tensor(r.normal(size=(3,)))
 
     def loss():
-        y = se_gate(x, w1, w2, b1, b2)
+        y = taped(se_gate, se_gate_bwd, (x, w1, b1, w2, b2), True)
         return sum_(mul(y, y))
 
     assert check_params(loss, [x, w1, b1, w2, b2]) < 1e-4
 
 
 def test_gradcheck_separable_conv():
+    # without a bias, as conv1 runs it, and with one, as conv2 does
     r = rng(25)
     x = Tensor(r.normal(size=(3, 2, 5)))
     depth = Tensor(r.normal(size=(3, 1, 3)))
     point = Tensor(r.normal(size=(4, 3, 1)))
+    for bias in (None, Tensor(r.normal(size=(4,)))):
 
-    def loss():
-        y = separable_conv1d(x, depth, point)
-        return sum_(mul(y, y))
+        def loss():
+            y = taped(separable_conv1d, separable_conv1d_bwd, (x, depth, point, bias), True)
+            return sum_(mul(y, y))
 
-    assert check_params(loss, [x, depth, point]) < 1e-4
+        params = [x, depth, point] + ([bias] if bias is not None else [])
+        assert check_params(loss, params) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +554,7 @@ def test_op_sequence_is_deterministic(seed):
     def run():
         r = np.random.default_rng(seed)
         x = Tensor(r.normal(size=(3, 2, 8)))
-        k = Tensor(r.normal(size=(3, 3, 3)))
+        k = Tensor(r.normal(size=(3, 3, 1)))
         y = swish(conv1d(x, k))
         return downsample2(y).data
 
@@ -568,15 +572,14 @@ def test_op_sequence_is_deterministic(seed):
 def test_shape_preservation(b, c, t, seed):
     r = np.random.default_rng(seed)
     x = Tensor(r.normal(size=(c, b, t)))
-    k = Tensor(r.normal(size=(c, c, 3)))
+    k = Tensor(r.normal(size=(c, c, 1)))
     assert conv1d(x, k).shape == (c, b, t)
-    assert depthwise_conv1d(x, Tensor(r.normal(size=(c, 1, 3)))).shape == (c, b, t)
-    w1 = Tensor(r.normal(size=(max(c // 2, 1), c)))
-    w2 = Tensor(r.normal(size=(c, max(c // 2, 1))))
-    assert se_gate(x, w1, w2).shape == (c, b, t)
-    state = BatchNormState.create(c)
-    g, be = Tensor(np.ones(c)), Tensor(np.zeros(c))
-    assert batch_norm(x, g, be, state, training=True).shape == (c, b, t)
+    assert depthwise_conv1d(x.data, r.normal(size=(c, 1, 3)))[0].shape == (c, b, t)
+    cr = max(c // 2, 1)
+    w1, w2 = r.normal(size=(cr, c)), r.normal(size=(c, cr))
+    assert se_gate(x.data, w1, np.zeros(cr), w2, np.zeros(c), True)[0].shape == (c, b, t)
+    bn = batch_norm(x.data, np.ones(c), np.zeros(c), fresh_state(c), True, False)
+    assert bn[0].shape == (c, b, t)
     assert downsample2(x).shape == (c, b, (t + 1) // 2)
 
 
@@ -586,7 +589,7 @@ def test_conv1d_is_linear_in_input(seed):
     r = np.random.default_rng(seed)
     x1 = Tensor(r.normal(size=(2, 1, 6)))
     x2 = Tensor(r.normal(size=(2, 1, 6)))
-    k = Tensor(r.normal(size=(2, 2, 3)))
+    k = Tensor(r.normal(size=(2, 2, 1)))
     lhs = conv1d(add(x1, x2), k).data
     rhs = conv1d(x1, k).data + conv1d(x2, k).data
     assert np.allclose(lhs, rhs, atol=1e-12)
@@ -608,17 +611,17 @@ def test_gradient_flows_through_deep_composition():
     # stack of conv -> swish -> downsample -> upsample -> se_gate
     r = rng(30)
     x = Tensor(r.normal(size=(2, 2, 8)))
-    k = Tensor(r.normal(size=(2, 2, 3)) * 0.5)
-    w1 = Tensor(r.normal(size=(1, 2)))
-    w2 = Tensor(r.normal(size=(2, 1)))
+    k = Tensor(r.normal(size=(2, 2, 1)) * 0.5)
+    w1, b1 = Tensor(r.normal(size=(1, 2))), Tensor(r.normal(size=(1,)))
+    w2, b2 = Tensor(r.normal(size=(2, 1))), Tensor(r.normal(size=(2,)))
 
     def loss():
         h = swish(conv1d(x, k))
         h = upsample_repeat(downsample2(h), 8)
-        h = se_gate(h, w1, w2)
+        h = taped(se_gate, se_gate_bwd, (h, w1, b1, w2, b2), True)
         return mean_(mul(h, h))
 
-    assert check_params(loss, [x, k, w1, w2]) < 1e-4
+    assert check_params(loss, [x, k, w1, b1, w2, b2]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +633,15 @@ def _stacked_case(name, r, model=None):
     """(inputs, which inputs carry the model axis, op) for one primitive;
     ``model`` picks the running buffers a single model's batch norm reads."""
     n = r.normal
-    if name.startswith("conv1d_k"):
-        k = int(name[-1])
-        ins = [n(size=(2, 3, 2, 6)), n(size=(2, 4, 3, k)), n(size=(2, 4))]
+    if name == "conv1d_k1":
+        ins = [n(size=(2, 3, 2, 6)), n(size=(2, 4, 3, 1)), n(size=(2, 4))]
         return ins, (True, True, True), lambda x, w, b: conv1d(x, w, b)
     if name == "conv1d_shared_input":
-        ins = [n(size=(3, 2, 6)), n(size=(2, 4, 3, 3)), n(size=(2, 4))]
+        ins = [n(size=(3, 2, 6)), n(size=(2, 4, 3, 1)), n(size=(2, 4))]
         return ins, (False, True, True), lambda x, w, b: conv1d(x, w, b)
     if name == "depthwise_conv1d":
         ins = [n(size=(2, 3, 2, 5)), n(size=(2, 3, 1, 3))]
-        return ins, (True, True), depthwise_conv1d
+        return ins, (True, True), lambda x, k: taped(depthwise_conv1d, depthwise_conv1d_bwd, (x, k))
     if name == "linear":
         ins = [n(size=(2, 3, 4)), n(size=(2, 2, 4)), n(size=(2, 2))]
         return ins, (True, True, True), lambda x, w, b: linear(x, w, b)
@@ -655,19 +657,17 @@ def _stacked_case(name, r, model=None):
         def op(x, g, b):
             m = slice(None) if model is None else model
             state = BatchNormState(mean[m].copy(), var[m].copy())  # fresh, so calls are pure
-            return batch_norm(x, g, b, state, training=training)
+            return taped(batch_norm, batch_norm_bwd, (x, g, b), state, training, True)
 
         return ins, (True, True, True), op
     if name == "se_gate":
         ins = [n(size=(2, 3, 2, 4)), n(size=(2, 2, 3)), n(size=(2, 2)), n(size=(2, 3, 2)), n(size=(2, 3))]
-        return ins, (True,) * 5, lambda x, w1, b1, w2, b2: se_gate(x, w1, w2, b1, b2)
+        return ins, (True,) * 5, lambda *ts: taped(se_gate, se_gate_bwd, ts, True)
     raise KeyError(name)
 
 
 STACKED = [
     "conv1d_k1",
-    "conv1d_k3",
-    "conv1d_k5",
     "conv1d_shared_input",
     "depthwise_conv1d",
     "linear",
@@ -724,12 +724,11 @@ def test_stacked_gradients_do_not_leak_across_models(name):
 def test_stacked_batch_norm_updates_each_models_buffers():
     r = rng(990)
     x = r.normal(size=(2, 2, 3, 4))
-    stacked = BatchNormState.create(2)
-    stacked.mean, stacked.var = np.zeros((2, 2)), np.ones((2, 2))
-    batch_norm(Tensor(x), Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), stacked, True)
+    stacked = fresh_state((2, 2))
+    batch_norm(x, np.ones((2, 2)), np.zeros((2, 2)), stacked, True, False)
     for m in range(2):
-        alone = BatchNormState.create(2)
-        batch_norm(Tensor(x[m]), Tensor(np.ones(2)), Tensor(np.zeros(2)), alone, True)
+        alone = fresh_state(2)
+        batch_norm(x[m], np.ones(2), np.zeros(2), alone, True, False)
         np.testing.assert_array_equal(stacked.mean[m], alone.mean)
         np.testing.assert_array_equal(stacked.var[m], alone.var)
 
@@ -737,11 +736,6 @@ def test_stacked_batch_norm_updates_each_models_buffers():
 def test_stacked_shapes_must_agree():
     with pytest.raises(ContractError):
         conv1d(Tensor(np.zeros((3, 3, 2, 6))), Tensor(np.zeros((2, 4, 3, 1))))
-    with pytest.raises(ContractError):
-        batch_norm(
-            Tensor(np.zeros((2, 2, 3, 4))), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-            BatchNormState.create(2), training=True,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -756,19 +750,9 @@ def _shifted(t, d):
     return slice(min(-d, t), t), slice(0, max(t + d, 0))
 
 
-def _conv1d_batch_major(x, w, b=None):
-    """x (..., batch, c_in, t): one matmul per kernel tap on shifted slices."""
-    k, t = w.shape[-1], x.shape[-1]
-    pad = k // 2
-    wb = w[..., None, :, :, :]
-    y = np.matmul(wb[..., pad], x)
-    for j in range(k):
-        if j != pad:
-            so, si = _shifted(t, j - pad)
-            y[..., so] += np.matmul(wb[..., j], x[..., si])
-    if b is not None:
-        y += b[..., None, :, None]
-    return y
+def _conv1d_batch_major(x, w, b):
+    """x (..., batch, c_in, t), w (..., c_out, c_in, 1): one matmul per batch row."""
+    return np.matmul(w[..., None, :, :, 0], x) + b[..., None, :, None]
 
 
 def _depthwise_batch_major(x, w):
@@ -805,14 +789,14 @@ def _assert_rel(got, want, rel=1e-12):
 def test_conv_kernels_match_batch_major_formulation(lead, k, t):
     r = rng(1000 + 10 * k + t + len(lead))
     x = r.normal(size=lead + (16, 4, t))  # batch-major (..., batch, c, t)
-    w = r.normal(size=lead + (5, 4, k))
+    point = r.normal(size=lead + (5, 4, 1))
     b = r.normal(size=lead + (5,))
     depth = r.normal(size=lead + (4, 1, k))
-    xc = Tensor(_to_batch_major(x))
-    _assert_rel(_to_batch_major(conv1d(xc, Tensor(w), Tensor(b)).data), _conv1d_batch_major(x, w, b))
-    _assert_rel(_to_batch_major(depthwise_conv1d(xc, Tensor(depth)).data), _depthwise_batch_major(x, depth))
-    point = r.normal(size=lead + (5, 4, 1))
-    got = separable_conv1d(xc, Tensor(depth), Tensor(point), Tensor(b)).data
+    xc = _to_batch_major(x)
+    got = conv1d(Tensor(xc), Tensor(point), Tensor(b)).data
+    _assert_rel(_to_batch_major(got), _conv1d_batch_major(x, point, b))
+    _assert_rel(_to_batch_major(depthwise_conv1d(xc, depth)[0]), _depthwise_batch_major(x, depth))
+    got, _ = separable_conv1d(xc, depth, point, b, False)
     _assert_rel(_to_batch_major(got), _conv1d_batch_major(_depthwise_batch_major(x, depth), point, b))
 
 
@@ -822,7 +806,7 @@ def test_se_gate_matches_batch_major_formulation(lead):
     x = r.normal(size=lead + (16, 4, 10))
     w1, b1 = r.normal(size=lead + (2, 4)), r.normal(size=lead + (2,))
     w2, b2 = r.normal(size=lead + (4, 2)), r.normal(size=lead + (4,))
-    got = se_gate(Tensor(_to_batch_major(x)), *map(Tensor, (w1, w2, b1, b2))).data
+    got, _ = se_gate(_to_batch_major(x), w1, b1, w2, b2, True)
     _assert_rel(_to_batch_major(got), _se_gate_batch_major(x, w1, w2, b1, b2))
 
 
@@ -833,20 +817,20 @@ def test_stacked_batch_norm_matches_batch_major_formulation():
     mean, var = r.normal(size=(2, 4)), r.uniform(0.5, 2.0, size=(2, 4))
     for training in (True, False):
         state = BatchNormState(mean.copy(), var.copy())
-        got = batch_norm(Tensor(_to_batch_major(x)), Tensor(gamma), Tensor(beta), state, training)
+        got, _ = batch_norm(_to_batch_major(x), gamma, beta, state, training, False)
         for m in range(2):
             want, want_mean, want_var = _batch_norm_reference(
                 x[m], gamma[m], beta[m], mean[m], var[m], 0.9, 1e-5, training
             )
-            _assert_rel(_to_batch_major(got.data[m]), want)
+            _assert_rel(_to_batch_major(got[m]), want)
             _assert_rel(state.mean[m], want_mean)
             _assert_rel(state.var[m], want_var)
 
 
 def test_band_matrix_holds_the_taps():
     # depthwise_conv1d multiplies by M[u, s] = taps[u - s + k//2], zero off the band
-    x = Tensor(np.eye(4).reshape(1, 4, 4))  # one channel, rows are unit impulses
+    x = np.eye(4).reshape(1, 4, 4)  # one channel, rows are unit impulses
     taps = np.array([1.0, 2.0, 3.0])
-    band = depthwise_conv1d(x, Tensor(taps.reshape(1, 1, 3))).data[0]
+    band = depthwise_conv1d(x, taps.reshape(1, 1, 3))[0][0]
     want = np.array([[2, 1, 0, 0], [3, 2, 1, 0], [0, 3, 2, 1], [0, 0, 3, 2]], dtype=float)
     np.testing.assert_array_equal(band, want)

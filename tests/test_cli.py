@@ -787,13 +787,16 @@ class TestSweep:
         assert len(DEFAULT_WEIGHT_GRID) == 10
         assert 0.5 in DEFAULT_WEIGHT_GRID and 1.0 in DEFAULT_WEIGHT_GRID
 
-    @pytest.mark.parametrize("grid", ["", "0.5,0.5", "-0.1", "abc"])
+    @pytest.mark.parametrize("grid", ["", "0.5,0.5", "-0.1", "abc", "nan", "0.5,inf"])
     def test_grid_parse_errors(self, pipeline, tmp_path, grid, capsys):
         cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, tmp_path / "o"))
         assert (
             main(["sweep", "--config", str(cfg), "--zeta-grid", grid]) == 2
         )
-        assert read_stderr_json(capsys)["error"] == "ConfigError"
+        err = read_stderr_json(capsys)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("--zeta-grid: ")
+        assert not (tmp_path / "o").exists()  # refused before any cell trains
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,23 @@ class TestLoadRunConfig:
             (minimal(portfolio=[1, 2]), "portfolio"),
             (minimal(out_dir=3), "out_dir"),
             (minimal(zeta=-0.5), "zeta"),
+            (minimal(epochs=0), "epochs must be >= 1, got 0"),
+            (minimal(lr=float("nan")), "field lr must be finite, got nan"),
+            (minimal(zeta=float("inf")), "field zeta must be finite, got inf"),
+            (minimal(portfolio={"lambda": float("nan")}), "portfolio.lambda must be finite"),
+            (
+                minimal(portfolio={"gamma_grid": [1.0, float("-inf")]}),
+                r"gamma_grid\[1\] must be finite",
+            ),
+            (minimal(s_out=10**400), "field s_out must be finite, got inf"),
         ],
     )
     def test_rejections_name_the_field(self, tmp_path, payload, needle):
+        # every fault reads "run config <path>: ...", its text after the prefix
         path = write_json(tmp_path / "c.json", payload)
-        with pytest.raises(ConfigError, match=needle):
+        with pytest.raises(ConfigError, match=needle) as err:
             load_run_config(path)
+        assert str(err.value).startswith(f"run config {path}: ")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read: No such file or directory"):
@@ -203,14 +214,24 @@ class TestLoadSynthSpec:
             (lambda p: p["tickers"].update(AAA={"noise_scale": -1.0}), "noise_scale"),
             (lambda p: p.update(seed=-1), "seed"),
             (lambda p: p.update(seed="x"), "seed"),
+            (
+                lambda p: p["tickers"].update(AAA={"length": "long"}),
+                "ticker AAA: field length must be an integer, got 'long'",
+            ),
+            (
+                lambda p: p["tickers"].update(AAA={"noise_scale": float("nan")}),
+                "ticker AAA: field noise_scale must be finite, got nan",
+            ),
+            (lambda p: p["tickers"].update(BBB={"length": 1}), "ticker BBB: length must be >= 2"),
         ],
     )
     def test_rejections(self, tmp_path, mutate, needle):
         payload = self.good()
         mutate(payload)
         path = write_json(tmp_path / "s.json", payload)
-        with pytest.raises(ConfigError, match=needle):
+        with pytest.raises(ConfigError, match=needle) as err:
             load_synth_spec(path)
+        assert str(err.value).startswith(f"synth spec {path}: ")
 
     def test_underscore_names_allowed(self, tmp_path):
         payload = self.good()

@@ -13,7 +13,14 @@ from dva.autodiff import Tape, Tensor, add, as_tensor, backward, mul, square, su
 from dva.diffusion import make_schedule
 from dva.errors import ConfigError, ContractError, DataError
 from dva.gradcheck import check_params, max_rel_error, _numeric_grad
-from dva.layers import batch_norm, se_gate, separable_conv1d
+from dva.layers import (
+    batch_norm,
+    batch_norm_bwd,
+    se_gate,
+    se_gate_bwd,
+    separable_conv1d,
+    separable_conv1d_bwd,
+)
 from dva.model import (
     ForwardOutput,
     ModelConfig,
@@ -30,6 +37,7 @@ from dva.model import (
     output_kl,
     save_params,
 )
+from layer_ops import taped
 
 TINY = ModelConfig(t_in=8, t_out=8, channels=4, latent=2, se_reduction=2, energy_hidden=6)
 
@@ -830,23 +838,17 @@ def test_stacked_gradients_do_not_leak_across_models():
 
 
 def composite_cell(params, prefix, x, training):
-    """The residual cell as the chain of Tensor-level layer ops it fuses,
-    one tape entry per op."""
-    t = params.tensors
-
-    def bn(j, h):
-        return batch_norm(
-            h, t[f"{prefix}.bn{j}.gamma"], t[f"{prefix}.bn{j}.beta"],
-            params.bn_states[f"{prefix}.bn{j}"], training,
-        )
-
-    h = separable_conv1d(swish(bn(1, x)), t[f"{prefix}.conv1.depth"], t[f"{prefix}.conv1.point"])
-    h = separable_conv1d(
-        swish(bn(2, h)), t[f"{prefix}.conv2.depth"], t[f"{prefix}.conv2.point"],
-        t[f"{prefix}.conv2.bias"],
+    """The residual cell as the chain of layer kernel pairs it fuses, one
+    tape entry per pair."""
+    g1, b1, d1, p1, g2, b2, d2, p2, pb2, w1, sb1, w2, sb2 = (
+        params[k] for k in model._CELL_TENSORS[prefix]
     )
-    h = se_gate(h, t[f"{prefix}.se.w1"], t[f"{prefix}.se.w2"],
-                t[f"{prefix}.se.b1"], t[f"{prefix}.se.b2"])
+    states = [params.bn_states[f"{prefix}.bn{j}"] for j in (1, 2)]
+    h = taped(batch_norm, batch_norm_bwd, (x, g1, b1), states[0], training, True)
+    h = taped(separable_conv1d, separable_conv1d_bwd, (swish(h), d1, p1, None), True)
+    h = taped(batch_norm, batch_norm_bwd, (h, g2, b2), states[1], training, True)
+    h = taped(separable_conv1d, separable_conv1d_bwd, (swish(h), d2, p2, pb2), True)
+    h = taped(se_gate, se_gate_bwd, (h, w1, sb1, w2, sb2), True)
     return add(x, h)
 
 
@@ -915,15 +917,15 @@ def test_gradcheck_fused_cell(training):
 def test_fused_cell_taped_and_untaped_are_bit_identical(training):
     # the untaped forward works in place and keeps nothing; it computes the
     # same numbers in the same order as the taped one
-    taped, untaped, x, _ = cell_case(training, seed=80)
+    on_tape, off_tape, x, _ = cell_case(training, seed=80)
     with Tape() as tape:
-        y_t = model._cell(taped, "enc2", Tensor(x), training)
+        y_t = model._cell(on_tape, "enc2", Tensor(x), training)
     assert len(tape) == 1
-    y_u = model._cell(untaped, "enc2", Tensor(x), training)
+    y_u = model._cell(off_tape, "enc2", Tensor(x), training)
     np.testing.assert_array_equal(y_t.data, y_u.data)
-    for k, s in taped.bn_states.items():
-        np.testing.assert_array_equal(s.mean, untaped.bn_states[k].mean)
-        np.testing.assert_array_equal(s.var, untaped.bn_states[k].var)
+    for k, s in on_tape.bn_states.items():
+        np.testing.assert_array_equal(s.mean, off_tape.bn_states[k].mean)
+        np.testing.assert_array_equal(s.var, off_tape.bn_states[k].var)
 
 
 def test_fused_cell_leaves_its_input_intact():
