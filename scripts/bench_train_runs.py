@@ -2,10 +2,10 @@
 
 Prints one JSON object: for each R, the median ms per optimiser step (batch
 draws, forward, backward and Adam, timed between consecutive Adam steps of
-``train_runs``), the median ms of ``Adam.step`` alone, the median s per
-epoch of ``train_runs`` (steps, the batch-norm refresh and validation) and
-the tape entries per step, on a clean sinusoid stock with the default
-``TrainConfig``.
+``train_runs``), the median ms of ``backward`` and of ``Adam.step`` alone,
+the median s per epoch of ``train_runs`` (steps, the batch-norm refresh and
+validation) and the tape entries per step, on a clean sinusoid stock with
+the default ``TrainConfig``.
 
 Usage: PYTHONPATH=src python scripts/bench_train_runs.py [--runs 1 2 5] [--repeats 5]
 """
@@ -55,11 +55,15 @@ def main() -> None:
 
     Adam.step = stamped
     entries: list[int] = []
+    backward_s: list[float] = []
     backward = training.backward
 
     def counted(tape, loss, params=()):
         entries.append(len(tape))
-        return backward(tape, loss, params)
+        t0 = time.perf_counter()
+        grads = backward(tape, loss, params)
+        backward_s.append(time.perf_counter() - t0)
+        return grads
 
     training.backward = counted
     out = {
@@ -72,6 +76,7 @@ def main() -> None:
         cfgs = [replace(cfg, seed=s) for s in range(r)]
         epochs, steps = [], []
         entries.clear()
+        backward_s.clear()
         adam_s.clear()
         for _ in range(args.repeats):
             stamps.clear()
@@ -81,6 +86,7 @@ def main() -> None:
             steps.extend(np.diff(stamps))  # one epoch: consecutive steps only
         out[f"R{r}"] = {
             "ms_per_step": round(1e3 * float(np.median(steps)), 3),
+            "backward_ms_per_step": round(1e3 * float(np.median(backward_s)), 3),
             "adam_ms_per_step": round(1e3 * float(np.median(adam_s)), 3),
             "s_per_epoch": round(float(np.median(epochs)), 4),
             "tape_entries_per_step": int(np.median(entries)),

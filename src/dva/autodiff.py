@@ -3,8 +3,9 @@
 A ``Tape`` records every primitive operation executed inside its ``with``
 block as ``(output, inputs, backward_fn)``. ``backward`` replays the records
 in reverse, accumulating vector-Jacobian products into a gradient per
-parameter. ``backward_fn(g, need)`` returns one gradient per input, or None
-where ``need`` is False: inputs that no parameter reaches get no VJP.
+input. ``backward_fn(g)`` returns one VJP per input, constants included;
+``detach`` is how a value is kept out of the gradient. No backward writes
+into its ``g``, because ``add`` hands the same array to both inputs.
 Tensors are immutable by convention: no primitive writes to an input's
 ``data`` buffer, so a tape stays valid until it is dropped.
 
@@ -69,7 +70,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -122,32 +123,23 @@ def backward(
     """Accumulate d(loss)/d(p) for every tensor p in ``params``.
 
     Returns a map keyed by tensor identity. Every tensor in ``params`` is
-    guaranteed a key; unreached parameters map to zeros. Only inputs that a
-    parameter reaches get a vector-Jacobian product: constants such as data
-    batches and scalar coefficients are skipped. The pass consumes the
-    tape: each entry is dropped once visited, which frees its saved
+    guaranteed a key; unreached parameters map to zeros. Every input of an
+    entry gets a vector-Jacobian product, constants included; ``detach``
+    keeps a value out of the gradient. No backward writes into its ``g``,
+    because ``add`` hands the same array to both inputs. The pass consumes
+    the tape: each entry is dropped once visited, which frees its saved
     activations as the pass goes, so one tape supports one backward pass.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    live = set(params)
-    needs = []
-    for out, inputs, _ in tape.entries:
-        need = tuple(map(live.__contains__, inputs))
-        if True in need:
-            live.add(out)
-        needs.append(need)
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)} if loss in live else {}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     entries = tape.entries
     while entries:
         out, inputs, backfn = entries.pop()
-        need = needs.pop()
         g = grads.pop(out, None)
         if g is None:
             continue
-        for t, gi in zip(inputs, backfn(g, need)):
-            if gi is None:
-                continue
+        for t, gi in zip(inputs, backfn(g)):
             acc = grads.get(t)
             grads[t] = gi if acc is None else acc + gi
     for p in params:
@@ -177,11 +169,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
-    def back(g, need):
-        return (
-            _unbroadcast(g, a.data.shape) if need[0] else None,
-            _unbroadcast(g, b.data.shape) if need[1] else None,
-        )
+    def back(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _record(out, (a, b), back)
 
@@ -189,11 +178,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
-    def back(g, need):
-        return (
-            _unbroadcast(g, a.data.shape) if need[0] else None,
-            _unbroadcast(-g, b.data.shape) if need[1] else None,
-        )
+    def back(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
     return _record(out, (a, b), back)
 
@@ -201,11 +187,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
-    def back(g, need):
-        return (
-            _unbroadcast(g * b.data, a.data.shape) if need[0] else None,
-            _unbroadcast(g * a.data, b.data.shape) if need[1] else None,
-        )
+    def back(g):
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _record(out, (a, b), back)
 
@@ -231,7 +214,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
     kept = _kept_shape(a.data.shape, axis)
 
-    def back(g, need):
+    def back(g):
         return (np.broadcast_to(g.reshape(kept), a.data.shape).copy(),)
 
     return _record(out, (a,), back)
@@ -242,7 +225,7 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size / out.data.size
     kept = _kept_shape(a.data.shape, axis)
 
-    def back(g, need):
+    def back(g):
         return (np.broadcast_to(g.reshape(kept), a.data.shape) / count,)
 
     return _record(out, (a,), back)
@@ -250,12 +233,12 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g, need: (g.reshape(a.data.shape),))
+    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     out = Tensor(np.swapaxes(a.data, axis1, axis2))
-    return _record(out, (a,), lambda g, need: (np.swapaxes(g, axis1, axis2),))
+    return _record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -265,12 +248,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
     sizes = [t.data.shape[axis] for t in ts]
     offsets = np.cumsum(sizes)[:-1]
-
-    def back(g, need):
-        parts = np.split(g, offsets, axis=axis)
-        return tuple(p if n else None for p, n in zip(parts, need))
-
-    return _record(out, tuple(ts), back)
+    return _record(out, tuple(ts), lambda g: tuple(np.split(g, offsets, axis=axis)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +291,7 @@ def _swish_bwd(saved, g: np.ndarray) -> np.ndarray:
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x); smooth, non-monotone, ~x for large x, ~0 for small."""
     y, saved = _swish_fwd(a.data, True)
-    return _record(Tensor(y), (a,), lambda g, need: (_swish_bwd(saved, g),))
+    return _record(Tensor(y), (a,), lambda g: (_swish_bwd(saved, g),))
 
 
 def swish_prime(a: Tensor) -> Tensor:
@@ -322,20 +300,20 @@ def swish_prime(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
     out = Tensor(s + a.data * s * (1.0 - s))
     return _record(
-        out, (a,), lambda g, need: (g * s * (1.0 - s) * (2.0 + a.data * (1.0 - 2.0 * s)),)
+        out, (a,), lambda g: (g * s * (1.0 - s) * (2.0 + a.data * (1.0 - 2.0 * s)),)
     )
 
 
 def exp_(a: Tensor) -> Tensor:
     e = np.exp(a.data)
     out = Tensor(e)
-    return _record(out, (a,), lambda g, need: (g * e,))
+    return _record(out, (a,), lambda g: (g * e,))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     out = Tensor(np.clip(a.data, lo, hi))
     mask = (a.data >= lo) & (a.data <= hi)
-    return _record(out, (a,), lambda g, need: (g * mask,))
+    return _record(out, (a,), lambda g: (g * mask,))
 
 
 def detach(a: Tensor) -> Tensor:
@@ -373,16 +351,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out = Tensor(y)
     inputs = (x, w) + ((b,) if b is not None else ())
 
-    def back(g, need):
-        grads = [
-            _unbroadcast(np.matmul(g, w.data), x.data.shape) if need[0] else None,
-            _unbroadcast(np.matmul(g.swapaxes(-1, -2), x.data), w.data.shape)
-            if need[1]
-            else None,
-        ]
-        if b is not None:
-            grads.append(_unbroadcast(g.sum(axis=-2), b.data.shape) if need[2] else None)
-        return tuple(grads)
+    def back(g):
+        grads = (
+            _unbroadcast(np.matmul(g, w.data), x.data.shape),
+            _unbroadcast(np.matmul(g.swapaxes(-1, -2), x.data), w.data.shape),
+        )
+        if b is None:
+            return grads
+        return grads + (_unbroadcast(g.sum(axis=-2), b.data.shape),)
 
     return _record(out, inputs, back)
 
@@ -394,14 +370,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _lead(a, 2, b, 2, "matmul")
     out = Tensor(np.matmul(a.data, b.data))
 
-    def back(g, need):
+    def back(g):
         return (
-            _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
-            if need[0]
-            else None,
-            _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
-            if need[1]
-            else None,
+            _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape),
+            _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape),
         )
 
     return _record(out, (a, b), back)
@@ -436,18 +408,17 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         y += bias.data[..., None]
     out = Tensor(y.reshape(y.shape[:-1] + (b, t)))
 
-    def back(g, need):
+    def back(g):
         g2 = g.reshape(g.shape[:-2] + (b * t,))
-        grads = [None, None]
-        if need[0]:
-            dcols = np.matmul(w.swapaxes(-1, -2), g2)
-            grads[0] = _unbroadcast(dcols.reshape(dcols.shape[:-1] + (b, t)), x.data.shape)
-        if need[1]:
-            dw = np.matmul(g2, cols.swapaxes(-1, -2))
-            grads[1] = _unbroadcast(dw[..., None], kernel.data.shape)
-        if bias is not None:
-            grads.append(_unbroadcast(g2.sum(axis=-1), bias.data.shape) if need[2] else None)
-        return tuple(grads)
+        dcols = np.matmul(w.swapaxes(-1, -2), g2)
+        dw = np.matmul(g2, cols.swapaxes(-1, -2))
+        grads = (
+            _unbroadcast(dcols.reshape(dcols.shape[:-1] + (b, t)), x.data.shape),
+            _unbroadcast(dw[..., None], kernel.data.shape),
+        )
+        if bias is None:
+            return grads
+        return grads + (_unbroadcast(g2.sum(axis=-1), bias.data.shape),)
 
     inputs = (x, kernel) + ((bias,) if bias is not None else ())
     return _record(out, inputs, back)
@@ -469,7 +440,7 @@ def downsample2(x: Tensor) -> Tensor:
         y[..., -1] = x.data[..., -1]
     out = Tensor(y)
 
-    def back(g, need):
+    def back(g):
         dx = np.empty_like(x.data)
         half = g[..., :n_pairs] * 0.5
         dx[..., 0 : 2 * n_pairs : 2] = half
@@ -492,7 +463,7 @@ def upsample_repeat(x: Tensor, length: int) -> Tensor:
         )
     out = Tensor(x.data[..., idx])
 
-    def back(g, need):
+    def back(g):
         dx = np.zeros_like(x.data)
         np.add.at(dx, (Ellipsis, idx), g)
         return (dx,)

@@ -463,16 +463,15 @@ def _cell(params: ModelParams, prefix: str, x: Tensor, training: bool) -> Tensor
     if not save:
         return out
 
-    def back(g, need):
+    def back(g):
         dh, d_w1, d_sb1, d_w2, d_sb2 = se_gate_bwd(se, g)
         dh, d_d2, d_p2, d_pb2 = separable_conv1d_bwd(sep2, dh)
         dh, d_g2, d_b2 = batch_norm_bwd(bn2, _swish_bwd(sw2, dh))
         dh, d_d1, d_p1, _ = separable_conv1d_bwd(sep1, dh)
         dx, d_g1, d_b1 = batch_norm_bwd(bn1, _swish_bwd(sw1, dh))
         dx += g
-        grads = (dx, d_g1, d_b1, d_d1, d_p1, d_g2, d_b2, d_d2, d_p2, d_pb2,
-                 d_w1, d_sb1, d_w2, d_sb2)
-        return tuple(d if n else None for d, n in zip(grads, need))
+        return (dx, d_g1, d_b1, d_d1, d_p1, d_g2, d_b2, d_d2, d_p2, d_pb2,
+                d_w1, d_sb1, d_w2, d_sb2)
 
     return _record(out, inputs, back)
 
@@ -601,13 +600,13 @@ def kl_gaussian_elementwise(
     sq = diff * diff * inv_p
     out = Tensor(0.5 * ((ratio + sq) + (p_logvar.data - q_logvar.data - 1.0)))
 
-    def back(g, need):
+    def back(g):
         d_mean = g * diff * inv_p
         return (
-            _unbroadcast(d_mean, q_mean.shape) if need[0] else None,
-            _unbroadcast(0.5 * g * (ratio - 1.0), q_logvar.shape) if need[1] else None,
-            _unbroadcast(-d_mean, p_mean.shape) if need[2] else None,
-            _unbroadcast(0.5 * g * (1.0 - ratio - sq), p_logvar.shape) if need[3] else None,
+            _unbroadcast(d_mean, q_mean.shape),
+            _unbroadcast(0.5 * g * (ratio - 1.0), q_logvar.shape),
+            _unbroadcast(-d_mean, p_mean.shape),
+            _unbroadcast(0.5 * g * (1.0 - ratio - sq), p_logvar.shape),
         )
 
     return _record(out, (q_mean, q_logvar, p_mean, p_logvar), back)

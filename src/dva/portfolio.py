@@ -81,7 +81,8 @@ class PeriodMoments:
             raise ContractError(f"covariance {s.shape} does not match mu {self.mu.shape}")
         if not np.allclose(s, s.T, atol=1e-12):
             raise ContractError("covariance must be symmetric")
-        if np.linalg.eigvalsh(s).min() < -1e-10:
+        # eigvalsh rounds at about 1e-16 of the scale, so the tolerance scales
+        if np.linalg.eigvalsh(s).min() < -1e-10 * max(1.0, s.diagonal().max()):
             raise ContractError("covariance must be positive semidefinite")
         return self
 

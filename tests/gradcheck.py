@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward
+from dva.autodiff import Tape, Tensor, backward
 
 __all__ = ["max_rel_error", "finite_difference_check", "check_params"]
 

@@ -19,11 +19,9 @@ def taped(fwd, bwd, inputs, *args):
     gradient. A kernel that takes ``save`` needs it True in ``args``: its
     backward reads what it saved, and without it ``se_gate`` overwrites x."""
     y, saved = fwd(*(None if t is None else t.data for t in inputs), *args)
-    present = [t is not None for t in inputs]
 
-    def back(g, need):
-        grads = [d for d, p in zip(bwd(saved, g), present) if p]
-        return tuple(d if n else None for d, n in zip(grads, need))
+    def back(g):
+        return tuple(d for d, t in zip(bwd(saved, g), inputs) if t is not None)
 
     return _record(Tensor(y), tuple(t for t in inputs if t is not None), back)
 

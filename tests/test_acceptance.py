@@ -45,7 +45,6 @@ from dva.data import FEATURE_DIM, SynthSpec, build_dataset, synth_generate
 from dva.diffusion import diffuse_input, diffuse_target, make_schedule
 from dva.errors import DegenerateReturnsError
 from dva.evaluation import StockRunResult, aggregate, persistence_baseline
-from dva.gradcheck import check_params
 from dva.layers import (
     BatchNormState,
     batch_norm,
@@ -76,6 +75,7 @@ from dva.training import (
     train_runs,
     train_stock,
 )
+from gradcheck import check_params
 from layer_ops import fresh_state, taped
 
 

@@ -31,7 +31,6 @@ from dva.autodiff import (
     upsample_repeat,
 )
 from dva.errors import ContractError
-from dva.gradcheck import check_params, finite_difference_check, max_rel_error
 from dva.layers import (
     BatchNormState,
     batch_norm,
@@ -43,6 +42,7 @@ from dva.layers import (
     separable_conv1d,
     separable_conv1d_bwd,
 )
+from gradcheck import check_params, finite_difference_check, max_rel_error
 from layer_ops import fresh_state, taped
 
 
@@ -57,6 +57,8 @@ def rng(seed=0):
 
 def test_swish_at_zero():
     assert swish(Tensor(0.0)).item() == 0.0
+    # item() takes any size-1 tensor, not only a 0-d one
+    assert swish(Tensor(np.zeros((1, 1)))).item() == 0.0
 
 
 def test_swish_at_one():

@@ -12,7 +12,6 @@ from dva import model
 from dva.autodiff import Tape, Tensor, add, as_tensor, backward, mul, square, sub, sum_, swish
 from dva.diffusion import make_schedule
 from dva.errors import ConfigError, ContractError, DataError
-from dva.gradcheck import check_params, max_rel_error, _numeric_grad
 from dva.layers import (
     batch_norm,
     batch_norm_bwd,
@@ -37,6 +36,7 @@ from dva.model import (
     output_kl,
     save_params,
 )
+from gradcheck import check_params, max_rel_error, _numeric_grad
 from layer_ops import taped
 
 TINY = ModelConfig(t_in=8, t_out=8, channels=4, latent=2, se_reduction=2, energy_hidden=6)

@@ -143,6 +143,11 @@ class TestPredictionMoments:
             gross = 1.0 + 0.1 * rng.normal(size=(6, 4))  # rank-deficient S > T'
             m = prediction_moments(gross)  # validate() runs inside
             assert np.linalg.eigvalsh(m.sigma).min() >= -1e-10
+        # at a large scale rounding alone leaves eigenvalues below -1e-10:
+        # here the smallest is about -1e-9 against a largest of about 7e6
+        gross = 1.0 + 1e3 * rng.normal(size=(30, 10))
+        m = prediction_moments(gross)
+        assert np.linalg.eigvalsh(m.sigma).min() < -1e-10
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(5)
