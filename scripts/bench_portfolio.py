@@ -31,13 +31,12 @@ import json
 import os
 import platform
 import statistics
-import subprocess
-import sys
 import time
 from pathlib import Path
 
+from pairing import order, perfbench_pairs, spawn
+
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 T_OUT = 10
 ANCHORS = 120  # per split: 12 back-to-back periods
 CASES = [(s, cov) for s in (5, 30, 100) for cov in ("raw", "lambda=0.1")] + [
@@ -138,29 +137,6 @@ def worker(repeats: int) -> dict:
     return out
 
 
-def spawn(tree: Path, args: list[str]) -> dict:
-    env = dict(os.environ, **PINNED, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), *args],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def perfbench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def quartiles(xs: list[float]) -> list[float]:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return [round(med, 5), round(q1, 5), round(q3, 5)]
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
@@ -183,9 +159,10 @@ def main() -> None:
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(args.pairs):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(spawn(trees[side], ["--worker", "--repeats", str(args.repeats)]))
+        for side in order(k):
+            runs[side].append(
+                spawn(Path(__file__).resolve(), trees[side], ["--worker", "--repeats", str(args.repeats)])
+            )
     cases = {}
     for name in runs["change"][0]:
         row = {}
@@ -216,34 +193,9 @@ def main() -> None:
         "cases": cases,
     }
     if args.perfbench_pairs:
-        pairs, summary = [], {}
-        for w in args.workloads:
-            for k in range(args.perfbench_pairs):
-                seed = args.seed0 + k
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                for side in order:
-                    result = perfbench(trees[side], w, seed, args.seconds)
-                    pairs.append({"side": side, "workload": w, "seed": seed, "first": order[0],
-                                  "result": result})
-            summary[w] = {"correct": all(p["result"]["correct"] for p in pairs if p["workload"] == w)}
-            for metric, better in (("setup_s", "lower"), ("wall_s", "lower"),
-                                   ("peak_rss_mb", "lower"), ("items_per_s", "higher")):
-                values = {
-                    side: [p["result"]["metrics"][metric]["value"] for p in pairs
-                           if p["workload"] == w and p["side"] == side]
-                    for side in ("parent", "change")
-                }
-                sign = 1 if better == "lower" else -1
-                summary[w][metric] = {
-                    "better": better,
-                    "parent_median_q1_q3": quartiles(values["parent"]),
-                    "change_median_q1_q3": quartiles(values["change"]),
-                    "change_wins": sum(
-                        sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])
-                    ),
-                    "pairs": args.perfbench_pairs,
-                }
-        out["perfbench"] = {"seconds": args.seconds, "summary": summary, "pairs": pairs}
+        out["perfbench"] = perfbench_pairs(
+            trees, args.workloads, args.perfbench_pairs, args.seed0, args.seconds
+        )
     print(json.dumps(out, indent=1))
 
 

@@ -7,7 +7,18 @@ the median s per epoch of ``train_runs`` (steps, the batch-norm refresh and
 validation) and the tape entries per step, on a clean sinusoid stock with
 the default ``TrainConfig``.
 
+With ``--parent`` it times a checkout of the parent commit against this
+tree instead: ``--pairs`` alternating pairs of fresh processes, one per
+side, each as above; reported are the medians over pairs of each side's
+figures and the pairs the change wins. With ``--perfbench-pairs N`` it also
+runs ``perfbench/run.py`` on the workloads given by ``--workloads`` in both
+checkouts, alternating, one seed per pair from ``--seed0``, as
+``bench_portfolio.py`` does.
+
 Usage: PYTHONPATH=src python scripts/bench_train_runs.py [--runs 1 2 5] [--repeats 5]
+       python scripts/bench_train_runs.py --parent PATH_TO_PARENT_CHECKOUT [--pairs 5]
+           [--runs 1 2 5] [--repeats 3] [--perfbench-pairs 10]
+           [--workloads train forecast] [--seconds 15] [--seed0 1001]
 """
 
 from __future__ import annotations
@@ -18,23 +29,25 @@ import os
 import platform
 import time
 from dataclasses import replace
+from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402
+from pairing import compare, order, perfbench_pairs, spawn  # noqa: E402
 
-from dva.data import SynthSpec, build_dataset, synth_generate  # noqa: E402
-from dva import training  # noqa: E402
-from dva.optim import Adam  # noqa: E402
-from dva.training import TrainConfig, train_runs  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
+METRICS = ("ms_per_step", "backward_ms_per_step", "adam_ms_per_step", "s_per_epoch")
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, nargs="+", default=[1, 2, 5])
-    ap.add_argument("--repeats", type=int, default=5)
-    args = ap.parse_args()
+def worker(runs: list[int], repeats: int) -> dict:
+    """Time ``train_runs`` with the ``dva`` on ``sys.path``; one JSON object."""
+    import numpy as np
+
+    from dva import training
+    from dva.data import SynthSpec, build_dataset, synth_generate
+    from dva.optim import Adam
+    from dva.training import TrainConfig, train_runs
 
     prices, _ = synth_generate(
         SynthSpec(process="sinusoid", length=300, amplitude=0.9, period=10.0, start_price=1.0),
@@ -72,13 +85,13 @@ def main() -> None:
         "train_windows": len(split.train),
         "batch_size": cfg.batch_size,
     }
-    for r in args.runs:
+    for r in runs:
         cfgs = [replace(cfg, seed=s) for s in range(r)]
         epochs, steps = [], []
         entries.clear()
         backward_s.clear()
         adam_s.clear()
-        for _ in range(args.repeats):
+        for _ in range(repeats):
             stamps.clear()
             t0 = time.perf_counter()
             train_runs(split, cfgs)
@@ -91,7 +104,57 @@ def main() -> None:
             "s_per_epoch": round(float(np.median(epochs)), 4),
             "tape_entries_per_step": int(np.median(entries)),
         }
-    print(json.dumps(out, indent=2))
+    return out
+
+
+def paired(parent: Path, pairs: int, runs: list[int], repeats: int) -> dict:
+    """Both sides' figures per R over alternating pairs of fresh processes."""
+    trees = {"parent": parent.resolve(), "change": ROOT}
+    args = ["--worker", "--repeats", str(repeats), "--runs", *map(str, runs)]
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for k in range(pairs):
+        for side in order(k):
+            results[side].append(spawn(Path(__file__).resolve(), trees[side], args))
+    out = {"machine": results["change"][0]["machine"], "pairs": pairs, "repeats": repeats}
+    for r in runs:
+        key = f"R{r}"
+        row = {
+            f"tape_entries_per_step_{side}": results[side][0][key]["tape_entries_per_step"]
+            for side in ("parent", "change")
+        }
+        for metric in METRICS:
+            row[metric] = compare(
+                *([res[key][metric] for res in results[side]] for side in ("parent", "change")),
+                "lower",
+            )
+        out[key] = row
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--runs", type=int, nargs="+", default=[1, 2, 5])
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--perfbench-pairs", type=int, default=0)
+    ap.add_argument("--workloads", nargs="+", default=["train", "forecast"])
+    ap.add_argument("--seconds", type=int, default=15)
+    ap.add_argument("--seed0", type=int, default=1001)
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.worker:
+        print(json.dumps(worker(args.runs, args.repeats)))
+    elif args.parent is None:
+        print(json.dumps(worker(args.runs, args.repeats), indent=2))
+    else:
+        out = paired(args.parent, args.pairs, args.runs, args.repeats)
+        if args.perfbench_pairs:
+            trees = {"parent": args.parent.resolve(), "change": ROOT}
+            out["perfbench"] = perfbench_pairs(
+                trees, args.workloads, args.perfbench_pairs, args.seed0, args.seconds
+            )
+        print(json.dumps(out, indent=1))
 
 
 if __name__ == "__main__":

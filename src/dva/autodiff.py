@@ -1,26 +1,38 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A ``Tape`` records every primitive operation executed inside its ``with``
-block as ``(output, inputs, backward_fn)``. ``backward`` replays the records
-in reverse, accumulating vector-Jacobian products into a gradient per
-input. ``backward_fn(g)`` returns one VJP per input, constants included;
-``detach`` is how a value is kept out of the gradient. No backward writes
-into its ``g``, because ``add`` hands the same array to both inputs.
-Tensors are immutable by convention: no primitive writes to an input's
-``data`` buffer, so a tape stays valid until it is dropped.
+A ``Tape`` records every taped operation executed inside its ``with`` block
+as ``(output, inputs, backward_fn)``. ``backward`` replays the records in
+reverse, accumulating vector-Jacobian products into a gradient per input.
+``backward_fn(g)`` returns one VJP per input, constants included; a value
+closed over by an op rather than passed as an input is a constant from the
+tape's viewpoint. No backward writes into its ``g``, because an op may hand
+the same array to more than one input. Tensors are immutable by
+convention: no op writes to an input's ``data`` buffer, so a tape stays
+valid until it is dropped.
+
+An entry's output may be a tuple of Tensors (a latent group of
+``dva.model`` yields its next decoder state and its KL). Its ``backward_fn``
+then takes a tuple with one cotangent per output, zeros for an output that
+nothing reached; an entry none of whose outputs was reached is skipped.
+
+The program tapes a handful of ops, each one forward/backward pair of
+plain-numpy kernels: here the stem's pointwise ``conv1d`` and the encoder's
+``downsample2``; in ``dva.model`` the residual cell, the decoder's start,
+the latent group and the output head; in ``dva.losses`` the MSE, the output
+KL and the energy head's score-matching term; in ``dva.training`` the
+weighted sum of the losses. A default training step records 18 entries.
 
 The pointwise convolution takes channel-major activations ``(..., channels,
 batch, time)``, so a per-channel operation sees one contiguous
-``batch*time`` row per channel. The linear-algebra primitives accept leading
-axes in front of their usual shapes and broadcast over them through
-``np.matmul``: a kernel ``(R, c_out, c_in, 1)`` applied to ``(R, c_in,
-batch, t)`` runs R independent convolutions in one call, and an input
-without the leading axis is shared by all R of them.
+``batch*time`` row per channel. Leading axes in front of the usual shapes
+broadcast through ``np.matmul``: a kernel ``(R, c_out, c_in, 1)`` applied
+to ``(R, c_in, batch, t)`` runs R independent convolutions in one call, and
+an input without the leading axis is shared by all R of them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,25 +43,8 @@ __all__ = [
     "Tape",
     "backward",
     "as_tensor",
-    "add",
-    "sub",
-    "mul",
-    "sum_",
-    "mean_",
-    "reshape",
-    "swapaxes",
-    "concat",
-    "swish",
-    "swish_prime",
-    "exp_",
-    "square",
-    "clamp",
-    "detach",
-    "linear",
-    "matmul",
     "conv1d",
     "downsample2",
-    "upsample_repeat",
 ]
 
 
@@ -111,7 +106,9 @@ def _taping() -> bool:
     return bool(_TAPE_STACK)
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backfn: Callable) -> Tensor:
+def _record(out, inputs: tuple[Tensor, ...], backfn: Callable):
+    """Append an entry to the innermost recording tape; ``out`` is a Tensor
+    or a tuple of Tensors, and is returned as given."""
     if _TAPE_STACK:
         _TAPE_STACK[-1].entries.append((out, inputs, backfn))
     return out
@@ -124,11 +121,11 @@ def backward(
 
     Returns a map keyed by tensor identity. Every tensor in ``params`` is
     guaranteed a key; unreached parameters map to zeros. Every input of an
-    entry gets a vector-Jacobian product, constants included; ``detach``
-    keeps a value out of the gradient. No backward writes into its ``g``,
-    because ``add`` hands the same array to both inputs. The pass consumes
-    the tape: each entry is dropped once visited, which frees its saved
-    activations as the pass goes, so one tape supports one backward pass.
+    entry gets a vector-Jacobian product, constants included. An entry with
+    a tuple of outputs gets a tuple of cotangents, zeros for each output
+    that nothing reached. The pass consumes the tape: each entry is dropped
+    once visited, which frees its saved activations as the pass goes, so one
+    tape supports one backward pass.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -136,9 +133,15 @@ def backward(
     entries = tape.entries
     while entries:
         out, inputs, backfn = entries.pop()
-        g = grads.pop(out, None)
-        if g is None:
-            continue
+        if type(out) is tuple:
+            g = tuple(grads.pop(o, None) for o in out)
+            if all(gi is None for gi in g):
+                continue
+            g = tuple(np.zeros_like(o.data) if gi is None else gi for o, gi in zip(out, g))
+        else:
+            g = grads.pop(out, None)
+            if g is None:
+                continue
         for t, gi in zip(inputs, backfn(g)):
             acc = grads.get(t)
             grads[t] = gi if acc is None else acc + gi
@@ -161,94 +164,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-# ---------------------------------------------------------------------------
-# Elementwise arithmetic
-# ---------------------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
-
-    def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _record(out, (a, b), back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-
-    def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _record(out, (a, b), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-
-    def back(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-
-    return _record(out, (a, b), back)
-
-
-def square(a: Tensor) -> Tensor:
-    return mul(a, a)
-
-
-# ---------------------------------------------------------------------------
-# Reductions and shape ops
-# ---------------------------------------------------------------------------
-
-
-def _kept_shape(shape: tuple[int, ...], axis) -> tuple[int, ...]:
-    """The shape of a reduction over ``axis`` with the reduced axes kept as 1."""
-    if axis is None:
-        return (1,) * len(shape)
-    axes = {ax % len(shape) for ax in (axis if isinstance(axis, tuple) else (axis,))}
-    return tuple(1 if i in axes else n for i, n in enumerate(shape))
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    kept = _kept_shape(a.data.shape, axis)
-
-    def back(g):
-        return (np.broadcast_to(g.reshape(kept), a.data.shape).copy(),)
-
-    return _record(out, (a,), back)
-
-
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    count = a.data.size / out.data.size
-    kept = _kept_shape(a.data.shape, axis)
-
-    def back(g):
-        return (np.broadcast_to(g.reshape(kept), a.data.shape) / count,)
-
-    return _record(out, (a,), back)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
-    out = Tensor(np.swapaxes(a.data, axis1, axis2))
-    return _record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = list(tensors)
-    if not ts:
-        raise ContractError("concat needs at least one tensor")
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum(sizes)[:-1]
-    return _record(out, tuple(ts), lambda g: tuple(np.split(g, offsets, axis=axis)))
+def _vjps(grads, inputs) -> tuple:
+    """Each gradient summed back down to its input's shape."""
+    return tuple(_unbroadcast(g, t.data.shape) for g, t in zip(grads, inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -277,52 +195,30 @@ def _swish_fwd(x: np.ndarray, save: bool, out: np.ndarray | None = None):
     return a, ((a, s) if save else None)
 
 
-def _swish_bwd(saved, g: np.ndarray) -> np.ndarray:
-    """g * swish'(x) with swish'(x) = s + x s (1 - s) = s + a (1 - s), from
-    the saved output a and sigmoid s, in one new buffer."""
+def _swish_prime(saved) -> np.ndarray:
+    """swish'(x) = s + x s (1 - s) = s + a (1 - s), from the saved output a
+    and sigmoid s, in one new buffer."""
     a, s = saved
     d = 1.0 - s
     d *= a
     d += s
+    return d
+
+
+def _swish_bwd(saved, g: np.ndarray) -> np.ndarray:
+    """g * swish'(x), in one new buffer."""
+    d = _swish_prime(saved)
     d *= g
     return d
 
 
-def swish(a: Tensor) -> Tensor:
-    """x * sigmoid(x); smooth, non-monotone, ~x for large x, ~0 for small."""
-    y, saved = _swish_fwd(a.data, True)
-    return _record(Tensor(y), (a,), lambda g: (_swish_bwd(saved, g),))
-
-
-def swish_prime(a: Tensor) -> Tensor:
-    """d swish / dx = s + x s (1 - s) with s = sigmoid(x), as one op whose
-    backward is swish's second derivative s (1 - s) (2 + x (1 - 2 s))."""
-    s = _sigmoid(a.data)
-    out = Tensor(s + a.data * s * (1.0 - s))
-    return _record(
-        out, (a,), lambda g: (g * s * (1.0 - s) * (2.0 + a.data * (1.0 - 2.0 * s)),)
-    )
-
-
-def exp_(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    out = Tensor(e)
-    return _record(out, (a,), lambda g: (g * e,))
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    out = Tensor(np.clip(a.data, lo, hi))
-    mask = (a.data >= lo) & (a.data <= hi)
-    return _record(out, (a,), lambda g: (g * mask,))
-
-
-def detach(a: Tensor) -> Tensor:
-    """Same values, no gradient path: a constant from the tape's viewpoint."""
-    return Tensor(a.data)
+def _swish_second(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """swish''(x) = s (1 - s) (2 + x (1 - 2 s)), from x and s = sigmoid(x)."""
+    return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra / convolution
+# Convolution and pooling
 # ---------------------------------------------------------------------------
 
 
@@ -335,48 +231,32 @@ def _lead(a: Tensor, a_core: int, b: Tensor, b_core: int, what: str) -> None:
         raise ContractError(f"{what}: leading axes of {a.shape} and {b.shape} differ")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x @ w.T + b with x (..., batch, d_in), w (..., d_out, d_in),
-    b (..., d_out); leading axes broadcast."""
-    if x.data.ndim < 2 or w.data.ndim < 2 or x.data.shape[-1] != w.data.shape[-1]:
-        raise ContractError(
-            f"linear shapes incompatible: x {x.shape}, w {w.shape}"
-        )
-    _lead(x, 2, w, 2, "linear")
-    y = np.matmul(x.data, w.data.swapaxes(-1, -2))
+def _pointwise(w: np.ndarray, xs: tuple[np.ndarray, ...], b: np.ndarray | None) -> np.ndarray:
+    """A 1x1 convolution by w (..., c_out, c_in, 1), plus b (..., c_out)
+    when given, of the channel concatenation of the flat channel-major
+    inputs xs, each (..., c_k, n), without forming it: one matmul per input,
+    summed into one new buffer."""
+    w, start, y = w[..., 0], 0, None
+    for x in xs:
+        part = np.matmul(w[..., start : start + x.shape[-2]], x)
+        y = part if y is None else np.add(y, part, out=y)
+        start += x.shape[-2]
     if b is not None:
-        if b.data.shape != w.data.shape[:-1]:
-            raise ContractError(f"bias shape {b.shape} != {w.data.shape[:-1]}")
-        y += b.data[..., None, :]
-    out = Tensor(y)
-    inputs = (x, w) + ((b,) if b is not None else ())
-
-    def back(g):
-        grads = (
-            _unbroadcast(np.matmul(g, w.data), x.data.shape),
-            _unbroadcast(np.matmul(g.swapaxes(-1, -2), x.data), w.data.shape),
-        )
-        if b is None:
-            return grads
-        return grads + (_unbroadcast(g.sum(axis=-2), b.data.shape),)
-
-    return _record(out, inputs, back)
+        y += b[..., None]
+    return y
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b of the last two axes; leading axes broadcast."""
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ContractError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    _lead(a, 2, b, 2, "matmul")
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def back(g):
-        return (
-            _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape),
-            _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape),
-        )
-
-    return _record(out, (a, b), back)
+def _pointwise_bwd(w: np.ndarray, xs: tuple[np.ndarray, ...], g: np.ndarray):
+    """([dx for x in xs], dw, db) of ``_pointwise`` for the cotangent g
+    (..., c_out, n)."""
+    w, start, dxs = w[..., 0], 0, []
+    dw = np.empty(g.shape[:-2] + w.shape[-2:] + (1,))
+    for x in xs:
+        stop = start + x.shape[-2]
+        dxs.append(np.matmul(w[..., start:stop].swapaxes(-1, -2), g))
+        np.matmul(g, x.swapaxes(-1, -2), out=dw[..., start:stop, 0])
+        start = stop
+    return dxs, dw, g.sum(axis=-1)
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -402,25 +282,15 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ContractError(f"bias shape {bias.shape} != {kernel.data.shape[:-2]}")
     b, t = x.data.shape[-2:]
     cols = x.data.reshape(x.data.shape[:-3] + (c_in, b * t))
-    w = kernel.data.reshape(kernel.data.shape[:-2] + (c_in,))
-    y = np.matmul(w, cols)
-    if bias is not None:
-        y += bias.data[..., None]
+    y = _pointwise(kernel.data, (cols,), None if bias is None else bias.data)
     out = Tensor(y.reshape(y.shape[:-1] + (b, t)))
+    inputs = (x, kernel) + ((bias,) if bias is not None else ())
 
     def back(g):
-        g2 = g.reshape(g.shape[:-2] + (b * t,))
-        dcols = np.matmul(w.swapaxes(-1, -2), g2)
-        dw = np.matmul(g2, cols.swapaxes(-1, -2))
-        grads = (
-            _unbroadcast(dcols.reshape(dcols.shape[:-1] + (b, t)), x.data.shape),
-            _unbroadcast(dw[..., None], kernel.data.shape),
-        )
-        if bias is None:
-            return grads
-        return grads + (_unbroadcast(g2.sum(axis=-1), bias.data.shape),)
+        (dcols,), dw, db = _pointwise_bwd(kernel.data, (cols,), g.reshape(g.shape[:-2] + (b * t,)))
+        grads = (dcols.reshape(dcols.shape[:-1] + (b, t)), dw, db)
+        return _vjps(grads[: len(inputs)], inputs)
 
-    inputs = (x, kernel) + ((bias,) if bias is not None else ())
     return _record(out, inputs, back)
 
 
@@ -447,25 +317,6 @@ def downsample2(x: Tensor) -> Tensor:
         dx[..., 1 : 2 * n_pairs : 2] = half
         if odd:
             dx[..., -1] = g[..., -1]
-        return (dx,)
-
-    return _record(out, (x,), back)
-
-
-def upsample_repeat(x: Tensor, length: int) -> Tensor:
-    """Nearest-neighbour stretch to ``length``: output[i] = input[i // 2]."""
-    if x.data.ndim < 3:
-        raise ContractError("upsample_repeat needs x (..., c, b, t)")
-    idx = np.arange(length) // 2
-    if length and idx[-1] >= x.data.shape[-1]:
-        raise ContractError(
-            f"length {length} needs source index {idx[-1]}, have {x.data.shape[-1]}"
-        )
-    out = Tensor(x.data[..., idx])
-
-    def back(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (Ellipsis, idx), g)
         return (dx,)
 
     return _record(out, (x,), back)

@@ -237,12 +237,12 @@ def cmd_train(args) -> int:
     rc = _config_from(args)
     cfg = _train_config(rc, args)
     out = _resolve_out(args.out, rc.out_dir)
+    tickers = load_tickers(rc.tickers_file)
     targets = [out / "metrics.json", out / "checkpoints", out / "predictions"]
     _refuse_overwrite(targets, args.force)
     _clear(targets)  # a stale partial tree must not leak into this run
     out.mkdir(parents=True, exist_ok=True)
 
-    tickers = load_tickers(rc.tickers_file)
     metrics = run_experiment(
         tickers, rc.data_dir, cfg, out, runs=rc.runs, jobs=args.jobs
     )

@@ -191,10 +191,20 @@ def write_ohlcv(path, prices: Prices) -> None:
 
 
 def load_tickers(path) -> list[str]:
-    """Newline-separated ticker symbols; blanks and '#' comments skipped."""
-    text = read_utf8(path, "tickers file", ConfigError)
-    names = (line.strip() for line in text.splitlines())
-    return [name for name in names if name and not name.startswith("#")]
+    """Newline-separated ticker symbols; blanks and '#' comments skipped.
+    A name becomes a file name under the data and output directories, so it
+    must be one path component: no NUL, no path separator, not . or .."""
+    names = []
+    for line_no, line in enumerate(read_utf8(path, "tickers file", ConfigError).split("\n"), 1):
+        name = line.strip()
+        if not name or name.startswith("#"):
+            continue
+        if "\0" in name or "/" in name or "\\" in name or name in (".", ".."):
+            raise ConfigError(
+                f"tickers file {path}: line {line_no}: {name!r} is not a single file name"
+            )
+        names.append(name)
+    return names
 
 
 def write_tickers(path, names: list[str]) -> None:

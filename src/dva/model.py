@@ -9,8 +9,16 @@ state before the next (finer) cell. A 1x1 conv plus a global projection map
 the finest state to the T_out-step prediction.
 
 The energy head is a small scalar network E(y) = 0.5*q*||y - c||^2 + MLP(y)
-whose input gradient is written out in closed form with taped primitives, so
-training it through grad_E never needs second-order autodiff.
+whose input gradient is written out in closed form
+(``dva.losses._grad_energy``), so training it through grad_E needs only
+swish's second derivative, never second-order autodiff.
+
+Each block is one taped op, a forward and a backward over plain arrays in
+the pattern of the residual cell (``_cell``): with no tape recording, the
+forward keeps nothing. The ops here are the cell, the decoder's start, a
+latent group (two outputs: the next decoder state and the group's KL) and
+the output head; the losses and the energy head's kernels are in
+``dva.losses``.
 
 Generator activations are channel-major, (channels, batch, time): ``encode``
 transposes its (batch, channels, time) input once, and ``generate`` takes
@@ -39,33 +47,16 @@ import numpy as np
 from .atomic import atomic_open, read_npz
 from .autodiff import (
     Tensor,
+    _pointwise,
+    _pointwise_bwd,
     _record,
     _swish_bwd,
     _swish_fwd,
     _taping,
-    _unbroadcast,
-    add,
-    as_tensor,
-    clamp,
-    concat,
+    _vjps,
     conv1d,
-    detach,
-    exp_,
-    linear,
-    matmul,
-    mean_,
-    mul,
-    reshape,
-    square,
-    sub,
-    sum_,
-    swapaxes,
-    swish,
-    swish_prime,
-    upsample_repeat,
     downsample2,
 )
-from .diffusion import DiffusionSchedule
 from .errors import ConfigError, ContractError, DataError
 from .layers import (
     BatchNormState,
@@ -85,12 +76,6 @@ __all__ = [
     "ForwardOutput",
     "encode",
     "generate",
-    "kl_gaussian_elementwise",
-    "output_kl",
-    "energy",
-    "grad_energy",
-    "dsm_loss",
-    "denoise_jump",
     "save_params",
     "load_params",
 ]
@@ -103,6 +88,7 @@ CHECKPOINT_VERSION = 2
 # optimisation budget, matched between posterior and prior so the initial KL
 # stays ~0. The heads learn per-coordinate scales from there.
 LOGVAR_INIT = -4.0
+LOGVAR_CLAMP = 10.0  # both heads' log-variances are clipped to [-this, this]
 
 
 @dataclass(frozen=True)
@@ -476,9 +462,12 @@ def _cell(params: ModelParams, prefix: str, x: Tensor, training: bool) -> Tensor
     return _record(out, inputs, back)
 
 
+
+
 def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tensor]:
     """Feature maps at the three resolutions, finest first: x (..., batch,
-    in_channels, t_in) in, channel-major (..., channels, batch, t) out."""
+    in_channels, t_in) in, channel-major (..., channels, batch, t) out. The
+    input is a constant: the stem convolves its channel-major view."""
     cfg = params.config
     if x.data.ndim < 3 or x.data.shape[-2] != cfg.in_channels:
         raise ContractError(
@@ -486,7 +475,8 @@ def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tenso
         )
     if x.data.shape[-1] != cfg.t_in:
         raise ContractError(f"time length {x.data.shape[-1]} != configured {cfg.t_in}")
-    h = conv1d(swapaxes(x, -3, -2), params["stem.w"], params["stem.b"])
+    stem_in = Tensor(np.swapaxes(x.data, -3, -2))
+    h = conv1d(stem_in, params["stem.w"], params["stem.b"])
     e1 = _cell(params, "enc1", h, training)
     e2 = _cell(params, "enc2", downsample2(e1), training)
     e3 = _cell(params, "enc3", downsample2(e2), training)
@@ -495,14 +485,14 @@ def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tenso
 
 @dataclass
 class LatentGroup:
-    """Per-group distribution stats and the latent actually used, each
-    channel-major (..., latent, batch, t)."""
+    """A sampled group's distribution stats and the latent it used, as
+    untaped arrays, each channel-major (..., latent, batch, t)."""
 
-    q_mean: Tensor
-    q_logvar: Tensor
-    p_mean: Tensor
-    p_logvar: Tensor
-    z: Tensor
+    q_mean: np.ndarray
+    q_logvar: np.ndarray
+    p_mean: np.ndarray
+    p_logvar: np.ndarray
+    z: np.ndarray
 
 
 @dataclass
@@ -510,13 +500,192 @@ class ForwardOutput:
     y_hat: Tensor  # (..., batch, t_out)
     groups: list[LatentGroup]  # empty for a posterior-mean decode
     kl_groups: list[Tensor]  # one value per model and group, averaged over the batch
-    kl_latent: Tensor | None  # sum of the group terms; None for a posterior-mean decode
 
 
-def _head(params: ModelParams, name: str, x: Tensor) -> Tensor:
-    """A latent head's 1x1 convolution; log-variance heads are clamped."""
-    out = conv1d(x, params[f"{name}.w"], params[f"{name}.b"])
-    return clamp(out, -10.0, 10.0) if name.endswith(".lv") else out
+def _decoder_start(h: Tensor, batch: int) -> Tensor:
+    """The trainable state h (..., 1, c, t) broadcast over the batch as the
+    channel-major (..., c, batch, t), as one taped op."""
+    lead, (c, t) = h.data.shape[:-3], h.data.shape[-2:]
+    s = np.empty(lead + (c, batch, t))
+    s[...] = h.data.reshape(lead + (c, 1, t))
+    return _record(Tensor(s), (h,), lambda g: (g.sum(axis=-2).reshape(h.data.shape),))
+
+
+# A group's tensors in the order of its tape entry's inputs after the
+# decoder state and the encoder feature. A posterior-mean decode reads the
+# first four only.
+_GROUP_TENSORS = {
+    i: tuple(
+        f"{name}{i}.{part}"
+        for name, part in (
+            ("post", "mu.w"), ("post", "mu.b"), ("merge", "w"), ("merge", "b"),
+            ("post", "lv.w"), ("post", "lv.b"), ("prior", "mu.w"), ("prior", "mu.b"),
+            ("prior", "lv.w"), ("prior", "lv.b"),
+        )
+    )
+    for i in range(1, N_GROUPS + 1)
+}
+
+
+def _clamp(x: np.ndarray) -> np.ndarray:
+    """x clipped to [-LOGVAR_CLAMP, LOGVAR_CLAMP], in one new buffer."""
+    y = np.maximum(x, -LOGVAR_CLAMP)
+    np.minimum(y, LOGVAR_CLAMP, out=y)
+    return y
+
+
+@functools.lru_cache(maxsize=8)
+def _stretch_index(length: int) -> np.ndarray:
+    """The source step of each of ``length`` steps: j // 2."""
+    idx = np.arange(length) // 2
+    idx.setflags(write=False)
+    return idx
+
+
+def _stretch_bwd(g: np.ndarray, t: int) -> np.ndarray:
+    """The VJP of x[..., arange(length) // 2] for x of t = ceil(length / 2)
+    steps: each source step sums its one or two copies."""
+    pairs = g.shape[-1] // 2
+    dx = np.empty(g.shape[:-1] + (t,))
+    np.add(g[..., 0 : 2 * pairs : 2], g[..., 1 : 2 * pairs : 2], out=dx[..., :pairs])
+    if t > pairs:
+        dx[..., -1] = g[..., -1]
+    return dx
+
+
+def _latent_group(
+    params: ModelParams,
+    i: int,
+    s: Tensor,
+    enc: Tensor,
+    noise: np.ndarray | None,
+    length: int | None,
+):
+    """Latent group i over the decoder state s and the encoder feature enc,
+    both (..., c, batch, t), as one taped op. The merge convolution reads
+    [s, z], and its output is stretched to ``length`` steps (output[j] =
+    merged[j // 2]) when given.
+
+    With ``noise`` (standard normal, channel-major (..., latent, batch, t),
+    a constant) z is the reparameterised sample mu + exp(lv / 2) * noise of
+    the posterior head over [s, enc], the prior head reads s, both
+    log-variances are clipped, and the op has two outputs: the next state
+    and KL(q || p) summed over latent and time and averaged over the batch,
+    one value per model. It returns (state, kl, LatentGroup). Without noise
+    z is the posterior mean, only it and the merge are computed, and it
+    returns (state, None, None)."""
+    names = _GROUP_TENSORS[i]
+    sampled = noise is not None
+    inputs = (s, enc) + tuple(params[k] for k in (names if sampled else names[:4]))
+    mu_w, mu_b, m_w, m_b = (v.data for v in inputs[2:6])
+    c, nb, nt = s.data.shape[-3:]
+    s2 = s.data.reshape(s.data.shape[:-3] + (c, nb * nt))
+    post = (s2, enc.data.reshape(enc.data.shape[:-3] + (c, nb * nt)))  # [s, enc]
+    mu = _pointwise(mu_w, post, mu_b)
+    kl = group = None
+    if sampled:
+        lv_w, lv_b, pm_w, pm_b, pl_w, pl_b = (v.data for v in inputs[6:])
+        lv_raw = _pointwise(lv_w, post, lv_b)
+        lv = _clamp(lv_raw)
+        p_mu = _pointwise(pm_w, (s2,), pm_b)
+        p_lv_raw = _pointwise(pl_w, (s2,), pl_b)
+        p_lv = _clamp(p_lv_raw)
+        q_open, p_open = lv == lv_raw, p_lv == p_lv_raw  # where the clip passes gradient
+        # KL(q || p) per coordinate for diagonal Gaussians:
+        # 0.5 * (exp(lq - lp) + (mq - mp)^2 exp(-lp) + lp - lq - 1)
+        diff = mu - p_mu
+        ratio = np.exp(lv - p_lv)
+        inv_p = np.exp(-p_lv)
+        sq = diff * diff * inv_p
+        kl_e = 0.5 * ((ratio + sq) + (p_lv - lv - 1.0))
+        # summed over latent and time, then the batch mean as sum / count
+        kl = Tensor(kl_e.reshape(kl_e.shape[:-1] + (nb, nt)).sum(axis=(-3, -1)).sum(axis=-1) / nb)
+        eps = noise.reshape(noise.shape[:-2] + (nb * nt,))
+        std = np.exp(lv * 0.5)
+        z = mu + std * eps
+        shape = mu.shape[:-1] + (nb, nt)
+        group = LatentGroup(*(a.reshape(shape) for a in (mu, lv, p_mu, p_lv, z)))
+    else:
+        z = mu
+    merged = _pointwise(m_w, (s2, z), m_b)
+    merged = merged.reshape(merged.shape[:-1] + (nb, nt))
+    if length is not None:
+        merged = merged[..., _stretch_index(length)]
+    out = Tensor(merged)
+    if not _taping():
+        return out, kl, group
+
+    def back(g):
+        g_s, g_kl = g if sampled else (g, None)
+        if length is not None:
+            g_s = _stretch_bwd(g_s, nt)
+        (ds, dmu), d_mw, d_mb = _pointwise_bwd(m_w, (s2, z), g_s.reshape(g_s.shape[:-2] + (nb * nt,)))
+        if sampled:
+            dlv = dmu * eps
+            dlv *= std
+            dlv *= 0.5
+            gk = (g_kl / nb)[..., None, None]  # the batch mean, spread over latent and time
+            d_mean = gk * diff * inv_p
+            dmu += d_mean
+            dlv += 0.5 * gk * (ratio - 1.0)
+            dlv *= q_open
+            d_plv = 0.5 * gk * (1.0 - ratio - sq)
+            d_plv *= p_open
+            (ds_plv,), d_plw, d_plb = _pointwise_bwd(pl_w, (s2,), d_plv)
+            (ds_pmu,), d_pmw, d_pmb = _pointwise_bwd(pm_w, (s2,), -d_mean)
+            (ds_lv, d_enc_lv), d_lvw, d_lvb = _pointwise_bwd(lv_w, post, dlv)
+            ds += ds_plv
+            ds += ds_pmu
+            ds += ds_lv
+        (ds_mu, d_enc), d_muw, d_mub = _pointwise_bwd(mu_w, post, dmu)
+        ds += ds_mu
+        if sampled:
+            d_enc += d_enc_lv
+        grads = (
+            ds.reshape(ds.shape[:-1] + (nb, nt)),
+            d_enc.reshape(d_enc.shape[:-1] + (nb, nt)),
+            d_muw, d_mub, d_mw, d_mb,
+        )
+        if sampled:
+            grads += (d_lvw, d_lvb, d_pmw, d_pmb, d_plw, d_plb)
+        return _vjps(grads, inputs)
+
+    _record((out, kl) if sampled else out, inputs, back)
+    return out, kl, group
+
+
+_OUT_TENSORS = ("out.conv.w", "out.conv.b", "out.proj.w", "out.proj.b")
+
+
+def _output_head(params: ModelParams, s: Tensor) -> Tensor:
+    """The finest state s (..., c, batch, t_in) to y_hat (..., batch,
+    t_out) as one taped op: ``out.conv``, a 1x1 convolution to one channel,
+    then ``out.proj``, a linear map over time."""
+    inputs = (s,) + tuple(params[k] for k in _OUT_TENSORS)
+    cw, cb, pw, pb = (v.data for v in inputs[1:])
+    c, nb, nt = s.data.shape[-3:]
+    cols = s.data.reshape(s.data.shape[:-3] + (c, nb * nt))
+    o = _pointwise(cw, (cols,), cb)  # (..., 1, batch * t_in)
+    flat = o.reshape(o.shape[:-2] + (nb, nt))
+    y = np.matmul(flat, pw.swapaxes(-1, -2))
+    y += pb[..., None, :]
+    out = Tensor(y)
+    if not _taping():
+        return out
+
+    def back(g):
+        d_flat = np.matmul(g, pw)
+        (d_cols,), d_cw, d_cb = _pointwise_bwd(cw, (cols,), d_flat.reshape(d_flat.shape[:-2] + (1, nb * nt)))
+        grads = (
+            d_cols.reshape(d_cols.shape[:-1] + (nb, nt)),
+            d_cw,
+            d_cb,
+            np.matmul(g.swapaxes(-1, -2), flat),
+            g.sum(axis=-2),
+        )
+        return _vjps(grads, inputs)
+
+    return _record(out, inputs, back)
 
 
 def generate(
@@ -531,8 +700,7 @@ def generate(
     coarsest first, each (..., batch, latent, t)) the latents are
     reparameterized samples, and the prior heads and the KL are computed.
     Without it the latents are the posterior means, and only what ``y_hat``
-    reads is computed: ``groups`` and ``kl_groups`` are empty and
-    ``kl_latent`` is None."""
+    reads is computed: ``groups`` and ``kl_groups`` are empty."""
     cfg = params.config
     if len(stack) != N_GROUPS:
         raise ContractError(f"encoder stack must have {N_GROUPS} levels")
@@ -540,180 +708,21 @@ def generate(
     batch = stack[0].data.shape[-2]
     lengths = cfg.level_lengths()  # fine, middle, coarse
     group_lengths = (lengths[2], lengths[1], lengths[0])
-    h = params["h"]  # (..., 1, c, t): as (..., c, 1, t), broadcast over the batch
-    s = reshape(h, h.shape[:-3] + (h.shape[-2], 1, h.shape[-1]))
-    s = add(s, as_tensor(np.zeros((batch, 1))))
+    s = _decoder_start(params["h"], batch)
     groups: list[LatentGroup] = []
     kl_groups: list[Tensor] = []
     for i in (1, 2, 3):
         s = _cell(params, f"dec{i}", s, training)
-        enc_feat = stack[N_GROUPS - i]  # coarse group reads coarse features
-        post_in = concat([s, enc_feat], axis=-3)
-        mu = _head(params, f"post{i}.mu", post_in)
-        if eps is None:
-            z = mu
-        else:
+        noise = None
+        if eps is not None:
             noise = np.asarray(eps[i - 1], dtype=np.float64)
-            want = mu.shape[:-3] + (batch, mu.shape[-3], mu.shape[-1])
+            want = s.data.shape[:-3] + (batch, cfg.latent, s.data.shape[-1])
             if noise.shape != want:
                 raise ContractError(f"eps[{i - 1}] shape {noise.shape} != {want}")
-            lv = _head(params, f"post{i}.lv", post_in)
-            p_mu = _head(params, f"prior{i}.mu", s)
-            p_lv = _head(params, f"prior{i}.lv", s)
-            kl = mean_(sum_(
-                kl_gaussian_elementwise(mu, lv, p_mu, p_lv), axis=(-3, -1)
-            ), axis=-1)
-            noise = as_tensor(np.swapaxes(noise, -3, -2))
-            z = add(mu, mul(exp_(mul(lv, as_tensor(0.5))), noise))
-            groups.append(LatentGroup(mu, lv, p_mu, p_lv, z))
+            noise = np.swapaxes(noise, -3, -2)
+        length = group_lengths[i] if i < 3 else None
+        s, kl, group = _latent_group(params, i, s, stack[N_GROUPS - i], noise, length)
+        if group is not None:
+            groups.append(group)
             kl_groups.append(kl)
-        s = conv1d(concat([s, z], axis=-3), params[f"merge{i}.w"], params[f"merge{i}.b"])
-        if i < 3:
-            s = upsample_repeat(s, group_lengths[i])
-
-    o = conv1d(s, params["out.conv.w"], params["out.conv.b"])  # (..., 1, b, t_in)
-    flat = reshape(o, o.shape[:-3] + o.shape[-2:])
-    y_hat = linear(flat, params["out.proj.w"], params["out.proj.b"])
-    kl_latent = kl_groups[0] if kl_groups else None
-    for kl in kl_groups[1:]:
-        kl_latent = add(kl_latent, kl)
-    return ForwardOutput(y_hat=y_hat, groups=groups, kl_groups=kl_groups, kl_latent=kl_latent)
-
-
-# ---------------------------------------------------------------------------
-# Divergences
-# ---------------------------------------------------------------------------
-
-
-def kl_gaussian_elementwise(
-    q_mean: Tensor, q_logvar: Tensor, p_mean: Tensor, p_logvar: Tensor
-) -> Tensor:
-    """KL(q || p) per coordinate for diagonal Gaussians, as one taped op:
-
-        0.5 * (exp(lq - lp) + (mq - mp)^2 exp(-lp) + lp - lq - 1)
-    """
-    if q_mean.shape != p_mean.shape or q_logvar.shape != p_logvar.shape:
-        raise ContractError("KL operand shapes must match")
-    diff = q_mean.data - p_mean.data
-    ratio = np.exp(q_logvar.data - p_logvar.data)
-    inv_p = np.exp(-p_logvar.data)
-    sq = diff * diff * inv_p
-    out = Tensor(0.5 * ((ratio + sq) + (p_logvar.data - q_logvar.data - 1.0)))
-
-    def back(g):
-        d_mean = g * diff * inv_p
-        return (
-            _unbroadcast(d_mean, q_mean.shape),
-            _unbroadcast(0.5 * g * (ratio - 1.0), q_logvar.shape),
-            _unbroadcast(-d_mean, p_mean.shape),
-            _unbroadcast(0.5 * g * (1.0 - ratio - sq), p_logvar.shape),
-        )
-
-    return _record(out, (q_mean, q_logvar, p_mean, p_logvar), back)
-
-
-def _per_model(value_at, n) -> np.ndarray:
-    """A schedule constant at each model's diffusion step; shaped like n."""
-    n = np.asarray(n)
-    return np.array([value_at(int(k)) for k in n.flat]).reshape(n.shape)
-
-
-def output_kl(
-    y_hat: Tensor,
-    s_out: float,
-    y: np.ndarray,
-    schedule: DiffusionSchedule,
-    n,
-) -> Tensor:
-    """KL( N(y_hat, s_out^2 I) || N(sqrt(a'_n) y, (1 - a'_n) I) ), summed over
-    the horizon and averaged over the batch; n is one step or one per model."""
-    a = _per_model(schedule.target_alpha_bar_at, n)
-    if np.any(a >= 1.0):
-        raise ContractError("output_kl undefined at zero target noise (n=0)")
-    var_p = 1.0 - a
-    target = np.sqrt(a)[..., None, None] * np.asarray(y, dtype=np.float64)
-    if target.shape != y_hat.data.shape:
-        raise ContractError(f"target shape {target.shape} != y_hat {y_hat.shape}")
-    t_out = y_hat.data.shape[-1]
-    log_ratio = np.log(var_p) - 2.0 * np.log(s_out)
-    const = 0.5 * t_out * (log_ratio + s_out**2 / var_p - 1.0)
-    diff = sub(y_hat, as_tensor(target))
-    quad = mul(as_tensor((0.5 / var_p)[..., None]), sum_(square(diff), axis=-1))
-    return add(mean_(quad, axis=-1), as_tensor(const))
-
-
-# ---------------------------------------------------------------------------
-# Energy head
-# ---------------------------------------------------------------------------
-
-
-def _energy_mlp_preacts(params: ModelParams, y: Tensor) -> tuple[Tensor, Tensor]:
-    a1 = linear(y, params["energy.w1"], params["energy.b1"])
-    a2 = linear(swish(a1), params["energy.w2"], params["energy.b2"])
-    return a1, a2
-
-
-def _energy_center(params: ModelParams) -> Tensor:
-    """c as (..., 1, t_out): one center per model, broadcast over the batch."""
-    c = params["energy.c"]
-    return reshape(c, c.shape[:-1] + (1, c.shape[-1]))
-
-
-def energy(params: ModelParams, y: Tensor) -> Tensor:
-    """Scalar energy per sample: quadratic anchor plus a 2-layer Swish MLP."""
-    if y.data.ndim < 2 or y.data.shape[-1] != params.config.t_out:
-        raise ContractError(f"energy needs y (..., batch, {params.config.t_out})")
-    q = params["energy.q"]
-    d = sub(y, _energy_center(params))
-    quad = mul(mul(as_tensor(0.5), reshape(q, q.shape + (1,))), sum_(square(d), axis=-1))
-    _, a2 = _energy_mlp_preacts(params, y)
-    mlp = linear(swish(a2), params["energy.w3"])  # (..., batch, 1)
-    return add(quad, reshape(mlp, mlp.shape[:-1]))
-
-
-def grad_energy(params: ModelParams, y: Tensor) -> Tensor:
-    """d energy / d y, written with taped primitives.
-
-    Spelling the input gradient out keeps it first-order on the tape, so
-    backward() differentiates it with respect to the energy weights (and,
-    when the input is not detached, through y as well) without any
-    second-order machinery.
-    """
-    if y.data.ndim < 2 or y.data.shape[-1] != params.config.t_out:
-        raise ContractError(f"grad_energy needs y (..., batch, {params.config.t_out})")
-    a1, a2 = _energy_mlp_preacts(params, y)
-    g2 = mul(swish_prime(a2), params["energy.w3"])  # w3 (..., 1, hidden) spans the batch
-    g1 = mul(swish_prime(a1), matmul(g2, params["energy.w2"]))
-    g_mlp = matmul(g1, params["energy.w1"])
-    q = params["energy.q"]
-    g_quad = mul(reshape(q, q.shape + (1, 1)), sub(y, _energy_center(params)))
-    return add(g_quad, g_mlp)
-
-
-def dsm_loss(
-    params: ModelParams,
-    y_hat_n: Tensor,
-    y: np.ndarray,
-    schedule: DiffusionSchedule,
-    n,
-    block_predictor: bool = True,
-) -> Tensor:
-    """Denoising score-matching penalty sigma_n ||y - y_hat + grad_E(y_hat)||^2
-    summed over the horizon and averaged over the batch; n is one step or
-    one per model.
-
-    With block_predictor the prediction enters as data, so this term trains
-    only the energy weights; the generator never chases its own noise.
-    """
-    target = np.asarray(y, dtype=np.float64)
-    if target.shape != y_hat_n.data.shape:
-        raise ContractError(f"target shape {target.shape} != y_hat {y_hat_n.shape}")
-    sigma = _per_model(schedule.sigma_at, n)
-    base = detach(y_hat_n) if block_predictor else y_hat_n
-    resid = add(sub(as_tensor(target), base), grad_energy(params, base))
-    return mul(as_tensor(sigma), mean_(sum_(square(resid), axis=-1), axis=-1))
-
-
-def denoise_jump(params: ModelParams, y_hat: Tensor) -> Tensor:
-    """One explicit gradient step on the energy: y - grad_E(y)."""
-    return sub(y_hat, grad_energy(params, y_hat))
+    return ForwardOutput(y_hat=_output_head(params, s), groups=groups, kl_groups=kl_groups)

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, as_tensor, backward, mean_, mul, square, sub, sum_
+from .autodiff import Tape, Tensor, _record, as_tensor, backward
 from .data import FEATURE_DIM, DatasetSplit, build_dataset, load_ohlcv, price_file
 from .diffusion import (
     DiffusionSchedule,
@@ -43,16 +43,8 @@ from .diffusion import (
 )
 from .errors import ConfigError, ContractError, DvaError, TrainingAbort
 from .evaluation import StockRunResult, aggregate, report_as_dict, write_predictions
-from .model import (
-    ModelConfig,
-    ModelParams,
-    denoise_jump,
-    dsm_loss,
-    encode,
-    generate,
-    output_kl,
-    save_params,
-)
+from .losses import denoise_jump, dsm_loss, mse_loss, output_kl
+from .model import ModelConfig, ModelParams, encode, generate, save_params
 from .optim import Adam
 
 __all__ = [
@@ -214,9 +206,26 @@ class LossComponents:
     total: float
 
 
-def loss_from_components(mse: float, kl: float, dsm: float, zeta: float, eta: float) -> float:
-    """The reported total; the float ops mirror the tensor graph bit for bit."""
+def loss_from_components(mse, kl, dsm, zeta: float, eta: float):
+    """The total loss of one model, or of each model when given arrays; the
+    training objective sums it over the models of a stack."""
     return (mse + zeta * kl) + eta * dsm
+
+
+def _weighted_sum(
+    total: np.ndarray, mse: Tensor, kls: list[Tensor], dsm: Tensor | None,
+    zeta: float, eta: float,
+) -> Tensor:
+    """The scalar training loss, the per-model ``total`` (``loss_from_components``
+    of the terms) summed over the models, as one taped op over the MSE, the
+    KL terms and the DSM term."""
+    inputs = (mse, *kls) + ((dsm,) if dsm is not None else ())
+    weights = (1.0,) + (zeta,) * len(kls) + (eta,) * (dsm is not None)
+
+    def back(g):
+        return tuple(np.full(t.data.shape, w * g) for t, w in zip(inputs, weights))
+
+    return _record(Tensor(total.sum()), inputs, back)
 
 
 def total_loss(
@@ -241,51 +250,43 @@ def total_loss(
     stack = encode(params, as_tensor(batch.x_n), training=training)
     out = generate(params, stack, eps=eps, training=training)
 
-    y_mse = batch.y if cfg.mse_against_clean else batch.y_n
-    m_t = mean_(square(sub(out.y_hat, as_tensor(y_mse))), axis=(-2, -1))
+    m_t = mse_loss(out.y_hat, batch.y if cfg.mse_against_clean else batch.y_n)
     zeros = np.zeros(m_t.shape)
 
-    kl_t: Tensor | None = None
+    kls: list[Tensor] = []
     kl_latent = kl_output = zeros
     if cfg.latent_kl:
-        kl_t = out.kl_latent
-        kl_latent = kl_t.data
+        kls += out.kl_groups
+        kl_latent = sum(kl.data for kl in out.kl_groups)
     # the output KL is measured against the diffused-target distribution at
     # step n, so it only exists while targets are actually diffused
     if cfg.output_kl and cfg.diffuse_y:
         o_t = output_kl(out.y_hat, cfg.s_out, batch.y, schedule, batch.n)
+        kls.append(o_t)
         kl_output = o_t.data
-        kl_t = o_t if kl_t is None else add(kl_t, o_t)
+    kl = kl_latent + kl_output
 
     d_t: Tensor | None = None
+    dsm = zeros
     if cfg.denoiser:
         d_t = dsm_loss(
             params, out.y_hat, batch.y, schedule, batch.n, block_predictor=cfg.dsm_block
         )
+        dsm = d_t.data
 
-    loss_t = m_t
-    if kl_t is not None:
-        loss_t = add(loss_t, mul(as_tensor(cfg.zeta), kl_t))
-    if d_t is not None:
-        loss_t = add(loss_t, mul(as_tensor(cfg.eta), d_t))
-
-    per_model = zip(
-        m_t.data.flat,
-        (kl_t.data if kl_t is not None else zeros).flat,
-        (d_t.data if d_t is not None else zeros).flat,
-        np.ravel(kl_latent),
-        np.ravel(kl_output),
-    )
+    total = loss_from_components(m_t.data, kl, dsm, cfg.zeta, cfg.eta)
+    per_model = zip(m_t.data.flat, kl.flat, dsm.flat, np.ravel(kl_latent),
+                    np.ravel(kl_output), total.flat)
     comps = tuple(
         LossComponents(
             mse=float(mse),
-            kl=float(kl),
-            dsm=float(dsm),
+            kl=float(kl_r),
+            dsm=float(dsm_r),
             kl_latent=float(kl_lat),
             kl_output=float(kl_out),
-            total=loss_from_components(float(mse), float(kl), float(dsm), cfg.zeta, cfg.eta),
+            total=float(tot),
         )
-        for mse, kl, dsm, kl_lat, kl_out in per_model
+        for mse, kl_r, dsm_r, kl_lat, kl_out, tot in per_model
     )
     for r, c in enumerate(comps):
         for name in ("mse", "kl", "dsm"):
@@ -293,7 +294,7 @@ def total_loss(
                 raise TrainingAbort(
                     "non-finite loss", epoch=-1, batch=-1, component=name, run=r
                 )
-    return sum_(loss_t), comps
+    return _weighted_sum(total, m_t, kls, d_t, cfg.zeta, cfg.eta), comps
 
 
 # ---------------------------------------------------------------------------

@@ -18,28 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dva.autodiff import (
-    Tensor,
-    add,
-    as_tensor,
-    clamp,
-    concat,
-    conv1d,
-    downsample2,
-    exp_,
-    linear,
-    matmul,
-    mean_,
-    mul,
-    reshape,
-    square,
-    sub,
-    sum_,
-    swapaxes,
-    swish,
-    swish_prime,
-    upsample_repeat,
-)
+from dva.autodiff import Tensor, as_tensor, conv1d, downsample2
 from dva.cli import main
 from dva.data import FEATURE_DIM, SynthSpec, build_dataset, synth_generate
 from dva.diffusion import diffuse_input, diffuse_target, make_schedule
@@ -56,7 +35,17 @@ from dva.layers import (
     separable_conv1d,
     separable_conv1d_bwd,
 )
-from dva.model import _CELL_TENSORS, ModelParams, _cell
+from dva.losses import _ENERGY_TENSORS, dsm_loss, mse_loss, output_kl
+from dva.model import (
+    _CELL_TENSORS,
+    _GROUP_TENSORS,
+    _OUT_TENSORS,
+    ModelParams,
+    _cell,
+    _decoder_start,
+    _latent_group,
+    _output_head,
+)
 from dva.portfolio import (
     PredictionFrame,
     backtest,
@@ -67,6 +56,7 @@ from dva.portfolio import (
 from dva.training import (
     TrainConfig,
     _latent_noise,
+    _weighted_sum,
     evaluate_mse,
     loss_from_components,
     make_batch,
@@ -77,6 +67,7 @@ from dva.training import (
 )
 from gradcheck import check_params
 from layer_ops import fresh_state, taped
+from reference_graph import add, mean_, mul, square
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -123,17 +114,13 @@ def dense_params(cfg: TrainConfig, seed: int) -> ModelParams:
 
 
 def test_a01_gradient_oracle():
-    """Every layer primitive and the composed loss match central differences."""
+    """Every taped op of the program and the composed loss match central
+    differences."""
     start = time.time()
     rng = np.random.default_rng(42)
 
     def t(shape, scale=1.0, loc=0.0):
         return Tensor(loc + scale * rng.standard_normal(shape))
-
-    def away_from(x, point, margin):
-        d = x.data - point
-        x.data = point + np.where(np.abs(d) < margin, np.sign(d) * margin + d, d)
-        return x
 
     errors: dict[str, float] = {}
 
@@ -157,31 +144,6 @@ def test_a01_gradient_oracle():
 
         errors[name] = check_params(closure, tensors, step=step)
 
-    a, b = t((3, 4)), t((3, 4), loc=0.2)
-    brow = t((4,))
-    case("add", lambda: (lambda: add(a, b), [a, b]))
-    case("add_broadcast", lambda: (lambda: add(a, brow), [a, brow]))
-    case("sub", lambda: (lambda: sub(a, b), [a, b]))
-    case("mul", lambda: (lambda: mul(a, brow), [a, brow]))
-    case("square", lambda: (lambda: square(a), [a]))
-    ex = t((3, 4), scale=0.5)
-    case("exp", lambda: (lambda: exp_(ex), [ex]))
-    case("swish", lambda: (lambda: swish(a), [a]))
-    case("swish_prime", lambda: (lambda: swish_prime(a), [a]))
-    cl = away_from(away_from(t((3, 4)), -0.8, 0.05), 0.8, 0.05)
-    case("clamp", lambda: (lambda: clamp(cl, -0.8, 0.8), [cl]))
-    c3 = t((2, 3, 5))
-    case("sum_all", lambda: (lambda: sum_(c3), [c3]))
-    case("sum_axis", lambda: (lambda: sum_(c3, axis=1, keepdims=True), [c3]))
-    case("mean_axes", lambda: (lambda: mean_(c3, axis=(0, 2)), [c3]))
-    case("reshape", lambda: (lambda: reshape(a, (2, 6)), [a]))
-    case("swapaxes", lambda: (lambda: swapaxes(c3, -3, -2), [c3]))
-    cc1, cc2 = t((2, 3, 4)), t((2, 2, 4))
-    case("concat", lambda: (lambda: concat([cc1, cc2], axis=1), [cc1, cc2]))
-    lx, lw, lb = t((4, 5)), t((3, 5)), t((3,))
-    case("linear", lambda: (lambda: linear(lx, lw, lb), [lx, lw, lb]))
-    mm = t((5, 3))
-    case("matmul", lambda: (lambda: matmul(lx, mm), [lx, mm]))
     cx, ck, cb = channel_major(t((2, 3, 9))), t((4, 3, 1)), t((4,))
     case("conv1d", lambda: (lambda: conv1d(cx, ck, cb), [cx, ck, cb]), channel_major_out=True)
 
@@ -200,8 +162,6 @@ def test_a01_gradient_oracle():
     pair("separable_no_bias", separable_conv1d, separable_conv1d_bwd, (cx, dk, pk, None), True)
     d8 = t((2, 3, 8))
     case("downsample2", lambda: (lambda: downsample2(d8), [d8]))
-    u4 = t((2, 3, 4))
-    case("upsample_repeat", lambda: (lambda: upsample_repeat(u4, 8), [u4]))
 
     bx, bg, bb = channel_major(t((3, 4, 6))), t((4,), scale=0.2, loc=1.0), t((4,))
     # batch statistics only: the running buffers move on every call but are
@@ -243,6 +203,55 @@ def test_a01_gradient_oracle():
             lambda: (lambda: _cell(cell_params, "enc1", cell_x, training), cell_inputs),
             channel_major_out=True,
         )
+
+    # the decoder's start, a latent group, the output head, the losses, the
+    # score-matching term and the weighted sum: one taped op each
+    case("decoder_start", lambda: (lambda: _decoder_start(cell_params["h"], 3), [cell_params["h"]]))
+    c, zc = cfg.channels, cfg.latent
+    gs, genc = t((c, 3, 3)), t((c, 3, 3))
+    noise = rng.standard_normal((zc, 3, 3))
+    # one posterior log-variance channel sits below the clamp, so its
+    # gradient is cut there while the other channel's passes
+    cell_params["post2.lv.b"].data[...] = [-12.0, 0.0]
+    group = [gs, genc] + [cell_params[k] for k in _GROUP_TENSORS[2]]
+    kl_weight = Tensor(2.5)
+
+    def group_op(reach, eps=noise):
+        def op():
+            s_next, kl, _ = _latent_group(cell_params, 2, gs, genc, eps, 5)
+            if reach == "state":
+                return s_next
+            if reach == "kl":
+                return kl
+            return add(mean_(square(s_next)), mul(kl_weight, kl))
+
+        return op
+
+    for reach in ("both", "state", "kl"):
+        case(f"latent_group_{reach}", lambda: (group_op(reach), group))
+    case("latent_group_mean", lambda: (group_op("state", None), group[:6]))
+    head_s = t((c, 3, cfg.t_in))
+    head = [head_s] + [cell_params[k] for k in _OUT_TENSORS]
+    case("output_head", lambda: (lambda: _output_head(cell_params, head_s), head))
+    ly, target = t((3, cfg.t_out)), rng.standard_normal((3, cfg.t_out))
+    case("mse", lambda: (lambda: mse_loss(ly, target), [ly]))
+    sched = cfg.schedule()
+    case("output_kl", lambda: (lambda: output_kl(ly, 0.8, target, sched, 5), [ly]))
+    energy = [cell_params[k] for k in _ENERGY_TENSORS]
+    for block in (True, False):
+        # blocked, y_hat enters as data: its VJP is zero, not the numeric slope
+        case(
+            f"dsm_block_{block}",
+            lambda: (lambda: dsm_loss(cell_params, ly, target, sched, 5, block), energy + [ly] * (not block)),
+        )
+    terms = [t((2,), loc=1.0) for _ in range(4)]
+
+    def weighted():
+        mse, kl1, kl2, dsm = terms
+        total = loss_from_components(mse.data, kl1.data + kl2.data, dsm.data, 0.7, 1.3)
+        return _weighted_sum(total, mse, [kl1, kl2], dsm, 0.7, 1.3)
+
+    case("weighted_sum", lambda: (weighted, terms))
 
     worst_op = max(errors.values())
     data_rng = np.random.default_rng(3)

@@ -1,4 +1,12 @@
-"""Tensor primitives: forward oracles, gradient soundness, shape laws."""
+"""The tape, its primitives and the layer kernels: forward oracles, gradient
+soundness, shape laws.
+
+The program tapes ``conv1d`` and ``downsample2`` from ``dva.autodiff`` and
+the kernel pairs of ``dva.layers`` (inside the residual cell). The other
+primitives checked here are the reference graph's (``reference_graph``),
+the Tensor-level ops that the fused kernels of ``dva.model`` are compared
+against; a wrong reference would hide a wrong kernel.
+"""
 
 import warnings
 
@@ -7,29 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dva.autodiff import (
-    Tape,
-    Tensor,
-    _sigmoid,
-    add,
-    backward,
-    clamp,
-    concat,
-    conv1d,
-    detach,
-    downsample2,
-    exp_,
-    linear,
-    mean_,
-    mul,
-    reshape,
-    sub,
-    sum_,
-    swapaxes,
-    swish,
-    swish_prime,
-    upsample_repeat,
-)
+from dva.autodiff import Tape, Tensor, _record, _sigmoid, backward, conv1d, downsample2
 from dva.errors import ContractError
 from dva.layers import (
     BatchNormState,
@@ -44,6 +30,24 @@ from dva.layers import (
 )
 from gradcheck import check_params, finite_difference_check, max_rel_error
 from layer_ops import fresh_state, taped
+from reference_graph import (
+    add,
+    clamp,
+    concat,
+    detach,
+    exp_,
+    linear,
+    matmul,
+    mean_,
+    mul,
+    reshape,
+    sub,
+    sum_,
+    swapaxes,
+    swish,
+    swish_prime,
+    upsample_repeat,
+)
 
 
 def rng(seed=0):
@@ -254,6 +258,39 @@ def test_detach_blocks_gradient():
         loss = mul(detach(w), w)  # d/dw should be the detached value only
     grads = backward(tape, loss, params=(w,))
     assert grads[w] == pytest.approx(2.0)
+
+
+def test_a_tuple_output_gets_zeros_where_nothing_reached():
+    # an entry with two outputs, of which the loss reads only the second:
+    # its backward gets one cotangent per output, zeros for the first
+    w = Tensor(np.array([1.0, 2.0]))
+    seen = []
+
+    def back(g):
+        seen.append(g)
+        return (g[0] + 3.0 * g[1],)
+
+    first, second = Tensor(np.zeros(2)), Tensor(3.0 * w.data)
+    with Tape() as tape:
+        _record((first, second), (w,), back)
+        loss = sum_(second)
+    grads = backward(tape, loss, params=(w,))
+    (g_first, g_second), = seen
+    np.testing.assert_array_equal(g_first, np.zeros(2))
+    np.testing.assert_array_equal(g_second, np.ones(2))
+    np.testing.assert_array_equal(grads[w], [3.0, 3.0])
+
+
+def test_an_entry_none_of_whose_outputs_is_reached_is_skipped():
+    w = Tensor(np.array(2.0))
+
+    def back(g):
+        raise AssertionError("an unreached entry was replayed")
+
+    with Tape() as tape:
+        _record((Tensor(1.0), Tensor(2.0)), (w,), back)
+        loss = mul(w, w)
+    assert backward(tape, loss, params=(w,))[w] == 4.0
 
 
 def test_nested_tapes_record_to_innermost():
@@ -648,8 +685,6 @@ def _stacked_case(name, r, model=None):
         ins = [n(size=(2, 3, 4)), n(size=(2, 2, 4)), n(size=(2, 2))]
         return ins, (True, True, True), lambda x, w, b: linear(x, w, b)
     if name == "matmul":
-        from dva.autodiff import matmul
-
         return [n(size=(2, 3, 4)), n(size=(2, 4, 2))], (True, True), matmul
     if name.startswith("batch_norm"):
         training = name.endswith("train")

@@ -128,6 +128,31 @@ def test_corrupt_input_exits_inside_the_taxonomy(pristine, tmp_path_factory, kin
                 assert str(target) in err["message"]
 
 
+@pytest.mark.parametrize("command", ["ingest-check", "train"])
+@pytest.mark.parametrize("name", ["B\0B", "../AAA", ".."])
+def test_a_ticker_that_is_not_one_file_name_exits_2(tmp_path, command, name):
+    # a NUL byte once escaped as a bare ValueError (exit 1), and a name with
+    # a separator read and wrote outside the data and output directories;
+    # the hypothesis test above draws such bytes only by chance
+    # the train command reads the tickers before it clears a forced run's
+    # outputs, so the last run's metrics survive the fault
+    write_inputs(tmp_path)
+    tickers = tmp_path / "data" / "tickers.txt"
+    tickers.parent.mkdir()
+    tickers.write_text(f"AAA\n{name}\n")
+    last_run = tmp_path / "out" / "metrics.json"
+    last_run.parent.mkdir()
+    last_run.write_text("{}")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        force = ["--force"] if command == "train" else []
+        code = main([command, "--config", str(tmp_path / "run.json"), *force])
+    err = json.loads(stderr.getvalue())
+    assert (code, err["error"]) == (2, "ConfigError")
+    assert err["message"].startswith(f"tickers file {tickers}: line 2: ")
+    assert last_run.read_text() == "{}"
+
+
 def _set(col, value):
     def edit(rows):
         rows[1][col] = value

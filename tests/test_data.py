@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,6 +245,16 @@ def test_load_tickers(tmp_path):
     f = tmp_path / "tickers.txt"
     f.write_text("AAA\n# comment\n\nBBB\n")
     assert load_tickers(f) == ["AAA", "BBB"]
+    f.write_text("BRK.B\n.A\nA..\n")
+    assert load_tickers(f) == ["BRK.B", ".A", "A.."]
+
+
+@pytest.mark.parametrize("name", ["B\0B", "../AAA", "A/B", "A\\B", ".", ".."])
+def test_load_tickers_refuses_a_name_that_is_not_one_file_name(tmp_path, name):
+    f = tmp_path / "tickers.txt"
+    f.write_text(f"AAA\n# comment\n{name}\n")
+    with pytest.raises(ConfigError, match=rf"^tickers file {re.escape(str(f))}: line 3: "):
+        load_tickers(f)
 
 
 # ---------------------------------------------------------------------------

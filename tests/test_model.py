@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dva import model
-from dva.autodiff import Tape, Tensor, add, as_tensor, backward, mul, square, sub, sum_, swish
+from dva.autodiff import Tape, Tensor, as_tensor, backward
 from dva.diffusion import make_schedule
 from dva.errors import ConfigError, ContractError, DataError
 from dva.layers import (
@@ -20,24 +20,30 @@ from dva.layers import (
     separable_conv1d,
     separable_conv1d_bwd,
 )
+from dva.losses import denoise_jump, dsm_loss, output_kl
 from dva.model import (
     ForwardOutput,
     ModelConfig,
     ModelParams,
     N_GROUPS,
-    denoise_jump,
-    dsm_loss,
     encode,
-    energy,
     generate,
-    grad_energy,
-    kl_gaussian_elementwise,
     load_params,
-    output_kl,
     save_params,
 )
 from gradcheck import check_params, max_rel_error, _numeric_grad
 from layer_ops import taped
+from reference_graph import (
+    add,
+    energy,
+    grad_energy,
+    kl_gaussian_elementwise,
+    mul,
+    square,
+    sub,
+    sum_,
+    swish,
+)
 
 TINY = ModelConfig(t_in=8, t_out=8, channels=4, latent=2, se_reduction=2, energy_hidden=6)
 
@@ -151,11 +157,8 @@ def test_generate_has_three_groups_with_nonnegative_kl():
     params = tiny_params()
     x = Tensor(np.random.default_rng(4).normal(size=(3, 6, 8)))
     out = generate(params, encode(params, x), eps=latent_eps(np.random.default_rng(5), (), 3))
-    assert len(out.groups) == N_GROUPS
+    assert len(out.groups) == len(out.kl_groups) == N_GROUPS
     assert all(float(k.data) >= 0.0 for k in out.kl_groups)
-    assert float(out.kl_latent.data) == pytest.approx(
-        sum(float(k.data) for k in out.kl_groups)
-    )
     assert np.all(np.isfinite(out.y_hat.data))
 
 
@@ -165,25 +168,46 @@ def test_posterior_copied_onto_prior_zeroes_kl():
     out = generate(params, encode(params, x), eps=zero_eps(2))
     assert len(out.groups) == N_GROUPS
     for g in out.groups:
-        copied = kl_total(g.p_mean, g.p_logvar, g.p_mean, g.p_logvar)
-        assert float(copied.data) == 0.0
+        p_mean, p_logvar = Tensor(g.p_mean), Tensor(g.p_logvar)
+        assert float(kl_total(p_mean, p_logvar, p_mean, p_logvar).data) == 0.0
     # and the actual posterior diverges from the prior on random input
-    assert float(out.kl_latent.data) > 0.0
+    assert sum(float(k.data) for k in out.kl_groups) > 0.0
 
 
 def test_posterior_mean_decode_computes_only_what_y_hat_reads():
-    # without eps: no prior heads, no log-variance heads and no KL, and the
-    # same y_hat as a decode whose latents are mu + exp(lv / 2) * 0
+    # without eps: no prior heads, no log-variance heads and no KL, so each
+    # group's entry has one output and reads the posterior mean head and
+    # the merge only; and the same y_hat as a decode whose latents are
+    # mu + exp(lv / 2) * 0
     params = dense_tiny(12)
     x = Tensor(np.random.default_rng(13).normal(size=(3, 6, 8)))
     stack = encode(params, x)
     with Tape() as tape:
         out = generate(params, stack)
-    kinds = [backfn.__qualname__.split(".")[0] for _, _, backfn in tape.entries]
-    assert "clamp" not in kinds and "kl_gaussian_elementwise" not in kinds
-    assert out.groups == [] and out.kl_groups == [] and out.kl_latent is None
+    groups = [e for e in tape.entries if e[2].__qualname__.startswith("_latent_group")]
+    assert len(groups) == N_GROUPS
+    for i, (group_out, inputs, _) in enumerate(groups, 1):
+        assert isinstance(group_out, Tensor)
+        assert [t.name for t in inputs[2:]] == [
+            f"post{i}.mu.w", f"post{i}.mu.b", f"merge{i}.w", f"merge{i}.b"
+        ]
+    assert out.groups == [] and out.kl_groups == []
     sampled = generate(params, stack, eps=zero_eps(3))
     np.testing.assert_array_equal(out.y_hat.data, sampled.y_hat.data)
+
+
+def test_fused_decode_taped_and_untaped_are_bit_identical():
+    # the untaped forward keeps nothing; it computes the same numbers in the
+    # same order as the taped one, sampled or at the posterior mean
+    params = dense_tiny(14)
+    stack = encode(params, Tensor(np.random.default_rng(15).normal(size=(3, 6, 8))))
+    for eps in (None, latent_eps(np.random.default_rng(16), (), 3)):
+        with Tape():
+            taped_out = generate(params, stack, eps=eps)
+        untaped_out = generate(params, stack, eps=eps)
+        np.testing.assert_array_equal(taped_out.y_hat.data, untaped_out.y_hat.data)
+        for kl_t, kl_u in zip(taped_out.kl_groups, untaped_out.kl_groups):
+            np.testing.assert_array_equal(kl_t.data, kl_u.data)
 
 
 def test_generate_rejects_malformed_stack():
@@ -229,7 +253,7 @@ def test_encoder_features_reach_posteriors():
     assert not np.array_equal(a.y_hat.data, b.y_hat.data)
     assert len(a.groups) == len(b.groups) == N_GROUPS
     for ga, gb in zip(a.groups, b.groups):
-        assert not np.array_equal(ga.q_mean.data, gb.q_mean.data)
+        assert not np.array_equal(ga.q_mean, gb.q_mean)
 
 
 def test_logvar_heads_are_clamped():
@@ -242,9 +266,9 @@ def test_logvar_heads_are_clamped():
     out = generate(params, encode(params, x), eps=zero_eps(2))
     assert len(out.groups) == N_GROUPS
     for g in out.groups:
-        assert np.all(g.q_logvar.data <= 10.0)
-        assert np.all(g.q_logvar.data >= -10.0)
-        assert np.all(np.isfinite(g.p_logvar.data))
+        assert np.all(g.q_logvar <= 10.0)
+        assert np.all(g.q_logvar >= -10.0)
+        assert np.all(np.isfinite(g.p_logvar))
 
 
 def test_reparameterized_sampler_is_differentiable():
@@ -365,6 +389,8 @@ def test_quadratic_energy_values_and_gradient():
 
 
 def test_grad_energy_matches_finite_differences():
+    # the reference graph's grad_E, and the program's untaped one as the
+    # denoising jump applies it
     params = tiny_params(seed=3)
     y = Tensor(np.random.default_rng(19).normal(size=(2, 8)))
     analytic = grad_energy(params, y).data
@@ -374,6 +400,7 @@ def test_grad_energy_matches_finite_differences():
 
     numeric = _numeric_grad(e_sum, y, step=1e-5)
     assert max_rel_error(analytic, numeric) < 1e-5
+    assert max_rel_error(y.data - denoise_jump(params, y).data, numeric) < 1e-5
 
 
 def test_energy_is_pure():
@@ -769,7 +796,8 @@ def test_stacked_forward_matches_each_model_alone():
         y_m = generate(single, encode(single, Tensor(x[m]), training=True),
                        eps=[e[m] for e in eps], training=True)
         np.testing.assert_array_equal(y_s.y_hat.data[m], y_m.y_hat.data)
-        np.testing.assert_array_equal(y_s.kl_latent.data[m], y_m.kl_latent.data)
+        for kl_s, kl_m in zip(y_s.kl_groups, y_m.kl_groups):
+            np.testing.assert_array_equal(kl_s.data[m], kl_m.data)
         np.testing.assert_array_equal(jump_s.data[m], denoise_jump(single, y_m.y_hat).data)
         np.testing.assert_array_equal(energy_s.data[m], energy(single, y_m.y_hat).data)
         for k, s in single.bn_states.items():
@@ -821,8 +849,9 @@ def test_stacked_gradients_do_not_leak_across_models():
     with Tape() as tape:
         out = generate(stacked, encode(stacked, Tensor(x), training=True),
                        eps=latent_eps(r, (2,), 3), training=True)
+        kl_1, kl_2, kl_3 = out.kl_groups
         per_model = add(
-            add(out.kl_latent, output_kl(out.y_hat, 1.0, y, sched, np.array([5, 9]))),
+            add(add(add(kl_1, kl_2), kl_3), output_kl(out.y_hat, 1.0, y, sched, np.array([5, 9]))),
             dsm_loss(stacked, out.y_hat, y, sched, np.array([5, 9]), block_predictor=False),
         )
         loss0 = sum_(mul(per_model, as_tensor(np.array([1.0, 0.0]))))

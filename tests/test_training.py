@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_graph
+
 from dva import autodiff
 from dva.autodiff import Tape, as_tensor, backward
 from dva.data import (
@@ -20,6 +22,7 @@ from dva.errors import ConfigError, ContractError, TrainingAbort
 from dva.evaluation import load_predictions
 from dva.model import ModelParams, encode, generate, load_params
 from dva.training import (
+    TrainBatch,
     TrainConfig,
     _latent_noise,
     evaluate_mse,
@@ -82,9 +85,11 @@ def randomized_params(cfg, seed):
 
 
 def test_default_training_step_tape_stays_fused():
-    # Convolution, the latent KL and each residual cell are single taped
-    # ops; spelled out as composites the default step recorded 349 entries,
-    # and with one entry per layer of the six cells 198.
+    # The stem, each residual cell, each pooling, the decoder's start, each
+    # latent group, the output head, each loss and their weighted sum are
+    # single taped ops: 18 entries. Spelled out as composites the default
+    # step recorded 349, with one entry per layer of the six cells 198, and
+    # with only the cells fused 102.
     cfg = TrainConfig()
     rng = np.random.default_rng(11)
     params = ModelParams.init(cfg.model_config(), cfg.seed)
@@ -93,14 +98,14 @@ def test_default_training_step_tape_stays_fused():
         loss_t, _ = total_loss(
             batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
         )
-    assert len(tape) <= 102
+    assert len(tape) <= 18
     grads = backward(tape, loss_t, params.parameters())
     assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 # Public autodiff names that no taped op is named after: the tape, its
-# driver, the tensor type, and helpers built on retained primitives.
-NOT_OPS = {"Tensor", "Tape", "backward", "as_tensor", "square", "detach"}
+# driver, the tensor type and its constructor.
+NOT_OPS = {"Tensor", "Tape", "backward", "as_tensor"}
 
 
 def test_every_primitive_runs_in_training_or_prediction():
@@ -152,6 +157,35 @@ def test_every_backward_returns_one_vjp_per_input():
     backward(tape, loss_t, params.parameters())
     assert len(tape) == 0
     assert checked == n_entries
+
+
+@pytest.mark.parametrize("kw", [{}, {"dsm_block": False}], ids=["default", "dsm_unblocked"])
+def test_stacked_step_matches_the_tensor_level_graph(kw):
+    # the fused ops against the graph of small taped primitives they
+    # replaced (tests/reference_graph.py), on a stacked default step with
+    # every weight moved off its initial value: the same loss, and every
+    # tensor's gradient to 1e-12 relative
+    cfg = replace(TrainConfig(), **kw)
+    models = [ModelParams.init(cfg.model_config(), seed) for seed in (0, 1)]
+    rng = np.random.default_rng(21)
+    for m in models:
+        for t in m.tensors.values():
+            t.data[...] += 0.05 * rng.standard_normal(t.data.shape)
+    params = ModelParams.stack(models)
+    batch = TrainBatch.stack([random_batch(cfg, rng, batch=cfg.batch_size) for _ in models])
+    eps = [np.stack(g) for g in zip(*(_latent_noise(rng, cfg, cfg.batch_size) for _ in models))]
+    results = []
+    for loss_fn in (lambda: total_loss(batch, params, cfg.schedule(), cfg, eps=eps)[0],
+                    lambda: reference_graph.total_loss(batch, params, cfg.schedule(), cfg, eps=eps)):
+        with Tape() as tape:
+            loss_t = loss_fn()
+        results.append((loss_t.item(), backward(tape, loss_t, params.parameters())))
+    (fused_loss, fused), (ref_loss, ref) = results
+    assert fused_loss == pytest.approx(ref_loss, rel=1e-14, abs=0.0)
+    for t in params.parameters():
+        scale = np.max(np.abs(ref[t]))
+        assert np.max(np.abs(fused[t] - ref[t])) <= 1e-12 * scale, t.name
+        assert scale > 0.0, t.name
 
 
 class TestLossIdentity:
