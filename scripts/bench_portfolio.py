@@ -9,9 +9,9 @@ sample covariance, lambda = 0.1, and lambda at the 70th percentile of the
 period covariances' |sigma_ij| (5 and 30 stocks only: the lasso takes
 seconds per call at 100). Each side runs in its own process from its own
 source tree, the sides alternating which goes first; reported are the
-medians over pairs of each side's in-process medians, how many solves fell
-back to the projected-gradient ascent (where the tree has one), and whether
-both sides give the same tuned gamma and the same weight bytes.
+medians over pairs of each side's in-process medians, the face solves the
+test backtest's periods record (``qp_iterations``), and whether both sides
+give the same tuned gamma and the same weight bytes.
 
 With ``--perfbench-pairs N`` it also runs ``perfbench/run.py`` on the
 workloads given by ``--workloads`` in both checkouts, alternating, one seed
@@ -91,16 +91,6 @@ def worker(repeats: int) -> dict:
     from dva import portfolio
     from dva.errors import DvaError
 
-    fallbacks = [0]
-    if hasattr(portfolio, "_ascent"):
-        ascent = portfolio._ascent
-
-        def counted(*args):
-            fallbacks[0] += 1
-            return ascent(*args)
-
-        portfolio._ascent = counted
-
     def median_ms(fn):
         times, out = [], None
         for _ in range(repeats):
@@ -115,10 +105,7 @@ def worker(repeats: int) -> dict:
         lam = {"raw": None, "lambda=0.1": 0.1, "lambda=q70": q70}[cov]
         try:
             prepare_ms, _ = median_ms(lambda: portfolio._prepare(val, lam))
-            fallbacks[0] = 0
             tune_ms, gamma = median_ms(lambda: portfolio.tune_gamma(val, lam=lam))
-            tune_fallbacks = fallbacks[0] // repeats
-            fallbacks[0] = 0
             backtest_ms, report = median_ms(lambda: portfolio.backtest(test, gamma, lam=lam))
         except DvaError as err:  # recorded, so that the other side's figures still print
             out[f"S={stocks} {cov}"] = {"lambda": lam, "error": f"{type(err).__name__}: {err}"}
@@ -131,7 +118,7 @@ def worker(repeats: int) -> dict:
             "backtest_ms": round(backtest_ms, 2),
             "tuned_gamma": gamma,
             "solves": len(portfolio.DEFAULT_GAMMA_GRID) * (ANCHORS // T_OUT) + ANCHORS // T_OUT,
-            "fallbacks": tune_fallbacks + fallbacks[0] // repeats if hasattr(portfolio, "_ascent") else None,
+            "qp_iterations": sum(p.qp_iterations for r in report.runs for p in r.periods),
             "weights_sha256": hashlib.sha256(weights.tobytes()).hexdigest()[:16],
         }
     return out
@@ -176,7 +163,7 @@ def main() -> None:
                 for key in ("prepare_ms", "tune_gamma_ms", "backtest_ms")
             }
             row[side].update(
-                {key: runs[side][0][name][key] for key in ("tuned_gamma", "fallbacks", "weights_sha256")}
+                {key: runs[side][0][name][key] for key in ("tuned_gamma", "qp_iterations", "weights_sha256")}
             )
             row["solves"] = runs[side][0][name]["solves"]
         row["same_gamma_and_weights"] = len({

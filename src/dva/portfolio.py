@@ -57,10 +57,9 @@ DEFAULT_GAMMA_GRID = tuple(float(10.0 ** (-1 + k / 4)) for k in range(13))
 GLASSO_JITTER = 1e-8
 GLASSO_TOL = 1e-7
 GLASSO_MAX_SWEEPS = 200
-# Simplex QP: the stationarity residual that accepts weights, and the
-# ascent's iteration cap.
-QP_TOL = 1e-8
-QP_MAX_ITER = 10_000
+# Simplex QP: the stationarity residual that accepts weights, relative to
+# the gradient's scale |mu|_inf + gamma * max |sigma_ij|.
+QP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +226,7 @@ def graphical_lasso(sigma, lam: float) -> Precision:
 
 @dataclass(frozen=True)
 class Weights:
-    """Long-only capital fractions and the solver's iterations: its KKT
-    solves, or its ascent's residual tests where the ascent ran."""
+    """Long-only capital fractions and the face systems the solver solved."""
 
     w: np.ndarray
     iterations: int = 0
@@ -241,16 +239,6 @@ class Weights:
         return self
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w: w >= 0, sum w = 1} (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    rho = np.max(ks[u - css / ks > 0])
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
 def _stationarity(w: np.ndarray, grad: np.ndarray) -> float:
     """Simplex KKT residual: equal gradients on the support, none larger off it."""
     support = w > 1e-12
@@ -258,18 +246,30 @@ def _stationarity(w: np.ndarray, grad: np.ndarray) -> float:
     return float(np.where(support, np.abs(excess), excess).max(initial=0.0))
 
 
-def _walk(mu, sig, gamma_risk, face, seen) -> tuple[np.ndarray | None, int]:
-    """Walk simplex faces from ``face``, solving each face's KKT system
-    [γΣ_FF 1; 1ᵀ 0][w_F; ν] = [μ_F; 1]: drop stocks solved <= 0, else add
-    the off-face stock of largest gradient. Returns the first strictly
-    positive, ``QP_TOL``-stationary solution (None on a face in ``seen``, a
-    singular or non-finite system, or 2S + 1 faces) and the solves made."""
-    solves = 0
-    for _ in range(2 * mu.size + 1):
-        key = face.tobytes()
-        if key in seen:
-            break
-        seen.add(key)
+def _active_set(mu, sig, gamma_risk, w) -> Weights:
+    """Primal active-set ascent (Nocedal & Wright, *Numerical Optimization*,
+    §16.5) over the faces of the simplex from the feasible ``w``, whose
+    support is the first face.
+
+    Each iteration solves the face's KKT system [γΣ_FF 1; 1ᵀ 0][w_F; ν] =
+    [μ_F; 1]. A strictly positive solution is the face optimum: it is
+    returned if stationary, else the off-face stock of largest gradient
+    joins the face. Otherwise the weights step toward the solution up to the
+    first weight that reaches zero, and that stock leaves the face. A
+    singular system (a raw covariance of more stocks than horizon days, or
+    identical stocks) returns a stationary ``w``; otherwise the face's step
+    problem is solved by least squares, and where it is inconsistent its
+    residual is a zero-curvature ascent direction that sums to 0. Every step
+    of positive length raises the objective, so no face optimum repeats.
+    Stationary means a residual of at most ``QP_TOL`` times |μ|∞ + γ max|Σ_ij|.
+    """
+    s = mu.size
+    scale = np.abs(mu).max() + gamma_risk * np.abs(sig).max()
+    tol = QP_TOL * scale
+    w = w.copy()
+    face = w > 0.0
+    # far above any count seen: the bound only stops a solve rounding stalls
+    for it in range(1, (s + 1) ** 2 + 1):
         idx = np.flatnonzero(face)
         k = idx.size
         kkt = np.ones((k + 1, k + 1))
@@ -277,65 +277,57 @@ def _walk(mu, sig, gamma_risk, face, seen) -> tuple[np.ndarray | None, int]:
         kkt[k, k] = 0.0
         rhs = np.ones(k + 1)
         rhs[:k] = mu[idx]
-        solves += 1
         try:
-            sol = np.linalg.solve(kkt, rhs)[:k]
+            sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            break
-        total = sol.sum()  # not finite when any entry is not
-        if not np.isfinite(total):
-            break
-        face = face.copy()
-        if sol.min() <= 0.0:
-            face[idx[sol <= 0.0]] = False
-            continue
-        w = np.zeros(mu.size)
-        w[idx] = sol / total
-        grad = mu - gamma_risk * (sig @ w)
-        if _stationarity(w, grad) < QP_TOL:
-            return w, solves
-        off = np.flatnonzero(~face)
-        if not off.size:
-            break
-        face[off[np.argmax(grad[off])]] = True
-    return None, solves
-
-
-def _ascent(mu, sig, gamma_risk, seen) -> Weights:
-    """Projected gradient ascent from the uniform split, step 1/(γ‖Σ‖₂),
-    ended early by a walk from a support two iterates share; ``iterations``
-    counts its residual tests."""
-    spectral = float(np.linalg.eigvalsh(sig)[-1]) if mu.size > 1 else float(sig[0, 0])
-    if spectral <= 0.0:
-        best = mu == mu.max()
-        return Weights(w=best / best.sum())
-    step = 1.0 / (gamma_risk * spectral)
-    w = np.full(mu.size, 1.0 / mu.size)
-    last_support = None
-    for it in range(1, QP_MAX_ITER + 1):
-        grad = mu - gamma_risk * (sig @ w)
-        resid = _stationarity(w, grad)
-        if resid < QP_TOL:
-            break
-        support = w > 1e-12
-        if np.array_equal(support, last_support):
-            face_w, _ = _walk(mu, sig, gamma_risk, support, seen)
-            if face_w is not None:
-                w = face_w
+            sol = np.full(k + 1, np.nan)
+        res = kkt @ sol - rhs  # the weights' row is scale-free
+        if np.abs(res[:k]).max() <= tol and abs(res[k]) <= QP_TOL:
+            target, ray = sol[:k], None
+        else:  # singular
+            grad = mu - gamma_risk * (sig @ w)
+            if _stationarity(w, grad) <= tol:
+                return Weights(w, it)
+            # the step problem, its border in the units of γΣ_FF so that
+            # least squares sees one scale
+            kkt[k, :k] = kkt[:k, k] = scale
+            rhs[:k], rhs[k] = grad[idx], 0.0
+            step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            ray = (rhs - kkt @ step)[:k]
+            target = w[idx] + step[:k] if np.abs(ray).max() <= tol else None
+        if target is not None and target.min() > 0.0:
+            w = np.zeros(s)
+            w[idx] = target / target.sum()
+            grad = mu - gamma_risk * (sig @ w)
+            if _stationarity(w, grad) <= tol:
+                return Weights(w, it)
+            off = np.flatnonzero(~face)
+            if not off.size:
                 break
-        last_support = support
-        w = _project_simplex(w + step * grad)
-    else:
-        raise ConvergenceError(
-            f"mean-variance ascent did not converge in {QP_MAX_ITER} iterations",
-            residual=resid,
-        )
-    return Weights(w=np.maximum(w, 0.0), iterations=it)
+            face[off[np.argmax(grad[off])]] = True
+            continue
+        x = w[idx]
+        if target is None:
+            d, blocking = ray, ray < 0.0
+        else:
+            d, blocking = target - x, target <= 0.0
+        ratio = np.zeros(k)  # each blocking weight's step to zero
+        moving = blocking & (x > 0.0)
+        ratio[moving] = x[moving] / -d[moving]
+        j = np.flatnonzero(blocking)[np.argmin(ratio[blocking])]
+        w[idx] = np.maximum(x + ratio[j] * d, 0.0)
+        w[idx[j]] = 0.0
+        w /= w.sum()
+        face[idx[j]] = False
+    raise ConvergenceError(
+        f"mean-variance active set did not converge in {it} face solves",
+        residual=_stationarity(w, mu - gamma_risk * (sig @ w)),
+    )
 
 
 def _weights_path(mu, sigma_eff, gammas: Sequence[float]) -> list[Weights]:
-    """``mean_variance_weights`` at each ascending gamma, each walk started
-    from the previous gamma's support."""
+    """``mean_variance_weights`` at each ascending gamma, each solve started
+    from the previous gamma's weights."""
     mu = np.asarray(mu, dtype=np.float64)
     sig = np.asarray(sigma_eff, dtype=np.float64)
     if mu.ndim != 1 or sig.shape != (mu.size, mu.size):
@@ -344,21 +336,19 @@ def _weights_path(mu, sigma_eff, gammas: Sequence[float]) -> list[Weights]:
         raise ContractError("sigma_eff must be symmetric")
     if min(gammas) <= 0:
         raise ContractError(f"gamma_risk must be > 0, got {min(gammas)}")
-    face = mu == mu.max()
+    best = np.flatnonzero(mu == mu.max())
+    w = np.zeros(mu.size)
+    w[best] = 1.0 / best.size
     path = []
     for gamma in gammas:
-        seen: set[bytes] = set()
-        w, solves = _walk(mu, sig, gamma, face, seen)
-        weights = _ascent(mu, sig, gamma, seen) if w is None else Weights(w, solves)
-        path.append(weights.validate())
-        face = weights.w > 0.0
+        path.append(_active_set(mu, sig, gamma, w).validate())
+        w = path[-1].w
     return path
 
 
 def mean_variance_weights(mu, sigma_eff, gamma_risk: float) -> Weights:
-    """Maximize w'mu - (gamma_risk/2) w'Σw over the no-short simplex: the
-    face walk from the best-mean stocks, or the ascent where it fails (a
-    singular face: a raw covariance of more stocks than horizon days)."""
+    """Maximize w'mu - (gamma_risk/2) w'Σw over the no-short simplex by the
+    active-set ascent from the uniform split over the best-mean stocks."""
     return _weights_path(mu, sigma_eff, (gamma_risk,))[0]
 
 
@@ -654,7 +644,7 @@ def tune_gamma(
     """Grid-search the risk aversion by average Sharpe; ties take the
     smallest value so stronger risk aversion must earn its keep. The
     gamma-free period inputs, graphical lasso included, are built once, and
-    each period's weights come from one walk along the sorted grid."""
+    each period's weights come from one pass along the sorted grid."""
     if not grid:
         raise ConfigError("gamma grid is empty")
     gammas = sorted(float(g) for g in grid)

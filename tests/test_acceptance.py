@@ -509,8 +509,8 @@ def _simplex_grid(s: int) -> np.ndarray:
 
 
 def test_a07_mean_variance_oracle():
-    """Simplex-QP weights (a walk over faces by exact KKT solves, projected
-    gradient as its fallback) match a 1e-3 simplex grid search."""
+    """Simplex-QP weights (a primal active-set method over faces by exact
+    KKT solves) match a 1e-3 simplex grid search."""
     w = mean_variance_weights(np.array([0.1, 0.2]), np.eye(2), 1.0)
     hand_interior = float(np.max(np.abs(w.w - np.array([0.45, 0.55]))))
     w = mean_variance_weights(np.array([-1.0, 0.5]), np.eye(2), 1.0)

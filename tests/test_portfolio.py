@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dva import portfolio
@@ -56,6 +56,16 @@ def qp_residual(w, mu, sigma, gamma):
     return max(np.max(np.abs(grad[support] - tau)), np.max(off, initial=0.0))
 
 
+def project_simplex(v):
+    """Euclidean projection onto {w: w >= 0, sum w = 1} (sort-based)."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, v.size + 1)
+    rho = np.max(ks[u - css / ks > 0])
+    tau = css[rho - 1] / rho
+    return np.maximum(v - tau, 0.0)
+
+
 def reference_projected_gradient(mu, sigma, gamma, max_iter=10_000, tol=1e-8):
     """Plain projected gradient ascent with the fixed step 1/(gamma ||Σ||₂),
     no face steps; returns the weights and the residual tests it made."""
@@ -64,7 +74,7 @@ def reference_projected_gradient(mu, sigma, gamma, max_iter=10_000, tol=1e-8):
     for it in range(1, max_iter + 1):
         if qp_residual(w, mu, sigma, gamma) < tol:
             return w, it
-        w = portfolio._project_simplex(w + step * (mu - gamma * (sigma @ w)))
+        w = project_simplex(w + step * (mu - gamma * (sigma @ w)))
     raise AssertionError("reference ascent did not converge")
 
 
@@ -314,8 +324,8 @@ class TestMeanVarianceWeights:
 
     def test_identical_stocks_stay_uniform_exactly(self):
         # equal means and an all-equal covariance leave no preference: the
-        # face walk meets a singular system, and the ascent's uniform start
-        # is already stationary, bit for bit
+        # first face's system is singular, and the uniform start is already
+        # stationary, so it is returned bit for bit
         sigma = np.full((3, 3), 0.04)
         w = mean_variance_weights(np.full(3, 0.01), sigma, 1.5)
         assert np.array_equal(w.w, np.full(3, 1.0 / 3.0))
@@ -328,9 +338,9 @@ class TestMeanVarianceWeights:
                 assert np.max(np.abs(got - expect)) <= 1e-5
 
     def test_iteration_count_stays_low(self):
-        # the face walk ends most solves within a few KKT solves: on these 78
-        # problems the plain projected-gradient reference needs 3973
-        # iterations, the walk from the best-mean stocks 342 solves
+        # the active set ends most solves within a few KKT solves: on these
+        # 78 problems the plain projected-gradient reference needs 3973
+        # iterations, the active set from the best-mean stocks 342 solves
         total = sum(
             mean_variance_weights(mu, sigma, gamma).iterations
             for mu, sigma in regularized_problems(3)
@@ -340,8 +350,7 @@ class TestMeanVarianceWeights:
 
     def test_raw_rank_deficient_covariances(self):
         # 30 stocks from 10 days: Σ has rank 9, so every face of more than
-        # nine stocks has a singular KKT system; the walk must stay on
-        # smaller faces or leave the solve to the ascent
+        # nine stocks has a singular KKT system
         rng = np.random.default_rng(19)
         for _ in range(3):
             gross = 1.0 + 0.01 * rng.normal(size=(30, 10)) + 0.002 * rng.normal(size=(30, 1))
@@ -352,12 +361,23 @@ class TestMeanVarianceWeights:
                 assert qp_residual(w.w, m.mu, m.sigma, gamma) < 1e-8
 
     def test_iterations_recorded(self):
-        # the walk's KKT solves; the ascent's residual tests when it runs
-        # (one for identical stocks); none for a zero covariance
+        # the face systems solved: one for identical stocks and one for a
+        # zero covariance, whose singular first face holds a stationary start
         w = mean_variance_weights(np.array([0.1, 0.2]), np.eye(2), 1.0)
         assert w.iterations >= 1
         assert mean_variance_weights(np.full(3, 0.01), np.full((3, 3), 0.04), 1.5).iterations == 1
-        assert mean_variance_weights(np.ones(2), np.zeros((2, 2)), 1.0).iterations == 0
+        assert mean_variance_weights(np.ones(2), np.zeros((2, 2)), 1.0).iterations == 1
+
+    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    def test_stationarity_is_scale_free(self, c):
+        # scaling mu and Σ together scales the objective, not its optimum:
+        # a stationarity test in return units would accept a wrong face at
+        # 1e-6 and chase rounding at 1e6
+        for mu, sigma in [*regularized_problems(3), *raw_rank9_problems(19)]:
+            for gamma in DEFAULT_GAMMA_GRID:
+                base = mean_variance_weights(mu, sigma, gamma).w
+                scaled = mean_variance_weights(c * mu, c * sigma, gamma).w
+                assert np.array_equal(scaled > 0.0, base > 0.0)
 
     def test_grid_search_two_stocks(self):
         rng = np.random.default_rng(17)
@@ -443,8 +463,8 @@ def raw_rank9_problems(seed, n=3):
 
 
 class TestWeightsPath:
-    """One walk along the sorted grid per period, each gamma started from the
-    previous gamma's face, gives what a lone solve at that gamma gives."""
+    """One pass along the sorted grid per period, each gamma started from the
+    previous gamma's weights, gives what a lone solve at that gamma gives."""
 
     def check_path(self, mu, sigma, ref_tol):
         path = portfolio._weights_path(mu, sigma, DEFAULT_GAMMA_GRID)
@@ -470,39 +490,86 @@ class TestWeightsPath:
         for mu, sigma in raw_rank9_problems(19):
             self.check_path(mu, sigma, 1e-10)
 
-    def test_walk_ends_every_solve_here(self, monkeypatch):
+    def test_nonsingular_faces_end_every_solve_here(self, monkeypatch):
+        # the regularized and rank-9 problems meet no singular face, so no
+        # solve takes the least-squares step
         calls = []
-        monkeypatch.setattr(portfolio, "_ascent", lambda *args: calls.append(args))
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(args))
         for mu, sigma in [*regularized_problems(3), *raw_rank9_problems(19)]:
             portfolio._weights_path(mu, sigma, DEFAULT_GAMMA_GRID)
         assert calls == []
 
-    def test_ascent_fallback_still_reached(self, monkeypatch):
-        # identical stocks: every face's KKT system is singular, so only the
-        # ascent can answer, and its uniform start is already stationary
-        calls = []
-        ascent = portfolio._ascent
-
-        def counted(*args):
-            calls.append(args[2])
-            return ascent(*args)
-
-        monkeypatch.setattr(portfolio, "_ascent", counted)
+    def test_identical_stocks_path_stays_uniform(self):
+        # every face's KKT system is singular, and the uniform start, and
+        # each gamma's start from the last, is already stationary
         mu, sigma = np.full(3, 0.01), np.full((3, 3), 0.04)
-        path = portfolio._weights_path(mu, sigma, (0.5, 1.5))
-        assert calls == [0.5, 1.5]
-        for w in path:
+        for w in portfolio._weights_path(mu, sigma, (0.5, 1.5)):
             assert np.array_equal(w.w, np.full(3, 1.0 / 3.0))
             assert w.iterations == 1
 
-    def test_ascent_face_steps_reach_the_optimum(self, monkeypatch):
-        # run alone, the ascent's own face steps end at the same face
-        # optimum, bit for bit
-        mu, sigma = regularized_problems(3)[0]
-        expect = mean_variance_weights(mu, sigma, 2.0)
-        got = portfolio._ascent(mu, sigma, 2.0, set())
-        assert qp_residual(got.w, mu, sigma, 2.0) < 1e-8
-        assert np.array_equal(got.w, expect.w)
+    def test_any_feasible_start_reaches_the_same_optimum(self):
+        # the optimum face is unique, so whichever feasible point the active
+        # set starts from, it ends on the same face solve, bit for bit
+        rng = np.random.default_rng(47)
+        for mu, sigma in regularized_problems(3):
+            expect = mean_variance_weights(mu, sigma, 2.0)
+            starts = [np.eye(mu.size)[k] for k in range(mu.size)]
+            for _ in range(4):
+                start = rng.uniform(size=mu.size) * (rng.uniform(size=mu.size) < 0.6)
+                start[rng.integers(mu.size)] += 1.0
+                starts.append(start / start.sum())
+            for start in starts:
+                got = portfolio._active_set(mu, sigma, 2.0, start)
+                assert np.array_equal(got.w, expect.w)
+
+    def test_singular_faces(self, monkeypatch):
+        """Low-rank Σ (rank r < S, twin stocks of equal or unequal means)
+        along the default grid: feasible, stationary relative to the
+        gradient's scale, and no worse than the projected-gradient reference
+        where it converges; some case takes the zero-curvature step."""
+        lstsq = np.linalg.lstsq
+        rays = []
+
+        def counted(a, b, rcond=None):
+            out = lstsq(a, b, rcond=rcond)
+            k = b.size - 1  # an inconsistent step problem leaves a residual
+            rays.append(np.abs((b - a @ out[0])[:k]).max() > 1e-9 * np.abs(b).max())
+            return out
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+
+        @given(
+            seed=st.integers(0, 10_000),
+            s=st.integers(2, 6),
+            rank=st.integers(1, 5),
+            twin=st.sampled_from(["none", "equal", "unequal"]),
+        )
+        @example(seed=40, s=3, rank=1, twin="none")  # a three-stock face, rank 1
+        @settings(max_examples=25, deadline=None)
+        def check(seed, s, rank, twin):
+            rng = np.random.default_rng(seed)
+            loadings = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=(s, min(rank, s - 1)))
+            mu = rng.integers(0, 4, size=s) / 100
+            if twin != "none":
+                loadings[1] = loadings[0]
+                mu[1] = mu[0] + (0.01 if twin == "unequal" else 0.0)
+            sigma = loadings @ loadings.T / 10
+            path = portfolio._weights_path(mu, sigma, DEFAULT_GAMMA_GRID)
+            for gamma, w in zip(DEFAULT_GAMMA_GRID, path):
+                scale = np.abs(mu).max() + gamma * np.abs(sigma).max()
+                assert abs(w.w.sum() - 1.0) <= 1e-9 and w.w.min() >= 0.0
+                assert qp_residual(w.w, mu, sigma, gamma) <= 1e-12 * scale
+                try:
+                    expect, _ = reference_projected_gradient(
+                        mu, sigma, gamma, max_iter=500, tol=1e-9 * scale
+                    )
+                except AssertionError:
+                    continue  # the reference did not converge
+                got = qp_objective(w.w, mu, sigma, gamma)
+                assert got >= qp_objective(expect, mu, sigma, gamma) - 1e-10
+
+        check()
+        assert any(rays)
 
 
 # ---------------------------------------------------------------------------
