@@ -13,7 +13,9 @@ side, each as above; reported are the medians over pairs of each side's
 figures and the pairs the change wins. With ``--perfbench-pairs N`` it also
 runs ``perfbench/run.py`` on the workloads given by ``--workloads`` in both
 checkouts, alternating, one seed per pair from ``--seed0``, as
-``bench_portfolio.py`` does.
+``bench_portfolio.py`` does; both checkouts must sit at paths of equal
+length. ``--pairs 0`` skips the in-process pairs, for a change that records
+perfbench pairs alone.
 
 Usage: PYTHONPATH=src python scripts/bench_train_runs.py [--runs 1 2 5] [--repeats 5]
        python scripts/bench_train_runs.py --parent PATH_TO_PARENT_CHECKOUT [--pairs 5]
@@ -38,6 +40,14 @@ from pairing import compare, order, perfbench_pairs, spawn  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("ms_per_step", "backward_ms_per_step", "adam_ms_per_step", "s_per_epoch")
+
+
+def machine() -> str:
+    import numpy as np
+
+    return (
+        f"{platform.machine()}, {os.cpu_count()} CPUs, numpy {np.__version__}, BLAS on one thread"
+    )
 
 
 def worker(runs: list[int], repeats: int) -> dict:
@@ -80,8 +90,7 @@ def worker(runs: list[int], repeats: int) -> dict:
 
     training.backward = counted
     out = {
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, numpy {np.__version__},"
-        " BLAS on one thread",
+        "machine": machine(),
         "train_windows": len(split.train),
         "batch_size": cfg.batch_size,
     }
@@ -107,15 +116,14 @@ def worker(runs: list[int], repeats: int) -> dict:
     return out
 
 
-def paired(parent: Path, pairs: int, runs: list[int], repeats: int) -> dict:
+def paired(trees: dict[str, Path], pairs: int, runs: list[int], repeats: int) -> dict:
     """Both sides' figures per R over alternating pairs of fresh processes."""
-    trees = {"parent": parent.resolve(), "change": ROOT}
     args = ["--worker", "--repeats", str(repeats), "--runs", *map(str, runs)]
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(pairs):
         for side in order(k):
             results[side].append(spawn(Path(__file__).resolve(), trees[side], args))
-    out = {"machine": results["change"][0]["machine"], "pairs": pairs, "repeats": repeats}
+    out = {"pairs": pairs, "repeats": repeats}
     for r in runs:
         key = f"R{r}"
         row = {
@@ -148,9 +156,11 @@ def main() -> None:
     elif args.parent is None:
         print(json.dumps(worker(args.runs, args.repeats), indent=2))
     else:
-        out = paired(args.parent, args.pairs, args.runs, args.repeats)
+        trees = {"parent": args.parent.resolve(), "change": ROOT}
+        out = {"machine": machine(), "pairs": 0}
+        if args.pairs:
+            out.update(paired(trees, args.pairs, args.runs, args.repeats))
         if args.perfbench_pairs:
-            trees = {"parent": args.parent.resolve(), "change": ROOT}
             out["perfbench"] = perfbench_pairs(
                 trees, args.workloads, args.perfbench_pairs, args.seed0, args.seconds
             )

@@ -4,7 +4,8 @@ Each side runs in its own process from its own source tree, and the sides
 alternate which goes first: the parent on even pair indices, the change on
 odd ones. ``perfbench_pairs`` runs ``perfbench/run.py`` the same way, one
 seed per pair, and summarises each end-to-end metric by its median and
-quartiles per side and the pairs the change wins.
+quartiles per side and the pairs the change wins; it takes the two trees
+only at resolved paths of equal length.
 """
 
 from __future__ import annotations
@@ -70,7 +71,15 @@ def perfbench_pairs(
     trees: dict[str, Path], workloads: list[str], pairs: int, seed0: int, seconds: int
 ) -> dict:
     """``pairs`` alternating perfbench runs per workload, seeds ``seed0``,
-    ``seed0 + 1``, ...: every run and a summary per workload."""
+    ``seed0 + 1``, ...: every run and a summary per workload. The trees'
+    resolved paths must be of equal length: ``peak_rss_mb`` moves with the
+    length of the checkout's path by more than its bound."""
+    paths = {side: str(tree.resolve()) for side, tree in trees.items()}
+    if len({len(path) for path in paths.values()}) > 1:
+        raise ValueError(
+            "perfbench pairs need checkouts at paths of equal length, got "
+            + " and ".join(f"{side} {path} ({len(path)})" for side, path in paths.items())
+        )
     runs, summary = [], {}
     for w in workloads:
         for k in range(pairs):

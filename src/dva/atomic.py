@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import os
+import tokenize
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -75,12 +76,19 @@ def read_utf8(path, kind: str, error: type = DataError) -> str:
 
 
 def read_npz(path, kind: str) -> dict[str, np.ndarray]:
-    """The arrays of a .npz archive, pickles refused."""
+    """The arrays of a .npz archive, pickles refused. Corrupt bytes also
+    reach np.load's parsers: a .npy header that never closes raises
+    ``tokenize.TokenError``, a dtype string numpy cannot parse
+    ``SyntaxError``, a header key that is not a string ``TypeError``, and a
+    member marked encrypted zipfile's ``RuntimeError``."""
     raw = _read(path, kind)
     try:
         with np.load(io.BytesIO(raw), allow_pickle=False) as f:
             return {name: f[name] for name in f.files}
-    except (EOFError, NotImplementedError, OSError, ValueError, zipfile.BadZipFile) as err:
+    except (
+        EOFError, NotImplementedError, OSError, RuntimeError, SyntaxError, TypeError,
+        ValueError, tokenize.TokenError, zipfile.BadZipFile,
+    ) as err:
         raise DataError(
             f"{kind} {path}: not a readable .npz archive ({type(err).__name__})"
         ) from None

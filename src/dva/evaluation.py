@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .atomic import atomic_open, read_utf8, write_csv
-from .data import FEATURE_DIM, R_INDEX, WindowPair
+from .data import FEATURE_DIM, R_INDEX, WindowPair, Windows
 from .errors import ContractError, DataError, ParseError
 
 __all__ = [
@@ -203,42 +203,55 @@ def write_uncertainty_csv(path, rows: Sequence[UncertaintyRow]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_predictions(path, pairs: Sequence[WindowPair], y_hat: np.ndarray) -> None:
-    """One row per (window, horizon step), in one write; floats use repr for
-    exact round trips. The bytes equal ``csv.writer``'s: none of the fields
-    needs quoting, and every line ends in ``\\r\\n``."""
+def write_predictions(path, windows: Windows | Sequence[WindowPair], y_hat: np.ndarray) -> None:
+    """One row per (window, horizon step), written once; ``windows`` is a
+    ``Windows`` or a sequence of ``WindowPair``."""
+    if isinstance(windows, Windows):
+        anchors, targets = windows.anchors, windows.y
+    else:
+        anchors, targets = [w.anchor_date for w in windows], [w.y for w in windows]
     y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y_hat.ndim != 2 or y_hat.shape[0] != len(pairs):
+    if y_hat.ndim != 2 or y_hat.shape[0] != len(anchors):
         raise ContractError(
-            f"predictions {y_hat.shape} do not cover {len(pairs)} windows"
+            f"predictions {y_hat.shape} do not cover {len(anchors)} windows"
         )
-    t_out = y_hat.shape[1]
-    dates, targets = [], []
-    for pair in pairs:
-        if pair.y.shape != y_hat.shape[1:]:
+    # the rows of an array share one shape
+    for y in targets[:1] if isinstance(targets, np.ndarray) else targets:
+        if y.shape != y_hat.shape[1:]:
             raise ContractError(
-                f"horizon mismatch: prediction {y_hat.shape[1:]} vs target {pair.y.shape}"
+                f"horizon mismatch: prediction {y_hat.shape[1:]} vs target {y.shape}"
             )
-        dates += [pair.anchor_date.isoformat()] * t_out
-        targets.append(pair.y)
-    steps = list(range(1, t_out + 1)) * len(pairs)
-    y_true = np.array(targets, dtype=np.float64).ravel()
+    text = _prediction_text(anchors, np.asarray(targets, dtype=np.float64), y_hat)
+    with atomic_open(path) as fh:
+        fh.write(text.encode())
+
+
+def _prediction_text(anchors: Sequence[dt.date], y_true: np.ndarray, y_hat: np.ndarray) -> str:
+    """The prediction file's text, built column by column from N anchor
+    dates and (N, t_out) targets and predictions: each anchor date and each
+    step is formatted once, and each distinct target once. Floats use repr
+    for exact round trips. The bytes equal ``csv.writer``'s: none of the
+    fields needs quoting, and every line ends in ``\\r\\n``."""
+    n, t_out = y_hat.shape
     # overlapping windows repeat each target up to t_out times: format each
     # distinct value once, keyed by its bits so that -0.0 and 0.0 stay apart
     # (a dict, not np.unique: a first sort pages in numpy's sort kernels,
     # about 0.5 MiB of resident memory)
-    bits = y_true.view(np.int64).tolist()
+    bits = y_true.ravel().view(np.int64).tolist()
     distinct = list(dict.fromkeys(bits))
     floats = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
-    true_text = dict(zip(distinct, map(repr, floats)))
-    text = ",".join(PREDICTION_HEADER) + "\r\n" + "".join(
-        map(
-            "{},{},{!r},{}\r\n".format,
-            dates, steps, y_hat.ravel().tolist(), map(true_text.__getitem__, bits),
-        )
-    )
-    with atomic_open(path) as fh:
-        fh.write(text.encode())
+    true_text = dict(zip(distinct, [f",{v!r}\r\n" for v in floats]))
+    # cell 0 is the header; row r = i * t_out + s holds cells 4r + 1 .. 4r + 4:
+    # "<date>," "<step>," "<y_hat>" ",<y_true>\r\n"
+    cells = [""] * (1 + 4 * n * t_out)
+    cells[0] = ",".join(PREDICTION_HEADER) + "\r\n"
+    dates = [f"{a.isoformat()}," for a in anchors]
+    for s in range(t_out):
+        cells[1 + 4 * s :: 4 * t_out] = dates
+    cells[2::4] = [f"{s}," for s in range(1, t_out + 1)] * n
+    cells[3::4] = map(repr, y_hat.ravel().tolist())
+    cells[4::4] = map(true_text.__getitem__, bits)
+    return "".join(cells)
 
 
 def _read_rows(where: str, lines: list[str]) -> Columns:

@@ -99,6 +99,19 @@ def read_stderr_json(capsys):
     return json.loads(err)
 
 
+def unclosed_npy_header(raw: bytes) -> bytes:
+    """The archive with its first .npy header's closing brace blanked."""
+    end = raw.index(b"}", raw.index(b"\x93NUMPY"))
+    return raw[:end] + b" " + raw[end + 1 :]
+
+
+def encrypted_first_member(raw: bytes) -> bytes:
+    """The archive with the encryption bit set in the general-purpose flags
+    of its first central directory entry (signature PK\\1\\2, flags at +8)."""
+    flags = raw.index(b"PK\x01\x02") + 8
+    return raw[:flags] + bytes([raw[flags] | 1]) + raw[flags + 1 :]
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -345,8 +358,20 @@ class TestPredict:
         [
             lambda raw: b"\x00\x01 not an archive" * 8,
             lambda raw: raw[: len(raw) // 2],
+            # np.load's own parsers raise outside its documented errors:
+            # tokenize.TokenError for a .npy header whose dict never closes,
+            unclosed_npy_header,
+            # SyntaxError for a dtype string numpy cannot parse, TypeError
+            # for a header key that is bytes,
+            lambda raw: raw.replace(b"'descr': '<", b"'descr': ',", 1),
+            lambda raw: raw.replace(b" 'shape'", b"b'shape'", 1),
+            # and zipfile's RuntimeError for a member marked encrypted
+            encrypted_first_member,
         ],
-        ids=["garbage", "truncated"],
+        ids=[
+            "garbage", "truncated", "npy-header-unclosed", "npy-descr", "npy-bytes-key",
+            "encrypted",
+        ],
     )
     def test_unreadable_checkpoint_is_a_data_error(self, pipeline, tmp_path, capsys, corrupt):
         out = tmp_path / "out"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dva.data import FEATURE_DIM, R_INDEX, WindowPair
+from dva.data import FEATURE_DIM, R_INDEX, WindowPair, Windows, make_windows
 from dva.errors import ContractError, DataError, ParseError
 from dva.evaluation import (
     PREDICTION_HEADER,
@@ -391,6 +391,33 @@ class TestPredictionBytes:
         path = tmp_path / "p.csv"
         write_predictions(path, pairs, y_hat)
         assert path.read_bytes() == csv_reference_bytes(pairs, y_hat)
+
+    @staticmethod
+    def overlapping_windows():
+        """Windows over awkward returns; window i + 1's step s is window i's
+        step s + 1, so each target value appears in up to 3 rows."""
+        returns = [-0.0, 0.0, 5e-324, 1e16, -0.0, 1.0, 5e-324, 0.0, 1e16, 0.1]
+        features = np.zeros((len(returns), FEATURE_DIM))
+        features[:, R_INDEX] = returns
+        dates = [dt.date(2021, 1, 4) + dt.timedelta(days=k) for k in range(len(returns))]
+        return make_windows(dates, features, 2, 3)
+
+    def test_windows_and_their_pairs_write_the_same_bytes(self, tmp_path):
+        windows = self.overlapping_windows()
+        y_hat = np.resize(AWKWARD, (len(windows), 3))
+        write_predictions(tmp_path / "windows.csv", windows, y_hat)
+        write_predictions(tmp_path / "pairs.csv", list(windows), y_hat)
+        expected = csv_reference_bytes(list(windows), y_hat)
+        assert (tmp_path / "windows.csv").read_bytes() == expected
+        assert (tmp_path / "pairs.csv").read_bytes() == expected
+
+    def test_windows_of_another_horizon_are_refused(self, tmp_path):
+        windows = self.overlapping_windows()
+        wrong = Windows(windows.x, windows.y[:, :2], windows.anchors, windows.start)
+        expected = r"horizon mismatch: prediction \(3,\) vs target \(2,\)"
+        with pytest.raises(ContractError, match=expected):
+            write_predictions(tmp_path / "p.csv", wrong, np.ones((len(wrong), 3)))
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=40, deadline=None)
     @given(
