@@ -26,8 +26,13 @@ The pointwise convolution takes channel-major activations ``(..., channels,
 batch, time)``, so a per-channel operation sees one contiguous
 ``batch*time`` row per channel. Leading axes in front of the usual shapes
 broadcast through ``np.matmul``: a kernel ``(R, c_out, c_in, 1)`` applied
-to ``(R, c_in, batch, t)`` runs R independent convolutions in one call, and
-an input without the leading axis is shared by all R of them.
+to ``(R, c_in, batch, t)`` runs R independent convolutions in one call.
+
+The tape serves the one configuration it records: a training-mode step in
+which every taped operand carries the model axes of its op's parameters,
+so each backward returns its VJPs in their inputs' shapes as computed. An
+input shared by all R models is allowed in the forward pass only;
+``conv1d`` refuses it while a tape records.
 """
 
 from __future__ import annotations
@@ -151,24 +156,6 @@ def backward(
     return grads
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _vjps(grads, inputs) -> tuple:
-    """Each gradient summed back down to its input's shape."""
-    return tuple(_unbroadcast(g, t.data.shape) for g, t in zip(grads, inputs))
-
-
 # ---------------------------------------------------------------------------
 # Nonlinearities
 # ---------------------------------------------------------------------------
@@ -264,7 +251,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     1) by x (..., c_in, batch*t), plus bias (..., c_out) when given.
 
     x (..., c_in, batch, t) is channel-major; the output (..., c_out, batch,
-    t) keeps t and the broadcast leading axes. A kernel wider than one step
+    t) keeps t and the broadcast leading axes; while a tape records, x must
+    carry exactly the kernel's leading axes. A kernel wider than one step
     is a ContractError: filters along time are the depthwise kernels of
     ``dva.layers``.
     """
@@ -278,6 +266,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
             f"channel mismatch: x has {x.data.shape[-3]}, kernel expects {c_in}"
         )
     _lead(x, 3, kernel, 3, "conv1d")
+    if _TAPE_STACK and x.data.shape[:-3] != kernel.data.shape[:-3]:
+        raise ContractError("conv1d under a tape needs x with the kernel's leading axes")
     if bias is not None and bias.data.shape != kernel.data.shape[:-2]:
         raise ContractError(f"bias shape {bias.shape} != {kernel.data.shape[:-2]}")
     b, t = x.data.shape[-2:]
@@ -288,8 +278,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def back(g):
         (dcols,), dw, db = _pointwise_bwd(kernel.data, (cols,), g.reshape(g.shape[:-2] + (b * t,)))
-        grads = (dcols.reshape(dcols.shape[:-1] + (b, t)), dw, db)
-        return _vjps(grads[: len(inputs)], inputs)
+        return (dcols.reshape(dcols.shape[:-1] + (b, t)), dw, db)[: len(inputs)]
 
     return _record(out, inputs, back)
 

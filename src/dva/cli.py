@@ -159,6 +159,8 @@ def _train_config(rc: RunConfig, args) -> TrainConfig:
     cfg = rc.train
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     return cfg.validate()
 
 

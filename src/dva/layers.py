@@ -13,6 +13,10 @@ The residual cell (``dva.model``) chains the pairs, with swish
 runs the backward kernels in reverse. Activations are channel-major (...,
 c, batch, t); the only mutable state is the running mean/variance buffer
 carried by batch norm.
+
+A backward kernel serves the step the tape records (``dva.autodiff``): a
+training-mode forward whose x carries the model axes of the parameters, so
+each gradient comes out in its input's shape as computed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # conv1d: perfbench/tracing.py wraps dva.layers.conv1d
-from .autodiff import _sigmoid, _unbroadcast, conv1d  # noqa: F401
+from .autodiff import _sigmoid, conv1d  # noqa: F401
+from .errors import ContractError
 
 __all__ = [
     "BN_MOMENTUM",
@@ -64,7 +69,10 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool, save: bool
 
     Training mode uses the batch statistics and folds them into ``state``
     in place; inference mode reads ``state`` only, folded with the affine
-    pair into one scale and shift per channel."""
+    pair into one scale and shift per channel, and saves nothing: only a
+    training-mode step is taped."""
+    if save and not training:
+        raise ContractError("batch_norm saves for a backward in training mode only")
     lead = x.shape[:-2]
     n = x.shape[-2] * x.shape[-1]
     rows = x.reshape(lead + (n,))
@@ -80,38 +88,31 @@ def batch_norm(x, gamma, beta, state: BatchNormState, training: bool, save: bool
         xhat /= std
         y = np.multiply(xhat, g_c, out=None if save else xhat)
         y += beta[..., None]
-        saved = (True, xhat, std, g_c) if save else None
+        saved = (xhat, std, g_c) if save else None
     else:
         mean = state.mean[..., None]
         std = np.sqrt(state.var[..., None] + BN_EPS)
         scale = g_c / std
         y = rows * scale
         y += beta[..., None] - mean * scale
-        saved = (False, rows, mean, std, scale) if save else None
+        saved = None
     return y.reshape(x.shape), saved
 
 
 def batch_norm_bwd(saved, g):
-    """(dx, d_gamma, d_beta). In training mode the batch statistics carry
-    gradient (Ioffe & Szegedy 2015): dx = gamma / std * (g - mean(g) -
-    xhat mean(g xhat)); in inference mode the buffers are constants."""
+    """(dx, d_gamma, d_beta) of a training-mode forward, whose batch
+    statistics carry gradient (Ioffe & Szegedy 2015): dx = gamma / std * (g
+    - mean(g) - xhat mean(g xhat))."""
+    xhat, std, g_c = saved
     shape = g.shape
-    if saved[0]:
-        _, xhat, std, g_c = saved
-        g = g.reshape(xhat.shape)
-        d_beta = np.einsum("...n->...", g)
-        d_gamma = np.einsum("...n,...n->...", g, xhat)
-        inv_n = 1.0 / xhat.shape[-1]
-        dx = xhat * (d_gamma * inv_n)[..., None]
-        np.subtract(g, dx, out=dx)
-        dx -= (d_beta * inv_n)[..., None]
-        dx *= g_c / std
-    else:
-        _, rows, mean, std, scale = saved
-        g = g.reshape(rows.shape)
-        d_beta = np.einsum("...n->...", g)
-        d_gamma = np.einsum("...n,...n->...", g, rows - mean) / std[..., 0]
-        dx = g * scale
+    g = g.reshape(xhat.shape)
+    d_beta = np.einsum("...n->...", g)
+    d_gamma = np.einsum("...n,...n->...", g, xhat)
+    inv_n = 1.0 / xhat.shape[-1]
+    dx = xhat * (d_gamma * inv_n)[..., None]
+    np.subtract(g, dx, out=dx)
+    dx -= (d_beta * inv_n)[..., None]
+    dx *= g_c / std
     return dx.reshape(shape), d_gamma, d_beta
 
 
@@ -137,23 +138,23 @@ def _band(t: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def depthwise_conv1d(x, kernel):
     """Each channel of x (..., c, b, t) filtered alone by its taps in kernel
     (..., c, 1, k), zero padded: one batched matmul by the (..., c, t, t)
-    band matrix. It takes no ``save``: what its backward reads is x and the
-    small band, which a caller that keeps nothing simply drops."""
-    t, k = x.shape[-1], kernel.shape[-1]
-    spread, _ = _band(t, k)
+    band matrix. It takes no ``save``: what its backward reads is x, the
+    small band and ``_band``'s cached gather matrix, which a caller that
+    keeps nothing simply drops."""
+    t = x.shape[-1]
+    spread, gather = _band(t, kernel.shape[-1])
     band = np.matmul(kernel[..., 0, :], spread).reshape(kernel.shape[:-2] + (t, t))
-    return np.matmul(x, band), (x, band, kernel.shape)
+    return np.matmul(x, band), (x, band, gather)
 
 
 def depthwise_conv1d_bwd(saved, g):
     """(dx, d_kernel)."""
-    x, band, kernel_shape = saved
+    x, band, gather = saved
     t = x.shape[-1]
-    _, gather = _band(t, kernel_shape[-1])
-    dx = _unbroadcast(np.matmul(g, band.swapaxes(-1, -2)), x.shape)
+    dx = np.matmul(g, band.swapaxes(-1, -2))
     d_band = np.matmul(x.swapaxes(-1, -2), g)
     dk = np.matmul(d_band.reshape(d_band.shape[:-2] + (t * t,)), gather)
-    return dx, _unbroadcast(dk[..., None, :], kernel_shape)
+    return dx, dk[..., None, :]
 
 
 def separable_conv1d(x, depth, point, bias, save: bool):
@@ -166,20 +167,18 @@ def separable_conv1d(x, depth, point, bias, save: bool):
     v = np.matmul(w, u.reshape(u.shape[:-2] + (b * t,)))
     if bias is not None:
         v += bias[..., None]
-    saved = (dw, u, w, point.shape, bias is not None) if save else None
+    saved = (dw, u, w, bias is not None) if save else None
     return v.reshape(v.shape[:-1] + (b, t)), saved
 
 
 def separable_conv1d_bwd(saved, g):
     """(dx, d_depth, d_point, d_bias), d_bias None without a bias."""
-    dw, u, w, point_shape, has_bias = saved
+    dw, u, w, has_bias = saved
     b, t = u.shape[-2:]
     g2 = g.reshape(g.shape[:-2] + (b * t,))
     u2 = u.reshape(u.shape[:-2] + (b * t,))
-    d_point = _unbroadcast(np.matmul(g2, u2.swapaxes(-1, -2))[..., None], point_shape)
-    d_bias = (
-        _unbroadcast(np.einsum("...n->...", g2), point_shape[:-2]) if has_bias else None
-    )
+    d_point = np.matmul(g2, u2.swapaxes(-1, -2))[..., None]
+    d_bias = np.einsum("...n->...", g2) if has_bias else None
     du = np.matmul(w.swapaxes(-1, -2), g2)
     dx, d_depth = depthwise_conv1d_bwd(dw, du.reshape(du.shape[:-1] + (b, t)))
     return dx, d_depth, d_point, d_bias
@@ -227,12 +226,12 @@ def se_gate_bwd(saved, g):
     dz = np.einsum("...t,...t->...", g, x)
     dz *= gate
     dz *= 1.0 - gate
-    d_w2 = _unbroadcast(np.matmul(dz, h.swapaxes(-1, -2)), w2.shape)
-    d_b2 = _unbroadcast(np.einsum("...b->...", dz), w2.shape[:-1])
+    d_w2 = np.matmul(dz, h.swapaxes(-1, -2))
+    d_b2 = np.einsum("...b->...", dz)
     dh = np.matmul(w2.swapaxes(-1, -2), dz)
     dh *= h > 0.0
-    d_w1 = _unbroadcast(np.matmul(dh, m.swapaxes(-1, -2)), w1.shape)
-    d_b1 = _unbroadcast(np.einsum("...b->...", dh), w1.shape[:-1])
+    d_w1 = np.matmul(dh, m.swapaxes(-1, -2))
+    d_b1 = np.einsum("...b->...", dh)
     dm = np.matmul(w1.swapaxes(-1, -2), dh)
     dx += (dm * (1.0 / t))[..., None]
-    return _unbroadcast(dx, x.shape), d_w1, d_b1, d_w2, d_b2
+    return dx, d_w1, d_b1, d_w2, d_b2

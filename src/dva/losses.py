@@ -24,7 +24,6 @@ from .autodiff import (
     _swish_prime,
     _swish_second,
     _taping,
-    _vjps,
 )
 from .diffusion import DiffusionSchedule
 from .errors import ContractError
@@ -192,7 +191,7 @@ def dsm_loss(
             d_y = np.zeros(y_hat_n.data.shape)
         else:
             d_y -= u
-        return _vjps((d_y, *d_energy), inputs)
+        return (d_y, *d_energy)
 
     return _record(out, inputs, back)
 

@@ -26,9 +26,11 @@ its latent noise as (batch, latent, time) and returns (batch, t_out).
 
 ``ModelParams.stack`` joins R models of one config into one whose tensors
 and batch-norm buffers carry a leading model axis. Every function here runs
-on either form: activations of a stack are (R, channels, batch, time), an
-input without the model axis is shared by all R models, and each model's
-outputs depend on its own parameters only.
+on either form: activations of a stack are (R, channels, batch, time), and
+each model's outputs depend on its own parameters only. An input without
+the model axis is shared by all R models in an untaped forward pass only:
+a taped step is a training-mode step whose inputs all carry the model axis
+(``dva.autodiff``).
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .autodiff import (
     _swish_bwd,
     _swish_fwd,
     _taping,
-    _vjps,
     conv1d,
     downsample2,
 )
@@ -72,7 +73,6 @@ __all__ = [
     "N_GROUPS",
     "ModelConfig",
     "ModelParams",
-    "LatentGroup",
     "ForwardOutput",
     "encode",
     "generate",
@@ -484,22 +484,9 @@ def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tenso
 
 
 @dataclass
-class LatentGroup:
-    """A sampled group's distribution stats and the latent it used, as
-    untaped arrays, each channel-major (..., latent, batch, t)."""
-
-    q_mean: np.ndarray
-    q_logvar: np.ndarray
-    p_mean: np.ndarray
-    p_logvar: np.ndarray
-    z: np.ndarray
-
-
-@dataclass
 class ForwardOutput:
     y_hat: Tensor  # (..., batch, t_out)
-    groups: list[LatentGroup]  # empty for a posterior-mean decode
-    kl_groups: list[Tensor]  # one value per model and group, averaged over the batch
+    kl_groups: list[Tensor]  # per model and group, batch-averaged; none at the posterior mean
 
 
 def _decoder_start(h: Tensor, batch: int) -> Tensor:
@@ -571,9 +558,9 @@ def _latent_group(
     the posterior head over [s, enc], the prior head reads s, both
     log-variances are clipped, and the op has two outputs: the next state
     and KL(q || p) summed over latent and time and averaged over the batch,
-    one value per model. It returns (state, kl, LatentGroup). Without noise
-    z is the posterior mean, only it and the merge are computed, and it
-    returns (state, None, None)."""
+    one value per model. It returns (state, kl). Without noise z is the
+    posterior mean, only it and the merge are computed, and it returns
+    (state, None)."""
     names = _GROUP_TENSORS[i]
     sampled = noise is not None
     inputs = (s, enc) + tuple(params[k] for k in (names if sampled else names[:4]))
@@ -582,7 +569,7 @@ def _latent_group(
     s2 = s.data.reshape(s.data.shape[:-3] + (c, nb * nt))
     post = (s2, enc.data.reshape(enc.data.shape[:-3] + (c, nb * nt)))  # [s, enc]
     mu = _pointwise(mu_w, post, mu_b)
-    kl = group = None
+    kl = None
     if sampled:
         lv_w, lv_b, pm_w, pm_b, pl_w, pl_b = (v.data for v in inputs[6:])
         lv_raw = _pointwise(lv_w, post, lv_b)
@@ -603,8 +590,6 @@ def _latent_group(
         eps = noise.reshape(noise.shape[:-2] + (nb * nt,))
         std = np.exp(lv * 0.5)
         z = mu + std * eps
-        shape = mu.shape[:-1] + (nb, nt)
-        group = LatentGroup(*(a.reshape(shape) for a in (mu, lv, p_mu, p_lv, z)))
     else:
         z = mu
     merged = _pointwise(m_w, (s2, z), m_b)
@@ -613,7 +598,7 @@ def _latent_group(
         merged = merged[..., _stretch_index(length)]
     out = Tensor(merged)
     if not _taping():
-        return out, kl, group
+        return out, kl
 
     def back(g):
         g_s, g_kl = g if sampled else (g, None)
@@ -648,10 +633,10 @@ def _latent_group(
         )
         if sampled:
             grads += (d_lvw, d_lvb, d_pmw, d_pmb, d_plw, d_plb)
-        return _vjps(grads, inputs)
+        return grads
 
     _record((out, kl) if sampled else out, inputs, back)
-    return out, kl, group
+    return out, kl
 
 
 _OUT_TENSORS = ("out.conv.w", "out.conv.b", "out.proj.w", "out.proj.b")
@@ -676,14 +661,13 @@ def _output_head(params: ModelParams, s: Tensor) -> Tensor:
     def back(g):
         d_flat = np.matmul(g, pw)
         (d_cols,), d_cw, d_cb = _pointwise_bwd(cw, (cols,), d_flat.reshape(d_flat.shape[:-2] + (1, nb * nt)))
-        grads = (
+        return (
             d_cols.reshape(d_cols.shape[:-1] + (nb, nt)),
             d_cw,
             d_cb,
             np.matmul(g.swapaxes(-1, -2), flat),
             g.sum(axis=-2),
         )
-        return _vjps(grads, inputs)
 
     return _record(out, inputs, back)
 
@@ -700,7 +684,7 @@ def generate(
     coarsest first, each (..., batch, latent, t)) the latents are
     reparameterized samples, and the prior heads and the KL are computed.
     Without it the latents are the posterior means, and only what ``y_hat``
-    reads is computed: ``groups`` and ``kl_groups`` are empty."""
+    reads is computed: ``kl_groups`` is empty."""
     cfg = params.config
     if len(stack) != N_GROUPS:
         raise ContractError(f"encoder stack must have {N_GROUPS} levels")
@@ -709,7 +693,6 @@ def generate(
     lengths = cfg.level_lengths()  # fine, middle, coarse
     group_lengths = (lengths[2], lengths[1], lengths[0])
     s = _decoder_start(params["h"], batch)
-    groups: list[LatentGroup] = []
     kl_groups: list[Tensor] = []
     for i in (1, 2, 3):
         s = _cell(params, f"dec{i}", s, training)
@@ -721,8 +704,7 @@ def generate(
                 raise ContractError(f"eps[{i - 1}] shape {noise.shape} != {want}")
             noise = np.swapaxes(noise, -3, -2)
         length = group_lengths[i] if i < 3 else None
-        s, kl, group = _latent_group(params, i, s, stack[N_GROUPS - i], noise, length)
-        if group is not None:
-            groups.append(group)
+        s, kl = _latent_group(params, i, s, stack[N_GROUPS - i], noise, length)
+        if kl is not None:
             kl_groups.append(kl)
-    return ForwardOutput(y_hat=_output_head(params, s), groups=groups, kl_groups=kl_groups)
+    return ForwardOutput(y_hat=_output_head(params, s), kl_groups=kl_groups)

@@ -80,9 +80,14 @@ class PeriodMoments:
             raise ContractError(f"covariance {s.shape} does not match mu {self.mu.shape}")
         if not np.allclose(s, s.T, atol=1e-12):
             raise ContractError("covariance must be symmetric")
-        # eigvalsh rounds at about 1e-16 of the scale, so the tolerance scales
-        if np.linalg.eigvalsh(s).min() < -1e-10 * max(1.0, s.diagonal().max()):
-            raise ContractError("covariance must be positive semidefinite")
+        # rounding leaves eigenvalues of about -1e-16 of the scale, so the
+        # tolerance scales: no eigenvalue may lie below -eps, which is when
+        # sigma + eps I has a Cholesky factor
+        eps = 1e-10 * max(1.0, s.diagonal().max())
+        try:
+            np.linalg.cholesky(s + eps * np.eye(len(s)))
+        except np.linalg.LinAlgError:
+            raise ContractError("covariance must be positive semidefinite") from None
         return self
 
 

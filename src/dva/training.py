@@ -235,9 +235,9 @@ def total_loss(
     cfg: TrainConfig,
     *,
     eps: list[np.ndarray],
-    training: bool = True,
 ) -> tuple[Tensor, tuple[LossComponents, ...]]:
-    """Composite objective on one batch, summed over the models of a stack.
+    """Composite objective on one batch, summed over the models of a stack,
+    from a training-mode forward pass.
 
     Returns the scalar loss tensor plus one set of float components per
     model (one for an unstacked model), each satisfying
@@ -247,8 +247,8 @@ def total_loss(
     component raises TrainingAbort naming the model, with epoch/batch set
     to -1; the training loop re-raises with the real location.
     """
-    stack = encode(params, as_tensor(batch.x_n), training=training)
-    out = generate(params, stack, eps=eps, training=training)
+    stack = encode(params, as_tensor(batch.x_n), training=True)
+    out = generate(params, stack, eps=eps, training=True)
 
     m_t = mse_loss(out.y_hat, batch.y if cfg.mse_against_clean else batch.y_n)
     zeros = np.zeros(m_t.shape)
@@ -341,12 +341,12 @@ def refresh_norm_stats(params: ModelParams, x_train: np.ndarray, cfg: TrainConfi
 
 
 def _latent_noise(
-    rng: np.random.Generator, cfg: TrainConfig, batch: int
+    rng: np.random.Generator, batch: int, latent: int, lengths: tuple[int, int, int]
 ) -> list[np.ndarray]:
     """The reparameterization noise of one model's batch, coarsest group
-    first, drawn from that model's own generator."""
-    lengths = cfg.model_config().level_lengths()
-    return [rng.standard_normal((batch, cfg.latent, ln)) for ln in reversed(lengths)]
+    first, drawn from that model's own generator; ``lengths`` as
+    ``ModelConfig.level_lengths`` gives them, finest first."""
+    return [rng.standard_normal((batch, latent, ln)) for ln in reversed(lengths)]
 
 
 def train_runs(
@@ -374,6 +374,7 @@ def train_runs(
     schedule = cfg.schedule()
     x_train, y_train = split.train.x, split.train.y
     params = ModelParams.stack([ModelParams.init(cfg.model_config(), c.seed) for c in cfgs])
+    lengths = params.config.level_lengths()
     # start the output head, in the flat vector Adam updates, at the per-step
     # mean of the training targets: gross returns sit near 1.0, further than
     # Adam can move a zero bias within the configured epoch budget
@@ -398,7 +399,7 @@ def train_runs(
                 idx = order[b_idx * cfg.batch_size : (b_idx + 1) * cfg.batch_size]
                 n = sample_step(rng, schedule)
                 batches.append(make_batch(x_train[idx], y_train[idx], schedule, n, rng, c))
-                noise.append(_latent_noise(rng, cfg, len(idx)))
+                noise.append(_latent_noise(rng, len(idx), cfg.latent, lengths))
             eps = [np.stack(group) for group in zip(*noise)]
             with Tape() as tape:
                 try:

@@ -25,7 +25,6 @@ from dva.autodiff import (
     _sigmoid,
     _swish_bwd,
     _swish_fwd,
-    _unbroadcast,
     as_tensor,
     conv1d,
     downsample2,
@@ -38,6 +37,21 @@ from dva.model import N_GROUPS, _cell
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient back down to ``shape`` after numpy broadcasting. The
+    program's taped ops need no such step (their operands carry the model
+    axes of their parameters); the primitives here broadcast freely."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -431,13 +445,12 @@ def total_loss(
     cfg: TrainConfig,
     *,
     eps: list[np.ndarray],
-    training: bool = True,
 ) -> Tensor:
     """The composite objective on one batch, summed over the models of a
     stack, as the scalar loss tensor: L_MSE + zeta * (latent KL + output
     KL) + eta * L_DSM, each term present as ``cfg`` enables it."""
-    stack = encode(params, as_tensor(batch.x_n), training=training)
-    y_hat, _, _, kl_latent = generate(params, stack, eps=eps, training=training)
+    stack = encode(params, as_tensor(batch.x_n), training=True)
+    y_hat, _, _, kl_latent = generate(params, stack, eps=eps, training=True)
 
     y_mse = batch.y if cfg.mse_against_clean else batch.y_n
     m_t = mean_(square(sub(y_hat, as_tensor(y_mse))), axis=(-2, -1))

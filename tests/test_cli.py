@@ -285,6 +285,17 @@ class TestTrain:
         assert err["error"] == "ConfigError"
         assert str(tmp_path / "tickers.txt") in err["message"]
 
+    def test_jobs_below_one_refused_before_clearing(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "metrics.json").write_text("{}\n")
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["train", "--config", str(cfg), "--force", "--jobs", "0"]) == 2
+        assert read_stderr_json(capsys) == {
+            "error": "ConfigError", "message": "--jobs must be >= 1, got 0"
+        }
+        assert (out / "metrics.json").read_text() == "{}\n"
+
     def test_config_flag_required(self, capsys):
         assert main(["train"]) == 2
         assert "--config" in read_stderr_json(capsys)["message"]
@@ -807,6 +818,17 @@ class TestSweep:
         assert len(rows) == 5
         cells = {(r[0], r[1]) for r in rows[1:]}
         assert ("0.5", "1.0") in cells
+
+    def test_jobs_below_one_refused_before_clearing(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "sweep").mkdir(parents=True)
+        (out / "sweep" / "summary.csv").write_text("zeta\n")
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["sweep", "--config", str(cfg), "--force", "--jobs", "-1"]) == 2
+        assert read_stderr_json(capsys) == {
+            "error": "ConfigError", "message": "--jobs must be >= 1, got -1"
+        }
+        assert (out / "sweep" / "summary.csv").read_text() == "zeta\n"
 
     def test_default_grid_covers_paper_cell(self):
         assert len(DEFAULT_WEIGHT_GRID) == 10

@@ -23,6 +23,7 @@ from dva.portfolio import (
     DEFAULT_GAMMA_GRID,
     WEIGHTS_HEADER,
     BacktestReport,
+    PeriodMoments,
     PeriodResult,
     PredictionFrame,
     _lasso_cd,
@@ -158,6 +159,25 @@ class TestPredictionMoments:
         gross = 1.0 + 1e3 * rng.normal(size=(30, 10))
         m = prediction_moments(gross)
         assert np.linalg.eigvalsh(m.sigma).min() < -1e-10
+
+    def test_psd_tolerance(self):
+        # the check accepts eigenvalues down to -eps, eps = 1e-10 * max(1,
+        # largest variance): -0.5 eps passes and -2 eps fails
+        q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(4, 4)))
+        for scale in (1.0, 50.0):
+            eps = 1e-10 * scale
+            for smallest, ok in ((-0.5 * eps, True), (-2.0 * eps, False)):
+                # the largest variance is exactly scale, on a stock of its own
+                sigma = np.zeros((5, 5))
+                sigma[0, 0] = scale
+                sigma[1:, 1:] = q @ np.diag([0.6, 0.3, 0.1, smallest]) @ q.T
+                sigma = (sigma + sigma.T) / 2.0
+                moments = PeriodMoments(mu=np.zeros(5), sigma=sigma)
+                if ok:
+                    moments.validate()
+                else:
+                    with pytest.raises(ContractError, match="positive semidefinite"):
+                        moments.validate()
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(5)

@@ -69,6 +69,11 @@ def random_batch(cfg, rng, batch=5):
     return make_batch(x, y, cfg.schedule(), n, rng, cfg)
 
 
+def latent_noise(rng, cfg, batch):
+    """The latent noise ``train_runs`` draws for one model's batch."""
+    return _latent_noise(rng, batch, cfg.latent, cfg.model_config().level_lengths())
+
+
 def randomized_params(cfg, seed):
     """Init params, then overwrite with dense random values so every branch
     (including the zero-initialized residual closers) is live."""
@@ -96,7 +101,7 @@ def test_default_training_step_tape_stays_fused():
     batch = random_batch(cfg, rng, batch=cfg.batch_size)
     with Tape() as tape:
         loss_t, _ = total_loss(
-            batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+            batch, params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, len(batch.y))
         )
     assert len(tape) <= 18
     grads = backward(tape, loss_t, params.parameters())
@@ -109,34 +114,42 @@ NOT_OPS = {"Tensor", "Tape", "backward", "as_tensor"}
 
 
 def test_every_primitive_runs_in_training_or_prediction():
-    # Census of the op kinds one default training step and one prediction
-    # record: an exported primitive that neither records is dead code.
+    # Census of the op kinds one default training step records: an exported
+    # primitive that it does not record is dead code. Prediction is never
+    # taped (the tape serves the training step only), so it adds no kind.
     cfg = TrainConfig()
     rng = np.random.default_rng(11)
     params = ModelParams.init(cfg.model_config(), cfg.seed)
     batch = random_batch(cfg, rng, batch=cfg.batch_size)
     with Tape() as tape:
         total_loss(
-            batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+            batch, params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, len(batch.y))
         )
-        predict(params, batch.x_n, cfg)
     kinds = {backfn.__qualname__.split(".")[0] for _, _, backfn in tape.entries}
     assert set(autodiff.__all__) - NOT_OPS <= kinds
     assert not NOT_OPS & kinds
 
 
-def test_every_backward_returns_one_vjp_per_input():
-    # The tape contract on one default step: each entry's backward returns
-    # one array per input, shaped like that input, constants included, and
-    # the pass consumes the tape.
+@pytest.mark.parametrize("runs", [None, 3], ids=["lone", "stack3"])
+def test_every_backward_returns_one_vjp_per_input(runs):
+    # The tape contract on one default step of a lone model and of a stack
+    # of three, the form train_runs steps: each entry's backward returns one
+    # array per input, shaped like that input, constants included, and the
+    # pass consumes the tape. No backward sums a gradient back down to its
+    # input's shape, so this is what checks the shapes.
     cfg = TrainConfig()
     rng = np.random.default_rng(11)
-    params = ModelParams.init(cfg.model_config(), cfg.seed)
-    batch = random_batch(cfg, rng, batch=cfg.batch_size)
+    if runs is None:
+        params = ModelParams.init(cfg.model_config(), cfg.seed)
+        batch = random_batch(cfg, rng, batch=cfg.batch_size)
+        eps = latent_noise(rng, cfg, len(batch.y))
+    else:
+        seeds = range(runs)
+        params = ModelParams.stack([ModelParams.init(cfg.model_config(), s) for s in seeds])
+        batch = TrainBatch.stack([random_batch(cfg, rng, batch=cfg.batch_size) for _ in seeds])
+        eps = [np.stack(g) for g in zip(*(latent_noise(rng, cfg, cfg.batch_size) for _ in seeds))]
     with Tape() as tape:
-        loss_t, _ = total_loss(
-            batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
-        )
+        loss_t, _ = total_loss(batch, params, cfg.schedule(), cfg, eps=eps)
     checked = 0
 
     def checking(backfn, inputs):
@@ -173,7 +186,7 @@ def test_stacked_step_matches_the_tensor_level_graph(kw):
             t.data[...] += 0.05 * rng.standard_normal(t.data.shape)
     params = ModelParams.stack(models)
     batch = TrainBatch.stack([random_batch(cfg, rng, batch=cfg.batch_size) for _ in models])
-    eps = [np.stack(g) for g in zip(*(_latent_noise(rng, cfg, cfg.batch_size) for _ in models))]
+    eps = [np.stack(g) for g in zip(*(latent_noise(rng, cfg, cfg.batch_size) for _ in models))]
     results = []
     for loss_fn in (lambda: total_loss(batch, params, cfg.schedule(), cfg, eps=eps)[0],
                     lambda: reference_graph.total_loss(batch, params, cfg.schedule(), cfg, eps=eps)):
@@ -213,7 +226,7 @@ class TestLossIdentity:
         for _ in range(5):
             batch = random_batch(cfg, rng)
             loss_t, (comps,) = total_loss(
-                batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+                batch, params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, len(batch.y))
             )
             assert loss_t.item() == comps.total
             assert comps.total == loss_from_components(
@@ -227,7 +240,7 @@ class TestLossIdentity:
         params = randomized_params(cfg, 3)
         batch = random_batch(cfg, rng)
         loss_t, (comps,) = total_loss(
-            batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+            batch, params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, len(batch.y))
         )
         assert loss_t.item() == comps.mse
 
@@ -239,7 +252,7 @@ class TestLossIdentity:
         rng = np.random.default_rng(5)
         params = randomized_params(cfg, 5)
         _, (comps,) = total_loss(
-            random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, 5)
+            random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, 5)
         )
         assert comps.kl == 0.0 and comps.dsm == 0.0
 
@@ -250,7 +263,7 @@ class TestLossIdentity:
         rng = np.random.default_rng(6)
         params = randomized_params(cfg, 6)
         _, (comps,) = total_loss(
-            random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, 5)
+            random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, 5)
         )
         assert comps.kl_output == 0.0 and comps.kl == 0.0
 
@@ -261,7 +274,7 @@ class TestLossIdentity:
         params.tensors["out.proj.w"].data[0, 0] = np.nan
         with pytest.raises(TrainingAbort) as err:
             total_loss(
-                random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, 5)
+                random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, 5)
             )
         assert err.value.epoch == -1 and err.value.batch == -1
         assert err.value.component == "mse"
@@ -325,7 +338,7 @@ class TestDsmBlocking:
         batch = random_batch(cfg, rng)
         with Tape() as tape:
             loss_t, _ = total_loss(
-                batch, params, cfg.schedule(), cfg, eps=_latent_noise(rng, cfg, len(batch.y))
+                batch, params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, len(batch.y))
             )
         gmap = backward(tape, loss_t, params.parameters())
         for i in (1, 2, 3):
