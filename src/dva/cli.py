@@ -61,6 +61,7 @@ from .evaluation import (
     StockRunResult,
     aggregate,
     mse,
+    prediction_path,
     report_as_dict,
     uncertainty_improvement,
     write_predictions,
@@ -240,7 +241,8 @@ def cmd_train(args) -> int:
     cfg = _train_config(rc, args)
     out = _resolve_out(args.out, rc.out_dir)
     tickers = load_tickers(rc.tickers_file)
-    targets = [out / "metrics.json", out / "checkpoints", out / "predictions"]
+    names = ("metrics.json", "checkpoints", "predictions", "predictions_val")
+    targets = [out / name for name in names]
     _refuse_overwrite(targets, args.force)
     _clear(targets)  # a stale partial tree must not leak into this run
     out.mkdir(parents=True, exist_ok=True)
@@ -272,11 +274,12 @@ def cmd_predict(args) -> int:
     out = _resolve_out(args.out, rc.out_dir)
     tickers = load_tickers(rc.tickers_file)
 
-    targets = []
-    for ticker in tickers:
-        for run in range(rc.runs):
-            targets.append(out / "predictions" / f"{ticker}_run{run}.csv")
-            targets.append(out / "predictions_val" / f"{ticker}_run{run}.csv")
+    targets = [
+        prediction_path(out / sub, ticker, run)
+        for ticker in tickers
+        for run in range(rc.runs)
+        for sub in ("predictions", "predictions_val")
+    ]
     _refuse_overwrite(targets, args.force)
     (out / "predictions").mkdir(parents=True, exist_ok=True)
     (out / "predictions_val").mkdir(parents=True, exist_ok=True)
@@ -292,9 +295,7 @@ def cmd_predict(args) -> int:
                 (split.validation, "predictions_val"),
             ):
                 y_hat = predict(params, windows.x, cfg)
-                write_predictions(
-                    out / sub / f"{ticker}_run{run}.csv", windows, y_hat
-                )
+                write_predictions(prediction_path(out / sub, ticker, run), windows, y_hat)
     _write_sidecar(out, "predict", started)
     _emit(
         {
@@ -403,7 +404,7 @@ def cmd_portfolio(args) -> int:
     out = _resolve_out(args.out, rc.out_dir)
     targets = [out / "portfolio.json", out / "weights"]
     _refuse_overwrite(targets, args.force)
-    _clear([out / "weights"])
+    _clear(targets)  # a failed rerun must not leave the old report behind
 
     frames = load_prediction_frames(out / "predictions")
     lam = rc.portfolio.effective_lambda()

@@ -17,6 +17,7 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import repeat
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,11 +37,14 @@ __all__ = [
     "persistence_baseline",
     "uncertainty_improvement",
     "write_uncertainty_csv",
+    "PREDICTION_NAME",
+    "prediction_path",
     "write_predictions",
     "load_predictions",
 ]
 
 PREDICTION_HEADER = ["anchor_date", "step", "y_hat", "y_true"]
+PREDICTION_NAME = re.compile(r"^(?P<stock>.+)_run(?P<run>\d+)\.csv$")
 Columns = tuple[list[float], list[float], list[dt.date], list[int]]  # y_hat, y_true, dates, steps
 UNCERTAINTY_HEADER = ["stock", "sd_before", "pct_mse_change"]
 
@@ -203,6 +207,12 @@ def write_uncertainty_csv(path, rows: Sequence[UncertaintyRow]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def prediction_path(directory, stock: str, run: int) -> Path:
+    """The prediction file of run ``run`` of ``stock`` in ``directory``,
+    ``<stock>_run<run>.csv``: the one name ``PREDICTION_NAME`` matches."""
+    return Path(directory) / f"{stock}_run{run}.csv"
+
+
 def write_predictions(path, windows: Windows | Sequence[WindowPair], y_hat: np.ndarray) -> None:
     """One row per (window, horizon step), written once; ``windows`` is a
     ``Windows`` or a sequence of ``WindowPair``."""
@@ -317,5 +327,3 @@ def load_predictions(path) -> tuple[np.ndarray, np.ndarray, list[dt.date], list[
     _check_steps(where, steps, dates)
     return np.array(y_hat), np.array(y_true), dates, steps
 
-
-_PREDICTION_NAME = re.compile(r"^(?P<stock>.+)_run(?P<run>\d+)\.csv$")

@@ -6,13 +6,19 @@ dparams...)`` over plain arrays, one gradient per array input (None for an
 absent bias). ``saved`` holds what the backward reads, and is None when
 ``save`` is False: then nothing is kept, and a forward may overwrite the
 buffers it allocated (``se_gate`` also overwrites x, which its caller must
-own).
+own). Three pairs return their output alone: the pointwise ``conv1d``,
+whose backward takes the operands again, and ``downsample2`` and
+``upsample2``, whose backward takes the input's length.
 
-The residual cell (``dva.model``) chains the pairs, with swish
-(``_swish_fwd``/``_swish_bwd``) between them, into a single tape entry, and
-runs the backward kernels in reverse. Activations are channel-major (...,
-c, batch, t); the only mutable state is the running mean/variance buffer
-carried by batch norm.
+The blocks of ``dva.model`` chain the pairs into single tape entries (the
+residual cell: batch norm, swish, separable convolution, twice, then the
+squeeze-and-excitation gate) and run the backward kernels in reverse.
+Activations are channel-major (..., c, batch, t), so a per-channel
+operation sees one contiguous ``batch*t`` row per channel; the only
+mutable state is the running mean/variance buffer carried by batch norm.
+Leading axes in front of the usual shapes broadcast through ``np.matmul``:
+a kernel ``(R, c_out, c_in, 1)`` applied to ``(R, c_in, n)`` runs R
+independent convolutions in one call.
 
 A backward kernel serves the step the tape records (``dva.autodiff``): a
 training-mode forward whose x carries the model axes of the parameters, so
@@ -26,14 +32,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# conv1d: perfbench/tracing.py wraps dva.layers.conv1d
-from .autodiff import _sigmoid, conv1d  # noqa: F401
 from .errors import ContractError
 
 __all__ = [
     "BN_MOMENTUM",
     "BN_EPS",
     "BatchNormState",
+    "sigmoid",
+    "swish",
+    "swish_bwd",
+    "swish_prime",
+    "swish_second",
+    "conv1d",
+    "conv1d_bwd",
+    "downsample2",
+    "downsample2_bwd",
+    "upsample2",
+    "upsample2_bwd",
     "batch_norm",
     "batch_norm_bwd",
     "depthwise_conv1d",
@@ -56,6 +71,134 @@ class BatchNormState:
 
     mean: np.ndarray
     var: np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# Nonlinearities
+# ---------------------------------------------------------------------------
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in one new buffer. exp overflows to inf below
+    x = -709, where the result is then exactly 0, so the overflow is not
+    reported."""
+    s = np.negative(x, out=np.empty(x.shape))
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return s
+
+
+def swish(x: np.ndarray, save: bool, out: np.ndarray | None = None):
+    """swish(x) = x * sigmoid(x), written into ``out`` (which may be x
+    itself), and what ``swish_bwd`` reads: (output, sigmoid) when ``save``,
+    else None."""
+    s = sigmoid(x)
+    a = np.multiply(x, s, out=out)
+    return a, ((a, s) if save else None)
+
+
+def swish_prime(saved) -> np.ndarray:
+    """swish'(x) = s + x s (1 - s) = s + a (1 - s), from the saved output a
+    and sigmoid s, in one new buffer."""
+    a, s = saved
+    d = 1.0 - s
+    d *= a
+    d += s
+    return d
+
+
+def swish_bwd(saved, g: np.ndarray) -> np.ndarray:
+    """g * swish'(x), in one new buffer."""
+    d = swish_prime(saved)
+    d *= g
+    return d
+
+
+def swish_second(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """swish''(x) = s (1 - s) (2 + x (1 - 2 s)), from x and s = sigmoid(x)."""
+    return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
+
+
+# ---------------------------------------------------------------------------
+# Pointwise convolution
+# ---------------------------------------------------------------------------
+
+
+def conv1d(xs: tuple[np.ndarray, ...], w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """A 1x1 convolution by w (..., c_out, c_in, 1), plus b (..., c_out)
+    when given, of the channel concatenation of the flat channel-major
+    inputs xs, each (..., c_k, n), without forming it: one matmul per input,
+    summed into one new buffer."""
+    w, start, y = w[..., 0], 0, None
+    for x in xs:
+        part = np.matmul(w[..., start : start + x.shape[-2]], x)
+        y = part if y is None else np.add(y, part, out=y)
+        start += x.shape[-2]
+    if b is not None:
+        y += b[..., None]
+    return y
+
+
+def conv1d_bwd(xs: tuple[np.ndarray, ...], w: np.ndarray, g: np.ndarray):
+    """([dx for x in xs], dw, db) of ``conv1d`` for the cotangent g
+    (..., c_out, n)."""
+    w, start, dxs = w[..., 0], 0, []
+    dw = np.empty(g.shape[:-2] + w.shape[-2:] + (1,))
+    for x in xs:
+        stop = start + x.shape[-2]
+        dxs.append(np.matmul(w[..., start:stop].swapaxes(-1, -2), g))
+        np.matmul(g, x.swapaxes(-1, -2), out=dw[..., start:stop, 0])
+        start = stop
+    return dxs, dw, g.sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Time resolution: pooling and stretching by two
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=8)
+def _stretch_index(length: int) -> np.ndarray:
+    """The source step of each of ``length`` steps: j // 2."""
+    idx = np.arange(length) // 2
+    idx.setflags(write=False)
+    return idx
+
+
+def upsample2(x: np.ndarray, length: int) -> np.ndarray:
+    """x (..., t) stretched to ``length`` steps, 2t - 1 or 2t, by repeating
+    each step: output[j] = x[j // 2]."""
+    return x[..., _stretch_index(length)]
+
+
+def upsample2_bwd(g: np.ndarray, t: int) -> np.ndarray:
+    """dx of ``upsample2`` for x of t steps: each source step sums its one
+    or two copies, by strided adds (a sum over a length-2 axis would run an
+    inner loop of two steps per pair)."""
+    pairs = g.shape[-1] // 2
+    dx = np.empty(g.shape[:-1] + (t,))
+    np.add(g[..., 0 : 2 * pairs : 2], g[..., 1 : 2 * pairs : 2], out=dx[..., :pairs])
+    if t > pairs:
+        dx[..., -1] = g[..., -1]
+    return dx
+
+
+def downsample2(x: np.ndarray) -> np.ndarray:
+    """Halve the time axis of x (..., t) by averaging adjacent pairs; an odd
+    tail passes through. It is ``upsample2``'s adjoint with each pair's sum
+    halved; (a + b) * 0.5 equals (a + b) / 2 exactly."""
+    y = upsample2_bwd(x, (x.shape[-1] + 1) // 2)
+    y[..., : x.shape[-1] // 2] *= 0.5
+    return y
+
+
+def downsample2_bwd(g: np.ndarray, t: int) -> np.ndarray:
+    """dx of ``downsample2`` over x of t steps for the cotangent g."""
+    dx = upsample2(g, t)
+    dx[..., : t - t % 2] *= 0.5
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +355,7 @@ def se_gate(x, w1, b1, w2, b2, save: bool):
     np.maximum(h, 0.0, out=h)
     z = np.matmul(w2, h)
     z += b2[..., None]
-    gate = _sigmoid(z)
+    gate = sigmoid(z)
     y = np.multiply(x, gate[..., None], out=None if save else x)
     saved = (x, m, h, gate, w1, w2) if save else None
     return y, saved

@@ -16,17 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    _record,
-    _swish_bwd,
-    _swish_fwd,
-    _swish_prime,
-    _swish_second,
-    _taping,
-)
+from .autodiff import Tensor, record, taping
 from .diffusion import DiffusionSchedule
 from .errors import ContractError
+from .layers import swish, swish_bwd, swish_prime, swish_second
 from .model import ModelParams
 
 __all__ = ["mse_loss", "output_kl", "dsm_loss", "denoise_jump"]
@@ -46,14 +39,14 @@ def mse_loss(y_hat: Tensor, y: np.ndarray) -> Tensor:
     d = y_hat.data - _target(y, y_hat)
     count = d.shape[-2] * d.shape[-1]
     out = Tensor((d * d).sum(axis=(-2, -1)) / count)
-    if not _taping():
+    if not taping():
         return out
 
     def back(g):
         gd = (g / count)[..., None, None] * d
         return (gd + gd,)
 
-    return _record(out, (y_hat,), back)
+    return record(out, (y_hat,), back)
 
 
 def _per_model(value_at, n) -> np.ndarray:
@@ -83,14 +76,14 @@ def output_kl(
     w = (0.5 / var_p)[..., None]
     nb = diff.shape[-2]
     out = Tensor((w * (diff * diff).sum(axis=-1)).sum(axis=-1) / nb + const)
-    if not _taping():
+    if not taping():
         return out
 
     def back(g):
         gd = ((g[..., None] / nb) * w)[..., None] * diff
         return (gd + gd,)
 
-    return _record(out, (y_hat,), back)
+    return record(out, (y_hat,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +108,13 @@ def _grad_energy(params: ModelParams, y: np.ndarray, save: bool):
     q, c, w1, b1, w2, b2, w3 = (params[k].data for k in _ENERGY_TENSORS)
     a1 = np.matmul(y, w1.swapaxes(-1, -2))
     a1 += b1[..., None, :]
-    h1, sw1 = _swish_fwd(a1, True)
+    h1, sw1 = swish(a1, True)
     a2 = np.matmul(h1, w2.swapaxes(-1, -2))
     a2 += b2[..., None, :]
-    _, sw2 = _swish_fwd(a2, True)
-    sp2 = _swish_prime(sw2)
+    _, sw2 = swish(a2, True)
+    sp2 = swish_prime(sw2)
     g2 = sp2 * w3  # w3 (..., 1, hidden) spans the batch
-    sp1 = _swish_prime(sw1)
+    sp1 = swish_prime(sw1)
     m = np.matmul(g2, w2)
     g1 = sp1 * m
     dc = y - c[..., None, :]
@@ -142,14 +135,14 @@ def _grad_energy_bwd(saved, u: np.ndarray, need_y: bool):
     d_w1 = np.matmul(g1.swapaxes(-1, -2), u)
     dm = dg1 * sp1
     da1 = dg1 * m
-    da1 *= _swish_second(a1, sw1[1])
+    da1 *= swish_second(a1, sw1[1])
     dg2 = np.matmul(dm, w2.swapaxes(-1, -2))
     d_w2 = np.matmul(g2.swapaxes(-1, -2), dm)
     d_w3 = np.sum(dg2 * sp2, axis=-2, keepdims=True)
     da2 = dg2 * w3
-    da2 *= _swish_second(a2, sw2[1])
+    da2 *= swish_second(a2, sw2[1])
     d_w2 += np.matmul(da2.swapaxes(-1, -2), sw1[0])
-    da1 += _swish_bwd(sw1, np.matmul(da2, w2))
+    da1 += swish_bwd(sw1, np.matmul(da2, w2))
     d_w1 += np.matmul(da1.swapaxes(-1, -2), y)
     d_y = u * q4 + np.matmul(da1, w1) if need_y else None
     return d_y, d_q, d_c, d_w1, da1.sum(axis=-2), d_w2, da2.sum(axis=-2), d_w3
@@ -174,7 +167,7 @@ def dsm_loss(
     """
     target = _target(y, y_hat_n)
     sigma = _per_model(schedule.sigma_at, n)
-    save = _taping()
+    save = taping()
     grad, saved = _grad_energy(params, y_hat_n.data, save)
     resid = (target - y_hat_n.data) + grad
     nb = resid.shape[-2]
@@ -193,7 +186,7 @@ def dsm_loss(
             d_y -= u
         return (d_y, *d_energy)
 
-    return _record(out, inputs, back)
+    return record(out, inputs, back)
 
 
 def denoise_jump(params: ModelParams, y_hat: Tensor) -> Tensor:

@@ -13,11 +13,13 @@ whose input gradient is written out in closed form
 (``dva.losses._grad_energy``), so training it through grad_E needs only
 swish's second derivative, never second-order autodiff.
 
-Each block is one taped op, a forward and a backward over plain arrays in
-the pattern of the residual cell (``_cell``): with no tape recording, the
-forward keeps nothing. The ops here are the cell, the decoder's start, a
-latent group (two outputs: the next decoder state and the group's KL) and
-the output head; the losses and the energy head's kernels are in
+Each block is one taped op, a forward and a backward over plain arrays
+that chain the kernel pairs of ``dva.layers``, in the pattern of the
+residual cell (``_cell``): with no tape recording, the forward keeps
+nothing. The blocks here are the stem, the two poolings, the cell, the
+decoder's start, a latent group (two outputs: the next decoder state and
+the group's KL) and the output head; every pointwise convolution among them
+is a call of ``conv1d``. The losses and the energy head's kernels are in
 ``dva.losses``.
 
 Generator activations are channel-major, (channels, batch, time): ``encode``
@@ -47,26 +49,24 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_open, read_npz
-from .autodiff import (
-    Tensor,
-    _pointwise,
-    _pointwise_bwd,
-    _record,
-    _swish_bwd,
-    _swish_fwd,
-    _taping,
-    conv1d,
-    downsample2,
-)
+from .autodiff import Tensor, record, taping
 from .errors import ConfigError, ContractError, DataError
 from .layers import (
     BatchNormState,
     batch_norm,
     batch_norm_bwd,
+    conv1d,
+    conv1d_bwd,
+    downsample2,
+    downsample2_bwd,
     se_gate,
     se_gate_bwd,
     separable_conv1d,
     separable_conv1d_bwd,
+    swish,
+    swish_bwd,
+    upsample2,
+    upsample2_bwd,
 )
 
 __all__ = [
@@ -436,12 +436,12 @@ def _cell(params: ModelParams, prefix: str, x: Tensor, training: bool) -> Tensor
     t = params.tensors
     inputs = (x,) + tuple(t[k] for k in names)
     g1, b1, d1, p1, g2, b2, d2, p2, pb2, w1, sb1, w2, sb2 = (v.data for v in inputs[1:])
-    save = _taping()
+    save = taping()
     h, bn1 = batch_norm(x.data, g1, b1, params.bn_states[f"{prefix}.bn1"], training, save)
-    h, sw1 = _swish_fwd(h, save, out=h)
+    h, sw1 = swish(h, save, out=h)
     h, sep1 = separable_conv1d(h, d1, p1, None, save)
     h, bn2 = batch_norm(h, g2, b2, params.bn_states[f"{prefix}.bn2"], training, save)
-    h, sw2 = _swish_fwd(h, save, out=h)
+    h, sw2 = swish(h, save, out=h)
     h, sep2 = separable_conv1d(h, d2, p2, pb2, save)
     h, se = se_gate(h, w1, sb1, w2, sb2, save)
     h += x.data
@@ -452,22 +452,45 @@ def _cell(params: ModelParams, prefix: str, x: Tensor, training: bool) -> Tensor
     def back(g):
         dh, d_w1, d_sb1, d_w2, d_sb2 = se_gate_bwd(se, g)
         dh, d_d2, d_p2, d_pb2 = separable_conv1d_bwd(sep2, dh)
-        dh, d_g2, d_b2 = batch_norm_bwd(bn2, _swish_bwd(sw2, dh))
+        dh, d_g2, d_b2 = batch_norm_bwd(bn2, swish_bwd(sw2, dh))
         dh, d_d1, d_p1, _ = separable_conv1d_bwd(sep1, dh)
-        dx, d_g1, d_b1 = batch_norm_bwd(bn1, _swish_bwd(sw1, dh))
+        dx, d_g1, d_b1 = batch_norm_bwd(bn1, swish_bwd(sw1, dh))
         dx += g
         return (dx, d_g1, d_b1, d_d1, d_p1, d_g2, d_b2, d_d2, d_p2, d_pb2,
                 d_w1, d_sb1, d_w2, d_sb2)
 
-    return _record(out, inputs, back)
+    return record(out, inputs, back)
 
 
+def _stem(params: ModelParams, x: Tensor) -> Tensor:
+    """The stem, ``stem.w`` and ``stem.b``, a 1x1 convolution of x (...,
+    batch, in_channels, t) to the channel-major (..., channels, batch, t),
+    as one taped op. While a tape records, x must carry the parameters'
+    model axes: a shared x would get its gradient with theirs."""
+    w, b = params["stem.w"], params["stem.b"]
+    lead, (nb, c, nt) = x.data.shape[:-3], x.data.shape[-3:]
+    if taping() and lead != w.data.shape[:-3]:
+        raise ContractError("a taped stem needs x with the parameters' model axes")
+    cols = np.swapaxes(x.data, -3, -2).reshape(lead + (c, nb * nt))
+    y = conv1d((cols,), w.data, b.data)
+    out = Tensor(y.reshape(y.shape[:-1] + (nb, nt)))
+
+    def back(g):
+        (dcols,), dw, db = conv1d_bwd((cols,), w.data, g.reshape(g.shape[:-2] + (nb * nt,)))
+        return np.swapaxes(dcols.reshape(lead + (c, nb, nt)), -3, -2), dw, db
+
+    return record(out, (x, w, b), back)
+
+
+def _pool(x: Tensor) -> Tensor:
+    """``downsample2`` of x (..., c, batch, t) as one taped op."""
+    t = x.data.shape[-1]
+    return record(Tensor(downsample2(x.data)), (x,), lambda g: (downsample2_bwd(g, t),))
 
 
 def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tensor]:
     """Feature maps at the three resolutions, finest first: x (..., batch,
-    in_channels, t_in) in, channel-major (..., channels, batch, t) out. The
-    input is a constant: the stem convolves its channel-major view."""
+    in_channels, t_in) in, channel-major (..., channels, batch, t) out."""
     cfg = params.config
     if x.data.ndim < 3 or x.data.shape[-2] != cfg.in_channels:
         raise ContractError(
@@ -475,11 +498,9 @@ def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tenso
         )
     if x.data.shape[-1] != cfg.t_in:
         raise ContractError(f"time length {x.data.shape[-1]} != configured {cfg.t_in}")
-    stem_in = Tensor(np.swapaxes(x.data, -3, -2))
-    h = conv1d(stem_in, params["stem.w"], params["stem.b"])
-    e1 = _cell(params, "enc1", h, training)
-    e2 = _cell(params, "enc2", downsample2(e1), training)
-    e3 = _cell(params, "enc3", downsample2(e2), training)
+    e1 = _cell(params, "enc1", _stem(params, x), training)
+    e2 = _cell(params, "enc2", _pool(e1), training)
+    e3 = _cell(params, "enc3", _pool(e2), training)
     return [e1, e2, e3]
 
 
@@ -495,7 +516,7 @@ def _decoder_start(h: Tensor, batch: int) -> Tensor:
     lead, (c, t) = h.data.shape[:-3], h.data.shape[-2:]
     s = np.empty(lead + (c, batch, t))
     s[...] = h.data.reshape(lead + (c, 1, t))
-    return _record(Tensor(s), (h,), lambda g: (g.sum(axis=-2).reshape(h.data.shape),))
+    return record(Tensor(s), (h,), lambda g: (g.sum(axis=-2).reshape(h.data.shape),))
 
 
 # A group's tensors in the order of its tape entry's inputs after the
@@ -521,25 +542,6 @@ def _clamp(x: np.ndarray) -> np.ndarray:
     return y
 
 
-@functools.lru_cache(maxsize=8)
-def _stretch_index(length: int) -> np.ndarray:
-    """The source step of each of ``length`` steps: j // 2."""
-    idx = np.arange(length) // 2
-    idx.setflags(write=False)
-    return idx
-
-
-def _stretch_bwd(g: np.ndarray, t: int) -> np.ndarray:
-    """The VJP of x[..., arange(length) // 2] for x of t = ceil(length / 2)
-    steps: each source step sums its one or two copies."""
-    pairs = g.shape[-1] // 2
-    dx = np.empty(g.shape[:-1] + (t,))
-    np.add(g[..., 0 : 2 * pairs : 2], g[..., 1 : 2 * pairs : 2], out=dx[..., :pairs])
-    if t > pairs:
-        dx[..., -1] = g[..., -1]
-    return dx
-
-
 def _latent_group(
     params: ModelParams,
     i: int,
@@ -550,8 +552,8 @@ def _latent_group(
 ):
     """Latent group i over the decoder state s and the encoder feature enc,
     both (..., c, batch, t), as one taped op. The merge convolution reads
-    [s, z], and its output is stretched to ``length`` steps (output[j] =
-    merged[j // 2]) when given.
+    [s, z], and its output is stretched to ``length`` steps (``upsample2``)
+    when given.
 
     With ``noise`` (standard normal, channel-major (..., latent, batch, t),
     a constant) z is the reparameterised sample mu + exp(lv / 2) * noise of
@@ -560,22 +562,24 @@ def _latent_group(
     and KL(q || p) summed over latent and time and averaged over the batch,
     one value per model. It returns (state, kl). Without noise z is the
     posterior mean, only it and the merge are computed, and it returns
-    (state, None)."""
+    (state, None); that decode is never taped, and a tape recording it is a
+    ContractError."""
     names = _GROUP_TENSORS[i]
     sampled = noise is not None
-    inputs = (s, enc) + tuple(params[k] for k in (names if sampled else names[:4]))
-    mu_w, mu_b, m_w, m_b = (v.data for v in inputs[2:6])
+    if not sampled and taping():
+        raise ContractError("a taped latent group needs noise: only the sampled decode is taped")
+    mu_w, mu_b, m_w, m_b = (params[k].data for k in names[:4])
     c, nb, nt = s.data.shape[-3:]
     s2 = s.data.reshape(s.data.shape[:-3] + (c, nb * nt))
     post = (s2, enc.data.reshape(enc.data.shape[:-3] + (c, nb * nt)))  # [s, enc]
-    mu = _pointwise(mu_w, post, mu_b)
+    mu = conv1d(post, mu_w, mu_b)
     kl = None
     if sampled:
-        lv_w, lv_b, pm_w, pm_b, pl_w, pl_b = (v.data for v in inputs[6:])
-        lv_raw = _pointwise(lv_w, post, lv_b)
+        lv_w, lv_b, pm_w, pm_b, pl_w, pl_b = (params[k].data for k in names[4:])
+        lv_raw = conv1d(post, lv_w, lv_b)
         lv = _clamp(lv_raw)
-        p_mu = _pointwise(pm_w, (s2,), pm_b)
-        p_lv_raw = _pointwise(pl_w, (s2,), pl_b)
+        p_mu = conv1d((s2,), pm_w, pm_b)
+        p_lv_raw = conv1d((s2,), pl_w, pl_b)
         p_lv = _clamp(p_lv_raw)
         q_open, p_open = lv == lv_raw, p_lv == p_lv_raw  # where the clip passes gradient
         # KL(q || p) per coordinate for diagonal Gaussians:
@@ -592,50 +596,46 @@ def _latent_group(
         z = mu + std * eps
     else:
         z = mu
-    merged = _pointwise(m_w, (s2, z), m_b)
+    merged = conv1d((s2, z), m_w, m_b)
     merged = merged.reshape(merged.shape[:-1] + (nb, nt))
     if length is not None:
-        merged = merged[..., _stretch_index(length)]
+        merged = upsample2(merged, length)
     out = Tensor(merged)
-    if not _taping():
+    if not taping():
         return out, kl
 
     def back(g):
-        g_s, g_kl = g if sampled else (g, None)
+        g_s, g_kl = g
         if length is not None:
-            g_s = _stretch_bwd(g_s, nt)
-        (ds, dmu), d_mw, d_mb = _pointwise_bwd(m_w, (s2, z), g_s.reshape(g_s.shape[:-2] + (nb * nt,)))
-        if sampled:
-            dlv = dmu * eps
-            dlv *= std
-            dlv *= 0.5
-            gk = (g_kl / nb)[..., None, None]  # the batch mean, spread over latent and time
-            d_mean = gk * diff * inv_p
-            dmu += d_mean
-            dlv += 0.5 * gk * (ratio - 1.0)
-            dlv *= q_open
-            d_plv = 0.5 * gk * (1.0 - ratio - sq)
-            d_plv *= p_open
-            (ds_plv,), d_plw, d_plb = _pointwise_bwd(pl_w, (s2,), d_plv)
-            (ds_pmu,), d_pmw, d_pmb = _pointwise_bwd(pm_w, (s2,), -d_mean)
-            (ds_lv, d_enc_lv), d_lvw, d_lvb = _pointwise_bwd(lv_w, post, dlv)
-            ds += ds_plv
-            ds += ds_pmu
-            ds += ds_lv
-        (ds_mu, d_enc), d_muw, d_mub = _pointwise_bwd(mu_w, post, dmu)
+            g_s = upsample2_bwd(g_s, nt)
+        (ds, dmu), d_mw, d_mb = conv1d_bwd((s2, z), m_w, g_s.reshape(g_s.shape[:-2] + (nb * nt,)))
+        dlv = dmu * eps
+        dlv *= std
+        dlv *= 0.5
+        gk = (g_kl / nb)[..., None, None]  # the batch mean, spread over latent and time
+        d_mean = gk * diff * inv_p
+        dmu += d_mean
+        dlv += 0.5 * gk * (ratio - 1.0)
+        dlv *= q_open
+        d_plv = 0.5 * gk * (1.0 - ratio - sq)
+        d_plv *= p_open
+        (ds_plv,), d_plw, d_plb = conv1d_bwd((s2,), pl_w, d_plv)
+        (ds_pmu,), d_pmw, d_pmb = conv1d_bwd((s2,), pm_w, -d_mean)
+        (ds_lv, d_enc_lv), d_lvw, d_lvb = conv1d_bwd(post, lv_w, dlv)
+        (ds_mu, d_enc), d_muw, d_mub = conv1d_bwd(post, mu_w, dmu)
+        ds += ds_plv
+        ds += ds_pmu
+        ds += ds_lv
         ds += ds_mu
-        if sampled:
-            d_enc += d_enc_lv
-        grads = (
+        d_enc += d_enc_lv
+        return (
             ds.reshape(ds.shape[:-1] + (nb, nt)),
             d_enc.reshape(d_enc.shape[:-1] + (nb, nt)),
-            d_muw, d_mub, d_mw, d_mb,
+            d_muw, d_mub, d_mw, d_mb, d_lvw, d_lvb, d_pmw, d_pmb, d_plw, d_plb,
         )
-        if sampled:
-            grads += (d_lvw, d_lvb, d_pmw, d_pmb, d_plw, d_plb)
-        return grads
 
-    _record((out, kl) if sampled else out, inputs, back)
+    inputs = (s, enc) + tuple(params[k] for k in names)
+    record((out, kl), inputs, back)
     return out, kl
 
 
@@ -650,17 +650,17 @@ def _output_head(params: ModelParams, s: Tensor) -> Tensor:
     cw, cb, pw, pb = (v.data for v in inputs[1:])
     c, nb, nt = s.data.shape[-3:]
     cols = s.data.reshape(s.data.shape[:-3] + (c, nb * nt))
-    o = _pointwise(cw, (cols,), cb)  # (..., 1, batch * t_in)
+    o = conv1d((cols,), cw, cb)  # (..., 1, batch * t_in)
     flat = o.reshape(o.shape[:-2] + (nb, nt))
     y = np.matmul(flat, pw.swapaxes(-1, -2))
     y += pb[..., None, :]
     out = Tensor(y)
-    if not _taping():
+    if not taping():
         return out
 
     def back(g):
         d_flat = np.matmul(g, pw)
-        (d_cols,), d_cw, d_cb = _pointwise_bwd(cw, (cols,), d_flat.reshape(d_flat.shape[:-2] + (1, nb * nt)))
+        (d_cols,), d_cw, d_cb = conv1d_bwd((cols,), cw, d_flat.reshape(d_flat.shape[:-2] + (1, nb * nt)))
         return (
             d_cols.reshape(d_cols.shape[:-1] + (nb, nt)),
             d_cw,
@@ -669,7 +669,7 @@ def _output_head(params: ModelParams, s: Tensor) -> Tensor:
             g.sum(axis=-2),
         )
 
-    return _record(out, inputs, back)
+    return record(out, inputs, back)
 
 
 def generate(

@@ -27,7 +27,7 @@ from .errors import (
     DataError,
     DegenerateReturnsError,
 )
-from .evaluation import _PREDICTION_NAME, load_predictions
+from .evaluation import PREDICTION_NAME, load_predictions
 
 __all__ = [
     "PeriodMoments",
@@ -173,8 +173,10 @@ def graphical_lasso(sigma, lam: float) -> Precision:
     Block coordinate descent over rows/columns of the working covariance,
     with an ℓ₁ inner solve per column (the penalty touches off-diagonals
     only, so λ=0 reduces exactly to the matrix inverse). A small absolute
-    diagonal jitter, ``GLASSO_JITTER``, makes rank-deficient sample
-    covariances (more stocks than horizon days) workable. The sweeps stop
+    diagonal jitter, ``GLASSO_JITTER``, keeps rank-deficient sample
+    covariances (more stocks than horizon days) positive definite, but a
+    small λ still fails on them: with 6 stocks and t_out = 4, λ = 0 and
+    1e-6 end in a ConvergenceError of the column solve. The sweeps stop
     once the working covariance moves by less than ``GLASSO_TOL`` times the
     mean diagonal variance, so the stop is the same at every return scale,
     and error after ``GLASSO_MAX_SWEEPS``.
@@ -408,7 +410,7 @@ def load_prediction_frames(pred_dir) -> list[PredictionFrame]:
         raise DataError(f"missing artifact: no prediction directory {p}")
     frames = []
     for f in sorted(p.iterdir()):
-        m = _PREDICTION_NAME.match(f.name)
+        m = PREDICTION_NAME.match(f.name)
         if m is None:
             continue
         y_hat, y_true, dates, steps = load_predictions(f)

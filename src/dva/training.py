@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, _record, as_tensor, backward
+from .autodiff import Tape, Tensor, backward, record
 from .data import FEATURE_DIM, DatasetSplit, build_dataset, load_ohlcv, price_file
 from .diffusion import (
     DiffusionSchedule,
@@ -42,7 +42,13 @@ from .diffusion import (
     sample_step,
 )
 from .errors import ConfigError, ContractError, DvaError, TrainingAbort
-from .evaluation import StockRunResult, aggregate, report_as_dict, write_predictions
+from .evaluation import (
+    StockRunResult,
+    aggregate,
+    prediction_path,
+    report_as_dict,
+    write_predictions,
+)
 from .losses import denoise_jump, dsm_loss, mse_loss, output_kl
 from .model import ModelConfig, ModelParams, encode, generate, save_params
 from .optim import Adam
@@ -225,7 +231,7 @@ def _weighted_sum(
     def back(g):
         return tuple(np.full(t.data.shape, w * g) for t, w in zip(inputs, weights))
 
-    return _record(Tensor(total.sum()), inputs, back)
+    return record(Tensor(total.sum()), inputs, back)
 
 
 def total_loss(
@@ -247,7 +253,7 @@ def total_loss(
     component raises TrainingAbort naming the model, with epoch/batch set
     to -1; the training loop re-raises with the real location.
     """
-    stack = encode(params, as_tensor(batch.x_n), training=True)
+    stack = encode(params, Tensor(batch.x_n), training=True)
     out = generate(params, stack, eps=eps, training=True)
 
     m_t = mse_loss(out.y_hat, batch.y if cfg.mse_against_clean else batch.y_n)
@@ -337,7 +343,7 @@ def refresh_norm_stats(params: ModelParams, x_train: np.ndarray, cfg: TrainConfi
         xb = x_train[i : i + cfg.batch_size]
         if len(xb) < 2:
             continue  # single-row batch statistics are meaningless
-        generate(params, encode(params, as_tensor(xb), training=True), training=True)
+        generate(params, encode(params, Tensor(xb), training=True), training=True)
 
 
 def _latent_noise(
@@ -463,7 +469,7 @@ def predict(params: ModelParams, x: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1] != FEATURE_DIM:
         raise ContractError(f"expected x (batch, {FEATURE_DIM}, t), got {x.shape}")
-    stack = encode(params, as_tensor(x), training=False)
+    stack = encode(params, Tensor(x), training=False)
     out = generate(params, stack, training=False)
     y_hat = denoise_jump(params, out.y_hat) if cfg.denoiser else out.y_hat
     return y_hat.data.copy()
@@ -512,9 +518,8 @@ def _experiment_job(args: tuple) -> list[dict]:
         for r, (params, history) in zip(live, trained):
             save_params(params, Path(out_dir) / "checkpoints" / f"{ticker}_run{r}.npz")
             y_hat = predict(params, x_test, cfg)
-            write_predictions(
-                Path(out_dir) / "predictions" / f"{ticker}_run{r}.csv", split.test, y_hat
-            )
+            pred = prediction_path(Path(out_dir) / "predictions", ticker, r)
+            write_predictions(pred, split.test, y_hat)
             outcomes[r] = {
                 "stock": ticker,
                 "run": r,

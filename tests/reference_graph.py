@@ -18,20 +18,12 @@ from typing import Iterable
 
 import numpy as np
 
-from dva.autodiff import (
-    Tensor,
-    _lead,
-    _record,
-    _sigmoid,
-    _swish_bwd,
-    _swish_fwd,
-    as_tensor,
-    conv1d,
-    downsample2,
-)
+from dva import layers
+from dva.autodiff import Tensor, record
 from dva.errors import ContractError
 from dva.losses import _per_model
 from dva.model import N_GROUPS, _cell
+from layer_ops import conv1d_op, downsample2_op
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +52,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -69,7 +61,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -78,7 +70,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
 
 
 def square(a: Tensor) -> Tensor:
@@ -100,7 +92,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def back(g):
         return (np.broadcast_to(g.reshape(kept), a.data.shape).copy(),)
 
-    return _record(out, (a,), back)
+    return record(out, (a,), back)
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -111,17 +103,17 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def back(g):
         return (np.broadcast_to(g.reshape(kept), a.data.shape) / count,)
 
-    return _record(out, (a,), back)
+    return record(out, (a,), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
+    return record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     out = Tensor(np.swapaxes(a.data, axis1, axis2))
-    return _record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
+    return record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -131,21 +123,21 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
     sizes = [t.data.shape[axis] for t in ts]
     offsets = np.cumsum(sizes)[:-1]
-    return _record(out, tuple(ts), lambda g: tuple(np.split(g, offsets, axis=axis)))
+    return record(out, tuple(ts), lambda g: tuple(np.split(g, offsets, axis=axis)))
 
 
 def swish(a: Tensor) -> Tensor:
     """x * sigmoid(x); smooth, non-monotone, ~x for large x, ~0 for small."""
-    y, saved = _swish_fwd(a.data, True)
-    return _record(Tensor(y), (a,), lambda g: (_swish_bwd(saved, g),))
+    y, saved = layers.swish(a.data, True)
+    return record(Tensor(y), (a,), lambda g: (layers.swish_bwd(saved, g),))
 
 
 def swish_prime(a: Tensor) -> Tensor:
     """d swish / dx = s + x s (1 - s) with s = sigmoid(x), as one op whose
     backward is swish's second derivative s (1 - s) (2 + x (1 - 2 s))."""
-    s = _sigmoid(a.data)
+    s = layers.sigmoid(a.data)
     out = Tensor(s + a.data * s * (1.0 - s))
-    return _record(
+    return record(
         out, (a,), lambda g: (g * s * (1.0 - s) * (2.0 + a.data * (1.0 - 2.0 * s)),)
     )
 
@@ -153,13 +145,13 @@ def swish_prime(a: Tensor) -> Tensor:
 def exp_(a: Tensor) -> Tensor:
     e = np.exp(a.data)
     out = Tensor(e)
-    return _record(out, (a,), lambda g: (g * e,))
+    return record(out, (a,), lambda g: (g * e,))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     out = Tensor(np.clip(a.data, lo, hi))
     mask = (a.data >= lo) & (a.data <= hi)
-    return _record(out, (a,), lambda g: (g * mask,))
+    return record(out, (a,), lambda g: (g * mask,))
 
 
 def detach(a: Tensor) -> Tensor:
@@ -174,7 +166,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ContractError(
             f"linear shapes incompatible: x {x.shape}, w {w.shape}"
         )
-    _lead(x, 2, w, 2, "linear")
     y = np.matmul(x.data, w.data.swapaxes(-1, -2))
     if b is not None:
         if b.data.shape != w.data.shape[:-1]:
@@ -192,14 +183,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             return grads
         return grads + (_unbroadcast(g.sum(axis=-2), b.data.shape),)
 
-    return _record(out, inputs, back)
+    return record(out, inputs, back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product a @ b of the last two axes; leading axes broadcast."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ContractError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    _lead(a, 2, b, 2, "matmul")
     out = Tensor(np.matmul(a.data, b.data))
 
     def back(g):
@@ -208,7 +198,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape),
         )
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
 
 
 def upsample_repeat(x: Tensor, length: int) -> Tensor:
@@ -227,7 +217,7 @@ def upsample_repeat(x: Tensor, length: int) -> Tensor:
         np.add.at(dx, (Ellipsis, idx), g)
         return (dx,)
 
-    return _record(out, (x,), back)
+    return record(out, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +235,16 @@ def encode(params: ModelParams, x: Tensor, training: bool = False) -> list[Tenso
         )
     if x.data.shape[-1] != cfg.t_in:
         raise ContractError(f"time length {x.data.shape[-1]} != configured {cfg.t_in}")
-    h = conv1d(swapaxes(x, -3, -2), params["stem.w"], params["stem.b"])
+    h = conv1d_op(swapaxes(x, -3, -2), params["stem.w"], params["stem.b"])
     e1 = _cell(params, "enc1", h, training)
-    e2 = _cell(params, "enc2", downsample2(e1), training)
-    e3 = _cell(params, "enc3", downsample2(e2), training)
+    e2 = _cell(params, "enc2", downsample2_op(e1), training)
+    e3 = _cell(params, "enc3", downsample2_op(e2), training)
     return [e1, e2, e3]
 
 
 def _head(params: ModelParams, name: str, x: Tensor) -> Tensor:
     """A latent head's 1x1 convolution; log-variance heads are clamped."""
-    out = conv1d(x, params[f"{name}.w"], params[f"{name}.b"])
+    out = conv1d_op(x, params[f"{name}.w"], params[f"{name}.b"])
     return clamp(out, -10.0, 10.0) if name.endswith(".lv") else out
 
 
@@ -282,7 +272,7 @@ def generate(
     group_lengths = (lengths[2], lengths[1], lengths[0])
     h = params["h"]  # (..., 1, c, t): as (..., c, 1, t), broadcast over the batch
     s = reshape(h, h.shape[:-3] + (h.shape[-2], 1, h.shape[-1]))
-    s = add(s, as_tensor(np.zeros((batch, 1))))
+    s = add(s, Tensor(np.zeros((batch, 1))))
     groups: list[tuple[Tensor, ...]] = []
     kl_groups: list[Tensor] = []
     for i in (1, 2, 3):
@@ -303,15 +293,15 @@ def generate(
             kl = mean_(sum_(
                 kl_gaussian_elementwise(mu, lv, p_mu, p_lv), axis=(-3, -1)
             ), axis=-1)
-            noise = as_tensor(np.swapaxes(noise, -3, -2))
-            z = add(mu, mul(exp_(mul(lv, as_tensor(0.5))), noise))
+            noise = Tensor(np.swapaxes(noise, -3, -2))
+            z = add(mu, mul(exp_(mul(lv, Tensor(0.5))), noise))
             groups.append((mu, lv, p_mu, p_lv, z))
             kl_groups.append(kl)
-        s = conv1d(concat([s, z], axis=-3), params[f"merge{i}.w"], params[f"merge{i}.b"])
+        s = conv1d_op(concat([s, z], axis=-3), params[f"merge{i}.w"], params[f"merge{i}.b"])
         if i < 3:
             s = upsample_repeat(s, group_lengths[i])
 
-    o = conv1d(s, params["out.conv.w"], params["out.conv.b"])  # (..., 1, b, t_in)
+    o = conv1d_op(s, params["out.conv.w"], params["out.conv.b"])  # (..., 1, b, t_in)
     flat = reshape(o, o.shape[:-3] + o.shape[-2:])
     y_hat = linear(flat, params["out.proj.w"], params["out.proj.b"])
     kl_latent = kl_groups[0] if kl_groups else None
@@ -344,7 +334,7 @@ def kl_gaussian_elementwise(
             _unbroadcast(0.5 * g * (1.0 - ratio - sq), p_logvar.shape),
         )
 
-    return _record(out, (q_mean, q_logvar, p_mean, p_logvar), back)
+    return record(out, (q_mean, q_logvar, p_mean, p_logvar), back)
 
 
 def output_kl(
@@ -366,9 +356,9 @@ def output_kl(
     t_out = y_hat.data.shape[-1]
     log_ratio = np.log(var_p) - 2.0 * np.log(s_out)
     const = 0.5 * t_out * (log_ratio + s_out**2 / var_p - 1.0)
-    diff = sub(y_hat, as_tensor(target))
-    quad = mul(as_tensor((0.5 / var_p)[..., None]), sum_(square(diff), axis=-1))
-    return add(mean_(quad, axis=-1), as_tensor(const))
+    diff = sub(y_hat, Tensor(target))
+    quad = mul(Tensor((0.5 / var_p)[..., None]), sum_(square(diff), axis=-1))
+    return add(mean_(quad, axis=-1), Tensor(const))
 
 
 def _energy_mlp_preacts(params: ModelParams, y: Tensor) -> tuple[Tensor, Tensor]:
@@ -389,7 +379,7 @@ def energy(params: ModelParams, y: Tensor) -> Tensor:
         raise ContractError(f"energy needs y (..., batch, {params.config.t_out})")
     q = params["energy.q"]
     d = sub(y, _energy_center(params))
-    quad = mul(mul(as_tensor(0.5), reshape(q, q.shape + (1,))), sum_(square(d), axis=-1))
+    quad = mul(mul(Tensor(0.5), reshape(q, q.shape + (1,))), sum_(square(d), axis=-1))
     _, a2 = _energy_mlp_preacts(params, y)
     mlp = linear(swish(a2), params["energy.w3"])  # (..., batch, 1)
     return add(quad, reshape(mlp, mlp.shape[:-1]))
@@ -434,8 +424,8 @@ def dsm_loss(
         raise ContractError(f"target shape {target.shape} != y_hat {y_hat_n.shape}")
     sigma = _per_model(schedule.sigma_at, n)
     base = detach(y_hat_n) if block_predictor else y_hat_n
-    resid = add(sub(as_tensor(target), base), grad_energy(params, base))
-    return mul(as_tensor(sigma), mean_(sum_(square(resid), axis=-1), axis=-1))
+    resid = add(sub(Tensor(target), base), grad_energy(params, base))
+    return mul(Tensor(sigma), mean_(sum_(square(resid), axis=-1), axis=-1))
 
 
 def total_loss(
@@ -449,11 +439,11 @@ def total_loss(
     """The composite objective on one batch, summed over the models of a
     stack, as the scalar loss tensor: L_MSE + zeta * (latent KL + output
     KL) + eta * L_DSM, each term present as ``cfg`` enables it."""
-    stack = encode(params, as_tensor(batch.x_n), training=True)
+    stack = encode(params, Tensor(batch.x_n), training=True)
     y_hat, _, _, kl_latent = generate(params, stack, eps=eps, training=True)
 
     y_mse = batch.y if cfg.mse_against_clean else batch.y_n
-    m_t = mean_(square(sub(y_hat, as_tensor(y_mse))), axis=(-2, -1))
+    m_t = mean_(square(sub(y_hat, Tensor(y_mse))), axis=(-2, -1))
 
     kl_t: Tensor | None = None
     if cfg.latent_kl:
@@ -472,7 +462,7 @@ def total_loss(
 
     loss_t = m_t
     if kl_t is not None:
-        loss_t = add(loss_t, mul(as_tensor(cfg.zeta), kl_t))
+        loss_t = add(loss_t, mul(Tensor(cfg.zeta), kl_t))
     if d_t is not None:
-        loss_t = add(loss_t, mul(as_tensor(cfg.eta), d_t))
+        loss_t = add(loss_t, mul(Tensor(cfg.eta), d_t))
     return sum_(loss_t)

@@ -1,11 +1,12 @@
 """The tape, its primitives and the layer kernels: forward oracles, gradient
 soundness, shape laws.
 
-The program tapes ``conv1d`` and ``downsample2`` from ``dva.autodiff`` and
-the kernel pairs of ``dva.layers`` (inside the residual cell). The other
-primitives checked here are the reference graph's (``reference_graph``),
-the Tensor-level ops that the fused kernels of ``dva.model`` are compared
-against; a wrong reference would hide a wrong kernel.
+The program tapes the kernel pairs of ``dva.layers`` inside the blocks of
+``dva.model``; here each pair is one tape entry of its own
+(``layer_ops``). The other primitives checked here are the reference
+graph's (``reference_graph``), the Tensor-level ops that the fused kernels
+of ``dva.model`` are compared against; a wrong reference would hide a
+wrong kernel.
 """
 
 import warnings
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dva.autodiff import Tape, Tensor, _record, _sigmoid, backward, conv1d, downsample2
+from dva.autodiff import Tape, Tensor, backward, record
 from dva.errors import ContractError
 from dva.layers import (
     BatchNormState,
+    sigmoid,
     batch_norm,
     batch_norm_bwd,
     depthwise_conv1d,
@@ -29,7 +31,8 @@ from dva.layers import (
     separable_conv1d_bwd,
 )
 from gradcheck import check_params, finite_difference_check, max_rel_error
-from layer_ops import fresh_state, taped
+from dva.model import ModelConfig, ModelParams, encode
+from layer_ops import conv1d_op, downsample2_op, fresh_state, taped
 from reference_graph import (
     add,
     clamp,
@@ -80,7 +83,7 @@ def test_sigmoid_stable_at_extremes():
     x = np.array([-1e3, -800.0, 0.0, 800.0, 1e3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _sigmoid(x)
+        out = sigmoid(x)
     np.testing.assert_array_equal(out, [0.0, 0.0, 0.5, 1.0, 1.0])
 
 
@@ -88,43 +91,27 @@ def test_sigmoid_matches_tanh_form():
     # 1 / (1 + exp(-x)) against the overflow-free 0.5 (tanh(x / 2) + 1)
     x = np.concatenate([rng(3).normal(scale=4.0, size=5000), np.linspace(-40.0, 40.0, 801)])
     want = 0.5 * (np.tanh(0.5 * x) + 1.0)
-    assert np.max(np.abs(_sigmoid(x) - want)) <= 1e-15
+    assert np.max(np.abs(sigmoid(x) - want)) <= 1e-15
 
 
 def test_conv1d_identity_kernel():
     x = Tensor(rng().normal(size=(1, 2, 7)))
     k = Tensor(np.ones((1, 1, 1)))
-    assert np.array_equal(conv1d(x, k).data, x.data)
+    assert np.array_equal(conv1d_op(x, k).data, x.data)
 
 
 def test_conv1d_hand_example():
     # two input channels mixed into one output channel, plus its bias
     x = Tensor(np.array([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]]))
     k = Tensor(np.array([[[2.0], [-1.0]]]))
-    out = conv1d(x, k, Tensor(np.array([0.5])))
+    out = conv1d_op(x, k, Tensor(np.array([0.5])))
     assert np.array_equal(out.data, [[[-1.5, -0.5, 0.5]]])
 
 
 def test_conv1d_zero_kernel():
     x = Tensor(rng().normal(size=(2, 3, 5)))
     k = Tensor(np.zeros((4, 2, 1)))
-    assert np.all(conv1d(x, k).data == 0.0)
-
-
-def test_conv1d_rejects_even_kernel():
-    with pytest.raises(ContractError):
-        conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, 2))))
-
-
-def test_conv1d_rejects_wide_kernel():
-    # conv1d is pointwise only; filters along time are depthwise_conv1d
-    with pytest.raises(ContractError, match="kernel width must be 1, got 3"):
-        conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, 3))))
-
-
-def test_conv1d_rejects_channel_mismatch():
-    with pytest.raises(ContractError):
-        conv1d(Tensor(np.zeros((2, 1, 4))), Tensor(np.zeros((1, 3, 1))))
+    assert np.all(conv1d_op(x, k).data == 0.0)
 
 
 def test_separable_single_channel_collapses():
@@ -198,9 +185,9 @@ def test_se_gate_preserves_shape_and_bounds():
 
 def test_downsample2_pairs_and_odd_tail():
     x = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0, 5.0]]]))
-    assert np.array_equal(downsample2(x).data, [[[1.5, 3.5, 5.0]]])
+    assert np.array_equal(downsample2_op(x).data, [[[1.5, 3.5, 5.0]]])
     even = Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
-    assert np.array_equal(downsample2(even).data, [[[1.5, 3.5]]])
+    assert np.array_equal(downsample2_op(even).data, [[[1.5, 3.5]]])
 
 
 def test_upsample_repeat_index_rule():
@@ -272,7 +259,7 @@ def test_a_tuple_output_gets_zeros_where_nothing_reached():
 
     first, second = Tensor(np.zeros(2)), Tensor(3.0 * w.data)
     with Tape() as tape:
-        _record((first, second), (w,), back)
+        record((first, second), (w,), back)
         loss = sum_(second)
     grads = backward(tape, loss, params=(w,))
     (g_first, g_second), = seen
@@ -288,18 +275,23 @@ def test_an_entry_none_of_whose_outputs_is_reached_is_skipped():
         raise AssertionError("an unreached entry was replayed")
 
     with Tape() as tape:
-        _record((Tensor(1.0), Tensor(2.0)), (w,), back)
+        record((Tensor(1.0), Tensor(2.0)), (w,), back)
         loss = mul(w, w)
     assert backward(tape, loss, params=(w,))[w] == 4.0
 
 
-def test_nested_tapes_record_to_innermost():
+def test_a_second_tape_inside_the_first_is_refused():
+    # one tape records at a time; the first keeps recording after the refusal
     w = Tensor(np.array(1.5))
     with Tape() as outer:
-        with Tape() as inner:
-            mul(w, w)
-    assert len(inner) == 1
-    assert len(outer) == 0
+        with pytest.raises(ContractError, match="already recording"):
+            with Tape():
+                pass
+        mul(w, w)
+    assert len(outer) == 1
+    with Tape() as after:
+        mul(w, w)
+    assert len(after) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +358,7 @@ def test_gradcheck_swish_sum():
         ),
         (
             "downsample2_odd",
-            lambda t: sum_(mul(downsample2(t), downsample2(t))),
+            lambda t: sum_(mul(downsample2_op(t), downsample2_op(t))),
             lambda r: r.normal(size=(2, 2, 5)),
         ),
         (
@@ -413,7 +405,7 @@ def test_gradcheck_conv1d_all_parameters():
     b = Tensor(r.normal(size=(4,)))
 
     def loss():
-        y = conv1d(x, k, b)
+        y = conv1d_op(x, k, b)
         return sum_(mul(y, y))
 
     assert check_params(loss, [x, k, b]) < 1e-4
@@ -429,7 +421,7 @@ def test_gradcheck_conv1d_kernel_widths(k, t):
     b = Tensor(r.normal(size=(4,)))
 
     def loss():
-        y = conv1d(x, kern, b)
+        y = conv1d_op(x, kern, b)
         return sum_(mul(y, y))
 
     assert check_params(loss, [x, kern, b]) < 1e-4
@@ -468,7 +460,7 @@ def test_conv1d_matches_direct_sum():
         x = r.normal(size=(3, 2, t))
         w = r.normal(size=(4, 3, 1))
         want = np.einsum("oi,ibs->obs", w[:, :, 0], x)
-        assert np.allclose(conv1d(Tensor(x), Tensor(w)).data, want, atol=1e-12)
+        assert np.allclose(conv1d_op(Tensor(x), Tensor(w)).data, want, atol=1e-12)
         depth = r.normal(size=(3, 1, k))
         want_dw = np.zeros((3, 2, t))
         for s in range(t):
@@ -589,8 +581,8 @@ def test_op_sequence_is_deterministic(seed):
         r = np.random.default_rng(seed)
         x = Tensor(r.normal(size=(3, 2, 8)))
         k = Tensor(r.normal(size=(3, 3, 1)))
-        y = swish(conv1d(x, k))
-        return downsample2(y).data
+        y = swish(conv1d_op(x, k))
+        return downsample2_op(y).data
 
     a, b = run(), run()
     assert np.array_equal(a, b)
@@ -607,14 +599,14 @@ def test_shape_preservation(b, c, t, seed):
     r = np.random.default_rng(seed)
     x = Tensor(r.normal(size=(c, b, t)))
     k = Tensor(r.normal(size=(c, c, 1)))
-    assert conv1d(x, k).shape == (c, b, t)
+    assert conv1d_op(x, k).shape == (c, b, t)
     assert depthwise_conv1d(x.data, r.normal(size=(c, 1, 3)))[0].shape == (c, b, t)
     cr = max(c // 2, 1)
     w1, w2 = r.normal(size=(cr, c)), r.normal(size=(c, cr))
     assert se_gate(x.data, w1, np.zeros(cr), w2, np.zeros(c), True)[0].shape == (c, b, t)
     bn = batch_norm(x.data, np.ones(c), np.zeros(c), fresh_state(c), True, False)
     assert bn[0].shape == (c, b, t)
-    assert downsample2(x).shape == (c, b, (t + 1) // 2)
+    assert downsample2_op(x).shape == (c, b, (t + 1) // 2)
 
 
 @settings(deadline=None, max_examples=25)
@@ -624,8 +616,8 @@ def test_conv1d_is_linear_in_input(seed):
     x1 = Tensor(r.normal(size=(2, 1, 6)))
     x2 = Tensor(r.normal(size=(2, 1, 6)))
     k = Tensor(r.normal(size=(2, 2, 1)))
-    lhs = conv1d(add(x1, x2), k).data
-    rhs = conv1d(x1, k).data + conv1d(x2, k).data
+    lhs = conv1d_op(add(x1, x2), k).data
+    rhs = conv1d_op(x1, k).data + conv1d_op(x2, k).data
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -634,7 +626,7 @@ def test_conv1d_is_linear_in_input(seed):
 def test_downsample_halves_then_upsample_restores_length(seed, t):
     r = np.random.default_rng(seed)
     x = Tensor(r.normal(size=(1, 2, t)))
-    down = downsample2(x)
+    down = downsample2_op(x)
     assert down.shape[2] == (t + 1) // 2
     if (down.shape[2] * 2 - 1) <= t <= down.shape[2] * 2:
         up = upsample_repeat(down, t)
@@ -650,8 +642,8 @@ def test_gradient_flows_through_deep_composition():
     w2, b2 = Tensor(r.normal(size=(2, 1))), Tensor(r.normal(size=(2,)))
 
     def loss():
-        h = swish(conv1d(x, k))
-        h = upsample_repeat(downsample2(h), 8)
+        h = swish(conv1d_op(x, k))
+        h = upsample_repeat(downsample2_op(h), 8)
         h = taped(se_gate, se_gate_bwd, (h, w1, b1, w2, b2), True)
         return mean_(mul(h, h))
 
@@ -669,10 +661,10 @@ def _stacked_case(name, r, model=None):
     n = r.normal
     if name == "conv1d_k1":
         ins = [n(size=(2, 3, 2, 6)), n(size=(2, 4, 3, 1)), n(size=(2, 4))]
-        return ins, (True, True, True), lambda x, w, b: conv1d(x, w, b)
+        return ins, (True, True, True), lambda x, w, b: conv1d_op(x, w, b)
     if name == "conv1d_shared_input":
         ins = [n(size=(3, 2, 6)), n(size=(2, 4, 3, 1)), n(size=(2, 4))]
-        return ins, (False, True, True), lambda x, w, b: conv1d(x, w, b)
+        return ins, (False, True, True), lambda x, w, b: conv1d_op(x, w, b)
     if name == "depthwise_conv1d":
         ins = [n(size=(2, 3, 2, 5)), n(size=(2, 3, 1, 3))]
         return ins, (True, True), lambda x, k: taped(depthwise_conv1d, depthwise_conv1d_bwd, (x, k))
@@ -769,19 +761,17 @@ def test_stacked_batch_norm_updates_each_models_buffers():
         np.testing.assert_array_equal(stacked.var[m], alone.var)
 
 
-def test_stacked_shapes_must_agree():
-    with pytest.raises(ContractError):
-        conv1d(Tensor(np.zeros((3, 3, 2, 6))), Tensor(np.zeros((2, 4, 3, 1))))
-
-
 def test_taped_conv1d_needs_the_kernels_leading_axes():
-    # a shared x is a forward-only input: under a tape its gradient would
-    # come out with the kernel's model axis, not its own shape
-    x, k = Tensor(np.ones((3, 2, 6))), Tensor(np.ones((2, 4, 3, 1)))
-    assert conv1d(x, k).shape == (2, 4, 2, 6)
+    # the stem's x shared by a stack is a forward-only input: under a tape
+    # its gradient would come out with the kernel's model axis, not its own
+    # shape
+    config = ModelConfig(t_in=6, t_out=2, channels=4, latent=2, se_reduction=2, energy_hidden=3)
+    params = ModelParams.stack([ModelParams.init(config, s) for s in (0, 1)])
+    x = Tensor(np.ones((3, 6, 6)))
+    assert encode(params, x)[0].shape == (2, 4, 3, 6)
     with Tape() as tape:
-        with pytest.raises(ContractError, match="leading axes"):
-            conv1d(x, k)
+        with pytest.raises(ContractError, match="model axes"):
+            encode(params, x, training=True)
     assert len(tape) == 0
 
 
@@ -840,7 +830,7 @@ def test_conv_kernels_match_batch_major_formulation(lead, k, t):
     b = r.normal(size=lead + (5,))
     depth = r.normal(size=lead + (4, 1, k))
     xc = _to_batch_major(x)
-    got = conv1d(Tensor(xc), Tensor(point), Tensor(b)).data
+    got = conv1d_op(Tensor(xc), Tensor(point), Tensor(b)).data
     _assert_rel(_to_batch_major(got), _conv1d_batch_major(x, point, b))
     _assert_rel(_to_batch_major(depthwise_conv1d(xc, depth)[0]), _depthwise_batch_major(x, depth))
     got, _ = separable_conv1d(xc, depth, point, b, False)

@@ -296,6 +296,20 @@ class TestTrain:
         }
         assert (out / "metrics.json").read_text() == "{}\n"
 
+    def test_force_clears_stale_validation_predictions(self, pipeline, tmp_path, capsys):
+        # the old models' validation forecasts must not outlive them: refused
+        # without --force, cleared with it, so gamma is not tuned on them
+        out = tmp_path / "o"
+        out.mkdir()
+        shutil.copytree(pipeline.out / "predictions_val", out / "predictions_val")
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "predictions_val" in read_stderr_json(capsys)["message"]
+        assert main(["train", "--config", str(cfg), "--force", "--seed", "7"]) == 0
+        assert not (out / "predictions_val").exists()
+        assert main(["portfolio", "--config", str(cfg)]) == 2
+        assert "run `dva predict` first" in read_stderr_json(capsys)["message"]
+
     def test_config_flag_required(self, capsys):
         assert main(["train"]) == 2
         assert "--config" in read_stderr_json(capsys)["message"]
@@ -729,6 +743,22 @@ class TestPortfolio:
             "error": "ParseError",
             "message": f"prediction file {bad}: line 3: not UTF-8 text",
         }
+
+    def test_failed_forced_rerun_leaves_no_stale_report(self, pipeline, tmp_path, capsys):
+        # --force clears the old report with its weights, so a rerun that
+        # fails leaves neither behind
+        out = tmp_path / "o"
+        out.mkdir()
+        for kind in ("predictions", "predictions_val"):
+            shutil.copytree(pipeline.out / kind, out / kind)
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out))
+        assert main(["portfolio", "--config", str(cfg)]) == 0
+        bad = out / "predictions" / "BBB_run1.csv"
+        bad.write_bytes(b"\xfe" + bad.read_bytes())
+        assert main(["portfolio", "--config", str(cfg), "--force"]) == 3
+        assert read_stderr_json(capsys)["error"] == "ParseError"
+        assert not (out / "portfolio.json").exists()
+        assert not (out / "weights").exists()
 
     @pytest.mark.parametrize("huge", ["1e200", "1e308"])
     def test_huge_forecast_is_a_data_error_naming_the_file(

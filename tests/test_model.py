@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dva import model
-from dva.autodiff import Tape, Tensor, as_tensor, backward
+from dva.autodiff import Tape, Tensor, backward
 from dva.diffusion import make_schedule
 from dva.errors import ConfigError, ContractError, DataError
 from dva.layers import (
@@ -177,39 +177,39 @@ def test_posterior_copied_onto_prior_zeroes_kl():
 
 
 def test_posterior_mean_decode_computes_only_what_y_hat_reads():
-    # without eps: no prior heads, no log-variance heads and no KL, so each
-    # group's entry has one output and reads the posterior mean head and
-    # the merge only; and the same y_hat as a decode whose latents are
-    # mu + exp(lv / 2) * 0
+    # without eps, untaped: no KL, and the same y_hat as a decode whose
+    # latents are mu + exp(lv / 2) * 0
     params = dense_tiny(12)
     x = Tensor(np.random.default_rng(13).normal(size=(3, 6, 8)))
     stack = encode(params, x)
-    with Tape() as tape:
-        out = generate(params, stack, training=True)
-    groups = [e for e in tape.entries if e[2].__qualname__.startswith("_latent_group")]
-    assert len(groups) == N_GROUPS
-    for i, (group_out, inputs, _) in enumerate(groups, 1):
-        assert isinstance(group_out, Tensor)
-        assert [t.name for t in inputs[2:]] == [
-            f"post{i}.mu.w", f"post{i}.mu.b", f"merge{i}.w", f"merge{i}.b"
-        ]
+    out = generate(params, stack, training=True)
     assert out.kl_groups == []
     sampled = generate(params, stack, eps=zero_eps(3), training=True)
     np.testing.assert_array_equal(out.y_hat.data, sampled.y_hat.data)
 
 
+def test_a_taped_decode_needs_noise():
+    # the tape records the sampled decode only: a posterior-mean decode is
+    # never taped, so recording one is refused
+    params = dense_tiny(12)
+    stack = encode(params, Tensor(np.random.default_rng(13).normal(size=(3, 6, 8))))
+    with Tape():
+        with pytest.raises(ContractError, match="needs noise"):
+            generate(params, stack, training=True)
+
+
 def test_fused_decode_taped_and_untaped_are_bit_identical():
     # the untaped forward keeps nothing; it computes the same numbers in the
-    # same order as the taped one, sampled or at the posterior mean
+    # same order as the taped one
     params = dense_tiny(14)
     stack = encode(params, Tensor(np.random.default_rng(15).normal(size=(3, 6, 8))))
-    for eps in (None, latent_eps(np.random.default_rng(16), (), 3)):
-        with Tape():
-            taped_out = generate(params, stack, eps=eps, training=True)
-        untaped_out = generate(params, stack, eps=eps, training=True)
-        np.testing.assert_array_equal(taped_out.y_hat.data, untaped_out.y_hat.data)
-        for kl_t, kl_u in zip(taped_out.kl_groups, untaped_out.kl_groups):
-            np.testing.assert_array_equal(kl_t.data, kl_u.data)
+    eps = latent_eps(np.random.default_rng(16), (), 3)
+    with Tape():
+        taped_out = generate(params, stack, eps=eps, training=True)
+    untaped_out = generate(params, stack, eps=eps, training=True)
+    np.testing.assert_array_equal(taped_out.y_hat.data, untaped_out.y_hat.data)
+    for kl_t, kl_u in zip(taped_out.kl_groups, untaped_out.kl_groups, strict=True):
+        np.testing.assert_array_equal(kl_t.data, kl_u.data)
 
 
 def test_generate_rejects_malformed_stack():
@@ -292,7 +292,7 @@ def test_reparameterized_sampler_is_differentiable():
     def loss():
         out = generate(params, encode(params, Tensor(xv), training=True),
                        eps=eps, training=True)
-        return sum_(square(sub(out.y_hat, as_tensor(target))))
+        return sum_(square(sub(out.y_hat, Tensor(target))))
 
     subset = [params[k] for k in ("h", "post1.lv.w", "post3.mu.w", "prior2.lv.b", "merge2.w", "out.proj.w")]
     assert check_params(loss, subset, step=1e-4) < 1e-4
@@ -422,7 +422,7 @@ def test_energy_weight_gradients_flow_through_grad_energy():
 
     def loss():
         g = grad_energy(params, y)
-        return sum_(square(sub(g, as_tensor(target))))
+        return sum_(square(sub(g, Tensor(target))))
 
     assert check_params(loss, energy_params(params), step=1e-4) < 1e-4
 
@@ -479,9 +479,10 @@ def test_dsm_blocking_separates_the_towers():
     sched = make_schedule()
 
     def run(block):
+        # a taped decode is a sampled one: zero noise samples the posterior mean
         with Tape() as tape:
             out = generate(params, encode(params, Tensor(xv), training=True),
-                           training=True)
+                           eps=zero_eps(2), training=True)
             loss = dsm_loss(params, out.y_hat, y, sched, 40, block_predictor=block)
         return backward(tape, loss, params=params.parameters())
 
@@ -840,7 +841,7 @@ def test_gradcheck_grad_energy_stacked():
     target = r.normal(size=(2, 3, TINY.t_out))
 
     def loss():
-        return sum_(square(sub(grad_energy(stacked, y), as_tensor(target))))
+        return sum_(square(sub(grad_energy(stacked, y), Tensor(target))))
 
     assert check_params(loss, energy_params(stacked) + [y], step=1e-4) < 1e-4
 
@@ -860,7 +861,7 @@ def test_stacked_gradients_do_not_leak_across_models():
             add(add(add(kl_1, kl_2), kl_3), output_kl(out.y_hat, 1.0, y, sched, np.array([5, 9]))),
             dsm_loss(stacked, out.y_hat, y, sched, np.array([5, 9]), block_predictor=False),
         )
-        loss0 = sum_(mul(per_model, as_tensor(np.array([1.0, 0.0]))))
+        loss0 = sum_(mul(per_model, Tensor(np.array([1.0, 0.0]))))
     grads = backward(tape, loss0, params=stacked.parameters())
     for p in stacked.parameters():
         assert np.all(grads[p][1] == 0.0), p.name
@@ -919,7 +920,7 @@ def test_fused_cell_matches_composite_of_layer_ops(training):
             continue
         with Tape() as tape:
             y = cell(params, "enc2", xt, True)
-            loss = sum_(mul(as_tensor(w), y))
+            loss = sum_(mul(Tensor(w), y))
         ins = cell_inputs(params, xt)
         grads = backward(tape, loss, params=ins)
         results.append((y.data, [grads[t] for t in ins]))
