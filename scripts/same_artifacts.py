@@ -2,9 +2,10 @@
 """Check that another source tree writes the same artifacts as this one.
 
 Runs ``scripts/run_synthetic_pipeline.py`` with small settings from the
-tree given by ``--parent``, then from this tree, one after the other in the
-same work directory: the JSON artifacts record their paths, so both runs
-must write to the same place. Every file a run leaves is hashed (sha256)
+tree given by ``--parent``, then from this tree, each with the relative
+work directory ``work``: the JSON artifacts record the paths they were
+given, and the run-config hash covers them, so a relative path keeps both
+free of where the run happened. Every file a run leaves is hashed (sha256)
 except ``run_info.json``, the timing sidecar. Prints the files that differ,
 or exist on one side only, as one JSON line, and exits 1 if any do.
 
@@ -28,16 +29,18 @@ HERE = Path(__file__).resolve().parent.parent
 SMALL = ["--tickers", "2", "--length", "200", "--runs", "2", "--epochs", "2", "--seed", "3"]
 
 
-def run_pipeline(tree: Path, work: Path) -> dict[str, str]:
-    """sha256 of every file the pipeline of ``tree`` writes under ``work``,
-    keyed by path relative to it, ``run_info.json`` left out."""
+def run_pipeline(tree: Path, root: Path) -> dict[str, str]:
+    """sha256 of every file the pipeline of ``tree``, run in ``root``, writes
+    under ``root / "work"``, keyed by path relative to it, ``run_info.json``
+    left out."""
+    work = root / "work"
     if work.exists():
         shutil.rmtree(work)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     script = tree / "scripts" / "run_synthetic_pipeline.py"
     done = subprocess.run(
-        [sys.executable, str(script), "--workdir", str(work), *SMALL],
-        env=env, capture_output=True, text=True,
+        [sys.executable, str(script), "--workdir", "work", *SMALL],
+        cwd=root, env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
         sys.stderr.write(done.stdout + done.stderr)
@@ -56,9 +59,8 @@ def main() -> int:
 
     root = Path(tempfile.mkdtemp(prefix="same_artifacts_"))
     try:
-        work = root / "work"
-        parent = run_pipeline(Path(args.parent).resolve(), work)
-        this = run_pipeline(HERE, work)
+        parent = run_pipeline(Path(args.parent).resolve(), root)
+        this = run_pipeline(HERE, root)
     finally:
         shutil.rmtree(root)
     differ = sorted(k for k in parent.keys() | this.keys() if parent.get(k) != this.get(k))

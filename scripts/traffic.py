@@ -11,11 +11,13 @@ stops the script.
 
 Prints one JSON object: for each module of ``src/dva``, each function with
 statements that never ran, mapped to the first lines of those statements,
-or to ``"never called"``. ``raise`` statements are not counted, and a
-statement inside one that never ran is not listed apart from it. A
+or to ``"never called"``. The trace starts before ``dva`` is imported, so
+what runs at import time counts. ``raise`` statements are not counted, and
+a statement inside one that never ran is not listed apart from it. A
 statement ran when a line of its own ran: all its lines for a simple
 statement, the header (with decorators) for a compound one, or when a
-statement inside it ran.
+statement inside it ran. ``tests/test_traffic.py`` gates the functions
+reported as never called.
 
 Usage: PYTHONPATH=src python scripts/traffic.py
 """
@@ -143,8 +145,6 @@ def commands(root: Path) -> list[list[str]]:
 
 
 def main() -> int:
-    from dva.cli import main as dva
-
     prefix = str(SRC) + "/"
     hits: dict[str, set[int]] = {}
     calls: dict[str, set[int]] = {}
@@ -162,6 +162,11 @@ def main() -> int:
         calls.setdefault(code.co_filename, set()).add(code.co_firstlineno)
         return local
 
+    sys.settrace(tracer)  # what runs at import time counts too
+    try:
+        from dva.cli import main as dva
+    finally:
+        sys.settrace(None)
     with tempfile.TemporaryDirectory() as tmp:
         for argv in commands(Path(tmp)):
             sys.settrace(tracer)

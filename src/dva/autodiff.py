@@ -54,15 +54,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() needs a scalar, got shape {self.shape}")
-        return self.data.item()
-
-    def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.data.shape})"
-
 
 _recording: "Tape | None" = None
 

@@ -67,7 +67,7 @@ from .evaluation import (
     write_predictions,
     write_uncertainty_csv,
 )
-from .model import load_params
+from .model import checkpoint_path, load_params
 from .portfolio import (
     backtest,
     load_prediction_frames,
@@ -82,6 +82,7 @@ __all__ = ["main", "build_parser"]
 # paper grid: step 0.1 within [0.1, 1]
 DEFAULT_WEIGHT_GRID = tuple(round(0.1 * k, 1) for k in range(1, 11))
 
+# the first class an error is an instance of gives its exit code; others exit 1
 _EXIT_CODES = {
     ConfigError: 2,
     DataError: 3,
@@ -91,13 +92,6 @@ _EXIT_CODES = {
     TrainingAbort: 5,
     DegenerateReturnsError: 5,
 }
-
-
-def _exit_code(err: Exception) -> int:
-    for cls, code in _EXIT_CODES.items():
-        if isinstance(err, cls):
-            return code
-    return 1
 
 
 def _fail(error: str, message: str, code: int) -> int:
@@ -208,8 +202,6 @@ def _dataset(rc: RunConfig, ticker: str) -> tuple[Prices, DatasetSplit]:
 def cmd_ingest_check(args) -> int:
     rc = _config_from(args)
     tickers = load_tickers(rc.tickers_file)
-    if not tickers:
-        raise ConfigError(f"ticker list {rc.tickers_file} is empty")
     report = {}
     for ticker in tickers:
         prices, split = _dataset(rc, ticker)
@@ -288,7 +280,7 @@ def cmd_predict(args) -> int:
     for ticker in tickers:
         split = _dataset(rc, ticker)[1]
         for run in range(rc.runs):
-            ckpt = out / "checkpoints" / f"{ticker}_run{run}.npz"
+            ckpt = checkpoint_path(out / "checkpoints", ticker, run)
             params = load_params(ckpt, expected_hash=model_hash)
             for windows, sub in (
                 (split.test, "predictions"),
@@ -308,7 +300,9 @@ def cmd_predict(args) -> int:
 
 
 def _persistence_report(rc: RunConfig, tickers) -> Report:
-    """Deterministic last-value-carried-forward results on the test split."""
+    """The persistence forecast's results on the test split: the last
+    observed gross return repeated over the horizon, the sanity floor any
+    trained model must beat."""
     results = []
     for ticker in tickers:
         test = _dataset(rc, ticker)[1].test
@@ -587,7 +581,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as err:  # noqa: BLE001 - the CLI boundary reports, not raises
-        return _fail(type(err).__name__, str(err), _exit_code(err))
+        code = next((c for cls, c in _EXIT_CODES.items() if isinstance(err, cls)), 1)
+        return _fail(type(err).__name__, str(err), code)
 
 
 if __name__ == "__main__":

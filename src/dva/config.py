@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from dataclasses import dataclass, field
 from .atomic import read_utf8
 from .data import SynthSpec
 from .errors import ConfigError
+from .model import config_hash
 from .portfolio import DEFAULT_GAMMA_GRID
 from .training import TrainConfig
 
@@ -105,8 +105,7 @@ class RunConfig:
         return out
 
     def hash(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return config_hash(self.as_dict())
 
 
 _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}

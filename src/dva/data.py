@@ -193,8 +193,9 @@ def write_ohlcv(path, prices: Prices) -> None:
 def load_tickers(path) -> list[str]:
     """Newline-separated ticker symbols; blanks and '#' comments skipped.
     A name becomes a file name under the data and output directories, so it
-    must be one path component: no NUL, no path separator, not . or .."""
-    names = []
+    must be one path component: no NUL, no path separator, not . or ..; and
+    it names one stock, so it appears once. An empty list is refused."""
+    names = {}
     for line_no, line in enumerate(read_utf8(path, "tickers file", ConfigError).split("\n"), 1):
         name = line.strip()
         if not name or name.startswith("#"):
@@ -203,8 +204,14 @@ def load_tickers(path) -> list[str]:
             raise ConfigError(
                 f"tickers file {path}: line {line_no}: {name!r} is not a single file name"
             )
-        names.append(name)
-    return names
+        if name in names:
+            raise ConfigError(
+                f"tickers file {path}: line {line_no}: {name!r} repeats line {names[name]}"
+            )
+        names[name] = line_no
+    if not names:
+        raise ConfigError(f"tickers file {path} lists no ticker")
+    return list(names)
 
 
 def write_tickers(path, names: list[str]) -> None:

@@ -1,12 +1,11 @@
-"""Error aggregation across stocks and runs, plus reference baselines.
+"""Error aggregation across stocks and runs.
 
 Reporting convention: each stock is summarized by the mean and sample
 standard deviation (divisor n-1) of its per-run test MSE; the experiment
 summary is the mean of the per-stock means and the mean of the per-stock
-SDs. A persistence forecast (repeat the last observed return) is the sanity
-floor any trained model must beat. The module also owns the prediction-file
-format (CSV ``anchor_date,step,y_hat,y_true``) and the uncertainty-vs-
-improvement export (CSV ``stock,sd_before,pct_mse_change``).
+SDs. The module also owns the prediction-file format (CSV
+``anchor_date,step,y_hat,y_true``) and the uncertainty-vs-improvement
+export (CSV ``stock,sd_before,pct_mse_change``).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .atomic import atomic_open, read_utf8, write_csv
-from .data import FEATURE_DIM, R_INDEX, WindowPair, Windows
+from .data import WindowPair, Windows
 from .errors import ContractError, DataError, ParseError
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "mse",
     "aggregate",
     "report_as_dict",
-    "persistence_baseline",
     "uncertainty_improvement",
     "write_uncertainty_csv",
     "PREDICTION_NAME",
@@ -65,16 +63,6 @@ def mse(pred, target) -> float:
         raise ContractError("mse of empty sequences is undefined")
     with np.errstate(over="ignore"):
         return float(np.mean((p - t) ** 2))
-
-
-def persistence_baseline(window, t_out: int) -> np.ndarray:
-    """Repeat the last observed gross return for the whole horizon."""
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != FEATURE_DIM:
-        raise ContractError(f"expected a (t, {FEATURE_DIM}) feature window, got {w.shape}")
-    if w.shape[0] < 1 or t_out < 1:
-        raise ContractError("window and horizon must be nonempty")
-    return np.full(t_out, w[-1, R_INDEX])
 
 
 # ---------------------------------------------------------------------------

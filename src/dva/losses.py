@@ -39,8 +39,6 @@ def mse_loss(y_hat: Tensor, y: np.ndarray) -> Tensor:
     d = y_hat.data - _target(y, y_hat)
     count = d.shape[-2] * d.shape[-1]
     out = Tensor((d * d).sum(axis=(-2, -1)) / count)
-    if not taping():
-        return out
 
     def back(g):
         gd = (g / count)[..., None, None] * d
@@ -76,8 +74,6 @@ def output_kl(
     w = (0.5 / var_p)[..., None]
     nb = diff.shape[-2]
     out = Tensor((w * (diff * diff).sum(axis=-1)).sum(axis=-1) / nb + const)
-    if not taping():
-        return out
 
     def back(g):
         gd = ((g[..., None] / nb) * w)[..., None] * diff
@@ -167,13 +163,10 @@ def dsm_loss(
     """
     target = _target(y, y_hat_n)
     sigma = _per_model(schedule.sigma_at, n)
-    save = taping()
-    grad, saved = _grad_energy(params, y_hat_n.data, save)
+    grad, saved = _grad_energy(params, y_hat_n.data, taping())
     resid = (target - y_hat_n.data) + grad
     nb = resid.shape[-2]
     out = Tensor(sigma * ((resid * resid).sum(axis=-1).sum(axis=-1) / nb))
-    if not save:
-        return out
     inputs = (y_hat_n,) + tuple(params[k] for k in _ENERGY_TENSORS)
 
     def back(g):

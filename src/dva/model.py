@@ -43,6 +43,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate
+from pathlib import Path
 from types import MappingProxyType
 from typing import Sequence
 
@@ -76,6 +77,8 @@ __all__ = [
     "ForwardOutput",
     "encode",
     "generate",
+    "config_hash",
+    "checkpoint_path",
     "save_params",
     "load_params",
 ]
@@ -127,8 +130,13 @@ class ModelConfig:
         return l1, l2, l3
 
     def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return config_hash(asdict(self))
+
+
+def config_hash(fields: dict) -> str:
+    """The first 16 hex digits of the sha256 of a config's fields as
+    key-sorted JSON: the name checkpoints and metrics record it by."""
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +312,12 @@ def _checkpoint_shapes(config: ModelConfig) -> MappingProxyType[str, tuple[int, 
     # zero-filled: drawing no random numbers keeps numpy.random unimported
     arrays = ModelParams._build(config, lambda size: np.zeros(size))
     return MappingProxyType({k: np.shape(arrays[k]) for k in sorted(arrays)})
+
+
+def checkpoint_path(directory, stock: str, run: int) -> Path:
+    """The checkpoint of run ``run`` of ``stock`` in ``directory``,
+    ``<stock>_run<run>.npz``."""
+    return Path(directory) / f"{stock}_run{run}.npz"
 
 
 def save_params(params: ModelParams, path) -> None:

@@ -21,11 +21,7 @@ checkpoint kept is the epoch with the lowest validation MSE.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -50,7 +46,15 @@ from .evaluation import (
     write_predictions,
 )
 from .losses import denoise_jump, dsm_loss, mse_loss, output_kl
-from .model import ModelConfig, ModelParams, encode, generate, save_params
+from .model import (
+    ModelConfig,
+    ModelParams,
+    checkpoint_path,
+    config_hash,
+    encode,
+    generate,
+    save_params,
+)
 from .optim import Adam
 
 __all__ = [
@@ -147,8 +151,7 @@ class TrainConfig:
         )
 
     def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return config_hash(asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +519,7 @@ def _experiment_job(args: tuple) -> list[dict]:
                 outcomes[r] = failed(r, err)
         x_test, y_test = split.test.x, split.test.y
         for r, (params, history) in zip(live, trained):
-            save_params(params, Path(out_dir) / "checkpoints" / f"{ticker}_run{r}.npz")
+            save_params(params, checkpoint_path(Path(out_dir) / "checkpoints", ticker, r))
             y_hat = predict(params, x_test, cfg)
             pred = prediction_path(Path(out_dir) / "predictions", ticker, r)
             write_predictions(pred, split.test, y_hat)
@@ -566,6 +569,10 @@ def run_experiment(
     if jobs <= 1:
         per_stock_outcomes = [_experiment_job(job) for job in grid]
     else:
+        # imported here, where a pool starts: a serial run does not pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # spawned workers avoid forking a process with live BLAS thread pools
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:

@@ -30,9 +30,9 @@ def _numeric_grad(f: Callable[[], Tensor], x: Tensor, step: float) -> np.ndarray
     for i in np.ndindex(x.data.shape):
         orig = x.data[i]
         x.data[i] = orig + step
-        fp = f().item()
+        fp = f().data.item()
         x.data[i] = orig - step
-        fm = f().item()
+        fm = f().data.item()
         x.data[i] = orig
         num[i] = (fp - fm) / (2.0 * step)
     return num

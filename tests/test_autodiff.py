@@ -63,18 +63,17 @@ def rng(seed=0):
 
 
 def test_swish_at_zero():
-    assert swish(Tensor(0.0)).item() == 0.0
-    # item() takes any size-1 tensor, not only a 0-d one
-    assert swish(Tensor(np.zeros((1, 1)))).item() == 0.0
+    assert swish(Tensor(0.0)).data.item() == 0.0
+    assert swish(Tensor(np.zeros((1, 1)))).data.item() == 0.0
 
 
 def test_swish_at_one():
     # 1 * sigmoid(1) = 1 / (1 + e^-1)
-    assert swish(Tensor(1.0)).item() == pytest.approx(0.7310585786300049, abs=1e-12)
+    assert swish(Tensor(1.0)).data.item() == pytest.approx(0.7310585786300049, abs=1e-12)
 
 
 def test_swish_saturates():
-    assert abs(swish(Tensor(20.0)).item() - 20.0) < 1e-6
+    assert abs(swish(Tensor(20.0)).data.item() - 20.0) < 1e-6
 
 
 def test_sigmoid_stable_at_extremes():

@@ -15,8 +15,8 @@ import dva.atomic
 import dva.cli
 from dva.cli import DEFAULT_WEIGHT_GRID, _persistence_report, main
 from dva.config import load_run_config
-from dva.data import build_dataset, load_ohlcv
-from dva.evaluation import load_predictions, persistence_baseline
+from dva.data import R_INDEX, build_dataset, load_ohlcv
+from dva.evaluation import load_predictions
 
 LENGTH = 160
 
@@ -208,6 +208,20 @@ class TestIngestCheck:
         assert main(["ingest-check", "--config", str(cfg)]) == 3
         assert read_stderr_json(capsys)["error"] == "DataError"
 
+    def test_repeated_ticker_exits_2(self, pipeline, tmp_path, capsys):
+        # a repeated name was once folded into the report's dict silently
+        tickers = tmp_path / "tickers.txt"
+        tickers.write_text("AAA\nBBB\nAAA\n")
+        cfg = write_json(
+            tmp_path / "c.json",
+            run_payload(pipeline.data, tmp_path / "o", tickers_file=str(tickers)),
+        )
+        assert main(["ingest-check", "--config", str(cfg)]) == 2
+        assert read_stderr_json(capsys) == {
+            "error": "ConfigError",
+            "message": f"tickers file {tickers}: line 3: 'AAA' repeats line 1",
+        }
+
 
 # ---------------------------------------------------------------------------
 # train / predict
@@ -353,6 +367,22 @@ class TestPredict:
         assert main(["predict", "--config", str(pipeline.cfg), "--force"]) == 0
         assert target.read_bytes() == before
 
+    def test_empty_ticker_list_exits_2(self, pipeline, tmp_path, capsys):
+        # predict once exited 0 here, writing empty prediction directories
+        # that evaluate and portfolio then refused
+        tickers = tmp_path / "tickers.txt"
+        tickers.write_text("# no tickers\n\n")
+        out = tmp_path / "o"
+        cfg = write_json(
+            tmp_path / "c.json", run_payload(pipeline.data, out, tickers_file=str(tickers))
+        )
+        assert main(["predict", "--config", str(cfg)]) == 2
+        assert read_stderr_json(capsys) == {
+            "error": "ConfigError",
+            "message": f"tickers file {tickers} lists no ticker",
+        }
+        assert not out.exists()
+
     def test_missing_checkpoints(self, pipeline, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "c.json", run_payload(pipeline.data, tmp_path / "empty")
@@ -492,7 +522,7 @@ class TestEvaluate:
         for stock in report.stocks:
             test = build_dataset(load_ohlcv(pipeline.data, stock.stock), 8, t_out).test
             errs = [
-                float(np.mean((persistence_baseline(p.x, t_out) - p.y) ** 2)) for p in test
+                float(np.mean((np.full(t_out, p.x[-1, R_INDEX]) - p.y) ** 2)) for p in test
             ]
             assert stock.runs == (sum(errs) / len(errs),)
 

@@ -162,6 +162,10 @@ class TestLoadRunConfig:
         hb = load_run_config(write_json(tmp_path / "b.json", b)).hash()
         assert ha == hb
 
+    def test_hash_is_pinned(self):
+        # metrics.json, report.json and portfolio.json record this hash
+        assert RunConfig(data_dir="d", tickers_file="t").hash() == "d015db32b677483d"
+
     def test_hash_sensitive_to_values(self, tmp_path):
         ha = load_run_config(write_json(tmp_path / "a.json", minimal())).hash()
         hb = load_run_config(

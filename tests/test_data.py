@@ -249,6 +249,23 @@ def test_load_tickers(tmp_path):
     assert load_tickers(f) == ["BRK.B", ".A", "A.."]
 
 
+def test_load_tickers_refuses_a_repeated_name(tmp_path):
+    f = tmp_path / "tickers.txt"
+    f.write_text("AAA\n# AAA\nBBB\n AAA \n")
+    want = rf"^tickers file {re.escape(str(f))}: line 4: 'AAA' repeats line 1$"
+    with pytest.raises(ConfigError, match=want):
+        load_tickers(f)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# none yet\n"])
+def test_load_tickers_refuses_an_empty_list(tmp_path, text):
+    f = tmp_path / "tickers.txt"
+    f.write_text(text)
+    want = rf"^tickers file {re.escape(str(f))} lists no ticker$"
+    with pytest.raises(ConfigError, match=want):
+        load_tickers(f)
+
+
 @pytest.mark.parametrize("name", ["B\0B", "../AAA", "A/B", "A\\B", ".", ".."])
 def test_load_tickers_refuses_a_name_that_is_not_one_file_name(tmp_path, name):
     f = tmp_path / "tickers.txt"

@@ -1,4 +1,4 @@
-"""Aggregation conventions, baselines, and the prediction-file format."""
+"""Aggregation conventions and the prediction-file format."""
 
 import csv
 import datetime as dt
@@ -19,7 +19,6 @@ from dva.evaluation import (
     aggregate,
     load_predictions,
     mse,
-    persistence_baseline,
     report_as_dict,
     uncertainty_improvement,
     write_predictions,
@@ -60,28 +59,6 @@ class TestMse:
     def test_empty(self):
         with pytest.raises(ContractError):
             mse([], [])
-
-
-class TestPersistence:
-    def test_repeats_last_return(self):
-        w = make_window([1.01, 0.99, 1.05])
-        np.testing.assert_array_equal(
-            persistence_baseline(w.x, 4), np.full(4, 1.05)
-        )
-
-    def test_horizon_one(self):
-        w = make_window([1.2])
-        np.testing.assert_array_equal(persistence_baseline(w.x, 1), [1.2])
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ContractError):
-            persistence_baseline(np.zeros((4, FEATURE_DIM + 1)), 3)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ContractError):
-            persistence_baseline(np.zeros((0, FEATURE_DIM)), 3)
-        with pytest.raises(ContractError):
-            persistence_baseline(np.zeros((4, FEATURE_DIM)), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_stacked_step_matches_the_tensor_level_graph(kw):
                     lambda: reference_graph.total_loss(batch, params, cfg.schedule(), cfg, eps=eps)):
         with Tape() as tape:
             loss_t = loss_fn()
-        results.append((loss_t.item(), backward(tape, loss_t, params.parameters())))
+        results.append((loss_t.data.item(), backward(tape, loss_t, params.parameters())))
     (fused_loss, fused), (ref_loss, ref) = results
     assert fused_loss == pytest.approx(ref_loss, rel=1e-14, abs=0.0)
     for t in params.parameters():
@@ -230,7 +230,7 @@ class TestLossIdentity:
             loss_t, (comps,) = total_loss(
                 batch, params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, len(batch.y))
             )
-            assert loss_t.item() == comps.total
+            assert loss_t.data.item() == comps.total
             assert comps.total == loss_from_components(
                 comps.mse, comps.kl, comps.dsm, cfg.zeta, cfg.eta
             )
@@ -244,7 +244,7 @@ class TestLossIdentity:
         loss_t, (comps,) = total_loss(
             batch, params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, len(batch.y))
         )
-        assert loss_t.item() == comps.mse
+        assert loss_t.data.item() == comps.mse
 
     def test_component_arithmetic_hand_example(self):
         assert loss_from_components(1.0, 0.4, 0.2, 0.5, 1.0) == 1.4
@@ -422,6 +422,10 @@ class TestTrainConfig:
     def test_default_model_hash_is_pinned(self):
         # checkpoints store this hash; a change would orphan every saved model
         assert TrainConfig().model_config().hash() == "f59cfe1d5c7e1443"
+
+    def test_default_hash_is_pinned(self):
+        # metrics.json records this hash
+        assert TrainConfig().hash() == "ec16ea05ebe5d748"
 
 
 # ---------------------------------------------------------------------------
