@@ -30,7 +30,6 @@ import json
 import os
 import platform
 import time
-from dataclasses import replace
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -95,7 +94,6 @@ def worker(runs: list[int], repeats: int) -> dict:
         "batch_size": cfg.batch_size,
     }
     for r in runs:
-        cfgs = [replace(cfg, seed=s) for s in range(r)]
         epochs, steps = [], []
         entries.clear()
         backward_s.clear()
@@ -103,7 +101,7 @@ def worker(runs: list[int], repeats: int) -> dict:
         for _ in range(repeats):
             stamps.clear()
             t0 = time.perf_counter()
-            train_runs(split, cfgs)
+            train_runs(split, cfg, range(r))
             epochs.append(time.perf_counter() - t0)
             steps.extend(np.diff(stamps))  # one epoch: consecutive steps only
         out[f"R{r}"] = {

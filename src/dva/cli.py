@@ -57,12 +57,9 @@ from .errors import (
     TrainingAbort,
 )
 from .evaluation import (
-    Report,
-    StockRunResult,
     aggregate,
     mse,
     prediction_path,
-    report_as_dict,
     uncertainty_improvement,
     write_predictions,
     write_uncertainty_csv,
@@ -299,8 +296,8 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _persistence_report(rc: RunConfig, tickers) -> Report:
-    """The persistence forecast's results on the test split: the last
+def _persistence_report(rc: RunConfig, tickers) -> dict:
+    """The persistence forecast's report on the test split: the last
     observed gross return repeated over the horizon, the sanity floor any
     trained model must beat."""
     results = []
@@ -308,13 +305,13 @@ def _persistence_report(rc: RunConfig, tickers) -> Report:
         test = _dataset(rc, ticker)[1].test
         # per-window MSEs of the last gross return carried over the horizon
         errs = ((test.x[:, R_INDEX, -1:] - test.y) ** 2).mean(axis=1)
-        results.append(
-            StockRunResult(stock=ticker, run=0, mse=sum(errs.tolist()) / len(errs))
-        )
+        results.append((ticker, 0, sum(errs.tolist()) / len(errs)))
     return aggregate(results)
 
 
-def _report_from_metrics(path) -> Report:
+def _report_from_metrics(path) -> dict:
+    """The report of a metrics file's per-stock run MSEs. Each must be a
+    finite number > 0, for the percentage change against it to exist."""
     where = f"metrics file {path}"
     try:
         raw = json.loads(read_utf8(path, "metrics file"))
@@ -327,11 +324,15 @@ def _report_from_metrics(path) -> Report:
         for entry in per_stock.values()
     ):
         raise DataError(f"{where}: per_stock must list each stock's run MSEs")
-    results = [
-        StockRunResult(stock=stock, run=i, mse=float(v))
-        for stock, entry in per_stock.items()
-        for i, v in enumerate(entry["runs"])
-    ]
+    results = []
+    for stock, entry in per_stock.items():
+        for i, v in enumerate(entry["runs"]):
+            # bool is an int to isinstance, and a JSON integer may overflow a float
+            if isinstance(v, bool) or not 0.0 < v <= sys.float_info.max:
+                raise DataError(
+                    f"{where}: per_stock.{stock}.runs[{i}] must be a finite MSE > 0, got {v!r}"
+                )
+            results.append((stock, i, float(v)))
     if not results:
         raise DataError(f"{where}: no per-stock results")
     return aggregate(results)
@@ -349,7 +350,7 @@ def cmd_evaluate(args) -> int:
         err = mse(f.y_hat, f.y_true)
         if not math.isfinite(err):
             raise DataError(f"prediction file {f.path}: the forecast errors have no finite MSE")
-        results.append(StockRunResult(f.stock, f.run, err))
+        results.append((f.stock, f.run, err))
     model_report = aggregate(results)
     tickers = load_tickers(rc.tickers_file)
     if args.baseline:
@@ -358,7 +359,7 @@ def cmd_evaluate(args) -> int:
     else:
         before = _persistence_report(rc, tickers)
         baseline_name = "persistence"
-    model_stocks, baseline_stocks = set(model_report.stock_ids()), set(before.stock_ids())
+    model_stocks, baseline_stocks = set(model_report["per_stock"]), set(before["per_stock"])
     if model_stocks != baseline_stocks:
         raise DataError(
             f"predictions and baseline {baseline_name} cover different stocks:"
@@ -376,8 +377,8 @@ def cmd_evaluate(args) -> int:
             "run_config": rc.as_dict(),
             "run_config_hash": rc.hash(),
             "baseline": baseline_name,
-            "report": report_as_dict(model_report),
-            "baseline_report": report_as_dict(before),
+            "report": model_report,
+            "baseline_report": before,
         },
     )
     write_uncertainty_csv(out / "uncertainty.csv", rows)

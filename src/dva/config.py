@@ -175,10 +175,8 @@ def _load_json_object(path, kind: str) -> dict:
 
 
 def _annotation_type(f: dataclasses.Field) -> type:
-    t = f.type
-    if isinstance(t, str):
-        return {"int": int, "float": float, "bool": bool, "str": str}.get(t, str)
-    return t if t in (int, float, bool, str) else str
+    # every module has postponed annotations, so f.type is the annotation's text
+    return {"int": int, "float": float, "bool": bool, "str": str}.get(f.type, str)
 
 
 _FIELD_TYPES = {name: _annotation_type(f) for name, f in _TRAIN_FIELDS.items()}

@@ -27,8 +27,8 @@ __all__ = [
 class DiffusionSchedule:
     """Immutable per-step constants for steps n = 1..n_steps.
 
-    Arrays are indexed by n - 1; the n = 0 boundary (no corruption) is the
-    implicit cumulative product 1.
+    Arrays are indexed by n - 1; a step outside 1..n_steps is a
+    ContractError.
     """
 
     n_steps: int
@@ -40,15 +40,11 @@ class DiffusionSchedule:
     sigma: np.ndarray
 
     def alpha_bar_at(self, n: int) -> float:
-        if n == 0:
-            return 1.0
         self._check_step(n)
         return float(self.alpha_bar[n - 1])
 
     def target_alpha_bar_at(self, n: int) -> float:
         """Cumulative product governing the target chain at step n."""
-        if n == 0:
-            return 1.0
         self._check_step(n)
         return float(self.alpha_bar_prime[n - 1])
 
@@ -111,7 +107,6 @@ def diffuse_input(
     x: np.ndarray, schedule: DiffusionSchedule, n: int, eps: np.ndarray
 ) -> np.ndarray:
     """Closed-form input corruption: sqrt(a_bar_n) x + sqrt(1 - a_bar_n) eps."""
-    schedule._check_step(n)
     return _diffuse(x, schedule.alpha_bar_at(n), eps)
 
 
@@ -119,7 +114,6 @@ def diffuse_target(
     y: np.ndarray, schedule: DiffusionSchedule, n: int, eps: np.ndarray
 ) -> np.ndarray:
     """Target corruption with the coupled (gamma-scaled) cumulative product."""
-    schedule._check_step(n)
     return _diffuse(y, schedule.target_alpha_bar_at(n), eps)
 
 

@@ -14,7 +14,6 @@ import csv
 import datetime as dt
 import operator
 import re
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -26,13 +25,8 @@ from .data import WindowPair, Windows
 from .errors import ContractError, DataError, ParseError
 
 __all__ = [
-    "StockRunResult",
-    "StockAggregate",
-    "Report",
-    "UncertaintyRow",
     "mse",
     "aggregate",
-    "report_as_dict",
     "uncertainty_improvement",
     "write_uncertainty_csv",
     "PREDICTION_NAME",
@@ -70,84 +64,35 @@ def mse(pred, target) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StockRunResult:
-    """Test MSE of one (stock, run) training."""
-
-    stock: str
-    run: int
-    mse: float
-
-    def validate(self) -> "StockRunResult":
-        if not np.isfinite(self.mse) or self.mse < 0:
-            raise ContractError(
-                f"MSE must be finite and >= 0, got {self.mse} for {self.stock} run {self.run}"
-            )
-        return self
-
-
-@dataclass(frozen=True)
-class StockAggregate:
-    stock: str
-    mse_mean: float
-    mse_sd: float  # sample SD over runs (divisor n-1); 0.0 for a single run
-    runs: tuple[float, ...]  # per-run MSEs in run order
-
-
-@dataclass(frozen=True)
-class Report:
-    stocks: tuple[StockAggregate, ...]  # sorted by stock id
-    mean_of_means: float
-    mean_of_sds: float
-
-    def stock_ids(self) -> tuple[str, ...]:
-        return tuple(s.stock for s in self.stocks)
-
-
-def aggregate(results: Iterable[StockRunResult]) -> Report:
-    """Per-stock mean/sample-SD over runs, then means of those across stocks."""
-    rows = [r.validate() for r in results]
-    if not rows:
-        raise ContractError("aggregate needs at least one result")
+def aggregate(results: Iterable[tuple[str, int, float]]) -> dict:
+    """Per-stock mean/sample-SD over runs, then means of those across
+    stocks, from (stock, run, mse) triples; the report as it is written:
+    ``per_stock`` (sorted by stock, runs in run order) and ``aggregate``."""
     by_stock: dict[str, dict[int, float]] = {}
-    for r in rows:
-        runs = by_stock.setdefault(r.stock, {})
-        if r.run in runs:
-            raise ContractError(f"duplicate result for {r.stock} run {r.run}")
-        runs[r.run] = r.mse
-    stocks = []
+    for stock, run, err in results:
+        if not np.isfinite(err) or err < 0:
+            raise ContractError(f"MSE must be finite and >= 0, got {err} for {stock} run {run}")
+        runs = by_stock.setdefault(stock, {})
+        if run in runs:
+            raise ContractError(f"duplicate result for {stock} run {run}")
+        runs[run] = err
+    if not by_stock:
+        raise ContractError("aggregate needs at least one result")
+    per_stock = {}
     for stock in sorted(by_stock):
         vals = np.array([by_stock[stock][run] for run in sorted(by_stock[stock])])
-        sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        stocks.append(
-            StockAggregate(
-                stock=stock,
-                mse_mean=float(vals.mean()),
-                mse_sd=sd,
-                runs=tuple(float(v) for v in vals),
-            )
-        )
-    return Report(
-        stocks=tuple(stocks),
-        mean_of_means=float(np.mean([s.mse_mean for s in stocks])),
-        mean_of_sds=float(np.mean([s.mse_sd for s in stocks])),
-    )
-
-
-def report_as_dict(report: Report) -> dict:
-    """JSON-ready view of a report."""
+        per_stock[stock] = {
+            "mse_mean": float(vals.mean()),
+            "mse_sd_over_runs": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
+            "runs": [float(v) for v in vals],
+        }
     return {
-        "per_stock": {
-            s.stock: {
-                "mse_mean": s.mse_mean,
-                "mse_sd_over_runs": s.mse_sd,
-                "runs": list(s.runs),
-            }
-            for s in report.stocks
-        },
+        "per_stock": per_stock,
         "aggregate": {
-            "mean_of_stock_means": report.mean_of_means,
-            "mean_of_stock_sds": report.mean_of_sds,
+            "mean_of_stock_means": float(np.mean([s["mse_mean"] for s in per_stock.values()])),
+            "mean_of_stock_sds": float(
+                np.mean([s["mse_sd_over_runs"] for s in per_stock.values()])
+            ),
         },
     }
 
@@ -157,36 +102,29 @@ def report_as_dict(report: Report) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UncertaintyRow:
-    stock: str
-    sd_before: float
-    pct_mse_change: float
-
-
-def uncertainty_improvement(report_a: Report, report_b: Report) -> list[UncertaintyRow]:
-    """Per stock: report A's across-run SD against the percentage MSE change
-    from A to B, sorted ascending by the SD."""
-    if report_a.stock_ids() != report_b.stock_ids():
+def uncertainty_improvement(report_a: dict, report_b: dict) -> list[tuple[str, float, float]]:
+    """The CSV's rows: per stock, report A's across-run SD and the
+    percentage MSE change from A to B, sorted ascending by the SD; the
+    reports as ``aggregate`` returns them."""
+    a_stocks, b_stocks = report_a["per_stock"], report_b["per_stock"]
+    if list(a_stocks) != list(b_stocks):
         raise ContractError(
-            f"reports cover different stock sets: {report_a.stock_ids()} vs {report_b.stock_ids()}"
+            f"reports cover different stock sets: {tuple(a_stocks)} vs {tuple(b_stocks)}"
         )
-    b_by_stock = {s.stock: s for s in report_b.stocks}
     rows = []
-    for a in report_a.stocks:
-        if a.mse_mean == 0.0:
+    for stock, a in a_stocks.items():
+        if a["mse_mean"] == 0.0:
             raise ContractError(
-                f"percentage change undefined: stock {a.stock} has zero baseline MSE"
+                f"percentage change undefined: stock {stock} has zero baseline MSE"
             )
-        b = b_by_stock[a.stock]
-        pct = 100.0 * (b.mse_mean - a.mse_mean) / a.mse_mean
-        rows.append(UncertaintyRow(stock=a.stock, sd_before=a.mse_sd, pct_mse_change=pct))
-    rows.sort(key=lambda r: (r.sd_before, r.stock))
+        pct = 100.0 * (b_stocks[stock]["mse_mean"] - a["mse_mean"]) / a["mse_mean"]
+        rows.append((stock, a["mse_sd_over_runs"], pct))
+    rows.sort(key=lambda r: (r[1], r[0]))
     return rows
 
 
-def write_uncertainty_csv(path, rows: Sequence[UncertaintyRow]) -> None:
-    cells = ([r.stock, repr(float(r.sd_before)), repr(float(r.pct_mse_change))] for r in rows)
+def write_uncertainty_csv(path, rows: Sequence[tuple[str, float, float]]) -> None:
+    cells = ([stock, repr(float(sd)), repr(float(pct))] for stock, sd, pct in rows)
     write_csv(path, UNCERTAINTY_HEADER, cells)
 
 

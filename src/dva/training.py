@@ -17,12 +17,17 @@ target distribution, and L_DSM trains the energy head on the (blocked)
 prediction. Validation after each epoch is deterministic: clean inputs,
 posterior means, and (when enabled) the one-step denoising jump; the
 checkpoint kept is the epoch with the lowest validation MSE.
+
+Loss terms travel as arrays: ``total_loss`` returns one row of ``TERMS``
+per model, and a run's history is an (epochs, len(TERMS) + 1) array, the
+epoch means of the terms followed by the validation MSE (column
+``VAL_MSE``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -38,13 +43,7 @@ from .diffusion import (
     sample_step,
 )
 from .errors import ConfigError, ContractError, DvaError, TrainingAbort
-from .evaluation import (
-    StockRunResult,
-    aggregate,
-    prediction_path,
-    report_as_dict,
-    write_predictions,
-)
+from .evaluation import aggregate, prediction_path, write_predictions
 from .losses import denoise_jump, dsm_loss, mse_loss, output_kl
 from .model import (
     ModelConfig,
@@ -60,9 +59,8 @@ from .optim import Adam
 __all__ = [
     "TrainConfig",
     "TrainBatch",
-    "LossComponents",
-    "EpochStats",
-    "RunHistory",
+    "TERMS",
+    "VAL_MSE",
     "make_batch",
     "total_loss",
     "loss_from_components",
@@ -205,14 +203,11 @@ def make_batch(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LossComponents:
-    mse: float
-    kl: float  # latent + output KL, as weighted into the loss
-    dsm: float
-    kl_latent: float
-    kl_output: float
-    total: float
+# the per-model loss terms, as the columns of ``total_loss``'s array; kl is
+# kl_latent + kl_output, as weighted into the loss
+TERMS = ("mse", "kl", "dsm", "kl_latent", "kl_output")
+# the column of a run's history after the epoch means of the terms
+VAL_MSE = len(TERMS)
 
 
 def loss_from_components(mse, kl, dsm, zeta: float, eta: float):
@@ -244,17 +239,16 @@ def total_loss(
     cfg: TrainConfig,
     *,
     eps: list[np.ndarray],
-) -> tuple[Tensor, tuple[LossComponents, ...]]:
+) -> tuple[Tensor, np.ndarray]:
     """Composite objective on one batch, summed over the models of a stack,
     from a training-mode forward pass.
 
-    Returns the scalar loss tensor plus one set of float components per
-    model (one for an unstacked model), each satisfying
-    ``total == (mse + zeta*kl) + eta*dsm`` exactly at f64. Latents are
-    reparameterized samples driven by ``eps``, one standard-normal array per
-    latent group, coarsest first (see ``_latent_noise``). A non-finite
-    component raises TrainingAbort naming the model, with epoch/batch set
-    to -1; the training loop re-raises with the real location.
+    Returns the scalar loss tensor and an (R, len(TERMS)) float array of
+    each model's terms (R = 1 for an unstacked model); each model's
+    ``loss_from_components`` of its mse, kl and dsm is its share of the
+    loss, exactly at f64. Latents are reparameterized samples driven by
+    ``eps``, one standard-normal array per latent group, coarsest first (see
+    ``_latent_noise``).
     """
     stack = encode(params, Tensor(batch.x_n), training=True)
     out = generate(params, stack, eps=eps, training=True)
@@ -284,51 +278,13 @@ def total_loss(
         dsm = d_t.data
 
     total = loss_from_components(m_t.data, kl, dsm, cfg.zeta, cfg.eta)
-    per_model = zip(m_t.data.flat, kl.flat, dsm.flat, np.ravel(kl_latent),
-                    np.ravel(kl_output), total.flat)
-    comps = tuple(
-        LossComponents(
-            mse=float(mse),
-            kl=float(kl_r),
-            dsm=float(dsm_r),
-            kl_latent=float(kl_lat),
-            kl_output=float(kl_out),
-            total=float(tot),
-        )
-        for mse, kl_r, dsm_r, kl_lat, kl_out, tot in per_model
-    )
-    for r, c in enumerate(comps):
-        for name in ("mse", "kl", "dsm"):
-            if not math.isfinite(getattr(c, name)):
-                raise TrainingAbort(
-                    "non-finite loss", epoch=-1, batch=-1, component=name, run=r
-                )
-    return _weighted_sum(total, m_t, kls, d_t, cfg.zeta, cfg.eta), comps
+    terms = np.stack([m_t.data, kl, dsm, kl_latent, kl_output], axis=-1)
+    return _weighted_sum(total, m_t, kls, d_t, cfg.zeta, cfg.eta), terms.reshape(-1, len(TERMS))
 
 
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    """Unweighted means of the per-batch components, plus validation MSE."""
-
-    mse: float
-    kl: float
-    dsm: float
-    val_mse: float
-
-
-@dataclass(frozen=True)
-class RunHistory:
-    epochs: tuple[EpochStats, ...]
-    best_epoch: int  # first argmin of validation MSE
-    steps: int  # optimiser steps taken = ceil(|train|/batch) * epochs
-
-    def best_val_mse(self) -> float:
-        return self.epochs[self.best_epoch].val_mse
 
 
 def refresh_norm_stats(params: ModelParams, x_train: np.ndarray, cfg: TrainConfig) -> None:
@@ -359,99 +315,87 @@ def _latent_noise(
 
 
 def train_runs(
-    split: DatasetSplit, cfgs: Sequence[TrainConfig]
-) -> list[tuple[ModelParams, RunHistory]]:
-    """Train one model per config on one stock's split, all in one tape;
-    return each run's best-epoch checkpoint and history, in config order.
+    split: DatasetSplit, cfg: TrainConfig, seeds: Sequence[int]
+) -> list[tuple[ModelParams, np.ndarray]]:
+    """Train one model per seed on one stock's split, all in one tape, under
+    ``cfg`` (whose own seed is not read); return each run's best-epoch
+    checkpoint and history, in seed order.
 
-    The configs may differ only in their seed. Run r is deterministic for a
-    fixed (split, cfgs[r]) and does not depend on the other runs: a
+    A run's history is an (epochs, len(TERMS) + 1) array: the epoch means of
+    the loss terms, then the validation MSE. Run r is deterministic for a
+    fixed (split, cfg, seeds[r]) and does not depend on the other runs: a
     generator seeded from its own seed drives shuffling, the per-batch step
     draw, the diffusion noise, and the latent noise, in that order, and its
-    best epoch is the first argmin of its own validation MSE. A non-finite
-    loss raises TrainingAbort whose ``run`` is the failing run's index.
+    checkpoint is taken at the first argmin of its own validation MSE. A
+    non-finite loss term or validation MSE raises TrainingAbort whose
+    ``run`` is the failing run's index.
     """
-    if not cfgs:
-        raise ConfigError("train_runs needs at least one config")
-    cfg = cfgs[0]
-    for c in cfgs:
-        c.validate()
-        if replace(c, seed=cfg.seed) != cfg:
-            raise ConfigError("runs trained together may differ only in their seed")
+    cfg.validate()
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"train_runs needs one or more seeds >= 0, got {list(seeds)}")
     if not split.train or not split.validation:
         raise ConfigError("training needs nonempty train and validation sets")
     schedule = cfg.schedule()
     x_train, y_train = split.train.x, split.train.y
-    params = ModelParams.stack([ModelParams.init(cfg.model_config(), c.seed) for c in cfgs])
+    params = ModelParams.stack([ModelParams.init(cfg.model_config(), s) for s in seeds])
     lengths = params.config.level_lengths()
     # start the output head, in the flat vector Adam updates, at the per-step
     # mean of the training targets: gross returns sit near 1.0, further than
     # Adam can move a zero bias within the configured epoch budget
     params["out.proj.b"].data[...] = y_train.mean(axis=0)
 
-    rngs = [np.random.default_rng([c.seed, 1]) for c in cfgs]
+    rngs = [np.random.default_rng([s, 1]) for s in seeds]
     opt = Adam(params.flat, params.parameters(), cfg.lr)
     n_batches = math.ceil(len(x_train) / cfg.batch_size)
 
-    runs = range(len(cfgs))
-    epochs: list[list[EpochStats]] = [[] for _ in runs]
-    best_val = [math.inf for _ in runs]
-    best_epoch = [-1 for _ in runs]
-    best_params: list[ModelParams | None] = [None for _ in runs]
+    history = np.empty((len(seeds), cfg.epochs, len(TERMS) + 1))
+    best_val = np.full(len(seeds), math.inf)
+    best_params: list[ModelParams | None] = [None] * len(seeds)
     for epoch in range(cfg.epochs):
         orders = [rng.permutation(len(x_train)) for rng in rngs]
-        sums = np.zeros((len(cfgs), 3))
+        sums = np.zeros((len(seeds), len(TERMS)))
         for b_idx in range(n_batches):
             batches = []
             noise = []
-            for c, order, rng in zip(cfgs, orders, rngs):
+            for order, rng in zip(orders, rngs):
                 idx = order[b_idx * cfg.batch_size : (b_idx + 1) * cfg.batch_size]
                 n = sample_step(rng, schedule)
-                batches.append(make_batch(x_train[idx], y_train[idx], schedule, n, rng, c))
+                batches.append(make_batch(x_train[idx], y_train[idx], schedule, n, rng, cfg))
                 noise.append(_latent_noise(rng, len(idx), cfg.latent, lengths))
             eps = [np.stack(group) for group in zip(*noise)]
             with Tape() as tape:
-                try:
-                    loss_t, comps = total_loss(
-                        TrainBatch.stack(batches), params, schedule, cfg, eps=eps
-                    )
-                except TrainingAbort as err:
-                    raise TrainingAbort(
-                        "non-finite loss", epoch=epoch, batch=b_idx,
-                        component=err.component, run=err.run,
-                    ) from None
+                loss_t, terms = total_loss(
+                    TrainBatch.stack(batches), params, schedule, cfg, eps=eps
+                )
+            # kl sums the two KLs, so mse, kl and dsm cover every term
+            bad = np.argwhere(~np.isfinite(terms[:, :3]))
+            if len(bad):
+                r, c = bad[0]
+                raise TrainingAbort(
+                    "non-finite loss", epoch=epoch, batch=b_idx, component=TERMS[c], run=int(r)
+                )
             opt.step(backward(tape, loss_t, params.parameters()))
-            sums += [(c.mse, c.kl, c.dsm) for c in comps]
+            sums += terms
         refresh_norm_stats(params, x_train, cfg)
         val = evaluate_mse(params, split.validation.x, split.validation.y, cfg)
-        for r in runs:
-            if not math.isfinite(val[r]):
-                raise TrainingAbort(
-                    "non-finite validation MSE", epoch=epoch, batch=-1,
-                    component="val_mse", run=r,
-                )
-        for r in runs:
-            means = sums[r] / n_batches
-            epochs[r].append(
-                EpochStats(mse=means[0], kl=means[1], dsm=means[2], val_mse=float(val[r]))
+        bad = np.flatnonzero(~np.isfinite(val))
+        if len(bad):
+            raise TrainingAbort(
+                "non-finite validation MSE", epoch=epoch, batch=-1,
+                component="val_mse", run=int(bad[0]),
             )
-            if val[r] < best_val[r]:
-                best_val[r] = val[r]
-                best_epoch[r] = epoch
-                best_params[r] = params.run(r)
-    return [
-        (
-            best_params[r],
-            RunHistory(epochs=tuple(epochs[r]), best_epoch=best_epoch[r], steps=opt.step_count),
-        )
-        for r in runs
-    ]
+        history[:, epoch, :VAL_MSE] = sums / n_batches
+        history[:, epoch, VAL_MSE] = val
+        for r in np.flatnonzero(val < best_val):
+            best_val[r] = val[r]
+            best_params[r] = params.run(r)
+    return list(zip(best_params, history))
 
 
-def train_stock(split: DatasetSplit, cfg: TrainConfig) -> tuple[ModelParams, RunHistory]:
-    """Train one model on one stock's split; the single-run case of
-    ``train_runs``."""
-    return train_runs(split, [cfg])[0]
+def train_stock(split: DatasetSplit, cfg: TrainConfig) -> tuple[ModelParams, np.ndarray]:
+    """Train one model on one stock's split with ``cfg.seed``; the
+    single-run case of ``train_runs``."""
+    return train_runs(split, cfg, [cfg.seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +442,10 @@ def _experiment_job(args: tuple) -> list[dict]:
     the stock. A run whose loss turns non-finite fails alone: the others
     are retrained without it, which reproduces them exactly."""
     ticker, runs, data_dir, cfg, out_dir = args
-    cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(runs)]
     outcomes: dict[int, dict] = {}
 
     def failed(r: int, err: DvaError) -> dict:
-        return {"stock": ticker, "run": r, "seed": cfgs[r].seed, "ok": False,
+        return {"stock": ticker, "run": r, "seed": cfg.seed + r, "ok": False,
                 "error": str(err), "error_type": type(err).__name__}
 
     try:
@@ -512,7 +455,7 @@ def _experiment_job(args: tuple) -> list[dict]:
         trained = []
         while live:
             try:
-                trained = train_runs(split, [cfgs[r] for r in live])
+                trained = train_runs(split, cfg, [cfg.seed + r for r in live])
                 break
             except TrainingAbort as err:
                 r = live.pop(err.run)
@@ -523,14 +466,15 @@ def _experiment_job(args: tuple) -> list[dict]:
             y_hat = predict(params, x_test, cfg)
             pred = prediction_path(Path(out_dir) / "predictions", ticker, r)
             write_predictions(pred, split.test, y_hat)
+            best = int(np.argmin(history[:, VAL_MSE]))  # the checkpoint's epoch
             outcomes[r] = {
                 "stock": ticker,
                 "run": r,
-                "seed": cfgs[r].seed,
+                "seed": cfg.seed + r,
                 "ok": True,
                 "test_mse": float(np.mean((y_hat - y_test) ** 2)),
-                "val_mse": history.best_val_mse(),
-                "best_epoch": history.best_epoch,
+                "val_mse": float(history[best, VAL_MSE]),
+                "best_epoch": best,
             }
     except DvaError as err:
         for r in range(runs):
@@ -557,10 +501,6 @@ def run_experiment(
     cfg.validate()
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
-    if not tickers:
-        raise ConfigError("ticker list is empty")
-    if len(set(tickers)) != len(tickers):
-        raise ConfigError(f"duplicate tickers in {list(tickers)}")
     out = Path(out_dir)
     (out / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out / "predictions").mkdir(parents=True, exist_ok=True)
@@ -579,9 +519,7 @@ def run_experiment(
             per_stock_outcomes = list(pool.map(_experiment_job, grid))
     outcomes = [o for stock in per_stock_outcomes for o in stock]
 
-    results = [
-        StockRunResult(o["stock"], o["run"], o["test_mse"]) for o in outcomes if o["ok"]
-    ]
+    results = [(o["stock"], o["run"], o["test_mse"]) for o in outcomes if o["ok"]]
     failures = [
         {k: o[k] for k in ("stock", "run", "seed", "error", "error_type")}
         for o in outcomes
@@ -593,7 +531,7 @@ def run_experiment(
     if failures:
         warnings.append(f"{len(failures)} of {len(outcomes)} runs failed; results are partial")
 
-    report = report_as_dict(aggregate(results)) if results else None
+    report = aggregate(results) if results else None
     per_stock = report["per_stock"] if report else {}
     for o in outcomes:
         if o["ok"]:

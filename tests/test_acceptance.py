@@ -23,7 +23,7 @@ from dva.cli import main
 from dva.data import FEATURE_DIM, R_INDEX, SynthSpec, build_dataset, synth_generate
 from dva.diffusion import diffuse_input, diffuse_target, make_schedule
 from dva.errors import DegenerateReturnsError
-from dva.evaluation import StockRunResult, aggregate
+from dva.evaluation import aggregate
 from dva.layers import (
     batch_norm,
     batch_norm_bwd,
@@ -316,7 +316,7 @@ def test_a02_diffusion_marginals():
     unit = schedules[2]
     bitwise = np.array_equal(unit.alpha_bar_prime, unit.alpha_bar) and all(
         unit.target_alpha_bar_at(n) == unit.alpha_bar_at(n)
-        for n in range(unit.n_steps + 1)
+        for n in range(1, unit.n_steps + 1)
     )
     ok = worst_z < 3.0 and worst_var < 0.02 and bitwise
     verdict(
@@ -366,15 +366,15 @@ def test_a03_loss_identity():
         n = int(rng.integers(1, cfg.n_steps + 1))
         batch = make_batch(x, y, schedule, n, rng, cfg)
         eps = _latent_noise(rng, 5, cfg.latent, cfg.model_config().level_lengths())
-        loss_t, (comps,) = total_loss(batch, params, schedule, cfg, eps=eps)
-        assert comps.total == loss_from_components(
-            comps.mse, comps.kl, comps.dsm, cfg.zeta, cfg.eta
+        loss_t, ((mse, kl, dsm, kl_latent, kl_output),) = total_loss(
+            batch, params, schedule, cfg, eps=eps
         )
-        assert comps.total == (comps.mse + cfg.zeta * comps.kl) + cfg.eta * comps.dsm
-        assert loss_t.data.item() == comps.total
-        assert comps.kl_latent >= 0.0
-        assert comps.kl_output >= 0.0
-        assert comps.kl >= 0.0
+        total = loss_from_components(mse, kl, dsm, cfg.zeta, cfg.eta)
+        assert total == (mse + cfg.zeta * kl) + cfg.eta * dsm
+        assert loss_t.data.item() == total
+        assert kl_latent >= 0.0
+        assert kl_output >= 0.0
+        assert kl >= 0.0
         checked += 1
     verdict(
         3,
@@ -433,16 +433,13 @@ def test_a05_noise_robustness():
         split, _ = sin_universe(300, 0.02, 7000 + draw)
         sds = {}
         for name, diffused in (("full", True), ("ablation", False)):
-            cfgs = []
-            for seed in range(5):
-                cfg = TrainConfig(seed=seed, epochs=8)
-                if not diffused:
-                    cfg = replace(cfg, diffuse_x=False, diffuse_y=False)
-                cfgs.append(cfg)
-            # the five seeds train together; each run equals train_stock(split, cfg)
+            cfg = TrainConfig(epochs=8)
+            if not diffused:
+                cfg = replace(cfg, diffuse_x=False, diffuse_y=False)
+            # the five seeds train together; each run equals train_stock at its seed
             mses = [
                 evaluate_mse(params, split.test.x, split.test.y, cfg)
-                for cfg, (params, _) in zip(cfgs, train_runs(split, cfgs))
+                for params, _ in train_runs(split, cfg, range(5))
             ]
             sds[name] = float(np.std(mses, ddof=1))
         win = sds["full"] <= sds["ablation"]
@@ -471,9 +468,9 @@ def test_a06_denoise_jump():
     y_true = truth_windows(split.test, r_true)
     wins = 0
     details = []
-    cfgs = [TrainConfig(seed=seed, beta_max=0.01) for seed in range(5)]
-    # the five seeds train together; each run equals train_stock(split, cfg)
-    for seed, (cfg, (params, _)) in enumerate(zip(cfgs, train_runs(split, cfgs))):
+    cfg = TrainConfig(beta_max=0.01)
+    # the five seeds train together; each run equals train_stock at its seed
+    for seed, (params, _) in enumerate(train_runs(split, cfg, range(5))):
         raw = predict(params, x_test, replace(cfg, denoiser=False))
         final = predict(params, x_test, cfg)
         mse_raw = float(np.mean((raw - y_true) ** 2))
@@ -745,31 +742,32 @@ def test_a10_pipeline_determinism(tmp_path):
 def test_a11_aggregation_convention():
     """2 stocks x 3 runs aggregate to hand-computed mean and sample SD."""
     results = [
-        StockRunResult("AAA", 0, 0.5),
-        StockRunResult("AAA", 1, 1.0),
-        StockRunResult("AAA", 2, 1.5),
-        StockRunResult("BBB", 0, 2.0),
-        StockRunResult("BBB", 1, 2.0),
-        StockRunResult("BBB", 2, 2.0),
+        ("AAA", 0, 0.5),
+        ("AAA", 1, 1.0),
+        ("AAA", 2, 1.5),
+        ("BBB", 0, 2.0),
+        ("BBB", 1, 2.0),
+        ("BBB", 2, 2.0),
     ]
     report = aggregate(results)
     # By hand: AAA mean 1.0, SD sqrt(((0.5)^2 + 0 + (0.5)^2) / 2) = 0.5 with
     # the n-1 divisor; BBB mean 2.0, SD 0.0; cross-stock means 1.5 and 0.25.
-    aaa, bbb = report.stocks
+    per_stock, across = report["per_stock"], report["aggregate"]
+    aaa, bbb = per_stock.get("AAA", {}), per_stock.get("BBB", {})
     exact = (
-        aaa.stock == "AAA"
-        and aaa.mse_mean == 1.0
-        and aaa.mse_sd == 0.5
-        and bbb.mse_mean == 2.0
-        and bbb.mse_sd == 0.0
-        and report.mean_of_means == 1.5
-        and report.mean_of_sds == 0.25
+        list(per_stock) == ["AAA", "BBB"]
+        and aaa["mse_mean"] == 1.0
+        and aaa["mse_sd_over_runs"] == 0.5
+        and bbb["mse_mean"] == 2.0
+        and bbb["mse_sd_over_runs"] == 0.0
+        and across["mean_of_stock_means"] == 1.5
+        and across["mean_of_stock_sds"] == 0.25
     )
     verdict(
         11,
         "aggregation convention",
         exact,
-        f"per-stock (mean, sd): AAA ({aaa.mse_mean}, {aaa.mse_sd}), BBB "
-        f"({bbb.mse_mean}, {bbb.mse_sd}); cross-stock ({report.mean_of_means}, "
-        f"{report.mean_of_sds}) == hand values exactly",
+        f"per-stock (mean, sd): AAA ({aaa['mse_mean']}, {aaa['mse_sd_over_runs']}), BBB "
+        f"({bbb['mse_mean']}, {bbb['mse_sd_over_runs']}); cross-stock "
+        f"({across['mean_of_stock_means']}, {across['mean_of_stock_sds']}) == hand values exactly",
     )

@@ -29,12 +29,7 @@ from dva.data import (
     write_truth,
 )
 from dva.errors import ConfigError, DataError, DvaError, ParseError
-from dva.evaluation import (
-    UncertaintyRow,
-    load_predictions,
-    write_predictions,
-    write_uncertainty_csv,
-)
+from dva.evaluation import load_predictions, write_predictions, write_uncertainty_csv
 from dva.model import ModelConfig, ModelParams, load_params, save_params
 from dva.portfolio import BacktestReport, PeriodResult, RunBacktest, write_weights_csv
 
@@ -99,7 +94,7 @@ WRITERS = {
     "metrics.json": lambda path: write_json(path, PAYLOAD),
     "summary.csv": lambda path: write_csv(path, ["a", "b"], [["1,5", 'say "x"'], ["", "2"]]),
     "uncertainty.csv": lambda path: write_uncertainty_csv(
-        path, [UncertaintyRow("AAA", 0.125, -3.5), UncertaintyRow("BBB", 0.5, 12.0)]
+        path, [("AAA", 0.125, -3.5), ("BBB", 0.5, 12.0)]
     ),
     "weights_run0.csv": write_weights_file,
 }

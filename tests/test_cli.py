@@ -519,12 +519,12 @@ class TestEvaluate:
         rc = load_run_config(pipeline.cfg)
         rc = dataclasses.replace(rc, train=dataclasses.replace(rc.train, t_out=t_out))
         report = _persistence_report(rc, ["AAA", "BBB"])
-        for stock in report.stocks:
-            test = build_dataset(load_ohlcv(pipeline.data, stock.stock), 8, t_out).test
+        for stock, entry in report["per_stock"].items():
+            test = build_dataset(load_ohlcv(pipeline.data, stock), 8, t_out).test
             errs = [
                 float(np.mean((np.full(t_out, p.x[-1, R_INDEX]) - p.y) ** 2)) for p in test
             ]
-            assert stock.runs == (sum(errs) / len(errs),)
+            assert entry["runs"] == [sum(errs) / len(errs)]
 
     def test_missing_predictions(self, pipeline, tmp_path, capsys):
         cfg = write_json(
@@ -645,6 +645,24 @@ class TestEvaluate:
         err = read_stderr_json(capsys)
         assert err["error"] == error
         assert err["message"].startswith(f"metrics file {baseline}{cause}")
+        assert not (out2 / "report.json").exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "-0.5", "1e400", "Infinity", "0.0", "true"])
+    def test_bad_baseline_mse_is_a_data_error(self, pipeline, tmp_path, capsys, value):
+        # one run MSE of the baseline's stock AAA, as the JSON text gives it
+        out2 = tmp_path / "o7"
+        out2.mkdir()
+        shutil.copytree(pipeline.out / "predictions", out2 / "predictions")
+        metrics = json.loads((pipeline.out / "metrics.json").read_text())
+        metrics["per_stock"]["AAA"]["runs"][0] = "VALUE"
+        baseline = tmp_path / "metrics.json"
+        baseline.write_text(json.dumps(metrics).replace('"VALUE"', value))
+        cfg = write_json(tmp_path / "c.json", run_payload(pipeline.data, out2))
+        argv = ["evaluate", "--config", str(cfg), "--baseline", str(baseline)]
+        assert main(argv) == 3
+        err = read_stderr_json(capsys)
+        assert err["error"] == "DataError"
+        assert err["message"].startswith(f"metrics file {baseline}: per_stock.AAA.runs[0]")
         assert not (out2 / "report.json").exists()
 
     def test_missing_baseline_file(self, pipeline, tmp_path, capsys):

@@ -62,11 +62,13 @@ def test_diffuse_input_pure_noise_limit():
 
 
 def test_diffuse_input_step_range_checked():
+    # both chains: the schedule's accessors check the step
     s = make_schedule(n_steps=10)
     x, eps = np.zeros(3), np.zeros(3)
-    for bad in (0, -1, 11):
-        with pytest.raises(ContractError):
-            diffuse_input(x, s, bad, eps)
+    for diffuse in (diffuse_input, diffuse_target):
+        for bad in (0, -1, 11):
+            with pytest.raises(ContractError):
+                diffuse(x, s, bad, eps)
 
 
 def test_diffuse_input_leaves_input_untouched():

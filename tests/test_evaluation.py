@@ -13,13 +13,9 @@ from dva.data import FEATURE_DIM, R_INDEX, WindowPair, Windows, make_windows
 from dva.errors import ContractError, DataError, ParseError
 from dva.evaluation import (
     PREDICTION_HEADER,
-    Report,
-    StockAggregate,
-    StockRunResult,
     aggregate,
     load_predictions,
     mse,
-    report_as_dict,
     uncertainty_improvement,
     write_predictions,
     write_uncertainty_csv,
@@ -69,38 +65,36 @@ class TestMse:
 class TestAggregate:
     def test_sample_sd_hand_value(self):
         # runs {0.9, 1.1}: mean 1.0, sample SD sqrt(0.02) with divisor n-1
-        rep = aggregate(
-            [StockRunResult("AAA", 0, 0.9), StockRunResult("AAA", 1, 1.1)]
-        )
-        (agg,) = rep.stocks
-        assert agg.mse_mean == pytest.approx(1.0)
-        assert agg.mse_sd == pytest.approx(0.1414213562373095, abs=1e-15)
+        rep = aggregate([("AAA", 0, 0.9), ("AAA", 1, 1.1)])
+        (agg,) = rep["per_stock"].values()
+        assert agg["mse_mean"] == pytest.approx(1.0)
+        assert agg["mse_sd_over_runs"] == pytest.approx(0.1414213562373095, abs=1e-15)
 
     def test_two_stock_hand_example(self):
         # the Table-2-style convention: per-stock mean/SD, then plain means
         rows = [
-            StockRunResult("A", 0, 1.0),
-            StockRunResult("A", 1, 2.0),
-            StockRunResult("A", 2, 3.0),
-            StockRunResult("B", 0, 4.0),
-            StockRunResult("B", 1, 4.0),
-            StockRunResult("B", 2, 7.0),
+            ("A", 0, 1.0),
+            ("A", 1, 2.0),
+            ("A", 2, 3.0),
+            ("B", 0, 4.0),
+            ("B", 1, 4.0),
+            ("B", 2, 7.0),
         ]
         rep = aggregate(rows)
-        a, b = rep.stocks
-        assert (a.stock, b.stock) == ("A", "B")
-        assert a.mse_mean == 2.0 and a.mse_sd == pytest.approx(1.0)
-        assert b.mse_mean == 5.0 and b.mse_sd == pytest.approx(np.sqrt(3.0))
-        assert rep.mean_of_means == pytest.approx(3.5)
-        assert rep.mean_of_sds == pytest.approx((1.0 + np.sqrt(3.0)) / 2)
+        assert list(rep["per_stock"]) == ["A", "B"]
+        a, b = rep["per_stock"].values()
+        assert a["mse_mean"] == 2.0 and a["mse_sd_over_runs"] == pytest.approx(1.0)
+        assert b["mse_mean"] == 5.0 and b["mse_sd_over_runs"] == pytest.approx(np.sqrt(3.0))
+        assert rep["aggregate"]["mean_of_stock_means"] == pytest.approx(3.5)
+        assert rep["aggregate"]["mean_of_stock_sds"] == pytest.approx((1.0 + np.sqrt(3.0)) / 2)
 
     def test_single_run_sd_zero(self):
-        rep = aggregate([StockRunResult("A", 0, 0.5)])
-        assert rep.stocks[0].mse_sd == 0.0
+        rep = aggregate([("A", 0, 0.5)])
+        assert rep["per_stock"]["A"]["mse_sd_over_runs"] == 0.0
 
     def test_duplicate_run_rejected(self):
         with pytest.raises(ContractError, match="duplicate"):
-            aggregate([StockRunResult("A", 0, 0.5), StockRunResult("A", 0, 0.6)])
+            aggregate([("A", 0, 0.5), ("A", 0, 0.6)])
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
@@ -108,15 +102,13 @@ class TestAggregate:
 
     def test_invalid_mse_rejected(self):
         with pytest.raises(ContractError):
-            aggregate([StockRunResult("A", 0, -0.1)])
+            aggregate([("A", 0, -0.1)])
         with pytest.raises(ContractError):
-            aggregate([StockRunResult("A", 0, float("nan"))])
+            aggregate([("A", 0, float("nan"))])
 
     def test_runs_ordered_by_run_index(self):
-        rep = aggregate(
-            [StockRunResult("A", 1, 2.0), StockRunResult("A", 0, 1.0)]
-        )
-        assert rep.stocks[0].runs == (1.0, 2.0)
+        rep = aggregate([("A", 1, 2.0), ("A", 0, 1.0)])
+        assert rep["per_stock"]["A"]["runs"] == [1.0, 2.0]
 
     @given(
         st.lists(
@@ -133,20 +125,17 @@ class TestAggregate:
     )
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariant(self, rows, rand):
-        results = [StockRunResult(s, r, m) for s, r, m in rows]
-        shuffled = list(results)
+        shuffled = list(rows)
         rand.shuffle(shuffled)
-        assert aggregate(results) == aggregate(shuffled)
+        assert aggregate(rows) == aggregate(shuffled)
 
-    def test_report_as_dict_shape(self):
-        rep = aggregate(
-            [StockRunResult("A", 0, 1.0), StockRunResult("A", 1, 3.0)]
-        )
-        d = report_as_dict(rep)
-        assert d["per_stock"]["A"]["mse_mean"] == 2.0
-        assert d["per_stock"]["A"]["runs"] == [1.0, 3.0]
-        assert d["aggregate"]["mean_of_stock_means"] == 2.0
-        assert d["aggregate"]["mean_of_stock_sds"] == pytest.approx(np.sqrt(2.0))
+    def test_report_is_the_written_dict(self):
+        rep = aggregate([("A", 0, 1.0), ("A", 1, 3.0)])
+        sd = float(np.std([1.0, 3.0], ddof=1))
+        assert rep == {
+            "per_stock": {"A": {"mse_mean": 2.0, "mse_sd_over_runs": sd, "runs": [1.0, 3.0]}},
+            "aggregate": {"mean_of_stock_means": 2.0, "mean_of_stock_sds": sd},
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +144,13 @@ class TestAggregate:
 
 
 def small_report(means_sds):
-    stocks = tuple(
-        StockAggregate(stock=s, mse_mean=m, mse_sd=sd, runs=(m,))
+    """A report as ``aggregate`` returns it, with the given per-stock mean
+    and SD."""
+    per_stock = {
+        s: {"mse_mean": m, "mse_sd_over_runs": sd, "runs": [m]}
         for s, (m, sd) in sorted(means_sds.items())
-    )
-    return Report(
-        stocks=stocks,
-        mean_of_means=float(np.mean([s.mse_mean for s in stocks])),
-        mean_of_sds=float(np.mean([s.mse_sd for s in stocks])),
-    )
+    }
+    return {"per_stock": per_stock}
 
 
 class TestUncertainty:
@@ -172,15 +159,15 @@ class TestUncertainty:
         b = small_report({"A": (1.0, 0.0), "B": (5.0, 0.0)})
         rows = uncertainty_improvement(a, b)
         # sorted ascending by the before-SD: B (0.1) first, then A (0.5)
-        assert [r.stock for r in rows] == ["B", "A"]
-        assert rows[0].pct_mse_change == pytest.approx(25.0)
-        assert rows[1].pct_mse_change == pytest.approx(-50.0)
+        assert [r[0] for r in rows] == ["B", "A"]
+        assert rows[0] == ("B", 0.1, pytest.approx(25.0))
+        assert rows[1] == ("A", 0.5, pytest.approx(-50.0))
 
     def test_tie_breaks_by_stock(self):
         a = small_report({"B": (2.0, 0.3), "A": (2.0, 0.3)})
         b = small_report({"B": (2.0, 0.3), "A": (2.0, 0.3)})
         rows = uncertainty_improvement(a, b)
-        assert [r.stock for r in rows] == ["A", "B"]
+        assert [r[0] for r in rows] == ["A", "B"]
 
     def test_stock_set_mismatch(self):
         a = small_report({"A": (1.0, 0.1)})

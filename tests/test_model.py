@@ -374,6 +374,13 @@ def test_output_kl_pure_noise_limit():
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_output_kl_rejects_step_zero():
+    # at n = 0 the target is not diffused, so there is no KL to take
+    sched = make_schedule(n_steps=10)
+    with pytest.raises(ContractError, match="step n=0"):
+        output_kl(Tensor(np.zeros((2, 4))), 1.0, np.zeros((2, 4)), sched, np.array([3, 0]))
+
+
 # ---------------------------------------------------------------------------
 # energy head
 # ---------------------------------------------------------------------------

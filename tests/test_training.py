@@ -22,6 +22,8 @@ from dva.errors import ConfigError, ContractError, TrainingAbort
 from dva.evaluation import load_predictions
 from dva.model import ModelParams, encode, generate, load_params
 from dva.training import (
+    TERMS,
+    VAL_MSE,
     TrainBatch,
     TrainConfig,
     _latent_noise,
@@ -227,24 +229,24 @@ class TestLossIdentity:
         params = randomized_params(cfg, 7)
         for _ in range(5):
             batch = random_batch(cfg, rng)
-            loss_t, (comps,) = total_loss(
+            loss_t, terms = total_loss(
                 batch, params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, len(batch.y))
             )
-            assert loss_t.data.item() == comps.total
-            assert comps.total == loss_from_components(
-                comps.mse, comps.kl, comps.dsm, cfg.zeta, cfg.eta
-            )
-            assert comps.kl_latent >= 0.0 and comps.kl_output >= 0.0
+            assert terms.shape == (1, len(TERMS))
+            mse, kl, dsm, kl_latent, kl_output = terms[0]
+            assert loss_t.data.item() == loss_from_components(mse, kl, dsm, cfg.zeta, cfg.eta)
+            assert kl == kl_latent + kl_output
+            assert kl_latent >= 0.0 and kl_output >= 0.0
 
     def test_zero_weights_reduce_to_mse(self):
         cfg = replace(TINY, zeta=0.0, eta=0.0, denoiser=False)
         rng = np.random.default_rng(3)
         params = randomized_params(cfg, 3)
         batch = random_batch(cfg, rng)
-        loss_t, (comps,) = total_loss(
+        loss_t, terms = total_loss(
             batch, params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, len(batch.y))
         )
-        assert loss_t.data.item() == comps.mse
+        assert loss_t.data.item() == terms[0, TERMS.index("mse")]
 
     def test_component_arithmetic_hand_example(self):
         assert loss_from_components(1.0, 0.4, 0.2, 0.5, 1.0) == 1.4
@@ -253,10 +255,10 @@ class TestLossIdentity:
         cfg = replace(TINY, latent_kl=False, output_kl=False, denoiser=False)
         rng = np.random.default_rng(5)
         params = randomized_params(cfg, 5)
-        _, (comps,) = total_loss(
+        _, ((_, kl, dsm, _, _),) = total_loss(
             random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, 5)
         )
-        assert comps.kl == 0.0 and comps.dsm == 0.0
+        assert kl == 0.0 and dsm == 0.0
 
     def test_output_kl_needs_diffused_targets(self):
         # with target diffusion off there is no step-n target distribution,
@@ -264,22 +266,19 @@ class TestLossIdentity:
         cfg = replace(TINY, diffuse_y=False, latent_kl=False)
         rng = np.random.default_rng(6)
         params = randomized_params(cfg, 6)
-        _, (comps,) = total_loss(
+        _, ((_, kl, _, _, kl_output),) = total_loss(
             random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, 5)
         )
-        assert comps.kl_output == 0.0 and comps.kl == 0.0
+        assert kl_output == 0.0 and kl == 0.0
 
     def test_nonfinite_aborts_with_component(self):
-        cfg = TINY
-        rng = np.random.default_rng(8)
-        params = randomized_params(cfg, 8)
-        params.tensors["out.proj.w"].data[0, 0] = np.nan
+        # training stops at the batch whose terms turn non-finite and names
+        # the first bad term: NaN inputs reach the MSE first
+        split = tiny_split()
+        train = replace(split.train, x=np.full_like(split.train.x, np.nan))
         with pytest.raises(TrainingAbort) as err:
-            total_loss(
-                random_batch(cfg, rng), params, cfg.schedule(), cfg, eps=latent_noise(rng, cfg, 5)
-            )
-        assert err.value.epoch == -1 and err.value.batch == -1
-        assert err.value.component == "mse"
+            train_stock(replace(split, train=train), TINY)
+        assert (err.value.epoch, err.value.batch, err.value.component) == (0, 0, "mse")
 
 
 class TestDsmBlocking:
@@ -438,7 +437,7 @@ class TestTrainStock:
         split = tiny_split()
         p1, h1 = train_stock(split, TINY)
         p2, h2 = train_stock(split, TINY)
-        assert h1 == h2
+        np.testing.assert_array_equal(h1, h2)
         for name, t in p1.tensors.items():
             np.testing.assert_array_equal(t.data, p2.tensors[name].data)
         for name, s in p1.bn_states.items():
@@ -449,28 +448,57 @@ class TestTrainStock:
         split = tiny_split()
         _, h1 = train_stock(split, TINY)
         _, h2 = train_stock(split, replace(TINY, seed=1))
-        assert h1 != h2
+        assert not np.array_equal(h1, h2)
 
     def test_best_epoch_is_first_argmin(self):
+        # the checkpoint is the first epoch of least validation MSE, whose
+        # value the history's last column holds
         split = tiny_split()
-        _, hist = train_stock(split, replace(TINY, epochs=4))
-        vals = [e.val_mse for e in hist.epochs]
-        assert hist.best_epoch == int(np.argmin(vals))
-        assert hist.best_val_mse() == min(vals)
+        params, hist = train_stock(split, replace(TINY, epochs=4))
+        assert hist.shape == (4, len(TERMS) + 1)
+        vals = hist[:, VAL_MSE]
+        best = evaluate_mse(params, split.validation.x, split.validation.y, TINY)
+        assert best == vals[int(np.argmin(vals))] == vals.min()
 
-    def test_step_count_matches_work(self):
+    def test_ties_keep_the_first_epoch(self, monkeypatch):
+        # with every epoch's validation MSE equal, epoch 0 stays the best
+        # and its parameters are the ones returned: a 3-epoch run's
+        # checkpoint equals a 1-epoch run's
+        import dva.training as tr
+
+        monkeypatch.setattr(tr, "evaluate_mse", lambda params, x, y, cfg: np.full(2, 0.25))
+        split = tiny_split()
+        cfg = replace(TINY, lr=5e-3)
+        three = train_runs(split, replace(cfg, epochs=3), (0, 1))
+        one = train_runs(split, replace(cfg, epochs=1), (0, 1))
+        for (params, hist), (first, _) in zip(three, one):
+            assert list(hist[:, VAL_MSE]) == [0.25] * 3
+            assert int(np.argmin(hist[:, VAL_MSE])) == 0
+            np.testing.assert_array_equal(params.values, first.values)
+
+    def test_step_count_matches_work(self, monkeypatch):
+        import dva.training as tr
+
+        steps = []
+
+        class Counting(tr.Adam):
+            def step(self, grads):
+                super().step(grads)
+                steps.append(self.step_count)
+
+        monkeypatch.setattr(tr, "Adam", Counting)
         split = tiny_split()
         cfg = replace(TINY, epochs=3)
         _, hist = train_stock(split, cfg)
         expected = math.ceil(len(split.train) / cfg.batch_size) * cfg.epochs
-        assert hist.steps == expected
-        assert len(hist.epochs) == cfg.epochs
+        assert steps == list(range(1, expected + 1))
+        assert len(hist) == cfg.epochs
 
     def test_best_checkpoint_frozen_at_best_epoch(self):
         split = tiny_split()
         params, hist = train_stock(split, replace(TINY, epochs=3))
         assert evaluate_mse(params, split.validation.x, split.validation.y, TINY) == pytest.approx(
-            hist.best_val_mse()
+            hist[:, VAL_MSE].min()
         )
 
     def test_empty_split_rejected(self):
@@ -488,9 +516,10 @@ class TestTrainStock:
 
         def exploding(batch, params, schedule, cfg, **kw):
             calls["k"] += 1
+            loss_t, terms = real(batch, params, schedule, cfg, **kw)
             if calls["k"] == 3:
-                raise TrainingAbort("non-finite loss", epoch=-1, batch=-1, component="kl")
-            return real(batch, params, schedule, cfg, **kw)
+                terms[0, TERMS.index("kl")] = np.inf
+            return loss_t, terms
 
         monkeypatch.setattr(tr, "total_loss", exploding)
         with pytest.raises(TrainingAbort) as err:
@@ -503,17 +532,18 @@ class TestTrainRuns:
     def test_each_run_matches_training_alone(self):
         split = tiny_split()
         # a large step makes the validation curves cross, so best epochs differ
-        cfgs = [replace(TINY, seed=s, epochs=4, lr=5e-3) for s in (0, 1, 2)]
-        together = train_runs(split, cfgs)
-        for cfg, (params, hist) in zip(cfgs, together):
-            alone, alone_hist = train_stock(split, cfg)
-            assert hist == alone_hist
+        cfg = replace(TINY, epochs=4, lr=5e-3)
+        together = train_runs(split, cfg, (0, 1, 2))
+        for seed, (params, hist) in enumerate(together):
+            alone, alone_hist = train_stock(split, replace(cfg, seed=seed))
+            np.testing.assert_array_equal(hist, alone_hist)
             for name, t in alone.tensors.items():
                 np.testing.assert_array_equal(params.tensors[name].data, t.data)
             for name, st in alone.bn_states.items():
                 np.testing.assert_array_equal(params.bn_states[name].mean, st.mean)
                 np.testing.assert_array_equal(params.bn_states[name].var, st.var)
-        assert len({h.best_epoch for _, h in together}) > 1  # selection is per run
+        # selection is per run
+        assert len({int(np.argmin(h[:, VAL_MSE])) for _, h in together}) > 1
 
     def test_output_bias_starts_at_the_target_mean_in_the_flat_vector(self, monkeypatch):
         # Adam updates the stack's flat vector, so the start value must be
@@ -535,31 +565,32 @@ class TestTrainRuns:
                 super().step(grads)
 
         monkeypatch.setattr(tr, "Adam", Recording)
-        train_runs(split, [replace(TINY, seed=s, epochs=1) for s in (0, 1)])
+        train_runs(split, replace(TINY, epochs=1), (0, 1))
         mean = split.train.y.mean(axis=0)
         np.testing.assert_array_equal(first[0], np.stack([mean, mean]))
 
-    def test_configs_may_differ_only_in_seed(self):
-        split = tiny_split()
-        with pytest.raises(ConfigError, match="seed"):
-            train_runs(split, [TINY, replace(TINY, seed=1, lr=1e-3)])
-        with pytest.raises(ConfigError):
-            train_runs(split, [])
+    @pytest.mark.parametrize("seeds", [(), (0, -1)], ids=["none", "negative"])
+    def test_needs_seeds_at_or_above_zero(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            train_runs(tiny_split(), TINY, seeds)
 
     def test_abort_names_the_failing_run(self, monkeypatch):
         import dva.training as tr
 
         real = tr.make_batch
+        calls = {"k": 0}
 
-        def poison_seed_1(x, y, schedule, n, rng, cfg):
+        def poison_second_call(x, y, schedule, n, rng, cfg):
+            # a step draws its batches run by run: call 2 is run 1's first
+            calls["k"] += 1
             batch = real(x, y, schedule, n, rng, cfg)
-            if cfg.seed == 1:
+            if calls["k"] == 2:
                 batch.x_n[0, 0, 0] = np.nan
             return batch
 
-        monkeypatch.setattr(tr, "make_batch", poison_seed_1)
+        monkeypatch.setattr(tr, "make_batch", poison_second_call)
         with pytest.raises(TrainingAbort) as err:
-            train_runs(tiny_split(), [replace(TINY, seed=s) for s in (0, 1, 2)])
+            train_runs(tiny_split(), TINY, (0, 1, 2))
         assert err.value.run == 1 and err.value.epoch == 0 and err.value.batch == 0
 
 
@@ -760,10 +791,13 @@ class TestRunExperiment:
         ]["AAA"]
 
         real = tr.make_batch
+        calls = {"k": 0}
 
         def poison_run_1(x, y, schedule, n, rng, cfg):
+            # a step draws its batches run by run: call 2 is run 1's first
+            calls["k"] += 1
             batch = real(x, y, schedule, n, rng, cfg)
-            if cfg.seed == self.CFG.seed + 1:
+            if calls["k"] == 2:
                 batch.y_n[0, 0] = np.inf
             return batch
 
@@ -811,9 +845,5 @@ class TestRunExperiment:
         assert metrics["aggregate"] is not None
 
     def test_bad_args_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_experiment([], tmp_path, self.CFG, tmp_path / "o", runs=1)
-        with pytest.raises(ConfigError):
-            run_experiment(["A", "A"], tmp_path, self.CFG, tmp_path / "o", runs=1)
         with pytest.raises(ConfigError):
             run_experiment(["A"], tmp_path, self.CFG, tmp_path / "o", runs=0)
